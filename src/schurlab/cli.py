@@ -9,6 +9,7 @@ default tolerance is 1e-10 relative, overridable by SCHURLAB_TOL or --tol.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -18,17 +19,15 @@ import numpy as np
 
 from . import io
 from .completion import COMPLETED, INCONSISTENT, complete_partial
-from .core import Tolerance, operator_norm
+from .core import Tolerance, operator_norm, require_square
 from .errors import (
-    DimensionError,
     DocumentFormatError,
     NotMultiplicativeError,
     PreconditionError,
-    ResourceLimitError,
     SchurError,
     ZeroEntryError,
 )
-from .groups import ENUMERATION_LIMIT, enumerate_real_positive
+from .groups import enumerate_real_positive
 from .multiplicative import certify_multiplicative, schur_map_norm
 from .star import certify_star_multiplicative
 from .truncation import (
@@ -71,15 +70,8 @@ def _print_conditions(conditions) -> None:
 
 
 def _cmd_check(args, tol: Tolerance) -> int:
-    try:
-        matrix = io.load_matrix_file(args.path)
-    except (DocumentFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if not matrix.is_square:
-        print(f"error: square matrix required, got {matrix.shape}", file=sys.stderr)
-        return EXIT_INPUT
-
+    matrix = io.load_matrix_file(args.path)
+    require_square(matrix)
     try:
         cert = certify_multiplicative(matrix, tol, trials=args.trials, seed=args.seed)
     except PreconditionError as exc:
@@ -123,16 +115,7 @@ def _cmd_check(args, tol: Tolerance) -> int:
 
 
 def _cmd_factor(args, tol: Tolerance) -> int:
-    try:
-        matrix = io.load_matrix_file(args.path)
-    except (DocumentFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        cert = certify_multiplicative(matrix, tol)
-    except (PreconditionError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    cert = certify_multiplicative(io.load_matrix_file(args.path), tol)
     if not cert.verdict or cert.scaling is None:
         failing = [name for name, r in cert.conditions.items() if not r.passed]
         print(f"not multiplicative; failing conditions: {', '.join(failing)}",
@@ -142,7 +125,7 @@ def _cmd_factor(args, tol: Tolerance) -> int:
     if args.json:
         print(json.dumps({
             "scaling": [[float(v.real), float(v.imag)] for v in values],
-            "tolerance": {"rel": tol.rel, "abs": tol.abs},
+            "tolerance": tol.to_dict(),
         }))
     else:
         print(_tolerance_line(tol))
@@ -152,16 +135,7 @@ def _cmd_factor(args, tol: Tolerance) -> int:
 
 
 def _cmd_complete(args, tol: Tolerance) -> int:
-    try:
-        partial = io.load_partial_file(args.path)
-    except (DocumentFormatError, OSError, ZeroEntryError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        report = complete_partial(partial, tol, star_preserving=args.star)
-    except (PreconditionError, ZeroEntryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    report = complete_partial(io.load_partial_file(args.path), tol, star_preserving=args.star)
     if report.status == COMPLETED:
         print(io.dumps_document(io.matrix_to_document(report.matrix)))
         return EXIT_OK
@@ -178,15 +152,7 @@ def _cmd_complete(args, tol: Tolerance) -> int:
 
 
 def _cmd_enumerate(args, tol: Tolerance) -> int:
-    n = args.n
-    if n < 1 or n > ENUMERATION_LIMIT:
-        print(f"error: n must be between 1 and {ENUMERATION_LIMIT}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        members = enumerate_real_positive(n)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    members = enumerate_real_positive(args.n)
     docs = (io.dumps_document(io.matrix_to_document(m)) for m in members)
     if args.format == "array":
         print("[" + ",".join(docs) + "]")
@@ -197,14 +163,8 @@ def _cmd_enumerate(args, tol: Tolerance) -> int:
 
 
 def _cmd_norm(args, tol: Tolerance) -> int:
-    try:
-        matrix = io.load_matrix_file(args.path)
-    except (DocumentFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if not matrix.is_square:
-        print(f"error: square matrix required, got {matrix.shape}", file=sys.stderr)
-        return EXIT_INPUT
+    matrix = io.load_matrix_file(args.path)
+    require_square(matrix)
     op = operator_norm(matrix)
     map_norm = None
     try:
@@ -215,7 +175,7 @@ def _cmd_norm(args, tol: Tolerance) -> int:
         print(json.dumps({
             "operator_norm": op,
             "schur_map_norm": map_norm,
-            "tolerance": {"rel": tol.rel, "abs": tol.abs},
+            "tolerance": tol.to_dict(),
         }))
     else:
         print(_tolerance_line(tol))
@@ -232,17 +192,13 @@ def _parse_scalar_list(obj) -> list[complex]:
         raise DocumentFormatError("scaling file must hold a nonempty JSON array")
     out = []
     for k, v in enumerate(obj):
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            out.append(complex(float(v), 0.0))
-        elif (
-            isinstance(v, list) and len(v) == 2
-            and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in v)
-        ):
-            out.append(complex(float(v[0]), float(v[1])))
-        else:
+        cell = [v, 0.0] if isinstance(v, (int, float)) and not isinstance(v, bool) else v
+        try:
+            out.append(io._parse_entry(cell, k, 0))
+        except DocumentFormatError as exc:
             raise DocumentFormatError(
                 f"scaling value {k + 1} must be a number or [re, im], got {v!r}"
-            )
+            ) from exc
     return out
 
 
@@ -259,14 +215,13 @@ def parse_generator_spec(spec: str) -> CoefficientGenerator:
             lam = complex(float(parts[0]), float(parts[1]))
         except ValueError as exc:
             raise DocumentFormatError(f"bad toeplitz ratio: {rest!r}") from exc
+        if not cmath.isfinite(lam):
+            raise DocumentFormatError(f"toeplitz ratio must be finite, got {rest!r}")
         return toeplitz_generator(lam)
     if kind == "scaling":
-        with open(rest, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return scaling_generator(np.array(_parse_scalar_list(obj)))
+        return scaling_generator(np.array(_parse_scalar_list(io._load_json_file(rest))))
     if kind == "table":
-        with open(rest, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = io._load_json_file(rest)
         if isinstance(obj, dict):
             matrix = io.document_to_matrix(obj)
         elif isinstance(obj, list):
@@ -281,22 +236,12 @@ def parse_generator_spec(spec: str) -> CoefficientGenerator:
 
 
 def _cmd_witness(args, tol: Tolerance) -> int:
-    try:
-        gen = parse_generator_spec(args.gen)
-    except (DocumentFormatError, ZeroEntryError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if args.n < 1:
-        print("error: n must be positive", file=sys.stderr)
-        return EXIT_INPUT
+    gen = parse_generator_spec(args.gen)
     try:
         result = unboundedness_witness(gen, args.n, tol)
     except NotMultiplicativeError as exc:
         print(f"corner is not multiplicative: {exc}", file=sys.stderr)
         return EXIT_FALSE
-    except (DimensionError, ZeroEntryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     ok = result.lower_bound >= args.n - tol.threshold(float(args.n))
     if args.csv:
         print(f"{args.n},{result.lower_bound:.17g}")
@@ -306,7 +251,7 @@ def _cmd_witness(args, tol: Tolerance) -> int:
             "n": args.n,
             "lower_bound": result.lower_bound,
             "x": [[float(v.real), float(v.imag)] for v in result.x],
-            "tolerance": {"rel": tol.rel, "abs": tol.abs},
+            "tolerance": tol.to_dict(),
         }))
     return EXIT_OK if ok else EXIT_FALSE
 
@@ -314,13 +259,28 @@ def _cmd_witness(args, tol: Tolerance) -> int:
 def _cmd_verify(args, tol: Tolerance) -> int:
     report = run_suite(args.suite, trials=args.trials, seed=args.seed, tol=tol)
     payload = report.to_dict()
-    payload["tolerance"] = {"rel": tol.rel, "abs": tol.abs}
+    payload["tolerance"] = tol.to_dict()
     print(json.dumps(payload))
     return EXIT_OK if report.ok else EXIT_FALSE
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line and exit 2, like any other malformed input
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schurlab",
         description="Certify, factor, enumerate and complete multiplicative Schur maps.",
     )
@@ -336,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--star", action="store_true",
                    help="require the star-preserving battery to pass as well")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--trials", type=int, default=8)
+    p.add_argument("--trials", type=_positive_int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_check)
 
@@ -374,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a seeded property suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     add_tol(p)
     p.set_defaults(func=_cmd_verify)
@@ -396,7 +356,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return args.func(args, tol)
-    except SchurError as exc:
+    except (SchurError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

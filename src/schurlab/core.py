@@ -51,6 +51,9 @@ class Tolerance:
     def threshold(self, scale: float = 1.0) -> float:
         return max(self.rel * float(scale), self.abs)
 
+    def to_dict(self) -> dict:
+        return {"rel": self.rel, "abs": self.abs}
+
 
 DEFAULT_TOL = Tolerance()
 
@@ -193,25 +196,31 @@ def eigenvalues(a, tol: Tolerance | None = None) -> np.ndarray:
     return vals[order]
 
 
-def _singular_values(m: ComplexMatrix) -> np.ndarray:
+def _singular_values(data: np.ndarray) -> np.ndarray:
     try:
-        return np.linalg.svd(m.data, compute_uv=False)
+        return np.linalg.svd(data, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"singular value iteration failed: {exc}") from exc
+
+
+def _spectral_norm(data: np.ndarray) -> float:
+    return float(_singular_values(data)[0])
+
+
+def _rank(s: np.ndarray, size: int, tol: Tolerance) -> int:
+    """Count of singular values ``s`` above ``rel * sigma_max * size``, floored by ``abs``."""
+    return int(np.count_nonzero(s > max(tol.rel * float(s[0]) * size, tol.abs)))
 
 
 def numerical_rank(a, tol: Tolerance | None = None) -> int:
     """Count of singular values above ``rel * sigma_max * max(rows, cols)``, floored by ``abs``."""
     m = as_matrix(a)
-    tol = tol or DEFAULT_TOL
-    s = _singular_values(m)
-    cutoff = max(tol.rel * float(s[0]) * max(m.rows, m.cols), tol.abs)
-    return int(np.count_nonzero(s > cutoff))
+    return _rank(_singular_values(m.data), max(m.rows, m.cols), tol or DEFAULT_TOL)
 
 
 def operator_norm(a) -> float:
     """Largest singular value."""
-    return float(_singular_values(as_matrix(a))[0])
+    return _spectral_norm(as_matrix(a).data)
 
 
 def multiset_distance(left, right) -> float:

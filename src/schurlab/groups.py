@@ -12,14 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL, ComplexMatrix, Tolerance, as_matrix, schur_product
-from .errors import (
-    DimensionError,
-    NotMultiplicativeError,
-    PreconditionError,
-    ResourceLimitError,
-    ZeroEntryError,
-)
-from .multiplicative import check_cocycle
+from .errors import DimensionError, PreconditionError, ResourceLimitError, ZeroEntryError
+from .multiplicative import _require_multiplicative
 
 __all__ = [
     "SignMatrix",
@@ -100,14 +94,9 @@ def group_product(a, b, tol: Tolerance | None = None) -> ComplexMatrix:
     tol = tol or DEFAULT_TOL
     ma, mb = as_matrix(a), as_matrix(b)
     for name, m in (("left", ma), ("right", mb)):
-        result = check_cocycle(m, tol)
-        if not result.passed:
-            raise NotMultiplicativeError(
-                f"{name} factor fails the ratio identity "
-                f"(residual {result.residual:.3e})",
-                residual=result.residual,
-                witness=result.witness,
-            )
+        _require_multiplicative(
+            m, tol, f"{name} factor fails the ratio identity (residual {{residual:.3e}})"
+        )
     return schur_product(ma, mb)
 
 

@@ -70,7 +70,10 @@ def _parse_entry(cell, i: int, j: int) -> complex:
         raise DocumentFormatError(
             f"entry ({i + 1},{j + 1}) must be a two-element [re, im] array, got {cell!r}"
         )
-    return complex(float(cell[0]), float(cell[1]))
+    try:
+        return complex(float(cell[0]), float(cell[1]))
+    except OverflowError as exc:
+        raise DocumentFormatError(f"entry ({i + 1},{j + 1}) is out of range: {exc}") from exc
 
 
 def _validated_grid(doc) -> tuple[int, int, list]:
@@ -80,7 +83,7 @@ def _validated_grid(doc) -> tuple[int, int, list]:
         rows, cols, data = doc["rows"], doc["cols"], doc["data"]
     except KeyError as exc:
         raise DocumentFormatError(f"document missing field {exc}") from exc
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (rows, cols)):
         raise DocumentFormatError("rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows:
         raise DocumentFormatError(f"data must contain exactly {rows} rows")
@@ -119,7 +122,10 @@ def document_to_partial(doc) -> PartialMatrix:
                 continue
             entries[i, j] = _parse_entry(cell, i, j)
             mask[i, j] = True
-    return PartialMatrix(entries=entries, mask=mask)
+    try:
+        return PartialMatrix(entries=entries, mask=mask)
+    except ValueError as exc:
+        raise DocumentFormatError(str(exc)) from exc
 
 
 def loads_matrix(text: str) -> ComplexMatrix:
@@ -133,8 +139,20 @@ def loads_partial(text: str) -> PartialMatrix:
 def _loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise DocumentFormatError(f"invalid JSON: {exc}") from exc
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DocumentFormatError(f"file is not UTF-8 text: {exc}") from exc
+
+
+def _load_json_file(path: str):
+    return _loads(_read_text(path))
 
 
 def _parse_csv_cell(cell: str, i: int, j: int) -> complex:
@@ -167,13 +185,11 @@ def read_matrix_csv(text: str) -> ComplexMatrix:
 
 def load_matrix_file(path: str) -> ComplexMatrix:
     """Read a matrix from a JSON document, or CSV when the path ends in .csv."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     if path.lower().endswith(".csv"):
         return read_matrix_csv(text)
     return loads_matrix(text)
 
 
 def load_partial_file(path: str) -> PartialMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_partial(fh.read())
+    return document_to_partial(_load_json_file(path))

@@ -21,6 +21,8 @@ from .core import (
     DEFAULT_TOL,
     ComplexMatrix,
     Tolerance,
+    _rank,
+    _singular_values,
     as_matrix,
     eigenvalues,
     multiset_distance,
@@ -107,12 +109,37 @@ class CocycleResult(NamedTuple):
     witness: tuple[int, int, int | None] | None
 
 
+@dataclass(frozen=True)
+class ConditionResult:
+    passed: bool
+    residual: float
+
+    def to_dict(self) -> dict:
+        residual = float(self.residual)
+        return {"pass": self.passed, "residual": residual if math.isfinite(residual) else None}
+
+
+def _nanmax(*values: float) -> float:
+    """``max`` that keeps NaN; plain ``max`` drops it or not by argument order."""
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
+def _condition(passed: bool, *residual_parts: float) -> ConditionResult:
+    """Verdict with the worst of ``residual_parts`` as its residual.
+
+    Only a finite residual can pass, so an overflowed or undefined residual
+    fails closed.
+    """
+    residual = _nanmax(*residual_parts)
+    return ConditionResult(bool(passed) and math.isfinite(residual), residual)
+
+
 def _cocycle_parts(data: np.ndarray):
-    """Worst ratio-identity violation and worst diagonal deviation.
+    """Worst ratio-identity violation, worst diagonal deviation, and the
+    1-based witness of the larger of the two ((i, i, None) for the diagonal).
 
     Scans the middle index in blocks sized to keep the (n, n, block) slab
-    around 32 MB; witnesses are 0-based here and converted at the reporting
-    boundary.
+    around 32 MB.
     """
     n = data.shape[0]
     diag_dev = np.abs(np.diagonal(data) - 1.0)
@@ -123,7 +150,7 @@ def _cocycle_parts(data: np.ndarray):
     buf = np.empty((n, n, block), dtype=np.complex128)
     mag = np.empty((n, n, block), dtype=np.float64)
     best = -1.0
-    triple_witness = (0, 0, 0)
+    triple_witness = (1, 1, 1)
     for k0 in range(0, n, block):
         k1 = min(k0 + block, n)
         width = k1 - k0
@@ -137,8 +164,11 @@ def _cocycle_parts(data: np.ndarray):
         if m > best:
             i, j, k = np.unravel_index(int(np.argmax(mag2)), mag2.shape)
             best = m
-            triple_witness = (int(i), int(j), int(k) + k0)
-    return float(np.sqrt(best)), triple_witness, diag_res, diag_i
+            triple_witness = (int(i) + 1, int(j) + 1, int(k) + k0 + 1)
+    triple_res = float(np.sqrt(best))
+    if diag_res >= triple_res:
+        return triple_res, diag_res, (diag_i + 1, diag_i + 1, None)
+    return triple_res, diag_res, triple_witness
 
 
 def check_cocycle(a, tol: Tolerance | None = None) -> CocycleResult:
@@ -146,7 +176,7 @@ def check_cocycle(a, tol: Tolerance | None = None) -> CocycleResult:
 
     The combined residual is compared against the tolerance scaled by
     max|a_ij|^2, making the verdict invariant under the magnitude of the
-    entries. On failure the witness names the worst violation, 1-based;
+    entries; a residual that overflowed never passes. On failure the witness names the worst violation, 1-based;
     a diagonal violation is reported as (i, i, None).
     """
     m = as_matrix(a)
@@ -154,16 +184,24 @@ def check_cocycle(a, tol: Tolerance | None = None) -> CocycleResult:
     tol = tol or DEFAULT_TOL
     data = m.data
     scale = float(np.abs(data).max())
-    triple_res, (wi, wj, wk), diag_res, diag_i = _cocycle_parts(data)
-    residual = max(triple_res, diag_res)
-    passed = residual <= tol.threshold(scale * scale)
-    if passed:
-        return CocycleResult(True, residual, None)
-    if diag_res >= triple_res:
-        witness = (diag_i + 1, diag_i + 1, None)
-    else:
-        witness = (wi + 1, wj + 1, wk + 1)
-    return CocycleResult(False, residual, witness)
+    triple_res, diag_res, witness = _cocycle_parts(data)
+    residual = _nanmax(triple_res, diag_res)
+    passed = residual <= tol.threshold(scale * scale) and math.isfinite(residual)
+    return CocycleResult(passed, residual, None if passed else witness)
+
+
+def _require_multiplicative(m: ComplexMatrix, tol: Tolerance, message: str) -> None:
+    """Raise NotMultiplicativeError unless ``m`` passes ``check_cocycle``.
+
+    ``message`` is formatted with the failing ``residual`` and ``witness``.
+    """
+    result = check_cocycle(m, tol)
+    if not result.passed:
+        raise NotMultiplicativeError(
+            message.format(residual=result.residual, witness=result.witness),
+            residual=result.residual,
+            witness=result.witness,
+        )
 
 
 def _pivot_scaling(data: np.ndarray, tol: Tolerance) -> ScalingVector:
@@ -190,14 +228,9 @@ def factor_scaling(a, tol: Tolerance | None = None) -> ScalingVector:
     """
     m = as_matrix(a)
     tol = tol or DEFAULT_TOL
-    result = check_cocycle(m, tol)
-    if not result.passed:
-        raise NotMultiplicativeError(
-            f"ratio identity fails with residual {result.residual:.3e} "
-            f"at witness {result.witness}",
-            residual=result.residual,
-            witness=result.witness,
-        )
+    _require_multiplicative(
+        m, tol, "ratio identity fails with residual {residual:.3e} at witness {witness}"
+    )
     return _pivot_scaling(m.data, tol)
 
 
@@ -208,10 +241,52 @@ def build_from_scaling(f) -> ComplexMatrix:
     return ComplexMatrix(np.outer(values, 1.0 / values))
 
 
-@dataclass(frozen=True)
-class ConditionResult:
-    passed: bool
-    residual: float
+class _Facts(NamedTuple):
+    """What both batteries read off one coefficient matrix; each O(n^3) pass runs once."""
+
+    scale: float  # max |a_ij|
+    cocycle: ConditionResult  # ratio-identity residual
+    unit_diagonal: ConditionResult
+    witness: tuple[int, int, int | None] | None  # worst ratio violation, 1-based
+    singular_values: np.ndarray
+    rank: int
+    rank_residual: float  # sigma_2 / sigma_1
+    spectrum_distance: float  # from the spectrum to {n, 0^(n-1)}
+    scaling: ScalingVector | None  # pivot scaling when the ratio test passes
+
+
+def _facts(m: ComplexMatrix, tol: Tolerance) -> _Facts:
+    data = m.data
+    n = data.shape[0]
+    scale = float(np.abs(data).max())
+    if scale == 0.0:
+        raise PreconditionError("the zero Schur map is excluded from certification")
+
+    triple_res, diag_res, witness = _cocycle_parts(data)
+    cocycle = _condition(triple_res <= tol.threshold(scale * scale), triple_res)
+    unit_diagonal = _condition(diag_res <= tol.threshold(1.0), diag_res)
+    ratio_ok = cocycle.passed and unit_diagonal.passed
+    scaling = None
+    if ratio_ok:
+        try:
+            scaling = _pivot_scaling(data, tol)
+        except ZeroEntryError:
+            pass
+
+    svals = _singular_values(data)
+    expected = np.zeros(n, dtype=np.complex128)
+    expected[0] = n
+    return _Facts(
+        scale=scale,
+        cocycle=cocycle,
+        unit_diagonal=unit_diagonal,
+        witness=None if ratio_ok else witness,
+        singular_values=svals,
+        rank=_rank(svals, n, tol),
+        rank_residual=float(svals[1] / svals[0]) if n > 1 and svals[0] > 0 else 0.0,
+        spectrum_distance=multiset_distance(eigenvalues(m, tol), expected),
+        scaling=scaling,
+    )
 
 
 @dataclass
@@ -248,10 +323,7 @@ class MultiplicativityCertificate:
     def to_dict(self) -> dict:
         return {
             "verdict": self.verdict,
-            "conditions": {
-                name: {"pass": r.passed, "residual": _json_residual(r.residual)}
-                for name, r in self.conditions.items()
-            },
+            "conditions": {name: r.to_dict() for name, r in self.conditions.items()},
             "witness": list(self.witness) if self.witness else None,
             "scaling": (
                 [[float(v.real), float(v.imag)] for v in self.scaling.values]
@@ -259,12 +331,8 @@ class MultiplicativityCertificate:
                 else None
             ),
             "inconsistent": self.inconsistent,
-            "tolerance": {"rel": self.tolerance.rel, "abs": self.tolerance.abs},
+            "tolerance": self.tolerance.to_dict(),
         }
-
-
-def _json_residual(value: float):
-    return float(value) if math.isfinite(value) else None
 
 
 def _product_sampling_residual(data: np.ndarray, trials: int, seed: int) -> float:
@@ -272,6 +340,7 @@ def _product_sampling_residual(data: np.ndarray, trials: int, seed: int) -> floa
 
     Frobenius norms throughout; each trial draws from a stream derived from
     (seed, trial) so trials are reproducible independent of evaluation order.
+    A NaN defect (overflow) is kept, not folded away.
     """
     n = data.shape[0]
     scale = float(np.abs(data).max())
@@ -285,7 +354,7 @@ def _product_sampling_residual(data: np.ndarray, trials: int, seed: int) -> floa
         denom = float(np.linalg.norm(b) * np.linalg.norm(c)) * scale * scale
         if denom == 0.0:
             continue
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)) / denom)
+        worst = _nanmax(worst, float(np.linalg.norm(lhs - rhs)) / denom)
     return worst
 
 
@@ -307,61 +376,22 @@ def certify_multiplicative(
     tol = tol or DEFAULT_TOL
     if trials < 1:
         raise PreconditionError("trials must be positive")
-    data = m.data
-    scale = float(np.abs(data).max())
-    if scale == 0.0:
-        raise PreconditionError("the zero Schur map is excluded from certification")
-
-    triple_res, (wi, wj, wk), diag_res, diag_i = _cocycle_parts(data)
-    conditions: dict[str, ConditionResult] = {}
-    conditions["cocycle"] = ConditionResult(
-        triple_res <= tol.threshold(scale * scale), triple_res
-    )
-    conditions["unit_diagonal"] = ConditionResult(
-        diag_res <= tol.threshold(1.0), diag_res
-    )
-
-    try:
-        svals = np.linalg.svd(data, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"singular value iteration failed: {exc}") from exc
-    rank_cut = max(tol.rel * float(svals[0]) * n, tol.abs)
-    rank = int(np.count_nonzero(svals > rank_cut))
-    rank_res = float(svals[1] / svals[0]) if n > 1 and svals[0] > 0 else 0.0
-    conditions["rank_one"] = ConditionResult(rank == 1, rank_res)
-
-    expected = np.zeros(n, dtype=np.complex128)
-    expected[0] = n
-    spec_res = multiset_distance(eigenvalues(m, tol), expected)
-    conditions["spectrum_0_n"] = ConditionResult(
-        spec_res <= tol.threshold(float(n)), spec_res
-    )
-
-    samp_res = _product_sampling_residual(data, trials, seed)
-    conditions["product_sampling"] = ConditionResult(
-        samp_res <= tol.threshold(1.0), samp_res
-    )
-
-    verdict = all(r.passed for r in conditions.values())
-    witness: tuple[int, int, int | None] | None = None
-    if not (conditions["cocycle"].passed and conditions["unit_diagonal"].passed):
-        if diag_res >= triple_res:
-            witness = (diag_i + 1, diag_i + 1, None)
-        else:
-            witness = (wi + 1, wj + 1, wk + 1)
-
-    scaling = None
-    if conditions["cocycle"].passed and conditions["unit_diagonal"].passed:
-        try:
-            scaling = _pivot_scaling(data, tol)
-        except ZeroEntryError:
-            scaling = None
-
+    facts = _facts(m, tol)
+    samp_res = _product_sampling_residual(m.data, trials, seed)
+    conditions = {
+        "cocycle": facts.cocycle,
+        "unit_diagonal": facts.unit_diagonal,
+        "rank_one": _condition(facts.rank == 1, facts.rank_residual),
+        "spectrum_0_n": _condition(
+            facts.spectrum_distance <= tol.threshold(float(n)), facts.spectrum_distance
+        ),
+        "product_sampling": _condition(samp_res <= tol.threshold(1.0), samp_res),
+    }
     cert = MultiplicativityCertificate(
-        verdict=verdict,
+        verdict=all(r.passed for r in conditions.values()),
         conditions=conditions,
-        witness=witness,
-        scaling=scaling,
+        witness=facts.witness,
+        scaling=facts.scaling,
         inconsistent=False,
         tolerance=tol,
     )

@@ -16,13 +16,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import DEFAULT_TOL, ComplexMatrix, Tolerance
-from .errors import (
-    DimensionError,
-    NotMultiplicativeError,
-    PreconditionError,
-    ZeroEntryError,
-)
-from .multiplicative import ScalingVector, check_cocycle, factor_scaling
+from .errors import DimensionError, PreconditionError, ZeroEntryError
+from .multiplicative import ScalingVector, _pivot_scaling, _require_multiplicative
 
 __all__ = [
     "CoefficientGenerator",
@@ -108,7 +103,11 @@ def table_generator(entries) -> CoefficientGenerator:
 
 
 def corner(gen: CoefficientGenerator, n: int) -> ComplexMatrix:
-    """Leading principal n-by-n submatrix of the generator."""
+    """Leading principal n-by-n submatrix of the generator.
+
+    A rule that raises an arithmetic error or yields a non-finite value raises
+    PreconditionError naming the 1-based entry.
+    """
     if n < 1:
         raise DimensionError("corner size must be positive")
     if gen.max_index is not None and n > gen.max_index:
@@ -116,9 +115,16 @@ def corner(gen: CoefficientGenerator, n: int) -> ComplexMatrix:
             f"generator only defined up to index {gen.max_index}, requested {n}"
         )
     data = np.empty((n, n), dtype=np.complex128)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            data[i - 1, j - 1] = gen.rule(i, j)
+    try:
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                data[i - 1, j - 1] = gen.rule(i, j)
+    except ArithmeticError as exc:
+        raise PreconditionError(f"generator entry ({i},{j}) cannot be computed: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = (int(v) + 1 for v in bad[0])
+        raise PreconditionError(f"generator entry ({i},{j}) is not finite")
     return ComplexMatrix(data)
 
 
@@ -150,14 +156,10 @@ def l2_multiplier_factor_check(
         raise PreconditionError("probe size must be at least 2")
     tol = tol or DEFAULT_TOL
     block = corner(gen, probe)
-    result = check_cocycle(block, tol)
-    if not result.passed:
-        raise NotMultiplicativeError(
-            f"probe corner of size {probe} fails the ratio identity "
-            f"(residual {result.residual:.3e})",
-            residual=result.residual,
-            witness=result.witness,
-        )
+    _require_multiplicative(
+        block, tol,
+        f"probe corner of size {probe} fails the ratio identity (residual {{residual:.3e}})",
+    )
     f = ScalingVector(block.data[:, 0])
     mags = np.abs(f.values)
     ratio = float(mags.max() / mags.min())
@@ -222,15 +224,10 @@ def unboundedness_witness(
     """
     tol = tol or DEFAULT_TOL
     block = corner(gen, n)
-    result = check_cocycle(block, tol)
-    if not result.passed:
-        raise NotMultiplicativeError(
-            f"corner of size {n} fails the ratio identity "
-            f"(residual {result.residual:.3e})",
-            residual=result.residual,
-            witness=result.witness,
-        )
-    f = factor_scaling(block, tol).values
+    _require_multiplicative(
+        block, tol, f"corner of size {n} fails the ratio identity (residual {{residual:.3e}})"
+    )
+    f = _pivot_scaling(block.data, tol).values
     x = f / np.linalg.norm(f)
     lower = float(np.linalg.norm(block.data @ x))
     return WitnessResult(x=x, lower_bound=lower)

@@ -1,7 +1,12 @@
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from schurlab import ComplexMatrix, DocumentFormatError, PartialMatrix, all_ones
 from schurlab.cli import main, parse_generator_spec
@@ -24,7 +29,10 @@ UNIT_CIRCLE_DOC = {
 
 def write(tmp_path, name, payload):
     path = tmp_path / name
-    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -348,3 +356,125 @@ class TestToleranceHandling:
         path = write(tmp_path, "m.json", matrix_to_document(wobbled))
         assert main(["check", path]) == 1
         assert main(["check", path, "--tol", "1e-4"]) == 0
+
+
+def test_overflowed_sampling_residual_fails_closed(tmp_path, capsys):
+    # f = (1, 1e-308): exactly multiplicative, but the sampled products overflow
+    doc = {"rows": 2, "cols": 2, "data": [[[1.0, 0.0], [1e308, 0.0]], [[1e-308, 0.0], [1.0, 0.0]]]}
+    assert main(["check", write(tmp_path, "m.json", doc), "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["multiplicative"]["conditions"]["product_sampling"] == {
+        "pass": False,
+        "residual": None,
+    }
+    assert payload["star"]["conditions"]["rank_one_normal_unit_diag"]["residual"] is None
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        pytest.param(["check", "{m}"], {"m": {"rows": True, "cols": 1, "data": [[[1.0, 0.0]]]}},
+                     id="bool-size"),
+        pytest.param(["check", "{m}"], {"m": {"rows": 1, "cols": 1, "data": [[[10**400, 0]]]}},
+                     id="entry-overflows-float"),
+        pytest.param(["check", "{m}"],
+                     {"m": '{"rows": 1, "cols": 1, "data": [[[' + "1" * 5000 + ", 0]]]}"},
+                     id="integer-literal-too-long"),
+        pytest.param(["check", "{m}"], {"m": b"\xff\xfe"}, id="not-utf8"),
+        pytest.param(["complete", "{p}"],
+                     {"p": {"rows": 2, "cols": 2,
+                            "data": [[None, [float("nan"), 0.0]], [None, None]]}},
+                     id="partial-nan"),
+        pytest.param(["witness", "3", "--gen", "toeplitz:1e-300,0"], {}, id="toeplitz-underflow"),
+        pytest.param(["witness", "3", "--gen", "toeplitz:1e200,0"], {}, id="toeplitz-overflow"),
+        pytest.param(["witness", "3", "--gen", "toeplitz:inf,0"], {}, id="toeplitz-inf"),
+        pytest.param(["witness", "3", "--gen", "toeplitz:nan,0"], {}, id="toeplitz-nan"),
+        pytest.param(["witness", "3", "--gen", "scaling:{f}"], {"f": [1.0, 10**400]},
+                     id="scaling-overflows-float"),
+        pytest.param(["witness", "3", "--gen", "scaling:{f}"], {"f": "[1, 2"},
+                     id="scaling-bad-json"),
+        pytest.param(["check", "{m}", "--trials", "0"], {"m": UNIT_CIRCLE_DOC}, id="check-trials-0"),
+        pytest.param(["verify", "--suite", "group", "--trials", "0"], {}, id="verify-trials-0"),
+    ],
+)
+def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, argv, files):
+    paths = {key: write(tmp_path, f"{key}.json", content) for key, content in files.items()}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert "Traceback" not in captured.err
+
+
+# Fuzzing the CLI at n <= 4: well-formed multiplicative documents with a few
+# cells, or the header, swapped for malformed or extreme values.
+_specials = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, 1e-300, 1e300, 10**400, True, None, "1", [1.0]]
+)
+_scalars = st.complex_numbers(min_magnitude=0.25, max_magnitude=4)
+
+
+@st.composite
+def _documents(draw, partial: bool = False):
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.text(max_size=8))
+    f = draw(st.lists(_scalars, min_size=1, max_size=4))
+    n = len(f)
+    data = [[[(fi / fj).real, (fi / fj).imag] for fj in f] for fi in f]
+    if partial:
+        data = [[None if draw(st.booleans()) else cell for cell in row] for row in data]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        cell = st.one_of(_specials, st.lists(_specials, min_size=2, max_size=2))
+        data[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(cell)
+    doc = {"rows": n, "cols": n, "data": data}
+    if draw(st.integers(0, 5)) == 0:
+        doc[draw(st.sampled_from(["rows", "cols", "data"]))] = draw(_specials)
+    return json.dumps(doc)
+
+
+_ratio_parts = st.one_of(
+    st.floats(-3, 3).map(repr), st.sampled_from(["inf", "nan", "1e-300", "1e200", "0", "x"])
+)
+
+
+@st.composite
+def _invocations(draw):
+    """An argv, with {f} standing for the input file, and that file's content."""
+    kind = draw(st.sampled_from(["check", "factor", "norm", "complete", "witness"]))
+    if kind == "complete":
+        return ["complete", "{f}"] + draw(st.sampled_from([[], ["--star"]])), draw(
+            _documents(partial=True)
+        )
+    if kind != "witness":
+        flags = draw(st.sampled_from([[], ["--json"]]))
+        if kind == "check":
+            flags = flags + draw(st.sampled_from([[], ["--star"]]))
+        return [kind, "{f}"] + flags, draw(_documents())
+    spec = draw(st.sampled_from(["toeplitz", "scaling", "table", "junk"]))
+    argv = ["witness", str(draw(st.integers(0, 4))), "--gen"]
+    if spec == "toeplitz":
+        return argv + [f"toeplitz:{draw(_ratio_parts)},{draw(_ratio_parts)}"], ""
+    if spec == "scaling":
+        values = draw(st.lists(st.one_of(st.floats(0.25, 4), _specials), max_size=4))
+        return argv + ["scaling:{f}"], json.dumps(values)
+    if spec == "table":
+        return argv + ["table:{f}"], draw(_documents())
+    return argv + [draw(st.text(max_size=8))], ""
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=200,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_invocations())
+def test_cli_fuzz_exit_codes(tmp_path, invocation):
+    argv, content = invocation
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([arg.replace("{f}", str(path)) for arg in argv])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -262,3 +262,42 @@ def test_tolerance_scales_cocycle_pass():
     noisy = base * (1 + 3e-11)  # relative wobble within tolerance
     assert check_cocycle(noisy, Tolerance(rel=1e-9, abs=1e-15)).passed
     assert not check_cocycle(noisy, Tolerance(rel=1e-13, abs=1e-16)).passed
+
+
+def test_each_call_runs_the_ratio_scan_once(monkeypatch):
+    from schurlab import (
+        certify_star_multiplicative,
+        multiplicative,
+        toeplitz_generator,
+        unboundedness_witness,
+    )
+
+    calls = []
+    scan = multiplicative._cocycle_parts
+
+    def spy(data):
+        calls.append(data.shape)
+        return scan(data)
+
+    monkeypatch.setattr(multiplicative, "_cocycle_parts", spy)
+    a = build_from_scaling(np.exp(1j * np.arange(5)))
+    for run in (
+        lambda: certify_multiplicative(a),
+        lambda: certify_star_multiplicative(a),
+        lambda: unboundedness_witness(toeplitz_generator(1j), 5),
+    ):
+        calls.clear()
+        run()
+        assert calls == [(5, 5)]
+
+
+def test_overflowed_ratio_residual_fails():
+    # a_12 * a_21 = 1e400 overflows; the old scan compared inf against an
+    # infinite threshold (max|a|^2) and passed
+    a = [[1, 1e200], [1e200, 1]]
+    result = check_cocycle(a)
+    assert not result.passed
+    assert result.residual == np.inf
+    assert not certify_multiplicative(a).conditions["cocycle"].passed
+    with pytest.raises(NotMultiplicativeError):
+        schur_map_norm(a)
