@@ -124,7 +124,7 @@ def _cmd_factor(args, tol: Tolerance) -> int:
     values = cert.scaling.values
     if args.json:
         print(json.dumps({
-            "scaling": [[float(v.real), float(v.imag)] for v in values],
+            "scaling": io.complex_cells(values),
             "tolerance": tol.to_dict(),
         }))
     else:
@@ -250,7 +250,7 @@ def _cmd_witness(args, tol: Tolerance) -> int:
             "generator": gen.label or args.gen,
             "n": args.n,
             "lower_bound": result.lower_bound,
-            "x": [[float(v.real), float(v.imag)] for v in result.x],
+            "x": io.complex_cells(result.x),
             "tolerance": tol.to_dict(),
         }))
     return EXIT_OK if ok else EXIT_FALSE

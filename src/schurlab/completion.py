@@ -10,7 +10,6 @@ reports.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -103,34 +102,36 @@ class CompletionReport:
         }
 
 
-def _components_and_adjacency(n: int, edges: set[tuple[int, int]]):
-    adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
-    for i, j in edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    for v in adjacency:
-        adjacency[v].sort()
+def _dfs_forest(adjacency: list[list[int]]):
+    """Depth-first spanning forest, roots and neighbors taken in ascending
+    order (a chain of specified entries stays a chain).
+
+    Returns the components (each sorted, ordered by smallest vertex), the
+    parent and depth of every vertex, and the visiting order.
+    """
+    n = len(adjacency)
+    parent, depth, order, components = [-1] * n, [0] * n, [], []
     seen = [False] * n
-    components: list[list[int]] = []
-    for start in range(n):
-        if seen[start]:
+    for root in range(n):
+        if seen[root]:
             continue
-        queue = deque([start])
-        seen[start] = True
-        comp = []
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        components.append(sorted(comp))
-    return components, adjacency
+        start = len(order)
+        stack = [(root, -1)]
+        while stack:
+            v, p = stack.pop()
+            if seen[v]:
+                continue
+            seen[v] = True
+            order.append(v)
+            if p >= 0:
+                parent[v], depth[v] = p, depth[p] + 1
+            stack += [(w, v) for w in reversed(adjacency[v]) if not seen[w]]
+        components.append(sorted(order[start:]))
+    return components, parent, depth, order
 
 
 def _tree_path(parent: list[int], depth: list[int], i: int, j: int) -> list[int]:
-    """Vertex path from i to j along the BFS tree, endpoints included."""
+    """Vertex path from i to j along the spanning tree, endpoints included."""
     up_i, up_j = [i], [j]
     a, b = i, j
     while depth[a] > depth[b]:
@@ -175,7 +176,6 @@ def complete_partial(
                     f"entry ({i + 1},{j + 1}) has modulus {abs(value):.12g}"
                 )
 
-    edges: set[tuple[int, int]] = set()
     ratios: dict[tuple[int, int], complex] = {}
     diag_violations: list[Violation] = []
     for i, j, value in specified:
@@ -185,11 +185,14 @@ def complete_partial(
                 diag_violations.append(Violation((i + 1,), dev))
             continue
         ratios[(i, j)] = value
-        edges.add((min(i, j), max(i, j)))
         if star_preserving:
             ratios.setdefault((j, i), 1.0 / value)
 
-    components, adjacency = _components_and_adjacency(n, edges)
+    # A specified diagonal entry becomes a self-loop, which the walk skips.
+    linked = (partial.mask | partial.mask.T).tolist()
+    components, parent, depth, order = _dfs_forest(
+        [[w for w, on in enumerate(row) if on] for row in linked]
+    )
 
     if diag_violations:
         return CompletionReport(INCONSISTENT, None, diag_violations, _one_based(components))
@@ -197,31 +200,19 @@ def complete_partial(
     if len(components) > 1:
         return CompletionReport(UNDERDETERMINED, None, [], _one_based(components))
 
-    # Connected: depth-first spanning tree from vertex 0, exploring neighbors
-    # in ascending order (a chain of specified entries stays a chain).
-    parent = [-1] * n
-    depth = [0] * n
-    f = np.zeros(n, dtype=np.complex128)
-    f[0] = 1.0
-    seen = [False] * n
-    stack: list[tuple[int, int]] = [(0, -1)]
-    while stack:
-        v, p = stack.pop()
-        if seen[v]:
-            continue
-        seen[v] = True
-        if p >= 0:
-            parent[v] = p
-            depth[v] = depth[p] + 1
+    f = np.ones(n, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        for v in order[1:]:  # parents come first in visiting order
+            p = parent[v]
             if (p, v) in ratios:
                 f[v] = f[p] / ratios[(p, v)]  # a_pv = f(p)/f(v)
             else:
                 f[v] = f[p] * ratios[(v, p)]  # a_vp = f(v)/f(p)
-        for w in reversed(adjacency[v]):
-            if not seen[w]:
-                stack.append((w, v))
-
-    completed = np.outer(f, 1.0 / f)
+        completed = np.outer(f, 1.0 / f)
+    finite = np.isfinite(completed)  # an entry that underflows to 0 has an infinite transpose
+    if not finite.all():
+        i, j = (int(v) + 1 for v in np.argwhere(~finite)[0])
+        raise PreconditionError(f"completed entry ({i},{j}) cannot be represented as a double")
     np.fill_diagonal(completed, 1.0)  # forced exactly by the unit-diagonal law
     violations: list[Violation] = []
     for (i, j), value in sorted(ratios.items()):

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL, ComplexMatrix, Tolerance, as_matrix, schur_product
-from .errors import DimensionError, PreconditionError, ResourceLimitError, ZeroEntryError
+from .errors import DimensionError, PreconditionError, ResourceLimitError
 from .multiplicative import _require_multiplicative
+from .truncation import corner, toeplitz_generator
 
 __all__ = [
     "SignMatrix",
@@ -79,14 +80,10 @@ class SignMatrix:
 
 def toeplitz_member(lam: complex, n: int) -> ComplexMatrix:
     """The Toeplitz member a_ij = lam^(j-i); lam must be nonzero."""
-    lam = complex(lam)
-    if lam == 0:
-        raise ZeroEntryError("Toeplitz ratio must be nonzero", position=None)
+    gen = toeplitz_generator(lam)
     if n < 1:
         raise DimensionError("n must be positive")
-    powers = lam ** np.arange(-(n - 1), n)
-    offsets = -np.subtract.outer(np.arange(n), np.arange(n))  # j - i
-    return ComplexMatrix(powers[offsets + n - 1])
+    return corner(gen, n)
 
 
 def group_product(a, b, tol: Tolerance | None = None) -> ComplexMatrix:

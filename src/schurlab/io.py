@@ -19,6 +19,7 @@ from .core import ComplexMatrix, as_matrix
 from .errors import DocumentFormatError
 
 __all__ = [
+    "complex_cells",
     "matrix_to_document",
     "partial_to_document",
     "document_to_matrix",
@@ -32,28 +33,23 @@ __all__ = [
 ]
 
 
+def complex_cells(z) -> list:
+    """Nested [re, im] float pairs of a complex array, in its shape; -0.0 is kept."""
+    z = np.asarray(z, dtype=np.complex128)
+    return np.stack((z.real, z.imag), -1).tolist()
+
+
 def matrix_to_document(a) -> dict:
     m = as_matrix(a)
-    data = [
-        [[float(v.real), float(v.imag)] for v in row]
-        for row in m.data
-    ]
-    return {"rows": m.rows, "cols": m.cols, "data": data}
+    return {"rows": m.rows, "cols": m.cols, "data": complex_cells(m.data)}
 
 
 def partial_to_document(partial: PartialMatrix) -> dict:
-    n = partial.n
-    data = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if partial.mask[i, j]:
-                v = partial.entries[i, j]
-                row.append([float(v.real), float(v.imag)])
-            else:
-                row.append(None)
-        data.append(row)
-    return {"rows": n, "cols": n, "data": data}
+    data = [
+        [cell if known else None for cell, known in zip(row, mask_row)]
+        for row, mask_row in zip(complex_cells(partial.entries), partial.mask.tolist())
+    ]
+    return {"rows": partial.n, "cols": partial.n, "data": data}
 
 
 def dumps_document(doc: dict) -> str:

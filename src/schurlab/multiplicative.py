@@ -35,6 +35,7 @@ from .errors import (
     PreconditionError,
     ZeroEntryError,
 )
+from .io import complex_cells
 
 __all__ = [
     "ScalingVector",
@@ -171,6 +172,7 @@ def _cocycle_parts(data: np.ndarray):
     return triple_res, diag_res, triple_witness
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowed residuals fail closed
 def check_cocycle(a, tol: Tolerance | None = None) -> CocycleResult:
     """Test a_ij = a_ik * a_kj for all triples and a_ii = 1 on the diagonal.
 
@@ -325,11 +327,7 @@ class MultiplicativityCertificate:
             "verdict": self.verdict,
             "conditions": {name: r.to_dict() for name, r in self.conditions.items()},
             "witness": list(self.witness) if self.witness else None,
-            "scaling": (
-                [[float(v.real), float(v.imag)] for v in self.scaling.values]
-                if self.scaling is not None
-                else None
-            ),
+            "scaling": complex_cells(self.scaling.values) if self.scaling is not None else None,
             "inconsistent": self.inconsistent,
             "tolerance": self.tolerance.to_dict(),
         }
@@ -358,6 +356,7 @@ def _product_sampling_residual(data: np.ndarray, trials: int, seed: int) -> floa
     return worst
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowed residuals fail closed
 def certify_multiplicative(
     a,
     tol: Tolerance | None = None,

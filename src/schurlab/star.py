@@ -109,6 +109,7 @@ class StarCertificate:
         }
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowed residuals fail closed
 def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertificate:
     """Run the star-preserving battery on a unital coefficient matrix.
 

@@ -35,14 +35,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoefficientGenerator:
-    """Pure rule (i, j) -> complex scalar, indices 1-based.
+    """Pure rule (i, j) -> a_ij, indices 1-based.
 
-    ``declared_bound`` is the claimed sup |a_ij| when known; ``max_index``
-    bounds the corners a finitely supported rule can produce. The rule must
-    be deterministic so corners are reproducible.
+    ``rule`` is evaluated elementwise on broadcastable 1-based integer index
+    arrays (``corner`` calls it once, on a column of row indices and a row of
+    column indices); plain ints still work. ``declared_bound`` is the claimed
+    sup |a_ij| when known; ``max_index`` bounds the corners a finitely
+    supported rule can produce. The rule must be deterministic so corners are
+    reproducible.
     """
 
-    rule: Callable[[int, int], complex]
+    rule: Callable[[np.ndarray, np.ndarray], np.ndarray]
     declared_bound: float | None = None
     max_index: int | None = None
     label: str = ""
@@ -53,18 +56,28 @@ def toeplitz_generator(lam: complex) -> CoefficientGenerator:
     lam = complex(lam)
     if lam == 0:
         raise ZeroEntryError("Toeplitz ratio must be nonzero", position=None)
-    return CoefficientGenerator(
-        rule=lambda i, j: lam ** (j - i),
-        label=f"toeplitz:{lam.real:g},{lam.imag:g}",
-    )
+
+    def rule(i, j):
+        offsets = np.subtract(j, i)
+        low = offsets.min()
+        return (lam ** np.arange(low, offsets.max() + 1))[offsets - low]  # each power once
+
+    return CoefficientGenerator(rule=rule, label=f"toeplitz:{lam.real:g},{lam.imag:g}")
 
 
 def scaling_generator(values) -> CoefficientGenerator:
-    """a_ij = f(i)/f(j) from a finite sequence or a callable f(i), 1-based."""
+    """a_ij = f(i)/f(j) from a finite sequence or a callable f(i), 1-based.
+
+    A callable is called once per index, with a Python int.
+    """
     if callable(values):
         fn = values
+
+        def at(k):
+            return np.array([complex(fn(v)) for v in np.ravel(k).tolist()]).reshape(np.shape(k))
+
         return CoefficientGenerator(
-            rule=lambda i, j: complex(fn(i)) / complex(fn(j)),
+            rule=lambda i, j: at(i) / at(j),
             label="scaling:<callable>",
         )
     arr = np.asarray(values, dtype=np.complex128).ravel()
@@ -76,7 +89,7 @@ def scaling_generator(values) -> CoefficientGenerator:
         raise ZeroEntryError(f"scaling value {k + 1} is zero", position=(k + 1, 1))
     mags = np.abs(arr)
     return CoefficientGenerator(
-        rule=lambda i, j: complex(arr[i - 1] / arr[j - 1]),
+        rule=lambda i, j: arr[i - 1] / arr[j - 1],
         declared_bound=float(mags.max() / mags.min()),
         max_index=int(arr.size),
         label=f"scaling:len={arr.size}",
@@ -89,14 +102,10 @@ def table_generator(entries) -> CoefficientGenerator:
     if table.ndim != 2 or table.size == 0:
         raise DimensionError(f"table must be a nonempty 2-d array, got shape {table.shape}")
     rows, cols = table.shape
-
-    def rule(i: int, j: int) -> complex:
-        if 1 <= i <= rows and 1 <= j <= cols:
-            return complex(table[i - 1, j - 1])
-        return 0.0 + 0.0j
-
+    padded = np.zeros((rows + 1, cols + 1), dtype=np.complex128)
+    padded[:rows, :cols] = table  # indices past the table land on the zero last row or column
     return CoefficientGenerator(
-        rule=rule,
+        rule=lambda i, j: padded[np.minimum(i - 1, rows), np.minimum(j - 1, cols)],
         declared_bound=float(np.abs(table).max()),
         label=f"table:{rows}x{cols}",
     )
@@ -105,8 +114,9 @@ def table_generator(entries) -> CoefficientGenerator:
 def corner(gen: CoefficientGenerator, n: int) -> ComplexMatrix:
     """Leading principal n-by-n submatrix of the generator.
 
-    A rule that raises an arithmetic error or yields a non-finite value raises
-    PreconditionError naming the 1-based entry.
+    A rule that raises an arithmetic error raises PreconditionError; one that
+    yields a non-finite value raises PreconditionError naming the first such
+    1-based entry.
     """
     if n < 1:
         raise DimensionError("corner size must be positive")
@@ -114,18 +124,18 @@ def corner(gen: CoefficientGenerator, n: int) -> ComplexMatrix:
         raise DimensionError(
             f"generator only defined up to index {gen.max_index}, requested {n}"
         )
+    index = np.arange(1, n + 1)
     data = np.empty((n, n), dtype=np.complex128)
     try:
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                data[i - 1, j - 1] = gen.rule(i, j)
+        with np.errstate(all="ignore"):
+            data[...] = gen.rule(index[:, None], index[None, :])
     except ArithmeticError as exc:
-        raise PreconditionError(f"generator entry ({i},{j}) cannot be computed: {exc}") from exc
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        i, j = (int(v) + 1 for v in bad[0])
-        raise PreconditionError(f"generator entry ({i},{j}) is not finite")
-    return ComplexMatrix(data)
+        raise PreconditionError(f"generator corner of size {n} cannot be computed: {exc}") from exc
+    try:
+        return ComplexMatrix(data)
+    except ValueError:  # the only check ComplexMatrix can fail on an n-by-n array
+        i, j = (int(v) + 1 for v in np.argwhere(~np.isfinite(data))[0])
+        raise PreconditionError(f"generator entry ({i},{j}) is not finite") from None
 
 
 class L2FactorReport(NamedTuple):

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +89,19 @@ class TestCompletePartial:
         report = complete_partial(partial_from(1, {}))
         assert report.status == COMPLETED
         assert report.matrix == all_ones(1)
+
+    @pytest.mark.parametrize(
+        "items, entry",
+        [
+            ({(1, 2): 1e200, (2, 3): 1e200}, "(1,3)"),  # f(3) underflows to 0
+            ({(1, 2): 1e200, (1, 3): 1e-200}, "(3,2)"),  # f is finite, a_32 = 1e400 is not
+        ],
+    )
+    def test_unrepresentable_completion_is_a_precondition_error(self, items, entry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(PreconditionError, match=re.escape(f"entry {entry} cannot be")):
+                complete_partial(partial_from(3, items))
 
     def test_completed_diagonal_is_exactly_one(self):
         report = complete_partial(partial_from(3, {(1, 2): 2.0 + 1j, (2, 3): 0.5j}))

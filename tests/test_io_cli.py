@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from schurlab import ComplexMatrix, DocumentFormatError, PartialMatrix, all_ones
 from schurlab.cli import main, parse_generator_spec
 from schurlab.io import (
+    complex_cells,
     document_to_matrix,
     dumps_document,
     loads_matrix,
@@ -44,6 +46,15 @@ class TestDocuments:
         back = loads_matrix(text)
         assert np.array_equal(back.data, m.data)
         assert dumps_document(matrix_to_document(back)) == text
+
+    def test_complex_cells_keep_shape_and_negative_zero(self):
+        row = np.array([complex(1.0, -0.0), complex(-0.0, 2.5)])
+        assert json.dumps(complex_cells(row)) == "[[1.0, -0.0], [-0.0, 2.5]]"
+        grid = np.array([[1j, 2.0], [complex(-0.0, 0.0), complex(0.0, -4.0)]])
+        assert json.dumps(complex_cells(grid)) == (
+            "[[[0.0, 1.0], [2.0, 0.0]], [[-0.0, 0.0], [0.0, -4.0]]]"
+        )
+        assert complex_cells(grid) == [[[float(v.real), float(v.imag)] for v in r] for r in grid]
 
     def test_null_rejected_in_full_document(self):
         doc = {"rows": 1, "cols": 2, "data": [[[1.0, 0.0], None]]}
@@ -371,6 +382,23 @@ def test_overflowed_sampling_residual_fails_closed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["check", "{m}", "--json"], [[1.0, 1e308], [1e-308, 1.0]]),
+        (["check", "{m}", "--star", "--json"], [[1.0, 1e308], [1e-308, 1.0]]),
+        (["factor", "{m}"], [[1.0, 1e200], [1e200, 1.0]]),
+        (["norm", "{m}", "--json"], [[1.0, 1e200], [1e200, 1.0]]),
+    ],
+)
+def test_overflow_raises_no_runtime_warning(tmp_path, capsys, argv, doc):
+    path = write(tmp_path, "m.json", matrix_to_document(ComplexMatrix(doc)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([arg.format(m=path) for arg in argv]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
     "argv, files",
     [
         pytest.param(["check", "{m}"], {"m": {"rows": True, "cols": 1, "data": [[[1.0, 0.0]]]}},
@@ -385,6 +413,11 @@ def test_overflowed_sampling_residual_fails_closed(tmp_path, capsys):
                      {"p": {"rows": 2, "cols": 2,
                             "data": [[None, [float("nan"), 0.0]], [None, None]]}},
                      id="partial-nan"),
+        pytest.param(["complete", "{p}"],
+                     {"p": {"rows": 3, "cols": 3,
+                            "data": [[None, [1e200, 0.0], None], [None, None, [1e200, 0.0]],
+                                     [None, None, None]]}},
+                     id="completion-overflows"),
         pytest.param(["witness", "3", "--gen", "toeplitz:1e-300,0"], {}, id="toeplitz-underflow"),
         pytest.param(["witness", "3", "--gen", "toeplitz:1e200,0"], {}, id="toeplitz-overflow"),
         pytest.param(["witness", "3", "--gen", "toeplitz:inf,0"], {}, id="toeplitz-inf"),

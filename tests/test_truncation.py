@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from schurlab import (
+    CoefficientGenerator,
     ComplexMatrix,
     DimensionError,
     NotMultiplicativeError,
@@ -15,8 +16,22 @@ from schurlab import (
     scaling_generator,
     table_generator,
     toeplitz_generator,
+    toeplitz_member,
     unboundedness_witness,
 )
+
+
+def loop_corner(rule, n):
+    """The per-entry corner loop that ``corner`` replaced, kept as the reference."""
+    data = np.empty((n, n), dtype=np.complex128)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            data[i - 1, j - 1] = rule(i, j)
+    return data
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestCorner:
@@ -41,6 +56,82 @@ class TestCorner:
         block = corner(gen, 3).data
         assert block[2, 2] == 0
         assert block[1, 1] == 4
+
+
+class TestCornerAgainstLoop:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scaling_array_is_bitwise_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        values = 10.0 ** rng.uniform(-5, 5, 60) * np.exp(2j * np.pi * rng.random(60))
+        values[3] = -0.0 + 2j
+        arr = np.asarray(values, dtype=np.complex128)
+        for n in (1, 2, 17, 60):
+            got = corner(scaling_generator(values), n).data
+            assert same_bits(got, loop_corner(lambda i, j: complex(arr[i - 1] / arr[j - 1]), n))
+
+    def test_table_is_bitwise_the_loop(self):
+        rng = np.random.default_rng(7)
+        table = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        table[1, 2] = complex(-0.0, -0.0)
+
+        def rule(i, j):
+            return complex(table[i - 1, j - 1]) if i <= 5 and j <= 3 else 0.0 + 0.0j
+
+        gen = table_generator(table)
+        for n in (1, 3, 5, 9):
+            assert same_bits(corner(gen, n).data, loop_corner(rule, n))
+            assert same_bits(corner(gen, n).data, loop_corner(gen.rule, n))  # plain ints
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_toeplitz_is_the_member_and_near_python_powers(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        lam = complex(rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.random()))
+        for n in (1, 2, 7, 64):
+            got = corner(toeplitz_generator(lam), n).data
+            assert same_bits(got, toeplitz_member(lam, n).data)
+            # the gathered powers the Toeplitz member was always built from
+            offsets = np.subtract.outer(np.arange(n), np.arange(n))
+            assert same_bits(got, (lam ** np.arange(-(n - 1), n))[n - 1 - offsets])
+            ref = loop_corner(lambda i, j: lam ** (j - i), n)
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+
+    def test_callable_scaling_matches_the_loop(self):
+        def fn(i):
+            return (1.5 + np.sin(i)) * np.exp(0.7j * i)
+
+        got = corner(scaling_generator(fn), 40).data
+        ref = loop_corner(lambda i, j: complex(fn(i)) / complex(fn(j)), 40)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-15
+
+    def test_callable_is_called_once_per_index_with_python_ints(self):
+        calls = []
+
+        def fn(i):
+            calls.append(i)
+            return 2**i  # exact for a Python int; a 64-bit integer would wrap to 0
+
+        n = 70
+        block = corner(scaling_generator(fn), n).data
+        assert len(calls) <= 2 * n
+        assert all(type(i) is int for i in calls)
+        expected = np.ldexp(1.0, np.subtract.outer(np.arange(n), np.arange(n)))
+        assert same_bits(block, expected.astype(np.complex128))
+
+    def test_rule_is_evaluated_once(self):
+        calls = []
+        inner = toeplitz_generator(1j).rule
+        gen = CoefficientGenerator(rule=lambda i, j: calls.append(1) or inner(i, j))
+        corner(gen, 12)
+        assert len(calls) == 1
+
+    def test_arithmetic_error_in_rule(self):
+        gen = scaling_generator(lambda i: 1 / (i - 3))
+        with pytest.raises(PreconditionError, match="cannot be computed"):
+            corner(gen, 4)
+
+    def test_non_finite_entry_is_named(self):
+        with pytest.raises(PreconditionError, match=r"entry \(1,3\) is not finite"):
+            corner(toeplitz_generator(1e200), 3)
 
 
 class TestL2FactorCheck:
