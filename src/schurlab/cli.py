@@ -15,8 +15,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import io
 from .completion import COMPLETED, INCONSISTENT, complete_partial
 from .core import Tolerance, operator_norm, require_square
@@ -187,21 +185,6 @@ def _cmd_norm(args, tol: Tolerance) -> int:
     return EXIT_OK if map_norm is not None else EXIT_FALSE
 
 
-def _parse_scalar_list(obj) -> list[complex]:
-    if not isinstance(obj, list) or not obj:
-        raise DocumentFormatError("scaling file must hold a nonempty JSON array")
-    out = []
-    for k, v in enumerate(obj):
-        cell = [v, 0.0] if isinstance(v, (int, float)) and not isinstance(v, bool) else v
-        try:
-            out.append(io._parse_entry(cell, k, 0))
-        except DocumentFormatError as exc:
-            raise DocumentFormatError(
-                f"scaling value {k + 1} must be a number or [re, im], got {v!r}"
-            ) from exc
-    return out
-
-
 def parse_generator_spec(spec: str) -> CoefficientGenerator:
     """Build a generator from toeplitz:<re>,<im>, scaling:<file>, table:<file>."""
     kind, sep, rest = spec.partition(":")
@@ -219,19 +202,9 @@ def parse_generator_spec(spec: str) -> CoefficientGenerator:
             raise DocumentFormatError(f"toeplitz ratio must be finite, got {rest!r}")
         return toeplitz_generator(lam)
     if kind == "scaling":
-        return scaling_generator(np.array(_parse_scalar_list(io._load_json_file(rest))))
+        return scaling_generator(io.load_scaling_file(rest))
     if kind == "table":
-        obj = io._load_json_file(rest)
-        if isinstance(obj, dict):
-            matrix = io.document_to_matrix(obj)
-        elif isinstance(obj, list):
-            matrix = io.document_to_matrix(
-                {"rows": len(obj), "cols": len(obj[0]) if obj and isinstance(obj[0], list) else 0,
-                 "data": obj}
-            )
-        else:
-            raise DocumentFormatError("table file must hold a document or a nested array")
-        return table_generator(matrix.data)
+        return table_generator(io.load_table_file(rest).data)
     raise DocumentFormatError(f"unknown generator kind {kind!r}")
 
 

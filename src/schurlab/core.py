@@ -204,6 +204,10 @@ def _singular_values(data: np.ndarray) -> np.ndarray:
 
 
 def _spectral_norm(data: np.ndarray) -> float:
+    """Largest singular value; inf for an operand with a non-finite entry (one
+    that overflowed), where the SVD would not converge."""
+    if not np.isfinite(data).all():
+        return np.inf
     return float(_singular_values(data)[0])
 
 

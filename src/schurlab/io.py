@@ -30,6 +30,8 @@ __all__ = [
     "read_matrix_csv",
     "load_matrix_file",
     "load_partial_file",
+    "load_scaling_file",
+    "load_table_file",
 ]
 
 
@@ -57,19 +59,33 @@ def dumps_document(doc: dict) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+class _CellError(DocumentFormatError):  # a malformed cell; ``column`` is 0-based
+    def __init__(self, i: int, j: int, problem: str):
+        super().__init__(f"entry ({i + 1},{j + 1}) {problem}")
+        self.column = j
+
+
 def _parse_entry(cell, i: int, j: int) -> complex:
     if (
         not isinstance(cell, (list, tuple))
         or len(cell) != 2
         or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in cell)
     ):
-        raise DocumentFormatError(
-            f"entry ({i + 1},{j + 1}) must be a two-element [re, im] array, got {cell!r}"
-        )
+        raise _CellError(i, j, f"must be a two-element [re, im] array, got {cell!r}")
     try:
         return complex(float(cell[0]), float(cell[1]))
     except OverflowError as exc:
-        raise DocumentFormatError(f"entry ({i + 1},{j + 1}) is out of range: {exc}") from exc
+        raise _CellError(i, j, f"is out of range: {exc}") from exc
+
+
+def _cells(data: list) -> tuple[np.ndarray, np.ndarray]:
+    """Entries and known-mask of a rectangular grid of [re, im] cells and nulls (read as 0)."""
+    entries = [
+        [0j if cell is None else _parse_entry(cell, i, j) for j, cell in enumerate(row)]
+        for i, row in enumerate(data)
+    ]
+    known = [[cell is not None for cell in row] for row in data]
+    return np.array(entries, dtype=np.complex128), np.array(known, dtype=bool)
 
 
 def _validated_grid(doc) -> tuple[int, int, list]:
@@ -90,18 +106,14 @@ def _validated_grid(doc) -> tuple[int, int, list]:
 
 
 def document_to_matrix(doc) -> ComplexMatrix:
-    rows, cols, data = _validated_grid(doc)
-    out = np.empty((rows, cols), dtype=np.complex128)
-    for i, row in enumerate(data):
-        for j, cell in enumerate(row):
-            if cell is None:
-                raise DocumentFormatError(
-                    f"entry ({i + 1},{j + 1}) is null; nulls are only allowed "
-                    "in partial documents"
-                )
-            out[i, j] = _parse_entry(cell, i, j)
+    entries, known = _cells(_validated_grid(doc)[2])
+    if not known.all():
+        i, j = np.argwhere(~known)[0] + 1
+        raise DocumentFormatError(
+            f"entry ({i},{j}) is null; nulls are only allowed in partial documents"
+        )
     try:
-        return ComplexMatrix(out)
+        return ComplexMatrix(entries)
     except ValueError as exc:
         raise DocumentFormatError(str(exc)) from exc
 
@@ -110,16 +122,9 @@ def document_to_partial(doc) -> PartialMatrix:
     rows, cols, data = _validated_grid(doc)
     if rows != cols:
         raise DocumentFormatError("partial documents must be square")
-    entries = np.zeros((rows, cols), dtype=np.complex128)
-    mask = np.zeros((rows, cols), dtype=bool)
-    for i, row in enumerate(data):
-        for j, cell in enumerate(row):
-            if cell is None:
-                continue
-            entries[i, j] = _parse_entry(cell, i, j)
-            mask[i, j] = True
+    entries, known = _cells(data)
     try:
-        return PartialMatrix(entries=entries, mask=mask)
+        return PartialMatrix(entries=entries, mask=known)
     except ValueError as exc:
         raise DocumentFormatError(str(exc)) from exc
 
@@ -189,3 +194,29 @@ def load_matrix_file(path: str) -> ComplexMatrix:
 
 def load_partial_file(path: str) -> PartialMatrix:
     return document_to_partial(_load_json_file(path))
+
+
+def load_scaling_file(path: str) -> np.ndarray:
+    """Read a nonempty JSON array of scaling values, each a number or [re, im]."""
+    obj = _load_json_file(path)
+    if not isinstance(obj, list) or not obj:
+        raise DocumentFormatError("scaling file must hold a nonempty JSON array")
+    try:  # a value that is not a list is read as the cell [value, 0]
+        entries, _ = _cells([[v if isinstance(v, list) else [v, 0.0] for v in obj]])
+    except _CellError as exc:
+        k = exc.column
+        raise DocumentFormatError(
+            f"scaling value {k + 1} must be a number or [re, im], got {obj[k]!r}"
+        ) from exc
+    return entries[0]
+
+
+def load_table_file(path: str) -> ComplexMatrix:
+    """Read a generator table: a matrix document, or its bare nested ``data`` array."""
+    obj = _load_json_file(path)
+    if isinstance(obj, list):
+        cols = len(obj[0]) if obj and isinstance(obj[0], list) else 0
+        obj = {"rows": len(obj), "cols": cols, "data": obj}
+    elif not isinstance(obj, dict):
+        raise DocumentFormatError("table file must hold a document or a nested array")
+    return document_to_matrix(obj)

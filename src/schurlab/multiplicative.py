@@ -92,7 +92,7 @@ class ScalingVector:
     def modulus_ratio(self) -> float:
         """max |f(i)| / min |f(j)|; equals the induced Schur-map operator norm."""
         mags = np.abs(self.values)
-        return float(mags.max() / mags.min())
+        return float(mags.max()) / float(mags.min())  # inf on overflow, no warning
 
     def diagonal_matrix(self) -> ComplexMatrix:
         return ComplexMatrix(np.diag(self.values))
@@ -172,31 +172,40 @@ def _cocycle_parts(data: np.ndarray):
     return triple_res, diag_res, triple_witness
 
 
+def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
+    """The one multiplicativity rule: the ``cocycle`` and ``unit_diagonal``
+    conditions from one ``_cocycle_parts`` scan, and the witness unless both pass."""
+    triple_res, diag_res, witness = _cocycle_parts(data)
+    cocycle = _condition(triple_res <= tol.threshold(scale * scale), triple_res)
+    unit_diagonal = _condition(diag_res <= tol.threshold(1.0), diag_res)
+    passed = cocycle.passed and unit_diagonal.passed
+    return cocycle, unit_diagonal, None if passed else witness
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflowed residuals fail closed
 def check_cocycle(a, tol: Tolerance | None = None) -> CocycleResult:
     """Test a_ij = a_ik * a_kj for all triples and a_ii = 1 on the diagonal.
 
-    The combined residual is compared against the tolerance scaled by
-    max|a_ij|^2, making the verdict invariant under the magnitude of the
-    entries; a residual that overflowed never passes. On failure the witness names the worst violation, 1-based;
-    a diagonal violation is reported as (i, i, None).
+    This is the one rule behind every multiplicativity decision (``check``,
+    ``factor``, ``norm``, ``witness``, ``factor_scaling``, ``group_product``):
+    the ratio residual is compared against the tolerance scaled by
+    max|a_ij|^2, the diagonal deviation against the tolerance at scale 1,
+    and both must pass. A residual that overflowed never passes.
+    ``residual`` is the worse of the two; on failure the witness names the
+    worst violation, 1-based, and a diagonal violation is (i, i, None).
     """
     m = as_matrix(a)
     require_square(m)
-    tol = tol or DEFAULT_TOL
     data = m.data
     scale = float(np.abs(data).max())
-    triple_res, diag_res, witness = _cocycle_parts(data)
-    residual = _nanmax(triple_res, diag_res)
-    passed = residual <= tol.threshold(scale * scale) and math.isfinite(residual)
-    return CocycleResult(passed, residual, None if passed else witness)
+    cocycle, unit_diagonal, witness = _ratio_test(data, scale, tol or DEFAULT_TOL)
+    residual = _nanmax(cocycle.residual, unit_diagonal.residual)
+    return CocycleResult(witness is None, residual, witness)
 
 
-def _require_multiplicative(m: ComplexMatrix, tol: Tolerance, message: str) -> None:
-    """Raise NotMultiplicativeError unless ``m`` passes ``check_cocycle``.
-
-    ``message`` is formatted with the failing ``residual`` and ``witness``.
-    """
+def _require_multiplicative(m: ComplexMatrix, tol: Tolerance, message: str) -> ScalingVector:
+    """The pivot scaling of ``m``, or NotMultiplicativeError unless it passes
+    ``check_cocycle``, with ``message`` formatted with ``residual`` and ``witness``."""
     result = check_cocycle(m, tol)
     if not result.passed:
         raise NotMultiplicativeError(
@@ -204,10 +213,12 @@ def _require_multiplicative(m: ComplexMatrix, tol: Tolerance, message: str) -> N
             residual=result.residual,
             witness=result.witness,
         )
+    return _pivot_scaling(m.data, tol)
 
 
 def _pivot_scaling(data: np.ndarray, tol: Tolerance) -> ScalingVector:
-    """Pivot-column extraction; the caller vouches for multiplicativity."""
+    """f with f(1) = 1 from the column of largest minimum modulus (any column
+    on exact inputs); the caller vouches for multiplicativity."""
     mags = np.abs(data)
     col_min = mags.min(axis=0)
     p = int(np.argmax(col_min))
@@ -222,18 +233,11 @@ def _pivot_scaling(data: np.ndarray, tol: Tolerance) -> ScalingVector:
 
 
 def factor_scaling(a, tol: Tolerance | None = None) -> ScalingVector:
-    """Extract f with a_ij = f(i)/f(j), normalized so f(1) = 1.
-
-    The pivot column maximizes the minimum entry modulus; on exact inputs
-    any column gives the same result, the pivot only buys robustness on
-    noisy ones.
-    """
-    m = as_matrix(a)
-    tol = tol or DEFAULT_TOL
-    _require_multiplicative(
-        m, tol, "ratio identity fails with residual {residual:.3e} at witness {witness}"
+    """Extract f with a_ij = f(i)/f(j), normalized so f(1) = 1."""
+    return _require_multiplicative(
+        as_matrix(a), tol or DEFAULT_TOL,
+        "ratio identity fails with residual {residual:.3e} at witness {witness}",
     )
-    return _pivot_scaling(m.data, tol)
 
 
 def build_from_scaling(f) -> ComplexMatrix:
@@ -264,12 +268,9 @@ def _facts(m: ComplexMatrix, tol: Tolerance) -> _Facts:
     if scale == 0.0:
         raise PreconditionError("the zero Schur map is excluded from certification")
 
-    triple_res, diag_res, witness = _cocycle_parts(data)
-    cocycle = _condition(triple_res <= tol.threshold(scale * scale), triple_res)
-    unit_diagonal = _condition(diag_res <= tol.threshold(1.0), diag_res)
-    ratio_ok = cocycle.passed and unit_diagonal.passed
+    cocycle, unit_diagonal, witness = _ratio_test(data, scale, tol)
     scaling = None
-    if ratio_ok:
+    if witness is None:
         try:
             scaling = _pivot_scaling(data, tol)
         except ZeroEntryError:
@@ -282,7 +283,7 @@ def _facts(m: ComplexMatrix, tol: Tolerance) -> _Facts:
         scale=scale,
         cocycle=cocycle,
         unit_diagonal=unit_diagonal,
-        witness=None if ratio_ok else witness,
+        witness=witness,
         singular_values=svals,
         rank=_rank(svals, n, tol),
         rank_residual=float(svals[1] / svals[0]) if n > 1 and svals[0] > 0 else 0.0,

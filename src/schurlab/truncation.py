@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, ComplexMatrix, Tolerance
 from .errors import DimensionError, PreconditionError, ZeroEntryError
-from .multiplicative import ScalingVector, _pivot_scaling, _require_multiplicative
+from .multiplicative import ScalingVector, _require_multiplicative
 
 __all__ = [
     "CoefficientGenerator",
@@ -90,7 +90,7 @@ def scaling_generator(values) -> CoefficientGenerator:
     mags = np.abs(arr)
     return CoefficientGenerator(
         rule=lambda i, j: arr[i - 1] / arr[j - 1],
-        declared_bound=float(mags.max() / mags.min()),
+        declared_bound=float(mags.max()) / float(mags.min()),  # inf on overflow, no warning
         max_index=int(arr.size),
         label=f"scaling:len={arr.size}",
     )
@@ -156,23 +156,21 @@ def l2_multiplier_factor_check(
 ) -> L2FactorReport:
     """Factor the probe corner as f(i)/f(j) and report boundedness at probe scale.
 
-    f(i) is read off the first column, f(i) = a_i1. ``bounded`` and
-    ``bounded_away`` compare max|f| and min|f| against 1/rel and rel at the
-    probe size; ``trend_growing`` compares the modulus ratio against the
-    half-size probe and is the divergence flag. All three are consistent-with
-    statements, not proofs about the infinite matrix.
+    f is the scaling ``factor_scaling`` reads off the corner, with f(1) = 1.
+    ``bounded`` and ``bounded_away`` compare max|f| and min|f| against 1/rel
+    and rel at the probe size; ``trend_growing`` compares the modulus ratio
+    against the half-size probe and is the divergence flag. All three are
+    consistent-with statements, not proofs about the infinite matrix.
     """
     if probe < 2:
         raise PreconditionError("probe size must be at least 2")
     tol = tol or DEFAULT_TOL
-    block = corner(gen, probe)
-    _require_multiplicative(
-        block, tol,
+    f = _require_multiplicative(
+        corner(gen, probe), tol,
         f"probe corner of size {probe} fails the ratio identity (residual {{residual:.3e}})",
     )
-    f = ScalingVector(block.data[:, 0])
     mags = np.abs(f.values)
-    ratio = float(mags.max() / mags.min())
+    ratio = f.modulus_ratio
     half = max(2, probe // 2)
     half_ratio = float(mags[:half].max() / mags[:half].min())
     limit = 1.0 / max(tol.rel, np.finfo(float).tiny)
@@ -234,10 +232,14 @@ def unboundedness_witness(
     """
     tol = tol or DEFAULT_TOL
     block = corner(gen, n)
-    _require_multiplicative(
+    f = _require_multiplicative(
         block, tol, f"corner of size {n} fails the ratio identity (residual {{residual:.3e}})"
-    )
-    f = _pivot_scaling(block.data, tol).values
-    x = f / np.linalg.norm(f)
+    ).values
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(f)
+    if not np.isfinite(norm):  # sum |f(i)|^2 overflowed; max|f| = 1 after rescaling
+        f = f / np.abs(f).max()
+        norm = np.linalg.norm(f)
+    x = f / norm
     lower = float(np.linalg.norm(block.data @ x))
     return WitnessResult(x=x, lower_bound=lower)

@@ -230,15 +230,14 @@ def _suite_product_rule_equivalence(rec: _Recorder, trials: int, seed: int, tol:
                 )
                 rec.check(f"spectrum_preserved@t{t}", d, res <= 1e-7, res)
 
+            norm = operator_norm(a)
             adj = np.abs(a.conj_transpose().data - schur_inverse(a).data.conj()).max()
             rec.check(
                 f"adjoint_reciprocal@t{t}",
                 d,
-                float(adj) <= 1e-10 * operator_norm(a),
+                float(adj) <= 1e-10 * norm,
                 float(adj),
             )
-
-            norm = operator_norm(a)
             rec.check(f"norm_at_least_n@t{t}", d, norm >= n - 1e-8, n - norm)
             if unimod:
                 rec.check(
@@ -380,11 +379,12 @@ def _suite_group(rec: _Recorder, trials: int, seed: int, tol: Tolerance):
         tm = toeplitz_member(lam, n).data
         shift = float(np.abs(tm[1:, 1:] - tm[:-1, :-1]).max()) if n > 1 else 0.0
         rec.check(f"toeplitz_constant_diagonals@t{t}", _digest(tm), shift == 0.0, shift)
+        cocycle = check_cocycle(tm, tol)
         rec.check(
             f"toeplitz_multiplicative@t{t}",
             _digest(tm),
-            check_cocycle(tm, tol).passed,
-            check_cocycle(tm, tol).residual,
+            cocycle.passed,
+            cocycle.residual,
         )
 
         f2 = mixed_scaling(rng, 2)
@@ -524,14 +524,15 @@ def _suite_schatten(rec: _Recorder, trials: int, seed: int, tol: Tolerance):
         gen = scaling_generator(values)
         d = _digest(values.reshape(1, -1))
 
-        g1 = factor_scaling(corner(gen, m), tol).values
+        small = corner(gen, m)
+        g1 = factor_scaling(small, tol).values
         g2 = factor_scaling(corner(gen, 2 * m), tol).values
         ratio = g2[:m] / g1
         res = float(np.abs(ratio - ratio[0]).max() / abs(ratio[0]))
         rec.check(f"corner_coherent@t{t}", d, res <= 1e-10, res)
 
         if unimod:
-            block = corner(gen, m).data
+            block = small.data
             herm = float(np.abs(block - block.conj().T).max())
             mod = float(np.abs(np.abs(block) - 1.0).max())
             rec.check(f"hermitian_unimodular@t{t}", d, herm <= 1e-10 and mod <= 1e-10, max(herm, mod))

@@ -398,6 +398,55 @@ def test_overflow_raises_no_runtime_warning(tmp_path, capsys, argv, doc):
     capsys.readouterr()
 
 
+def test_off_unit_diagonal_fails_every_command(tmp_path, capsys):
+    # f = (1, 1000, 1) with a_11 = 1 + 1e-8: the ratio residual passes its
+    # threshold tol * max|a|^2, the diagonal fails its threshold tol
+    a = np.outer([1.0, 1000.0, 1.0], [1.0, 1e-3, 1.0])
+    a[0, 0] += 1e-8
+    path = write(tmp_path, "m.json", matrix_to_document(a))
+    for argv in (["check", path], ["factor", path], ["witness", "3", "--gen", f"table:{path}"]):
+        assert main(argv) == 1
+    capsys.readouterr()
+    assert main(["norm", path, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["schur_map_norm"] is None
+
+
+@pytest.mark.parametrize(
+    "doc, overflowed",
+    [
+        ([[1.0, 1e200], [1e200, 1.0]], "rank_one_normal_unit_diag"),  # A A* overflows
+        ([[1.0, 1e308], [-1e308, 1.0]], "star_and_multiplicative"),  # A - A* overflows
+    ],
+)
+def test_overflowing_star_operand_fails_closed(tmp_path, capsys, doc, overflowed):
+    path = write(tmp_path, "m.json", matrix_to_document(ComplexMatrix(doc)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check", path]) == 1
+        capsys.readouterr()
+        assert main(["check", path, "--star", "--json"]) == 1
+    star = json.loads(capsys.readouterr().out)["star"]["conditions"]
+    assert star[overflowed] == {"pass": False, "residual": None}
+
+
+def test_witness_of_an_overflowing_scaling_norm(capsys):
+    # f = (1, 1e300): the corner is multiplicative, only sum |f(i)|^2 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["witness", "2", "--gen", "toeplitz:1e-300,0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["lower_bound"] == 2.0
+    assert payload["x"][1] == [1.0, 0.0]
+
+
+def test_overflowing_scaling_file_exits_two_without_warning(tmp_path, capsys):
+    path = write(tmp_path, "f.json", [1e300, 1e-300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["witness", "2", "--gen", f"scaling:{path}"]) == 2
+    assert capsys.readouterr().err == "error: generator entry (1,2) is not finite\n"
+
+
 @pytest.mark.parametrize(
     "argv, files",
     [

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurlab import (
     ComplexMatrix,
@@ -13,6 +15,7 @@ from schurlab import (
     check_cocycle,
     eigenvalues,
     factor_scaling,
+    group_product,
     multiset_distance,
     numerical_range_samples,
     operator_norm,
@@ -301,3 +304,38 @@ def test_overflowed_ratio_residual_fails():
     assert not certify_multiplicative(a).conditions["cocycle"].passed
     with pytest.raises(NotMultiplicativeError):
         schur_map_norm(a)
+
+
+def off_unit_diagonal(f, k, dev):
+    """a_ij = f(i)/f(j) with a_kk moved to 1 + dev."""
+    a = build_from_scaling(f).data.copy()
+    a[k, k] += dev
+    return a
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.floats(-6, 6), st.floats(0, 6.3)), min_size=1, max_size=5),
+    st.integers(0, 4),
+    st.floats(-14, -2),
+)
+def test_check_cocycle_is_the_certificate_ratio_test(polar, k, log_dev):
+    # one rule: the ratio identity against tol*max|a|^2 and the diagonal
+    # against tol, both required, wherever the ratio test is applied
+    f = [10.0**r * np.exp(1j * t) for r, t in polar]
+    a = off_unit_diagonal(f, k % len(f), 10.0**log_dev)
+    conditions = certify_multiplicative(a).conditions
+    expected = conditions["cocycle"].passed and conditions["unit_diagonal"].passed
+    assert check_cocycle(a).passed == expected
+
+
+def test_diagonal_off_by_more_than_tol_is_not_multiplicative():
+    # the ratio residual 1e-8 passes its threshold 1e-10 * 1000^2; the
+    # diagonal deviation 1e-8 fails its threshold 1e-10
+    a = off_unit_diagonal([1.0, 1000.0, 1.0], 0, 1e-8)
+    result = check_cocycle(a)
+    assert not result.passed
+    assert result.witness is not None
+    for call in (factor_scaling, schur_map_norm, lambda m: group_product(m, m)):
+        with pytest.raises(NotMultiplicativeError):
+            call(a)

@@ -170,6 +170,14 @@ class TestL2FactorCheck:
         with pytest.raises(NotMultiplicativeError):
             l2_multiplier_factor_check(gen, probe=2)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_f_is_the_factor_scaling(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(0.1, 10.0, 12) * np.exp(2j * np.pi * rng.random(12))
+        gen = scaling_generator(values)
+        report = l2_multiplier_factor_check(gen, probe=12)
+        assert same_bits(report.f.values, factor_scaling(corner(gen, 12)).values)
+
 
 class TestCompactBoundCheck:
     def test_constant_coefficients(self):
