@@ -11,6 +11,7 @@ second canonical writer.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -79,7 +80,25 @@ def _parse_entry(cell, i: int, j: int) -> complex:
 
 
 def _cells(data: list) -> tuple[np.ndarray, np.ndarray]:
-    """Entries and known-mask of a rectangular grid of [re, im] cells and nulls (read as 0)."""
+    """Entries and known-mask of a rectangular grid of [re, im] cells and nulls (read as 0).
+
+    A grid of number pairs only (bool excluded) is converted by numpy in one
+    pass; anything else, or an int beyond the double range, goes through the
+    cell-by-cell loop, which names the first bad cell.
+    """
+    cells = list(chain.from_iterable(data))
+    if (
+        set(map(type, cells)) <= {list}
+        and set(map(len, cells)) <= {2}
+        and set(map(type, chain.from_iterable(cells))) <= {int, float}
+    ):
+        try:
+            pairs = np.fromiter(chain.from_iterable(cells), np.float64, count=2 * len(cells))
+        except OverflowError:
+            pass
+        else:
+            shape = (len(data), len(data[0]))
+            return pairs.view(np.complex128).reshape(shape), np.ones(shape, dtype=bool)
     entries = [
         [0j if cell is None else _parse_entry(cell, i, j) for j, cell in enumerate(row)]
         for i, row in enumerate(data)

@@ -25,7 +25,6 @@ from .core import (
     _singular_values,
     as_matrix,
     eigenvalues,
-    multiset_distance,
     require_square,
 )
 from .errors import (
@@ -136,22 +135,19 @@ def _condition(passed: bool, *residual_parts: float) -> ConditionResult:
 
 
 def _cocycle_parts(data: np.ndarray):
-    """Worst ratio-identity violation, worst diagonal deviation, and the
-    1-based witness of the larger of the two ((i, i, None) for the diagonal).
+    """Worst ratio-identity violation max|a_ij - a_ik a_kj| over all triples
+    and its 1-based witness (i, j, k).
 
     Scans the middle index in blocks sized to keep the (n, n, block) slab
     around 32 MB.
     """
     n = data.shape[0]
-    diag_dev = np.abs(np.diagonal(data) - 1.0)
-    diag_i = int(np.argmax(diag_dev))
-    diag_res = float(diag_dev[diag_i])
     block = min(n, max(1, (1 << 21) // (n * n)))
     target = data[:, :, None]
     buf = np.empty((n, n, block), dtype=np.complex128)
     mag = np.empty((n, n, block), dtype=np.float64)
     best = -1.0
-    triple_witness = (1, 1, 1)
+    witness = (1, 1, 1)
     for k0 in range(0, n, block):
         k1 = min(k0 + block, n)
         width = k1 - k0
@@ -165,21 +161,104 @@ def _cocycle_parts(data: np.ndarray):
         if m > best:
             i, j, k = np.unravel_index(int(np.argmax(mag2)), mag2.shape)
             best = m
-            triple_witness = (int(i) + 1, int(j) + 1, int(k) + k0 + 1)
-    triple_res = float(np.sqrt(best))
-    if diag_res >= triple_res:
-        return triple_res, diag_res, (diag_i + 1, diag_i + 1, None)
-    return triple_res, diag_res, triple_witness
+            witness = (int(i) + 1, int(j) + 1, int(k) + k0 + 1)
+    return float(np.sqrt(best)), witness
+
+
+_EPS = 16 * 2.0**-53  # relative allowance: four times binary64's per-operation error
+_ETA = 2.0**-536  # absolute allowance for underflow: the scan's sqrt of a subnormal square
+_SQRT_HUGE = 2.0**510  # squares below 2**1021 cannot overflow
+
+
+def _pivot_bound(data: np.ndarray, scale: float, diag_res: float, tol: Tolerance) -> float:
+    """Upper bound, rounding included, on what ``_cocycle_parts`` would return,
+    from one pivot column in O(n^2); inf when no bound is offered.
+
+    With p the ``_pivot`` column, r = max|a_ij - a_ip a_pj|, delta the
+    diagonal deviation and M = max|a|, the exact maximum is at most
+    t = r(1 + 3K) + K delta + r^2 with K = M + r (derived in ``_ratio_test``).
+    Computed in binary64, a complex product, difference or modulus is off by
+    at most 4u of its exact value (u = 2^-53) plus a few 2^-1074 on
+    underflow (2^-537 after the scan's square root); every pivot product has
+    modulus at most M + r and every scan product at most M + t. So the true
+    r, delta and M lie below the inflated ``rho``, ``delta`` and ``m``
+    (relative allowance ``_EPS`` = 16u, absolute ``_ETA``), the scan's own
+    rounding adds at most ``_EPS`` (m + t), and the last factor covers
+    rounding in evaluating these lines. No bound is offered for a
+    below-floor pivot, for a non-finite residual, or where the scan's
+    squared deviations or squared entries could overflow and so fail it
+    closed.
+    """
+    try:
+        p = _pivot(data, tol)
+    except ZeroEntryError:
+        return math.inf
+    r_hat = float(np.abs(data - np.outer(data[:, p], data[p])).max())
+    m = scale * (1 + _EPS)
+    delta = diag_res * (1 + _EPS)
+    rho = (r_hat + _EPS * m) * (1 + _EPS) + _ETA
+    k = m + rho
+    t = rho * (1 + 3 * k) + k * delta + rho * rho
+    bound = ((t + _EPS * (m + t)) * (1 + _EPS) + _ETA) * (1 + _EPS)
+    return bound if max(m, bound) < _SQRT_HUGE else math.inf  # NaN is kept
 
 
 def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
     """The one multiplicativity rule: the ``cocycle`` and ``unit_diagonal``
-    conditions from one ``_cocycle_parts`` scan, and the witness unless both pass."""
-    triple_res, diag_res, witness = _cocycle_parts(data)
-    cocycle = _condition(triple_res <= tol.threshold(scale * scale), triple_res)
+    conditions, and the witness of the failing one unless both pass.
+
+    ``cocycle`` compares max|a_ij - a_ik a_kj| against ``tol`` at scale
+    M^2 (M = max|a|), ``unit_diagonal`` compares delta = max|a_ii - 1|
+    against ``tol`` at scale 1.
+
+    Fast accept. Fix a pivot column p and write E_ij = a_ij - a_ip a_pj,
+    r = max|E_ij| and d_k = a_kk - 1. Since a_kp a_pk = a_kk - E_kk = 1 + d_k - E_kk,
+
+        a_ik a_kj = (a_ip a_pk + E_ik)(a_kp a_pj + E_kj)
+                  = a_ip a_pj (1 + d_k - E_kk) + a_ip a_pk E_kj + E_ik a_kp a_pj + E_ik E_kj,
+
+    and subtracting from a_ij = a_ip a_pj + E_ij,
+
+        a_ij - a_ik a_kj = E_ij - a_ip a_pj (d_k - E_kk) - a_ip a_pk E_kj
+                           - E_ik a_kp a_pj - E_ik E_kj.
+
+    Each pivot product is an entry minus its E (a_ip a_pj = a_ij - E_ij), so
+    its modulus is at most K = M + r, and
+
+        max|a_ij - a_ik a_kj| <= r + K (delta + r) + 2 K r + r^2
+                               = r (1 + 3K) + K delta + r^2,
+
+    which is r(1 + 3M^2) + M^2 delta + r^2 or less whenever M >= 1 + r.
+    ``_pivot_bound`` evaluates it with rounding allowances in O(n^2). When
+    that bound is at most half the ``cocycle`` threshold, the scan would pass
+    too, so ``cocycle`` passes with the bound as its residual, a certified
+    upper bound. Otherwise (the bound is larger, non-finite, or there is no
+    pivot above the floor) the O(n^3) ``_cocycle_parts`` scan decides and
+    reports the exact worst residual and its triple. Verdicts are the
+    scan's either way.
+
+    Witness: (i, i, None) for the worst diagonal entry when only
+    ``unit_diagonal`` fails, the worst triple when only ``cocycle`` fails,
+    and the one with the larger raw residual when both fail.
+    """
+    diag_dev = np.abs(np.diagonal(data) - 1.0)
+    diag_i = int(np.argmax(diag_dev))
+    diag_res = float(diag_dev[diag_i])
     unit_diagonal = _condition(diag_res <= tol.threshold(1.0), diag_res)
-    passed = cocycle.passed and unit_diagonal.passed
-    return cocycle, unit_diagonal, None if passed else witness
+    threshold = tol.threshold(scale * scale)
+    bound = _pivot_bound(data, scale, diag_res, tol)
+    if math.isfinite(bound) and bound <= 0.5 * threshold:
+        cocycle, triple_witness = _condition(True, bound), None
+    else:
+        triple_res, triple_witness = _cocycle_parts(data)
+        cocycle = _condition(triple_res <= threshold, triple_res)
+    if cocycle.passed and unit_diagonal.passed:
+        witness = None
+    elif cocycle.passed or (not unit_diagonal.passed and diag_res >= cocycle.residual):
+        witness = (diag_i + 1, diag_i + 1, None)
+    else:
+        witness = triple_witness
+    return cocycle, unit_diagonal, witness
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowed residuals fail closed
@@ -191,8 +270,19 @@ def check_cocycle(a, tol: Tolerance | None = None) -> CocycleResult:
     the ratio residual is compared against the tolerance scaled by
     max|a_ij|^2, the diagonal deviation against the tolerance at scale 1,
     and both must pass. A residual that overflowed never passes.
-    ``residual`` is the worse of the two; on failure the witness names the
-    worst violation, 1-based, and a diagonal violation is (i, i, None).
+    ``residual`` is the worse of the two.
+
+    With a unit diagonal, a_ij = a_ip a_pj for one pivot column p already
+    gives the identity for every k, because a_kp a_pk = a_kk = 1. For
+    perturbed inputs ``_ratio_test`` bounds the worst ratio violation by
+    r (1 + 3K) + K delta + r^2, where r = max|a_ij - a_ip a_pj|, delta the
+    diagonal deviation and K = max|a| + r, plus rounding; an input whose
+    bound is at most half the threshold is accepted in O(n^2) and its ratio
+    residual is that bound, a certified upper bound. Every other input
+    takes the O(n^3) scan, so a rejection reports the exact worst
+    violation. On failure the witness names the failing condition, 1-based:
+    (i, i, None) for the diagonal, (i, j, k) for the worst triple, and the
+    larger raw residual when both fail.
     """
     m = as_matrix(a)
     require_square(m)
@@ -216,9 +306,9 @@ def _require_multiplicative(m: ComplexMatrix, tol: Tolerance, message: str) -> S
     return _pivot_scaling(m.data, tol)
 
 
-def _pivot_scaling(data: np.ndarray, tol: Tolerance) -> ScalingVector:
-    """f with f(1) = 1 from the column of largest minimum modulus (any column
-    on exact inputs); the caller vouches for multiplicativity."""
+def _pivot(data: np.ndarray, tol: Tolerance) -> int:
+    """The column of largest minimum modulus, 0-based; ZeroEntryError if that
+    minimum is at or below the absolute floor."""
     mags = np.abs(data)
     col_min = mags.min(axis=0)
     p = int(np.argmax(col_min))
@@ -228,7 +318,13 @@ def _pivot_scaling(data: np.ndarray, tol: Tolerance) -> ScalingVector:
             f"pivot column {p + 1} contains a below-floor entry at ({i + 1},{p + 1})",
             position=(i + 1, p + 1),
         )
-    column = data[:, p]
+    return p
+
+
+def _pivot_scaling(data: np.ndarray, tol: Tolerance) -> ScalingVector:
+    """f with f(1) = 1 from the ``_pivot`` column (any column on exact
+    inputs); the caller vouches for multiplicativity."""
+    column = data[:, _pivot(data, tol)]
     return ScalingVector(column / column[0])
 
 
@@ -253,12 +349,35 @@ class _Facts(NamedTuple):
     scale: float  # max |a_ij|
     cocycle: ConditionResult  # ratio-identity residual
     unit_diagonal: ConditionResult
-    witness: tuple[int, int, int | None] | None  # worst ratio violation, 1-based
+    witness: tuple[int, int, int | None] | None  # the failing condition's worst entry, 1-based
     singular_values: np.ndarray
     rank: int
     rank_residual: float  # sigma_2 / sigma_1
     spectrum_distance: float  # from the spectrum to {n, 0^(n-1)}
     scaling: ScalingVector | None  # pivot scaling when the ratio test passes
+
+
+def _rank_one_spectrum_distance(vals: np.ndarray) -> float:
+    """Bottleneck distance from the n values ``vals`` to {n, 0^(n-1)}, in O(n).
+
+    Pairing value k with n and the rest with 0 costs
+    max(|v_k - n|, max_{j != k} |v_j|). With k1 the index of the largest
+    |v|, pairing k1 costs max(|v_k1 - n|, the second largest |v|); every
+    other k costs at least |v_k1|, and the cheapest of them is the one
+    nearest n. The minimum over all pairings is the smaller of those two
+    candidates, the exact bottleneck value (cf. Gabow & Tarjan 1988). NaN
+    propagates.
+    """
+    n = vals.size
+    to_n = np.abs(vals - n)
+    if n == 1:
+        return float(to_n[0])
+    mods = np.abs(vals)
+    k1 = int(np.argmax(mods))
+    others = np.arange(n) != k1
+    pair_k1 = np.maximum(to_n[k1], mods[others].max())
+    pair_other = np.maximum(to_n[others].min(), mods[k1])
+    return float(np.minimum(pair_k1, pair_other))
 
 
 def _facts(m: ComplexMatrix, tol: Tolerance) -> _Facts:
@@ -277,8 +396,6 @@ def _facts(m: ComplexMatrix, tol: Tolerance) -> _Facts:
             pass
 
     svals = _singular_values(data)
-    expected = np.zeros(n, dtype=np.complex128)
-    expected[0] = n
     return _Facts(
         scale=scale,
         cocycle=cocycle,
@@ -287,7 +404,7 @@ def _facts(m: ComplexMatrix, tol: Tolerance) -> _Facts:
         singular_values=svals,
         rank=_rank(svals, n, tol),
         rank_residual=float(svals[1] / svals[0]) if n > 1 and svals[0] > 0 else 0.0,
-        spectrum_distance=multiset_distance(eigenvalues(m, tol), expected),
+        spectrum_distance=_rank_one_spectrum_distance(eigenvalues(m, tol)),
         scaling=scaling,
     )
 

@@ -56,6 +56,32 @@ class TestDocuments:
         )
         assert complex_cells(grid) == [[[float(v.real), float(v.imag)] for v in r] for r in grid]
 
+    def test_bulk_read_matches_the_cell_loop_bitwise(self):
+        # the one-pass numpy read of an all-numeric grid gives the entries
+        # complex(float(re), float(im)) would, signed zeros and big ints included
+        values = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 0.1, 7,
+                  2**53 + 1, 2**63 + 2**11 + 1, 2**64 + 1, -(10**300), 3**500]
+        rng = np.random.default_rng(3)
+        data = [[[values[k] for k in rng.integers(len(values), size=2)] for _ in range(5)]
+                for _ in range(4)]
+        back = document_to_matrix({"rows": 4, "cols": 5, "data": data}).data
+        want = np.array([[complex(float(re), float(im)) for re, im in row] for row in data])
+        assert back.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "cell, problem",
+        [
+            ([True, 0.0], "must be a two-element [re, im] array, got [True, 0.0]"),
+            ([10**400, 0], "is out of range: int too large to convert to float"),
+            ([1.0], "must be a two-element [re, im] array, got [1.0]"),
+        ],
+    )
+    def test_bad_cell_in_numeric_grid_is_named(self, cell, problem):
+        data = [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0], cell]]
+        with pytest.raises(DocumentFormatError) as err:
+            document_to_matrix({"rows": 2, "cols": 2, "data": data})
+        assert str(err.value) == f"entry (2,2) {problem}"
+
     def test_null_rejected_in_full_document(self):
         doc = {"rows": 1, "cols": 2, "data": [[[1.0, 0.0], None]]}
         with pytest.raises(DocumentFormatError):

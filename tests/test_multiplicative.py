@@ -16,6 +16,7 @@ from schurlab import (
     eigenvalues,
     factor_scaling,
     group_product,
+    multiplicative,
     multiset_distance,
     numerical_range_samples,
     operator_norm,
@@ -28,9 +29,12 @@ from tests.conftest import random_scaling_values
 
 class TestCheckCocycle:
     def test_unit_circle_passes_exactly(self, unit_circle_2x2):
+        # the ratio identity holds exactly; an accepted input reports the
+        # pivot bound, which here is rounding allowance only
+        assert multiplicative._cocycle_parts(unit_circle_2x2.data)[0] == 0.0
         result = check_cocycle(unit_circle_2x2)
         assert result.passed
-        assert result.residual == 0.0
+        assert 0.0 < result.residual < 1e-14
         assert result.witness is None
 
     def test_all_ones_passes(self):
@@ -267,14 +271,8 @@ def test_tolerance_scales_cocycle_pass():
     assert not check_cocycle(noisy, Tolerance(rel=1e-13, abs=1e-16)).passed
 
 
-def test_each_call_runs_the_ratio_scan_once(monkeypatch):
-    from schurlab import (
-        certify_star_multiplicative,
-        multiplicative,
-        toeplitz_generator,
-        unboundedness_witness,
-    )
-
+def count_scans(monkeypatch) -> list:
+    """Record the shape of every ``_cocycle_parts`` call from here on."""
     calls = []
     scan = multiplicative._cocycle_parts
 
@@ -283,15 +281,36 @@ def test_each_call_runs_the_ratio_scan_once(monkeypatch):
         return scan(data)
 
     monkeypatch.setattr(multiplicative, "_cocycle_parts", spy)
-    a = build_from_scaling(np.exp(1j * np.arange(5)))
-    for run in (
-        lambda: certify_multiplicative(a),
-        lambda: certify_star_multiplicative(a),
-        lambda: unboundedness_witness(toeplitz_generator(1j), 5),
-    ):
-        calls.clear()
-        run()
-        assert calls == [(5, 5)]
+    return calls
+
+
+def test_only_rejections_run_the_ratio_scan(monkeypatch):
+    from schurlab import (
+        certify_star_multiplicative,
+        table_generator,
+        toeplitz_generator,
+        unboundedness_witness,
+    )
+
+    calls = count_scans(monkeypatch)
+    accepted = build_from_scaling(np.exp(1j * np.arange(5)))
+    rejected = accepted.data.copy()
+    rejected[1, 3] *= 1 + 1e-3
+    for a, scans in ((accepted, []), (rejected, [(5, 5)])):
+        for run in (
+            lambda: certify_multiplicative(a),
+            lambda: certify_star_multiplicative(a),
+            lambda: check_cocycle(a),
+        ):
+            calls.clear()
+            run()
+            assert calls == scans
+    calls.clear()
+    unboundedness_witness(toeplitz_generator(1j), 5)
+    assert calls == []
+    with pytest.raises(NotMultiplicativeError):
+        unboundedness_witness(table_generator(rejected), 5)
+    assert calls == [(5, 5)]
 
 
 def test_overflowed_ratio_residual_fails():
@@ -339,3 +358,114 @@ def test_diagonal_off_by_more_than_tol_is_not_multiplicative():
     for call in (factor_scaling, schur_map_norm, lambda m: group_product(m, m)):
         with pytest.raises(NotMultiplicativeError):
             call(a)
+
+
+def test_witness_names_the_failing_condition():
+    # only the diagonal fails: the witness is that diagonal entry, although
+    # the (passing) ratio residual 1e-5 is the larger raw number
+    a = off_unit_diagonal([1.0, 1000.0, 1.0], 0, 1e-8)
+    assert check_cocycle(a).witness == (1, 1, None)
+    assert certify_multiplicative(a).witness == (1, 1, None)
+
+
+def full_scan_verdicts(data: np.ndarray, tol: Tolerance) -> tuple[bool, bool]:
+    """The ``cocycle`` and ``unit_diagonal`` verdicts from the O(n^3) scan alone."""
+    scale = float(np.abs(data).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        triple = multiplicative._cocycle_parts(data)[0]
+    diag = float(np.abs(np.diagonal(data) - 1.0).max())
+    cocycle = bool(np.isfinite(triple)) and triple <= tol.threshold(scale * scale)
+    return cocycle, diag <= tol.threshold(1.0)
+
+
+def ratio_test_verdicts(data: np.ndarray, tol: Tolerance) -> tuple[bool, bool]:
+    scale = float(np.abs(data).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        cocycle, unit_diagonal, _ = multiplicative._ratio_test(data, scale, tol)
+    return cocycle.passed, unit_diagonal.passed
+
+
+TOLERANCES = (Tolerance(), Tolerance(rel=1e-15), Tolerance(rel=0, abs=1e-12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.floats(-4, 4), st.floats(0, 6.3)), min_size=1, max_size=6),
+    st.floats(-18, -2),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("entries", "off_diagonal", "diagonal", "pivot_outer")),
+    st.sampled_from(TOLERANCES),
+)
+def test_pivot_bound_covers_the_scan(polar, log_eps, seed, perturb, tol):
+    # scaled multiplicative matrices, perturbed: every entry or the
+    # off-diagonal ones by a relative eps; one diagonal entry of an exact
+    # rank-one product by eps, which leaves max|a_ij - a_ip a_pj| at
+    # rounding level; or none, as the rounded outer product of the pivot
+    # column and row, where that maximum is 0. The scan's residual never
+    # exceeds the pivot bound, and the ratio test's verdict is the scan's.
+    f = np.array([10.0**r * np.exp(1j * t) for r, t in polar])
+    n = f.size
+    eps = 10.0**log_eps
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = build_from_scaling(f).data
+    if perturb == "diagonal":
+        k = rng.integers(n)
+        a = np.outer(f, (1 + eps * noise[0] * (np.arange(n) == k)) / f)
+    elif perturb == "pivot_outer":
+        p = multiplicative._pivot(a, tol)
+        a = np.outer(a[:, p], a[p])
+    else:
+        if perturb == "off_diagonal":
+            np.fill_diagonal(noise, 0.0)
+        a = a * (1 + eps * noise)
+    scale = float(np.abs(a).max())
+    diag = float(np.abs(np.diagonal(a) - 1.0).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = multiplicative._pivot_bound(a, scale, diag, tol)
+        scan = multiplicative._cocycle_parts(a)[0]
+    assert not bound < scan
+    assert ratio_test_verdicts(a, tol) == full_scan_verdicts(a, tol)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[1, 1e200], [1e200, 1]],  # the pivot products overflow to inf
+        [[1, 1e200 + 1e200j], [1e200 + 1e200j, 1]],  # ... and to inf - inf = NaN
+        [[1, 1e-200], [1e200, 1]],  # exact, but max|a|^2 overflows
+        [[1, 1e-13], [1e-13, 1]],  # the pivot sits below the absolute floor
+        # rank one, a_22 = 1e5: the bound 1e155 is under the threshold 5e289,
+        # but the scan's squared deviations overflow and fail it closed
+        [[1, 1e-145], [1e150, 1e5]],
+    ],
+)
+def test_unbounded_pivot_test_falls_through_to_the_scan(monkeypatch, a):
+    a = np.array(a, dtype=complex)
+    calls = count_scans(monkeypatch)
+    verdicts = ratio_test_verdicts(a, Tolerance())
+    assert calls == [(2, 2)]
+    assert verdicts == full_scan_verdicts(a, Tolerance())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.complex_numbers(max_magnitude=20, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_rank_one_spectrum_distance_is_the_bottleneck_value(vals):
+    # brute force over which value is paired with n; the greedy matching
+    # is a pairing too, so it can only be farther (up to the last bit, as
+    # numpy's and Python's complex moduli can differ there)
+    vals = np.array(vals, dtype=complex)
+    n = vals.size
+    mods, to_n = np.abs(vals), np.abs(vals - n)
+    brute = min(max(to_n[k], max(np.delete(mods, k), default=0.0)) for k in range(n))
+    dist = multiplicative._rank_one_spectrum_distance(vals)
+    assert dist == brute
+    target = np.zeros(n)
+    target[0] = n
+    assert dist <= multiset_distance(vals, target) * (1 + 2**-52)
