@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Exit codes are part of the contract: 0 the property holds / output produced,
-1 the property is false, 2 malformed input, 3 underdetermined completion.
-Machine output is UTF-8 JSON on stdout; diagnostics go to stderr. The
-default tolerance is 1e-10 relative, overridable by SCHURLAB_TOL or --tol.
+Each command returns ``(holds, output)`` or raises ``_Refusal``; ``main``
+alone prints and maps the outcome to an exit code. Exit codes are part of the
+contract: 0 the property holds / output produced, 1 the property is false,
+2 malformed input, 3 underdetermined completion. Machine output is UTF-8 JSON
+on stdout; diagnostics go to stderr. The default tolerance is 1e-10 relative,
+overridable by SCHURLAB_TOL or --tol.
 """
 
 from __future__ import annotations
@@ -60,129 +62,123 @@ def _tolerance_line(tol: Tolerance) -> str:
     return f"tolerance: rel={tol.rel:g} abs={tol.abs:g}"
 
 
-def _print_conditions(conditions) -> None:
-    for name, r in conditions.items():
+def _battery_lines(title: str, cert):
+    """The verdict line of a battery, then one line per condition."""
+    yield f"{title}: {'yes' if cert.verdict else 'no'}"
+    for name, r in cert.conditions.items():
         res = f"{r.residual:.3e}" if math.isfinite(r.residual) else "n/a"
         state = "pass" if r.passed else "FAIL"
-        print(f"  {name:<30} {state:<4}  residual {res}")
+        yield f"  {name:<30} {state:<4}  residual {res}"
 
 
-def _cmd_check(args, tol: Tolerance) -> int:
-    matrix = io.load_matrix_file(args.path)
+class _Refusal(Exception):
+    """A verdict reported on stderr alone: ``args`` are its lines, ``code`` its exit code."""
+
+    def __init__(self, *lines: str, code: int = EXIT_FALSE):
+        super().__init__(*lines)
+        self.code = code
+
+
+def _load_square(path: str):
+    matrix = io.load_matrix_file(path)
     require_square(matrix)
+    return matrix
+
+
+def _cmd_check(args, tol: Tolerance):
+    matrix = _load_square(args.path)
     try:
         cert = certify_multiplicative(matrix, tol, trials=args.trials, seed=args.seed)
     except PreconditionError as exc:
-        print(f"multiplicative: no ({exc})", file=sys.stderr)
-        return EXIT_FALSE
+        raise _Refusal(f"multiplicative: no ({exc})") from exc
 
-    star_cert = None
-    star_reason = None
     try:
         star_cert = certify_star_multiplicative(matrix, tol)
     except PreconditionError as exc:
-        star_reason = str(exc)
+        star_cert, star_reason = None, str(exc)
 
-    star_verdict = star_cert.verdict if star_cert is not None else False
-    ok = cert.verdict and (star_verdict if args.star else True)
+    star_holds = star_cert is not None and star_cert.verdict
+    holds = cert.verdict and (star_holds or not args.star)
 
     if args.json:
-        payload = {
-            "verdict": bool(ok),
+        return holds, {
+            "verdict": bool(holds),
             "multiplicative": cert.to_dict(),
             "star": star_cert.to_dict() if star_cert is not None
             else {"applicable": False, "reason": star_reason},
         }
-        print(json.dumps(payload))
+    lines = [_tolerance_line(tol), *_battery_lines("multiplicative", cert)]
+    if cert.witness is not None:
+        i, j, k = cert.witness
+        where = f"({i},{j},{k})" if k is not None else f"({i},{j},.)"
+        lines.append(f"  worst violation at {where}")
+    if cert.inconsistent:
+        lines.append("  warning: equivalent conditions disagree (conditioning)")
+    if star_cert is not None:
+        lines += _battery_lines("star-preserving", star_cert)
     else:
-        print(_tolerance_line(tol))
-        print(f"multiplicative: {'yes' if cert.verdict else 'no'}")
-        _print_conditions(cert.conditions)
-        if cert.witness is not None:
-            i, j, k = cert.witness
-            where = f"({i},{j},{k})" if k is not None else f"({i},{j},.)"
-            print(f"  worst violation at {where}")
-        if cert.inconsistent:
-            print("  warning: equivalent conditions disagree (conditioning)")
-        if star_cert is not None:
-            print(f"star-preserving: {'yes' if star_cert.verdict else 'no'}")
-            _print_conditions(star_cert.conditions)
-        else:
-            print(f"star-preserving: n/a ({star_reason})")
-    return EXIT_OK if ok else EXIT_FALSE
+        lines.append(f"star-preserving: n/a ({star_reason})")
+    return holds, lines
 
 
-def _cmd_factor(args, tol: Tolerance) -> int:
+def _cmd_factor(args, tol: Tolerance):
     cert = certify_multiplicative(io.load_matrix_file(args.path), tol)
     if not cert.verdict or cert.scaling is None:
         failing = [name for name, r in cert.conditions.items() if not r.passed]
-        print(f"not multiplicative; failing conditions: {', '.join(failing)}",
-              file=sys.stderr)
-        return EXIT_FALSE
+        raise _Refusal(f"not multiplicative; failing conditions: {', '.join(failing)}")
     values = cert.scaling.values
     if args.json:
-        print(json.dumps({
-            "scaling": io.complex_cells(values),
-            "tolerance": tol.to_dict(),
-        }))
-    else:
-        print(_tolerance_line(tol))
-        print("f = (" + ", ".join(_fmt_complex(v) for v in values) + ")")
-        print("S_A(B) = diag(f) B diag(f)^{-1}")
-    return EXIT_OK
+        return True, {"scaling": io.complex_cells(values), "tolerance": tol.to_dict()}
+    return True, [
+        _tolerance_line(tol),
+        "f = (" + ", ".join(_fmt_complex(v) for v in values) + ")",
+        "S_A(B) = diag(f) B diag(f)^{-1}",
+    ]
 
 
-def _cmd_complete(args, tol: Tolerance) -> int:
+def _cmd_complete(args, tol: Tolerance):
     report = complete_partial(io.load_partial_file(args.path), tol, star_preserving=args.star)
     if report.status == COMPLETED:
-        print(io.dumps_document(io.matrix_to_document(report.matrix)))
-        return EXIT_OK
+        return True, io.dumps_document(io.matrix_to_document(report.matrix))
     if report.status == INCONSISTENT:
-        for v in report.violations:
-            cycle = ",".join(str(x) for x in v.cycle)
-            print(f"inconsistent cycle ({cycle}) residual {v.residual:.6e}",
-                  file=sys.stderr)
-        return EXIT_FALSE
-    for comp in report.components:
-        print("component {" + ",".join(str(x) for x in comp) + "}", file=sys.stderr)
-    print("underdetermined: constraint graph is disconnected", file=sys.stderr)
-    return EXIT_UNDERDETERMINED
+        raise _Refusal(*(
+            f"inconsistent cycle ({','.join(str(x) for x in v.cycle)}) residual {v.residual:.6e}"
+            for v in report.violations
+        ))
+    raise _Refusal(
+        *("component {" + ",".join(str(x) for x in comp) + "}" for comp in report.components),
+        "underdetermined: constraint graph is disconnected",
+        code=EXIT_UNDERDETERMINED,
+    )
 
 
-def _cmd_enumerate(args, tol: Tolerance) -> int:
+def _cmd_enumerate(args, tol: Tolerance):
     members = enumerate_real_positive(args.n)
     docs = (io.dumps_document(io.matrix_to_document(m)) for m in members)
     if args.format == "array":
-        print("[" + ",".join(docs) + "]")
-    else:
-        for doc in docs:
-            print(doc)
-    return EXIT_OK
+        return True, "[" + ",".join(docs) + "]"
+    return True, docs
 
 
-def _cmd_norm(args, tol: Tolerance) -> int:
-    matrix = io.load_matrix_file(args.path)
-    require_square(matrix)
+def _cmd_norm(args, tol: Tolerance):
+    matrix = _load_square(args.path)
     op = operator_norm(matrix)
-    map_norm = None
     try:
         map_norm = schur_map_norm(matrix, tol)
     except (NotMultiplicativeError, ZeroEntryError) as exc:
-        reason = str(exc)
+        map_norm, reason = None, str(exc)
+    holds = map_norm is not None
     if args.json:
-        print(json.dumps({
+        return holds, {
             "operator_norm": op,
             "schur_map_norm": map_norm,
             "tolerance": tol.to_dict(),
-        }))
-    else:
-        print(_tolerance_line(tol))
-        print(f"operator_norm: {op:.17g}")
-        if map_norm is not None:
-            print(f"schur_map_norm: {map_norm:.17g}")
-        else:
-            print(f"schur_map_norm: n/a ({reason})")
-    return EXIT_OK if map_norm is not None else EXIT_FALSE
+        }
+    return holds, [
+        _tolerance_line(tol),
+        f"operator_norm: {op:.17g}",
+        f"schur_map_norm: {map_norm:.17g}" if holds else f"schur_map_norm: n/a ({reason})",
+    ]
 
 
 def parse_generator_spec(spec: str) -> CoefficientGenerator:
@@ -208,33 +204,27 @@ def parse_generator_spec(spec: str) -> CoefficientGenerator:
     raise DocumentFormatError(f"unknown generator kind {kind!r}")
 
 
-def _cmd_witness(args, tol: Tolerance) -> int:
+def _cmd_witness(args, tol: Tolerance):
     gen = parse_generator_spec(args.gen)
     try:
         result = unboundedness_witness(gen, args.n, tol)
     except NotMultiplicativeError as exc:
-        print(f"corner is not multiplicative: {exc}", file=sys.stderr)
-        return EXIT_FALSE
-    ok = result.lower_bound >= args.n - tol.threshold(float(args.n))
+        raise _Refusal(f"corner is not multiplicative: {exc}") from exc
+    holds = result.lower_bound >= args.n - tol.threshold(float(args.n))
     if args.csv:
-        print(f"{args.n},{result.lower_bound:.17g}")
-    else:
-        print(json.dumps({
-            "generator": gen.label or args.gen,
-            "n": args.n,
-            "lower_bound": result.lower_bound,
-            "x": io.complex_cells(result.x),
-            "tolerance": tol.to_dict(),
-        }))
-    return EXIT_OK if ok else EXIT_FALSE
+        return holds, f"{args.n},{result.lower_bound:.17g}"
+    return holds, {
+        "generator": gen.label or args.gen,
+        "n": args.n,
+        "lower_bound": result.lower_bound,
+        "x": io.complex_cells(result.x),
+        "tolerance": tol.to_dict(),
+    }
 
 
-def _cmd_verify(args, tol: Tolerance) -> int:
+def _cmd_verify(args, tol: Tolerance):
     report = run_suite(args.suite, trials=args.trials, seed=args.seed, tol=tol)
-    payload = report.to_dict()
-    payload["tolerance"] = tol.to_dict()
-    print(json.dumps(payload))
-    return EXIT_OK if report.ok else EXIT_FALSE
+    return report.ok, {**report.to_dict(), "tolerance": tol.to_dict()}
 
 
 def _positive_int(text: str) -> int:
@@ -263,9 +253,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help="relative tolerance (default 1e-10 or SCHURLAB_TOL)")
 
-    p = sub.add_parser("check", help="certify a matrix file")
-    p.add_argument("path")
-    add_tol(p)
+    # A parent's arguments come first in --help, so witness and verify, which
+    # list --tol after their own arguments, add it themselves.
+    path_tol = argparse.ArgumentParser(add_help=False)
+    path_tol.add_argument("path")
+    add_tol(path_tol)
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("check", help="certify a matrix file", parents=[path_tol])
     p.add_argument("--star", action="store_true",
                    help="require the star-preserving battery to pass as well")
     p.add_argument("--json", action="store_true")
@@ -273,15 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("factor", help="print the scaling vector of a multiplicative matrix")
-    p.add_argument("path")
-    add_tol(p)
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("factor", help="print the scaling vector of a multiplicative matrix",
+                       parents=[path_tol, as_json])
     p.set_defaults(func=_cmd_factor)
 
-    p = sub.add_parser("complete", help="fill in a partial matrix document")
-    p.add_argument("path")
-    add_tol(p)
+    p = sub.add_parser("complete", help="fill in a partial matrix document", parents=[path_tol])
     p.add_argument("--star", action="store_true",
                    help="star-preserving mode: entries unimodular, reciprocals implied")
     p.set_defaults(func=_cmd_complete)
@@ -291,10 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("jsonl", "array"), default="jsonl")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("norm", help="print operator norm and Schur-map norm")
-    p.add_argument("path")
-    add_tol(p)
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("norm", help="print operator norm and Schur-map norm",
+                       parents=[path_tol, as_json])
     p.set_defaults(func=_cmd_norm)
 
     p = sub.add_parser("witness", help="norm lower bound witness for a generator corner")
@@ -316,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command, print its output and map its outcome to an exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -328,10 +319,18 @@ def main(argv=None) -> int:
         print(f"error: bad tolerance: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return args.func(args, tol)
+        holds, output = args.func(args, tol)
+        if isinstance(output, dict):
+            output = json.dumps(output)
+        for line in [output] if isinstance(output, str) else output:
+            print(line)
+    except _Refusal as refusal:
+        print(*refusal.args, sep="\n", file=sys.stderr)
+        return refusal.code
     except (SchurError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK if holds else EXIT_FALSE
 
 
 def entrypoint() -> None:

@@ -7,8 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerance, as_matrix, numerical_rank, require_square
-from .star import is_positive_semidefinite
+from .core import DEFAULT_TOL, Tolerance, _rank, _singular_values, as_matrix, require_square
+from .star import _psd_residual, _skew_norm
 
 __all__ = ["CorrelationVerdict", "correlation_check", "IsometryResult", "isometry_check"]
 
@@ -32,8 +32,10 @@ def correlation_check(a, tol: Tolerance | None = None) -> CorrelationVerdict:
     require_square(m)
     tol = tol or DEFAULT_TOL
     unit_diag = float(np.abs(np.diagonal(m.data) - 1.0).max()) <= tol.threshold(1.0)
-    is_corr = is_positive_semidefinite(m, tol) and unit_diag
-    rank = numerical_rank(m, tol)
+    s = _singular_values(m.data)  # one SVD gives both ||A||_2 and the rank
+    psd, _ = _psd_residual(m.data, tol, float(s[0]), _skew_norm(m.data))
+    is_corr = psd and unit_diag
+    rank = _rank(s, m.rows, tol)
     return CorrelationVerdict(
         is_correlation=is_corr,
         rank=rank,

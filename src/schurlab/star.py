@@ -21,7 +21,7 @@ from .core import (
     schur_inverse,
 )
 from .errors import PreconditionError, ZeroEntryError
-from .multiplicative import ConditionResult, _condition, _facts
+from .multiplicative import ConditionResult, _condition, _facts, _nanmax
 
 __all__ = [
     "STAR_CONDITIONS",
@@ -51,6 +51,7 @@ def _skew_norm(data: np.ndarray) -> float:
     return _spectral_norm(data - data.conj().T)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed Hermitian part fails closed
 def _psd_residual(
     data: np.ndarray, tol: Tolerance, norm: float | None = None, herm: float | None = None
 ) -> tuple[bool, float]:
@@ -63,7 +64,7 @@ def _psd_residual(
     thr = tol.threshold(norm)
     passed = herm <= thr and lam_min >= -thr
     scale = max(norm, 1.0)
-    residual = max(herm / scale, max(0.0, -lam_min) / scale)
+    residual = _nanmax(herm, -lam_min) / scale  # herm >= 0, so never below 0
     return passed, residual
 
 

@@ -55,18 +55,6 @@ from .truncation import (
 
 __all__ = ["SUITE_NAMES", "VerifyFailure", "VerifyReport", "run_suite"]
 
-SUITE_NAMES = (
-    "thm21",
-    "thm24",
-    "prop26",
-    "group",
-    "torus",
-    "completion",
-    "schatten",
-    "extreme",
-)
-
-
 @dataclass(frozen=True)
 class VerifyFailure:
     case: str
@@ -87,6 +75,12 @@ class VerifyReport:
     def ok(self) -> bool:
         return not self.failures
 
+    def check(self, case: str, digest: str, ok: bool, residual: float) -> None:
+        """Count one case, and record it as a failure unless ``ok``."""
+        self.cases += 1
+        if not ok:
+            self.failures.append(VerifyFailure(case, digest, float(residual)))
+
     def to_dict(self) -> dict:
         return {
             "suite": self.suite,
@@ -99,17 +93,6 @@ class VerifyReport:
             ],
             "elapsed": self.elapsed,
         }
-
-
-class _Recorder:
-    def __init__(self):
-        self.failures: list[VerifyFailure] = []
-        self.cases = 0
-
-    def check(self, case: str, digest: str, ok: bool, residual: float):
-        self.cases += 1
-        if not ok:
-            self.failures.append(VerifyFailure(case, digest, float(residual)))
 
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
@@ -185,7 +168,7 @@ def _sub_seed(rng: np.random.Generator) -> int:
 # suites
 
 
-def _suite_product_rule_equivalence(rec: _Recorder, trials: int, seed: int, tol: Tolerance):
+def _suite_product_rule_equivalence(rec: VerifyReport, trials: int, seed: int, tol: Tolerance):
     """Multiplicative equivalence battery on scalings and perturbed non-examples."""
     for t in range(trials):
         rng = _rng(seed, 1, t)
@@ -262,7 +245,7 @@ def _suite_product_rule_equivalence(rec: _Recorder, trials: int, seed: int, tol:
             )
 
 
-def _suite_star_battery(rec: _Recorder, trials: int, seed: int, tol: Tolerance):
+def _suite_star_battery(rec: VerifyReport, trials: int, seed: int, tol: Tolerance):
     """Star battery: unimodular scalings pass everything, modulus spreads fail together."""
     for t in range(trials):
         rng = _rng(seed, 2, t)
@@ -310,7 +293,7 @@ def _suite_star_battery(rec: _Recorder, trials: int, seed: int, tol: Tolerance):
             )
 
 
-def _suite_projection_quartet(rec: _Recorder, trials: int, seed: int, tol: Tolerance):
+def _suite_projection_quartet(rec: VerifyReport, trials: int, seed: int, tol: Tolerance):
     """The star / norm-n / projection / map-norm-1 verdicts agree on every instance."""
     for t in range(trials):
         rng = _rng(seed, 3, t)
@@ -334,7 +317,7 @@ def _suite_projection_quartet(rec: _Recorder, trials: int, seed: int, tol: Toler
         )
 
 
-def _suite_group(rec: _Recorder, trials: int, seed: int, tol: Tolerance):
+def _suite_group(rec: VerifyReport, trials: int, seed: int, tol: Tolerance):
     """Abelian group axioms, Toeplitz subgroup, and the sign enumeration."""
     if trials >= 1:
         for n in range(1, 13):
@@ -394,7 +377,7 @@ def _suite_group(rec: _Recorder, trials: int, seed: int, tol: Tolerance):
         rec.check(f"two_by_two_is_toeplitz@t{t}", _digest(a2.data), res <= 1e-12, res)
 
 
-def _suite_torus(rec: _Recorder, trials: int, seed: int, tol: Tolerance):
+def _suite_torus(rec: VerifyReport, trials: int, seed: int, tol: Tolerance):
     """The first-row parametrization is a group isomorphism onto the positive members."""
     for t in range(trials):
         rng = _rng(seed, 5, t)
@@ -422,7 +405,7 @@ def _suite_torus(rec: _Recorder, trials: int, seed: int, tol: Tolerance):
         rec.check("identity_coordinates", _digest(j.data), j == all_ones(4), 0.0)
 
 
-def _suite_completion(rec: _Recorder, trials: int, seed: int, tol: Tolerance):
+def _suite_completion(rec: VerifyReport, trials: int, seed: int, tol: Tolerance):
     """Spanning-tree recovery, tree independence, and cycle reporting."""
     for t in range(trials):
         rng = _rng(seed, 6, t)
@@ -500,7 +483,7 @@ def _cycle_contains_edge(cycle: tuple[int, ...], i: int, j: int) -> bool:
     return any({u, v} == {i, j} for u, v in pairs)
 
 
-def _suite_schatten(rec: _Recorder, trials: int, seed: int, tol: Tolerance):
+def _suite_schatten(rec: VerifyReport, trials: int, seed: int, tol: Tolerance):
     """Corner coherence, unimodularity of Hermitian generators, norm bounds, divergence."""
     if trials >= 1:
         for gen, label in (
@@ -543,7 +526,7 @@ def _suite_schatten(rec: _Recorder, trials: int, seed: int, tol: Tolerance):
         rec.check(f"compact_bound@t{t}", d, bound <= sup + 1e-10, bound - sup)
 
 
-def _suite_extreme(rec: _Recorder, trials: int, seed: int, tol: Tolerance):
+def _suite_extreme(rec: VerifyReport, trials: int, seed: int, tol: Tolerance):
     """Rank-one extremity of the certified families; isometry detection."""
     if trials >= 1:
         for m in enumerate_real_positive(5):
@@ -607,6 +590,7 @@ _SUITES = {
     "schatten": _suite_schatten,
     "extreme": _suite_extreme,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(
@@ -619,17 +603,10 @@ def run_suite(
     tol = tol or DEFAULT_TOL
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES + ('all',)}")
-    rec = _Recorder()
+    report = VerifyReport(suite=suite, trials=trials, seed=seed)
     start = time.perf_counter()
     names = SUITE_NAMES if suite == "all" else (suite,)
     for name in names:
-        _SUITES[name](rec, trials, seed, tol)
-    elapsed = time.perf_counter() - start
-    return VerifyReport(
-        suite=suite,
-        trials=trials,
-        seed=seed,
-        failures=rec.failures,
-        elapsed=elapsed,
-        cases=rec.cases,
-    )
+        _SUITES[name](report, trials, seed, tol)
+    report.elapsed = time.perf_counter() - start
+    return report

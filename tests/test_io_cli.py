@@ -9,7 +9,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from schurlab import ComplexMatrix, DocumentFormatError, PartialMatrix, all_ones
+from schurlab import (
+    ComplexMatrix,
+    DocumentFormatError,
+    PartialMatrix,
+    all_ones,
+    is_positive_semidefinite,
+)
 from schurlab.cli import main, parse_generator_spec
 from schurlab.io import (
     complex_cells,
@@ -453,6 +459,20 @@ def test_overflowing_star_operand_fails_closed(tmp_path, capsys, doc, overflowed
         assert main(["check", path, "--star", "--json"]) == 1
     star = json.loads(capsys.readouterr().out)["star"]["conditions"]
     assert star[overflowed] == {"pass": False, "residual": None}
+
+
+def test_overflowing_hermitian_part_fails_closed(tmp_path, capsys):
+    # A + A* overflows, so the least eigenvalue of the Hermitian part is NaN:
+    # the positivity residual reads null instead of 0.0, and nothing warns
+    doc = [[1.0, 1e308], [1e308, 1.0]]
+    path = write(tmp_path, "m.json", matrix_to_document(ComplexMatrix(doc)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert not is_positive_semidefinite(doc)
+        assert main(["check", path, "--star", "--json"]) == 1
+    star = json.loads(capsys.readouterr().out)["star"]["conditions"]
+    for name in ("schur_pair_positive", "cp_isomorphism_proxy"):
+        assert star[name] == {"pass": False, "residual": None}
 
 
 def test_witness_of_an_overflowing_scaling_norm(capsys):
