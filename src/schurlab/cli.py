@@ -45,8 +45,11 @@ EXIT_INPUT = 2
 EXIT_UNDERDETERMINED = 3
 
 
-def _resolve_tolerance(args) -> Tolerance:
-    rel = getattr(args, "tol", None)
+def _resolve_tolerance(args) -> Tolerance | None:
+    """--tol, else SCHURLAB_TOL, else the default; None for a subcommand without --tol."""
+    if not hasattr(args, "tol"):
+        return None
+    rel = args.tol
     if rel is None:
         env = os.environ.get("SCHURLAB_TOL")
         if env is not None:
@@ -122,7 +125,10 @@ def _cmd_check(args, tol: Tolerance):
 
 
 def _cmd_factor(args, tol: Tolerance):
-    cert = certify_multiplicative(io.load_matrix_file(args.path), tol)
+    try:
+        cert = certify_multiplicative(io.load_matrix_file(args.path), tol)
+    except PreconditionError as exc:
+        raise _Refusal(f"not multiplicative ({exc})") from exc
     if not cert.verdict or cert.scaling is None:
         failing = [name for name, r in cert.conditions.items() if not r.passed]
         raise _Refusal(f"not multiplicative; failing conditions: {', '.join(failing)}")
@@ -152,7 +158,7 @@ def _cmd_complete(args, tol: Tolerance):
     )
 
 
-def _cmd_enumerate(args, tol: Tolerance):
+def _cmd_enumerate(args, tol: None):  # enumerate takes no tolerance
     members = enumerate_real_positive(args.n)
     docs = (io.dumps_document(io.matrix_to_document(m)) for m in members)
     if args.format == "array":

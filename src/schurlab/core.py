@@ -186,7 +186,7 @@ def eigenvalues(a, tol: Tolerance | None = None) -> np.ndarray:
     data = m.data
     scale = float(np.abs(data).max())
     try:
-        if float(np.abs(data - data.conj().T).max()) <= tol.threshold(scale):
+        if _hermitian_route(data - data.conj().T, scale, tol):
             vals = np.linalg.eigvalsh((data + data.conj().T) / 2.0).astype(np.complex128)
         else:
             vals = np.linalg.eigvals(data)
@@ -194,6 +194,12 @@ def eigenvalues(a, tol: Tolerance | None = None) -> np.ndarray:
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
     order = np.lexsort((vals.imag, vals.real))[::-1]
     return vals[order]
+
+
+def _hermitian_route(anti: np.ndarray, scale: float, tol: Tolerance) -> bool:
+    """Whether ``eigenvalues`` takes the symmetric solver for A, given
+    ``anti`` = A - A* and ``scale`` = max|a_ij|."""
+    return float(np.abs(anti).max()) <= tol.threshold(scale)
 
 
 def _singular_values(data: np.ndarray) -> np.ndarray:

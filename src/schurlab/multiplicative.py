@@ -7,11 +7,23 @@ diag(f). The certificate produced here records that test next to three
 equivalent views (rank-one structure, {n, 0, ..., 0} spectrum, and a seeded
 sampling of the product rule) so that disagreement, which can only come from
 conditioning, is surfaced instead of silently resolved.
+
+Accepted inputs cost O(n^2). The ratio test accepts through one pivot
+column p, and then A = u v^T + E (u = a_:p, v = a_p:) bounds every other
+view: Weyl's inequality the singular values, Bauer-Fike on the balanced
+diag(u)^-1 A diag(u) the spectrum, and the ratio bound the sampled product
+defect. Each bound includes rounding allowances and LAPACK's backward
+error, so it is a certified upper bound on what the O(n^3) code would
+report. A condition passes with its bound as its residual when the bound is
+within half the threshold; otherwise the O(n^3) code runs, so verdicts are
+the O(n^3) code's and rejections report exact residuals.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -21,6 +33,7 @@ from .core import (
     DEFAULT_TOL,
     ComplexMatrix,
     Tolerance,
+    _hermitian_route,
     _rank,
     _singular_values,
     as_matrix,
@@ -170,9 +183,67 @@ _ETA = 2.0**-536  # absolute allowance for underflow: the scan's sqrt of a subno
 _SQRT_HUGE = 2.0**510  # squares below 2**1021 cannot overflow
 
 
-def _pivot_bound(data: np.ndarray, scale: float, diag_res: float, tol: Tolerance) -> float:
+def _fro(x: np.ndarray) -> float:
+    """Upper bound on the Frobenius norm of the stored array ``x``; inf when
+    a square overflows.
+
+    numpy sums the squares as a dot product, off by at most ``x.size`` u
+    (u = 2^-53) relative, and squares below 2^-1074 are lost.
+    """
+    return float(np.linalg.norm(x)) * (1 + x.size * _EPS) + x.size * _ETA
+
+
+def _lapack(n: int, fro: float) -> float:
+    """Allowance for LAPACK's rounding on an n-by-n operand of Frobenius
+    norm at most ``fro``, plus the rounding in forming that operand.
+
+    The SVD and eigenvalue drivers are backward stable: the computed values
+    are exact for a matrix within p(n) u ||X|| of X (LAPACK Users' Guide,
+    sections 4.8 and 4.9), so by Weyl's inequality and Bauer-Fike each value
+    moves by at most that much (times the eigenvector condition number for
+    a non-normal eigenproblem). p(n) is taken as 16(n + 1).
+    """
+    return (n + 1) * _EPS * fro
+
+
+def _pivot_rest(x: np.ndarray, p: int) -> tuple[np.ndarray, float]:
+    """E = x - x_:p x_p: as computed, and an upper bound on ||E||_F for the
+    exact E.
+
+    Each computed entry is off by at most _EPS (|x_ip| |x_pj| + |E_ij|), so
+    the Frobenius error is at most _EPS (||x_:p|| ||x_p:|| + ||E||_F).
+    """
+    col, row = x[:, p], x[p]
+    dev = x - np.outer(col, row)
+    rest = _fro(dev)
+    return dev, (rest + _EPS * (_fro(col) * _fro(row) + rest)) * (1 + _EPS)
+
+
+def _rank_one_split(x: np.ndarray, p: int, rest: float) -> tuple[float, float, float]:
+    """(fro, sigma1, sigma2): an upper bound on ||x||_F, a lower bound on the
+    largest and an upper bound on the second singular value as LAPACK
+    computes them, from x = c r^T + E (c = x_:p, r = x_p:, ||E||_F <= rest).
+
+    Weyl's inequality gives sigma_2 <= ||E||_2 <= ||E||_F and
+    sigma_1 >= ||c|| ||r|| - ||E||_F; the SVD's rounding adds ``_lapack``.
+    """
+    n = x.shape[0]
+    fro = _fro(x)
+    slack = _lapack(n, fro)
+    cr = float(np.linalg.norm(x[:, p]) * np.linalg.norm(x[p])) * (1 - 2 * n * _EPS)
+    return fro, (cr - rest - slack) * (1 - _EPS), (rest + slack) * (1 + _EPS)
+
+
+class _PivotBound(NamedTuple):
+    bound: float  # on what ``_cocycle_parts`` would return; inf when none is offered
+    p: int | None  # the ``_pivot`` column; None when it is below the floor
+    rest: float  # upper bound on ||a - a_:p a_p:||_F
+
+
+def _pivot_bound(data: np.ndarray, scale: float, diag_res: float, tol: Tolerance) -> _PivotBound:
     """Upper bound, rounding included, on what ``_cocycle_parts`` would return,
-    from one pivot column in O(n^2); inf when no bound is offered.
+    from one pivot column in O(n^2), with the pivot and ``_pivot_rest``'s
+    bound on the Frobenius norm of the pivot residual.
 
     With p the ``_pivot`` column, r = max|a_ij - a_ip a_pj|, delta the
     diagonal deviation and M = max|a|, the exact maximum is at most
@@ -192,15 +263,16 @@ def _pivot_bound(data: np.ndarray, scale: float, diag_res: float, tol: Tolerance
     try:
         p = _pivot(data, tol)
     except ZeroEntryError:
-        return math.inf
-    r_hat = float(np.abs(data - np.outer(data[:, p], data[p])).max())
+        return _PivotBound(math.inf, None, math.inf)
+    dev, rest = _pivot_rest(data, p)
+    r_hat = float(np.abs(dev).max())
     m = scale * (1 + _EPS)
     delta = diag_res * (1 + _EPS)
     rho = (r_hat + _EPS * m) * (1 + _EPS) + _ETA
     k = m + rho
     t = rho * (1 + 3 * k) + k * delta + rho * rho
     bound = ((t + _EPS * (m + t)) * (1 + _EPS) + _ETA) * (1 + _EPS)
-    return bound if max(m, bound) < _SQRT_HUGE else math.inf  # NaN is kept
+    return _PivotBound(bound if max(m, bound) < _SQRT_HUGE else math.inf, p, rest)  # NaN is kept
 
 
 def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
@@ -232,10 +304,12 @@ def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
     ``_pivot_bound`` evaluates it with rounding allowances in O(n^2). When
     that bound is at most half the ``cocycle`` threshold, the scan would pass
     too, so ``cocycle`` passes with the bound as its residual, a certified
-    upper bound. Otherwise (the bound is larger, non-finite, or there is no
-    pivot above the floor) the O(n^3) ``_cocycle_parts`` scan decides and
-    reports the exact worst residual and its triple. Verdicts are the
-    scan's either way.
+    upper bound, and the ``_PivotBound`` is returned as the fourth value for
+    the other conditions' bounds. Otherwise (the bound is larger,
+    non-finite, or there is no pivot above the floor) the O(n^3)
+    ``_cocycle_parts`` scan decides and reports the exact worst residual and
+    its triple, and the fourth value is None. Verdicts are the scan's either
+    way.
 
     Witness: (i, i, None) for the worst diagonal entry when only
     ``unit_diagonal`` fails, the worst triple when only ``cocycle`` fails,
@@ -246,19 +320,20 @@ def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
     diag_res = float(diag_dev[diag_i])
     unit_diagonal = _condition(diag_res <= tol.threshold(1.0), diag_res)
     threshold = tol.threshold(scale * scale)
-    bound = _pivot_bound(data, scale, diag_res, tol)
-    if math.isfinite(bound) and bound <= 0.5 * threshold:
-        cocycle, triple_witness = _condition(True, bound), None
+    accepted = _pivot_bound(data, scale, diag_res, tol)
+    if math.isfinite(accepted.bound) and accepted.bound <= 0.5 * threshold:
+        cocycle, triple_witness = _condition(True, accepted.bound), None
     else:
         triple_res, triple_witness = _cocycle_parts(data)
         cocycle = _condition(triple_res <= threshold, triple_res)
+        accepted = None
     if cocycle.passed and unit_diagonal.passed:
         witness = None
     elif cocycle.passed or (not unit_diagonal.passed and diag_res >= cocycle.residual):
         witness = (diag_i + 1, diag_i + 1, None)
     else:
         witness = triple_witness
-    return cocycle, unit_diagonal, witness
+    return cocycle, unit_diagonal, witness, accepted
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowed residuals fail closed
@@ -288,7 +363,7 @@ def check_cocycle(a, tol: Tolerance | None = None) -> CocycleResult:
     require_square(m)
     data = m.data
     scale = float(np.abs(data).max())
-    cocycle, unit_diagonal, witness = _ratio_test(data, scale, tol or DEFAULT_TOL)
+    cocycle, unit_diagonal, witness, _ = _ratio_test(data, scale, tol or DEFAULT_TOL)
     residual = _nanmax(cocycle.residual, unit_diagonal.residual)
     return CocycleResult(witness is None, residual, witness)
 
@@ -343,18 +418,97 @@ def build_from_scaling(f) -> ComplexMatrix:
     return ComplexMatrix(np.outer(values, 1.0 / values))
 
 
-class _Facts(NamedTuple):
-    """What both batteries read off one coefficient matrix; each O(n^3) pass runs once."""
+class _Part(NamedTuple):
+    """One test inside a condition: a certified residual bound that decides a
+    pass (None when the bound cannot decide), and the O(n^3) verdict and exact
+    residual, computed only on demand."""
 
-    scale: float  # max |a_ij|
-    cocycle: ConditionResult  # ratio-identity residual
-    unit_diagonal: ConditionResult
-    witness: tuple[int, int, int | None] | None  # the failing condition's worst entry, 1-based
-    singular_values: np.ndarray
-    rank: int
-    rank_residual: float  # sigma_2 / sigma_1
-    spectrum_distance: float  # from the spectrum to {n, 0^(n-1)}
-    scaling: ScalingVector | None  # pivot scaling when the ratio test passes
+    bound: float | None
+    exact: Callable[[], tuple[bool, float]]
+
+
+def _bounded(bound: float, limit: float, exact: Callable[[], tuple[bool, float]]) -> _Part:
+    """A part decided by ``bound`` when it is below ``limit`` (NaN never is)."""
+    return _Part(bound if bound < limit else None, exact)
+
+
+def _known(passed: bool, residual: float) -> _Part:
+    """A part whose exact verdict and residual cost no more than a bound."""
+    return _Part(residual if passed else None, lambda: (passed, residual))
+
+
+def _decide(*parts: _Part) -> ConditionResult:
+    """Pass with the bounds as residuals when every part has one; otherwise
+    the exact verdict and residual of every part, so a failing condition
+    reports exactly what the O(n^3) code computes."""
+    if all(part.bound is not None for part in parts):
+        return _condition(True, *(part.bound for part in parts))
+    results = [part.exact() for part in parts]
+    return _condition(all(ok for ok, _ in results), *(res for _, res in results))
+
+
+class _Bounds(NamedTuple):
+    """Certified O(n^2) bounds, rounding included, on what the O(n^3) code
+    would compute for A; ``_NO_BOUNDS`` unless the ratio test accepted
+    through the pivot bound."""
+
+    p: int | None  # the pivot column
+    cocycle: float  # >= max|a_ij - a_ik a_kj|
+    fro: float  # >= ||A||_F
+    sigma1: float  # <= the computed sigma_1(A)
+    rank_residual: float  # >= the computed sigma_2 / sigma_1 where rank one is certified, else inf
+    spectrum: float  # >= the computed spectrum distance to {n, 0^(n-1)}
+    skew: float  # >= the computed ||A - A*||_2
+
+
+_NO_BOUNDS = _Bounds(None, math.inf, math.inf, 0.0, math.inf, math.inf, math.inf)
+
+
+def _accept_bounds(data: np.ndarray, scale: float, accepted: _PivotBound, tol: Tolerance) -> _Bounds:
+    """The ``_Bounds`` of A = u v^T + E (u = a_:p, v = a_p:), in O(n^2).
+
+    Rank one: ``_rank_one_split``'s bounds certify rank 1 when sigma_1 is
+    above the cut (rel n <= 1/2 and sigma_1 > 2 abs) and sigma_2 is within
+    half of it.
+
+    Spectrum: with D = diag(u), the balanced copy D^-1 A D = J + G (J the
+    all-ones matrix, g_ij = a_ij u_j / u_i - 1) has A's eigenvalues, and
+    those ``eigenvalues`` computes are exact for a matrix within
+    ``_lapack`` of what it factors: A, or on the Hermitian route
+    (A + A*)/2, which is ||A - A*||_F / 2 further from A. Conjugating by D
+    multiplies those perturbations by at most kappa = max|u| / min|u|. J is
+    normal with spectrum {n, 0^(n-1)}, so by Bauer-Fike every computed
+    eigenvalue lies within r = ||G||_F + kappa (allowance) of n or of 0,
+    and while r < n/2 continuity along J + tG keeps exactly one near n: the
+    bottleneck distance is at most r. Each entry of the computed G is off by
+    at most _EPS (1 + |g_ij|), so the computed ||G||_F is off by at most
+    _EPS (n + ||G||_F).
+    """
+    n = data.shape[0]
+    p = accepted.p
+    fro, sigma1, sigma2 = _rank_one_split(data, p, accepted.rest)
+    rank_one = (
+        n * tol.rel <= 0.5
+        and sigma1 > 2 * tol.abs
+        and sigma2 <= 0.5 * max(tol.rel * sigma1 * n, tol.abs)
+    )
+    anti = data - data.conj().T
+    skew = _fro(anti)
+    u = data[:, p]
+    mags = np.abs(u)
+    kappa = float(mags.max() / mags.min()) * (1 + _EPS)
+    gap = _fro(data * np.outer(1.0 / u, u) - 1.0)
+    solver = _lapack(n, fro) + (0.5 * skew if _hermitian_route(anti, scale, tol) else 0.0)
+    spectrum = ((gap + _EPS * (n + gap)) * (1 + _EPS) + kappa * solver) * (1 + _EPS)
+    return _Bounds(
+        p=p,
+        cocycle=accepted.bound,
+        fro=fro,
+        sigma1=sigma1,
+        rank_residual=sigma2 / sigma1 if rank_one else math.inf,
+        spectrum=spectrum if spectrum < 0.5 * n else math.inf,
+        skew=skew + _lapack(n, skew),
+    )
 
 
 def _rank_one_spectrum_distance(vals: np.ndarray) -> float:
@@ -380,33 +534,59 @@ def _rank_one_spectrum_distance(vals: np.ndarray) -> float:
     return float(np.minimum(pair_k1, pair_other))
 
 
-def _facts(m: ComplexMatrix, tol: Tolerance) -> _Facts:
-    data = m.data
-    n = data.shape[0]
-    scale = float(np.abs(data).max())
-    if scale == 0.0:
-        raise PreconditionError("the zero Schur map is excluded from certification")
+class _Facts:
+    """What both batteries read off one coefficient matrix.
 
-    cocycle, unit_diagonal, witness = _ratio_test(data, scale, tol)
-    scaling = None
-    if witness is None:
-        try:
-            scaling = _pivot_scaling(data, tol)
-        except ZeroEntryError:
-            pass
+    The ratio test, the scaling and, when the ratio test accepted through
+    the pivot bound, the ``_Bounds`` are computed up front in O(n^2). The
+    singular values and the spectrum distance are computed on first use
+    and kept, so each O(n^3) pass runs at most once and an input the bounds
+    decide never runs it.
+    """
 
-    svals = _singular_values(data)
-    return _Facts(
-        scale=scale,
-        cocycle=cocycle,
-        unit_diagonal=unit_diagonal,
-        witness=witness,
-        singular_values=svals,
-        rank=_rank(svals, n, tol),
-        rank_residual=float(svals[1] / svals[0]) if n > 1 and svals[0] > 0 else 0.0,
-        spectrum_distance=_rank_one_spectrum_distance(eigenvalues(m, tol)),
-        scaling=scaling,
-    )
+    def __init__(self, m: ComplexMatrix, tol: Tolerance):
+        data = m.data
+        self.m, self.tol, self.n = m, tol, data.shape[0]
+        self.scale = scale = float(np.abs(data).max())  # max |a_ij|
+        if scale == 0.0:
+            raise PreconditionError("the zero Schur map is excluded from certification")
+        # the witness names the failing condition's worst entry, 1-based
+        self.cocycle, self.unit_diagonal, self.witness, accepted = _ratio_test(data, scale, tol)
+        self.scaling = None  # pivot scaling when the ratio test passes
+        if self.witness is None:
+            try:
+                self.scaling = _pivot_scaling(data, tol)
+            except ZeroEntryError:
+                pass
+        self.bounds = _NO_BOUNDS if accepted is None else _accept_bounds(data, scale, accepted, tol)
+
+    @functools.cached_property
+    def singular_values(self) -> np.ndarray:
+        return _singular_values(self.m.data)
+
+    @functools.cached_property
+    def spectrum_distance(self) -> float:
+        """Distance from the spectrum to {n, 0^(n-1)}."""
+        return _rank_one_spectrum_distance(eigenvalues(self.m, self.tol))
+
+    def rank_one(self) -> _Part:
+        """rank(A) == 1, with sigma_2 / sigma_1 as its residual."""
+
+        def exact():
+            s = self.singular_values
+            residual = float(s[1] / s[0]) if self.n > 1 and s[0] > 0 else 0.0
+            return _rank(s, self.n, self.tol) == 1, residual
+
+        return _bounded(self.bounds.rank_residual, math.inf, exact)
+
+    def spectrum(self, threshold: float, per: float = 1.0) -> _Part:
+        """The spectrum distance divided by ``per``, at most ``threshold``."""
+
+        def exact():
+            residual = self.spectrum_distance / per
+            return residual <= threshold, residual
+
+        return _bounded(self.bounds.spectrum / per, 0.5 * threshold, exact)
 
 
 @dataclass
@@ -474,6 +654,23 @@ def _product_sampling_residual(data: np.ndarray, trials: int, seed: int) -> floa
     return worst
 
 
+def _sampling_bound(cocycle: float, scale: float, n: int) -> float:
+    """Upper bound on what ``_product_sampling_residual`` returns, for every
+    B and C, from ``cocycle`` >= max|a_ij - a_ik a_kj| and M = ``scale``.
+
+    The defect is (A o BC - (A o B)(A o C))_ij = sum_k (a_ij - a_ik a_kj) b_ik c_kj,
+    so its Frobenius norm is at most cocycle ||B||_F ||C||_F. The computed
+    matmuls and Schur products add at most (n + 4) _EPS (M + M^2) (|B||C|)_ij
+    to each entry, the norms and quotients a relative 4 (n^2 + 1) _EPS, and
+    ``_ETA`` covers underflow. inf outside 2^-400 <= M <= 2^400, where the
+    products, with Gaussian draws below 16, could overflow.
+    """
+    if not 2.0**-400 <= scale <= 2.0**400:
+        return math.inf
+    per_pair = cocycle / (scale * scale) + (n + 4) * _EPS * (1 + 1 / scale)
+    return per_pair * (1 + 4 * (n * n + 1) * _EPS) + _ETA
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflowed residuals fail closed
 def certify_multiplicative(
     a,
@@ -487,22 +684,34 @@ def certify_multiplicative(
     {n, 0^(n-1)} spectrum and a seeded sampling of the product rule. The
     verdict is the conjunction; the theory predicts unanimous agreement, so
     disagreement is recorded on the certificate rather than raised.
+
+    When the ratio test accepts through the pivot bound, ``rank_one``,
+    ``spectrum_0_n`` and ``product_sampling`` are decided by O(n^2) bounds
+    (``_accept_bounds``, ``_sampling_bound``) whenever those are within half
+    the threshold, and then report the bound, a certified upper bound on
+    what the SVD, the eigensolver and the sampling would report. Every other
+    condition, and every failing one, runs the O(n^3) code and reports its
+    exact residual; verdicts are the same either way.
     """
     m = as_matrix(a)
     n = require_square(m)
     tol = tol or DEFAULT_TOL
     if trials < 1:
         raise PreconditionError("trials must be positive")
-    facts = _facts(m, tol)
-    samp_res = _product_sampling_residual(m.data, trials, seed)
+    facts = _Facts(m, tol)
+    one = tol.threshold(1.0)
+
+    def sample():
+        residual = _product_sampling_residual(m.data, trials, seed)
+        return residual <= one, residual
+
+    sampling = _sampling_bound(facts.bounds.cocycle, facts.scale, n)
     conditions = {
         "cocycle": facts.cocycle,
         "unit_diagonal": facts.unit_diagonal,
-        "rank_one": _condition(facts.rank == 1, facts.rank_residual),
-        "spectrum_0_n": _condition(
-            facts.spectrum_distance <= tol.threshold(float(n)), facts.spectrum_distance
-        ),
-        "product_sampling": _condition(samp_res <= tol.threshold(1.0), samp_res),
+        "rank_one": _decide(facts.rank_one()),
+        "spectrum_0_n": _decide(facts.spectrum(tol.threshold(float(n)))),
+        "product_sampling": _decide(_bounded(sampling, 0.5 * one, sample)),
     }
     cert = MultiplicativityCertificate(
         verdict=all(r.passed for r in conditions.values()),

@@ -3,10 +3,19 @@
 Complete positivity is never tested through Choi matrices: for a Schur map it
 is equivalent to positive semidefiniteness of the coefficient matrix itself,
 which is what the pair-positivity condition checks at O(n^3).
+
+On inputs the ratio test accepts through its pivot bound, the battery runs in
+O(n^2): ||A - A*||_2, the normality commutator and the smallest eigenvalues
+of the Hermitian parts of A and of its Schur inverse are bounded from the
+rank-one split A = u v^T + E, with rounding allowances, and a condition
+whose bounds are all within half their thresholds passes with the bounds as
+its residual, certified upper bounds on the exact ones. Any other condition
+runs the O(n^3) code for all its parts and reports exact residuals.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +30,21 @@ from .core import (
     schur_inverse,
 )
 from .errors import PreconditionError, ZeroEntryError
-from .multiplicative import ConditionResult, _condition, _facts, _nanmax
+from .multiplicative import (
+    _EPS,
+    _SQRT_HUGE,
+    ConditionResult,
+    _bounded,
+    _condition,
+    _decide,
+    _Facts,
+    _fro,
+    _known,
+    _lapack,
+    _nanmax,
+    _pivot_rest,
+    _rank_one_split,
+)
 
 __all__ = [
     "STAR_CONDITIONS",
@@ -110,6 +133,50 @@ class StarCertificate:
         }
 
 
+def _psd_bound(x: np.ndarray, p: int, fro: float, sigma1: float, skew: float, tol: Tolerance) -> float:
+    """Upper bound on the ``_psd_residual`` residual of x when it certifies a
+    pass, else inf. ``fro`` >= ||x||_F, ``sigma1`` <= the computed ||x||_2 and
+    ``skew`` >= the computed ||x - x*||_2.
+
+    With c = x_:p, cc* is positive semidefinite, so by Weyl's inequality
+    the Hermitian part H has lambda_min >= -||H - cc*||_F; the computed
+    outer product is off by at most _EPS |c_i| |c_j|, and eigvalsh adds
+    ``_lapack``. A pass is certified when that and ``skew`` are within half
+    the threshold at ``sigma1``.
+    """
+    c = x[:, p]
+    sym = (x + x.conj().T) / 2.0
+    below = _fro(sym - np.outer(c, c.conj())) * (1 + _EPS) + _EPS * _fro(c) ** 2
+    worst = _nanmax(skew, (below + _lapack(x.shape[0], fro)) * (1 + _EPS))
+    if not worst < 0.5 * tol.threshold(sigma1):
+        return math.inf
+    return worst / max(sigma1, 1.0)
+
+
+def _inverse_psd_bound(inv: np.ndarray, p: int, tol: Tolerance) -> float:
+    """``_psd_bound`` for the Schur inverse, split through the same pivot
+    column: its column p is 1/u, so for a multiplicative A it is rank one,
+    1/a_ij = (1/a_ip)(1/a_pj)."""
+    _, rest = _pivot_rest(inv, p)
+    fro, sigma1, _ = _rank_one_split(inv, p, rest)
+    skew = _fro(inv - inv.conj().T)
+    return _psd_bound(inv, p, fro, sigma1, skew + _lapack(inv.shape[0], skew), tol)
+
+
+def _commutator_bound(fro: float, skew: float, n: int) -> float:
+    """Upper bound on the computed ||A A* - A* A||_2 from ``fro`` >= ||A||_F
+    and ``skew`` >= ||A - A*||_2; inf where the products could overflow.
+
+    A A* - A* A = A (A* - A) - (A* - A) A, so its Frobenius norm is at most
+    2 ||A||_2 ||A - A*||_F; each computed product is off by at most
+    (n + 4) _EPS ||A||_F^2 in Frobenius norm, and the SVD adds ``_lapack``.
+    """
+    if not fro < _SQRT_HUGE:
+        return math.inf
+    comm = 2 * fro * skew + 2 * (n + 4) * _EPS * fro * fro
+    return comm * (1 + _EPS) * (1 + (n + 2) * _EPS)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflowed residuals fail closed
 def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertificate:
     """Run the star-preserving battery on a unital coefficient matrix.
@@ -117,6 +184,16 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
     Requires a unit diagonal (the battery is stated for unital Schur maps);
     anything else raises PreconditionError. Residuals are scale-normalized so
     they are comparable across conditions.
+
+    When the ratio test accepts through the pivot bound, the O(n^3) parts
+    (the SVDs for ||A||_2 and ||A - A*||_2, the commutator, and the
+    eigensolves of the Hermitian parts of A and its Schur inverse) are
+    replaced by O(n^2) bounds from ``_Facts.bounds``, ``_commutator_bound``
+    and ``_psd_bound`` wherever those are within half the threshold; a
+    passing condition then reports the bound, a certified upper bound on
+    the exact residual. A condition with any undecided part runs the O(n^3)
+    code for all its parts, so a failing condition reports its exact
+    residual.
     """
     m = as_matrix(a)
     n = require_square(m)
@@ -130,15 +207,31 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
             f"unit diagonal required for the star battery, worst deviation {diag_res:.3e}"
         )
 
-    facts = _facts(m, tol)
-    norm = float(facts.singular_values[0])
-    herm = _skew_norm(data)
-    herm_res = herm / max(norm, 1.0)
+    facts = _Facts(m, tol)
+    b = facts.bounds
+    comm_thr = max(COMMUTATOR_REL, tol.rel)
 
-    comm = data @ data.conj().T - data.conj().T @ data
-    comm_res = _spectral_norm(comm) / max(norm * norm, 1.0)
+    # the O(n^3) code, run only for a condition the bounds leave undecided
+    herm = functools.cache(lambda: _skew_norm(data))
+
+    def norm():
+        return float(facts.singular_values[0])
+
+    def herm_exact():
+        herm_res = herm() / max(norm(), 1.0)
+        return herm_res <= one, herm_res
+
+    def comm_exact():
+        comm = data @ data.conj().T - data.conj().T @ data
+        a_norm = norm()
+        comm_res = _spectral_norm(comm) / max(a_norm * a_norm, 1.0)
+        return comm_res <= comm_thr, comm_res
+
+    herm_part = _bounded(b.skew / max(b.sigma1, 1.0), 0.5 * one, herm_exact)
+    comm_part = _bounded(
+        _commutator_bound(b.fro, b.skew, n) / max(b.sigma1 * b.sigma1, 1.0), 0.5 * comm_thr, comm_exact
+    )
     unimod_res = float(np.abs(np.abs(data) - 1.0).max())
-    spec_res = facts.spectrum_distance / n
     if facts.scaling is not None:
         map_norm_res = abs(facts.scaling.modulus_ratio - 1.0)
     else:
@@ -149,34 +242,31 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
     except ZeroEntryError:
         pair = _condition(False, math.inf)
     else:
-        psd_a_ok, psd_a_res = _psd_residual(data, tol, norm, herm)
-        psd_inv_ok, psd_inv_res = _psd_residual(inv, tol)
+        psd_a = psd_inv = math.inf
+        if b.p is not None:
+            psd_a = _psd_bound(data, b.p, b.fro, b.sigma1, b.skew, tol)
+            psd_inv = _inverse_psd_bound(inv, b.p, tol)
         inv_diag_res = float(np.abs(np.diagonal(inv) - 1.0).max())
-        pair = _condition(
-            psd_a_ok and psd_inv_ok and inv_diag_res <= one,
-            psd_a_res, psd_inv_res, inv_diag_res,
+        pair = _decide(
+            _bounded(psd_a, math.inf, lambda: _psd_residual(data, tol, norm(), herm())),
+            _bounded(psd_inv, math.inf, lambda: _psd_residual(inv, tol)),
+            _known(inv_diag_res <= one, inv_diag_res),
         )
 
-    rank_one = facts.rank == 1
+    rank_one = facts.rank_one()
     conditions = {
-        "star_and_multiplicative": _condition(
-            facts.cocycle.passed and herm_res <= one,
-            facts.cocycle.residual / max(facts.scale * facts.scale, 1.0), herm_res,
+        "star_and_multiplicative": _decide(
+            _known(facts.cocycle.passed, facts.cocycle.residual / max(facts.scale * facts.scale, 1.0)),
+            herm_part,
         ),
         # For a Schur map the CP-isomorphism condition reduces to pair
         # positivity of A and its Schur inverse, so these two frozen names
         # report one computed test.
         "cp_isomorphism_proxy": pair,
-        "rank_one_normal_unit_diag": _condition(
-            rank_one and comm_res <= max(COMMUTATOR_REL, tol.rel),
-            facts.rank_residual, comm_res,
-        ),
-        "rank_one_unimodular_unit_diag": _condition(
-            rank_one and unimod_res <= one, facts.rank_residual, unimod_res
-        ),
-        "selfadjoint_spectrum_norm": _condition(
-            herm_res <= one and spec_res <= one and map_norm_res <= one,
-            herm_res, spec_res, map_norm_res,
+        "rank_one_normal_unit_diag": _decide(rank_one, comm_part),
+        "rank_one_unimodular_unit_diag": _decide(rank_one, _known(unimod_res <= one, unimod_res)),
+        "selfadjoint_spectrum_norm": _decide(
+            herm_part, facts.spectrum(one, per=n), _known(map_norm_res <= one, map_norm_res)
         ),
         "schur_pair_positive": pair,
     }

@@ -1,0 +1,343 @@
+"""The O(n^2) accept path: certified bounds in place of the O(n^3) code.
+
+When the ratio test accepts through the pivot bound, the batteries decide
+each condition from an O(n^2) bound and run the SVD, the eigensolvers, the
+product sampling and the star battery's extras only for a condition the
+bound cannot decide. These tests pin that: no O(n^3) call on accepted
+inputs, the same verdicts as the O(n^3) code everywhere, every bound at
+least the value the O(n^3) code computes, and exact residuals on every
+failing condition.
+"""
+
+import math
+from contextlib import contextmanager
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from schurlab import (
+    ComplexMatrix,
+    PreconditionError,
+    Tolerance,
+    build_from_scaling,
+    certify_multiplicative,
+    certify_star_multiplicative,
+    core,
+    multiplicative,
+    star,
+)
+
+TOLERANCES = (Tolerance(), Tolerance(rel=1e-15), Tolerance(rel=0, abs=1e-12))
+
+CUBIC = (
+    (core, "_singular_values"),
+    (multiplicative, "_singular_values"),
+    (np.linalg, "eigvals"),
+    (np.linalg, "eigvalsh"),
+    (multiplicative, "_product_sampling_residual"),
+    (multiplicative, "_cocycle_parts"),
+)
+
+
+def count_cubic_calls(monkeypatch) -> dict:
+    """Count the calls of every O(n^3) routine from here on, by name."""
+    calls = {}
+    for module, name in CUBIC:
+        original = getattr(module, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@contextmanager
+def exact_only():
+    """Run the batteries without bounds, every condition from the O(n^3) code."""
+    with mock.patch.object(
+        multiplicative, "_accept_bounds", lambda *args: multiplicative._NO_BOUNDS
+    ):
+        yield
+
+
+def scaled(n: int, spread: float, seed: int) -> np.ndarray:
+    """a_ij = f(i)/f(j) with log|f| uniform on [-spread, spread], unit diagonal."""
+    rng = np.random.default_rng(seed)
+    f = np.exp(rng.uniform(-spread, spread, n) + 2j * np.pi * rng.random(n))
+    a = np.outer(f, 1.0 / f)
+    np.fill_diagonal(a, 1.0)
+    return a
+
+
+def same_verdicts_exact_failures(cert, ref) -> None:
+    """Equal verdicts; a failing condition reports the exact residual, a
+    passing one a residual at least the exact one."""
+    assert cert.verdict == ref.verdict
+    for name, got in cert.conditions.items():
+        want = ref.conditions[name]
+        assert got.passed == want.passed, name
+        if got.passed:
+            assert got.residual >= want.residual, name
+        else:
+            assert got.residual == want.residual or (
+                math.isnan(got.residual) and math.isnan(want.residual)
+            ), name
+
+
+def certify_both(a, tol: Tolerance):
+    """Both certificates, the star one None where its precondition fails."""
+    cert = certify_multiplicative(a, tol)
+    try:
+        star_cert = certify_star_multiplicative(a, tol)
+    except PreconditionError:
+        star_cert = None
+    return cert, star_cert
+
+
+def assert_matches_exact(a, tol: Tolerance) -> None:
+    cert, star_cert = certify_both(a, tol)
+    with exact_only():
+        ref, star_ref = certify_both(a, tol)
+    same_verdicts_exact_failures(cert, ref)
+    assert cert.inconsistent == ref.inconsistent
+    assert cert.witness == ref.witness
+    assert (star_cert is None) == (star_ref is None)
+    if star_cert is not None:
+        same_verdicts_exact_failures(star_cert, star_ref)
+
+
+@pytest.mark.parametrize("n", [3, 64])
+@pytest.mark.parametrize("spread", [0.0, 1.0], ids=["unimodular", "mixed"])
+def test_accepted_inputs_run_no_cubic_code(monkeypatch, n, spread):
+    a = scaled(n, spread, seed=n)
+    calls = count_cubic_calls(monkeypatch)
+    cert = certify_multiplicative(a)
+    assert cert.verdict and not cert.inconsistent
+    assert calls == {}
+    if spread == 0.0:
+        assert certify_star_multiplicative(a).verdict
+        assert calls == {}
+
+
+@pytest.mark.parametrize("n", [3, 64])
+def test_rejected_inputs_run_every_fallback(monkeypatch, n):
+    a = scaled(n, 0.0, seed=n)
+    a[0, 1] *= 1 + 1e-3
+    calls = count_cubic_calls(monkeypatch)
+    assert not certify_multiplicative(a).verdict
+    assert calls == {
+        "_cocycle_parts": 1,
+        "_singular_values": 1,
+        "eigvals": 1,
+        "_product_sampling_residual": 1,
+    }
+    calls.clear()
+    assert not certify_star_multiplicative(a).verdict
+    # the ratio scan, the SVDs of A, A - A*, the commutator, the Schur
+    # inverse and its skew part, and the eigensolves of the Hermitian parts
+    assert calls == {"_cocycle_parts": 1, "_singular_values": 5, "eigvals": 1, "eigvalsh": 2}
+
+
+def conjugate_asymmetric(n: int, dev: float, seed: int) -> np.ndarray:
+    """An exactly Hermitian unimodular a_ij = f(i) conj(f(j)) with one entry,
+    and not its mirror, moved by ``dev`` (0: by one unit in the last place)."""
+    rng = np.random.default_rng(seed)
+    f = np.exp(2j * np.pi * rng.random(n))
+    a = np.outer(f, f.conj())
+    np.fill_diagonal(a, 1.0)
+    i, j = rng.choice(n, size=2, replace=False)
+    if dev == 0.0:
+        a[i, j] = complex(np.nextafter(a[i, j].real, 2.0), a[i, j].imag)
+    else:
+        a[i, j] += dev * a[i, j]
+    return a
+
+
+PARTIAL = [
+    *(("mixed", n, spread) for n in (2, 6, 32) for spread in (3e-11, 1e-10, 1e-9, 1e-6, 1.0)),
+    *(("conjugate", n, dev) for n in (2, 6, 32) for dev in (0.0, 1e-14, 1e-12, 3e-11)),
+]
+
+
+@pytest.mark.parametrize("kind, n, size", PARTIAL)
+def test_partial_fallback_reports_exact_failures(kind, n, size):
+    # inputs the ratio test accepts but that fail some star conditions
+    a = scaled(n, size, seed=n) if kind == "mixed" else conjugate_asymmetric(n, size, seed=n)
+    for tol in TOLERANCES:
+        assert_matches_exact(a, tol)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("eps", [1e-13, 1e-12, 1e-11])
+def test_weyl_bounds_where_the_pivot_column_grows(n, eps):
+    # one pivot-column entry of J grown by eps: ||u|| ||v|| is n + eps but
+    # sigma_1 only about n + eps/n, so the lower bound needs the -||E||_F term
+    a = np.ones((n, n), dtype=complex)
+    a[1, multiplicative._pivot(a, Tolerance())] *= 1 + eps
+    b = multiplicative._Facts(ComplexMatrix(a), Tolerance()).bounds
+    assert b is not multiplicative._NO_BOUNDS
+    s = core._singular_values(a)
+    assert b.sigma1 <= s[0]
+    assert b.rank_residual >= s[1] / s[0]
+    assert_matches_exact(a, Tolerance())
+
+
+LOOSE = (Tolerance(rel=0.5), Tolerance(abs=100.0), Tolerance(rel=4.0), Tolerance(rel=0.3, abs=0.5))
+
+
+@pytest.mark.parametrize("tol", LOOSE, ids=[str(t.to_dict()) for t in LOOSE])
+@pytest.mark.parametrize("seed", range(4))
+def test_loose_tolerances_keep_exact_verdicts(tol, seed):
+    # thresholds so loose that sigma_1 falls below the rank cut, or that the
+    # ratio test accepts a matrix far from rank one; the bounds must then
+    # leave the verdicts to the O(n^3) code
+    rng = np.random.default_rng(seed)
+    n = 2 + seed
+    for a in (
+        scaled(n, 0.0, seed),
+        scaled(n, 0.5, seed) * (1 + 0.2 * rng.standard_normal((n, n))),
+        np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))),
+    ):
+        np.fill_diagonal(a, 1.0)
+        assert_matches_exact(a, tol)
+
+
+def test_partial_fallback_mixes_bounds_and_exact_residuals(monkeypatch):
+    # one certificate with a condition passed by its bound and a failing one
+    # computed exactly: rank one is certified, the unimodular test fails
+    a = scaled(6, 1e-9, seed=6)
+    calls = count_cubic_calls(monkeypatch)
+    cert = certify_star_multiplicative(a)
+    assert cert.conditions["rank_one_normal_unit_diag"].passed
+    assert not cert.conditions["rank_one_unimodular_unit_diag"].passed
+    assert calls["_singular_values"] >= 1
+    with exact_only():
+        ref = certify_star_multiplicative(a)
+    same_verdicts_exact_failures(cert, ref)
+    assert cert.conditions["rank_one_normal_unit_diag"].residual > ref.conditions[
+        "rank_one_normal_unit_diag"
+    ].residual
+
+
+def perturbed(polar, log_eps, seed, perturb, tol) -> np.ndarray:
+    """a_ij = f(i)/f(j) for f from ``polar`` (log10 modulus, phase), moved
+    by a relative ``10**log_eps`` as ``perturb`` names."""
+    f = np.array([10.0**r * np.exp(1j * t) for r, t in polar])
+    n = f.size
+    eps = 10.0**log_eps
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = build_from_scaling(f).data
+    if perturb == "unimodular":
+        a = build_from_scaling(f / np.abs(f)).data
+    elif perturb == "conjugate" and n > 1:
+        a = conjugate_asymmetric(n, eps, seed)
+    elif perturb == "diagonal":
+        k = rng.integers(n)
+        a = np.outer(f, (1 + eps * noise[0] * (np.arange(n) == k)) / f)
+    elif perturb == "pivot_outer":
+        p = multiplicative._pivot(a, tol)
+        a = np.outer(a[:, p], a[p])
+    elif perturb == "pivot_column":
+        p = multiplicative._pivot(a, tol)
+        a = a.copy()
+        a[rng.integers(n), p] *= 1 + eps
+    elif perturb in ("entries", "off_diagonal"):
+        if perturb == "off_diagonal":
+            np.fill_diagonal(noise, 0.0)
+        a = a * (1 + eps * noise)
+    return a
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.floats(-4, 4), st.floats(0, 6.3)), min_size=1, max_size=6),
+    st.floats(-18, -2),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(
+        (
+            "exact", "unimodular", "conjugate", "entries", "off_diagonal", "diagonal",
+            "pivot_outer", "pivot_column",
+        )
+    ),
+    st.sampled_from(TOLERANCES),
+)
+def test_bounds_cover_the_cubic_code(polar, log_eps, seed, perturb, tol):
+    # every bound is at least what the O(n^3) code computes (rounding
+    # included), and every condition's verdict is the O(n^3) code's
+    a = perturbed(polar, log_eps, seed, perturb, tol)
+    n = a.shape[0]
+    m = ComplexMatrix(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        facts = multiplicative._Facts(m, tol)
+        b = facts.bounds
+        if b is not multiplicative._NO_BOUNDS:
+            s = core._singular_values(a)
+            assert b.fro >= np.linalg.norm(a)
+            assert not b.sigma1 > s[0]
+            if math.isfinite(b.rank_residual):
+                assert core._rank(s, n, tol) == 1
+                assert b.rank_residual >= (s[1] / s[0] if n > 1 else 0.0)
+            dist = multiplicative._rank_one_spectrum_distance(core.eigenvalues(m, tol))
+            assert not b.spectrum < dist
+            assert not b.skew < star._skew_norm(a)
+            bound = multiplicative._sampling_bound(b.cocycle, facts.scale, n)
+            for trial_seed in (0, seed):
+                assert not bound < multiplicative._product_sampling_residual(a, 2, trial_seed)
+            comm = a @ a.conj().T - a.conj().T @ a
+            assert not star._commutator_bound(b.fro, b.skew, n) < core._spectral_norm(comm)
+            psd = star._psd_bound(a, b.p, b.fro, b.sigma1, b.skew, tol)
+            if math.isfinite(psd):
+                passed, residual = star._psd_residual(a, tol)
+                assert passed and psd >= residual
+            if np.abs(a).min() > tol.abs:
+                inv = 1.0 / a
+                psd = star._inverse_psd_bound(inv, b.p, tol)
+                if math.isfinite(psd):
+                    passed, residual = star._psd_residual(inv, tol)
+                    assert passed and psd >= residual
+    assert_matches_exact(a, tol)
+
+
+def exact_sum_of_squares(x: np.ndarray) -> Fraction:
+    """sum |x_ij|^2 in exact rational arithmetic."""
+    return sum(
+        (Fraction(float(v)) ** 2 for z in x.ravel() for v in (z.real, z.imag)), Fraction(0)
+    )
+
+
+def exact_pivot_rest_squares(x: np.ndarray, p: int) -> Fraction:
+    """||x - x_:p x_p:||_F^2 for the exact outer product of the stored pivot
+    column and row, in exact rational arithmetic."""
+    total = Fraction(0)
+    for i, j in np.ndindex(*x.shape):
+        (ar, ai), (cr, ci), (rr, ri) = (
+            (Fraction(float(z.real)), Fraction(float(z.imag))) for z in (x[i, j], x[i, p], x[p, j])
+        )
+        total += (ar - (cr * rr - ci * ri)) ** 2 + (ai - (cr * ri + ci * rr)) ** 2
+    return total
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.floats(-4, 4), st.floats(0, 6.3)), min_size=1, max_size=6),
+    st.floats(-18, -2),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("exact", "entries", "pivot_outer")),
+)
+def test_frobenius_bounds_cover_exact_arithmetic(polar, log_eps, seed, perturb):
+    # the rounding allowances of ``_fro`` and ``_pivot_rest`` against the
+    # exact rational values: a rounded outer product has a computed pivot
+    # residual of 0 but an exact one of a few units in the last place
+    tol = Tolerance()
+    a = perturbed(polar, log_eps, seed, perturb, tol)
+    assert Fraction(multiplicative._fro(a)) ** 2 >= exact_sum_of_squares(a)
+    p = multiplicative._pivot(a, tol)
+    rest = multiplicative._pivot_rest(a, p)[1]
+    assert Fraction(rest) ** 2 >= exact_pivot_rest_squares(a, p)

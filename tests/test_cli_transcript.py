@@ -40,6 +40,9 @@ INPUTS = {
         '{"rows": 3, "cols": 3, "data": [[[1, 0], [2, 0], null], [null, [1, 0], '
         'null], [null, null, [1, 0]]]}'
     ),
+    "zero.json": (
+        '{"rows": 2, "cols": 2, "data": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}'
+    ),
     "star.json": (
         '{"rows": 3, "cols": 3, "data": [[[1, 0], [0, 1], null], [null, [1, 0], '
         '[0, -1]], [null, null, [1, 0]]]}'
@@ -204,16 +207,16 @@ TRANSCRIPT = [
             'multiplicative: yes\n'
             '  cocycle                        pass  residual 8.882e-15\n'
             '  unit_diagonal                  pass  residual 0.000e+00\n'
-            '  rank_one                       pass  residual 0.000e+00\n'
-            '  spectrum_0_n                   pass  residual 0.000e+00\n'
-            '  product_sampling               pass  residual 8.910e-17\n'
+            '  rank_one                       pass  residual 7.105e-15\n'
+            '  spectrum_0_n                   pass  residual 1.421e-14\n'
+            '  product_sampling               pass  residual 3.020e-14\n'
             'star-preserving: yes\n'
             '  star_and_multiplicative        pass  residual 8.882e-15\n'
-            '  cp_isomorphism_proxy           pass  residual 0.000e+00\n'
-            '  rank_one_normal_unit_diag      pass  residual 0.000e+00\n'
-            '  rank_one_unimodular_unit_diag  pass  residual 0.000e+00\n'
-            '  selfadjoint_spectrum_norm      pass  residual 0.000e+00\n'
-            '  schur_pair_positive            pass  residual 0.000e+00\n'
+            '  cp_isomorphism_proxy           pass  residual 7.105e-15\n'
+            '  rank_one_normal_unit_diag      pass  residual 2.132e-14\n'
+            '  rank_one_unimodular_unit_diag  pass  residual 7.105e-15\n'
+            '  selfadjoint_spectrum_norm      pass  residual 7.105e-15\n'
+            '  schur_pair_positive            pass  residual 7.105e-15\n'
         ),
         "",
     ),
@@ -224,18 +227,20 @@ TRANSCRIPT = [
             '{"verdict": true, "multiplicative": {"verdict": true, "conditions": '
             '{"cocycle": {"pass": true, "residual": 8.881784197001347e-15}, '
             '"unit_diagonal": {"pass": true, "residual": 0.0}, "rank_one": {"pass": '
-            'true, "residual": 0.0}, "spectrum_0_n": {"pass": true, "residual": '
-            '0.0}, "product_sampling": {"pass": true, "residual": '
-            '8.910338380575612e-17}}, "witness": null, "scaling": [[1.0, 0.0], [0.0, '
-            '-1.0]], "inconsistent": false, "tolerance": {"rel": 1e-10, "abs": '
-            '1e-12}}, "star": {"verdict": true, "conditions": '
+            'true, "residual": 7.10542735760118e-15}, "spectrum_0_n": {"pass": true, '
+            '"residual": 1.421085471520213e-14}, "product_sampling": {"pass": true, '
+            '"residual": 3.0198066269805425e-14}}, "witness": null, "scaling": '
+            '[[1.0, 0.0], [0.0, -1.0]], "inconsistent": false, "tolerance": {"rel": '
+            '1e-10, "abs": 1e-12}}, "star": {"verdict": true, "conditions": '
             '{"star_and_multiplicative": {"pass": true, "residual": '
             '8.881784197001347e-15}, "cp_isomorphism_proxy": {"pass": true, '
-            '"residual": 0.0}, "rank_one_normal_unit_diag": {"pass": true, '
-            '"residual": 0.0}, "rank_one_unimodular_unit_diag": {"pass": true, '
-            '"residual": 0.0}, "selfadjoint_spectrum_norm": {"pass": true, '
-            '"residual": 0.0}, "schur_pair_positive": {"pass": true, "residual": '
-            '0.0}}, "tolerance": {"rel": 1e-10, "abs": 1e-12}}}\n'
+            '"residual": 7.105427357601177e-15}, "rank_one_normal_unit_diag": '
+            '{"pass": true, "residual": 2.131628207280417e-14}, '
+            '"rank_one_unimodular_unit_diag": {"pass": true, "residual": '
+            '7.10542735760118e-15}, "selfadjoint_spectrum_norm": {"pass": true, '
+            '"residual": 7.105427357601065e-15}, "schur_pair_positive": {"pass": '
+            'true, "residual": 7.105427357601177e-15}}, "tolerance": {"rel": 1e-10, '
+            '"abs": 1e-12}}}\n'
         ),
         "",
     ),
@@ -247,16 +252,16 @@ TRANSCRIPT = [
             'multiplicative: yes\n'
             '  cocycle                        pass  residual 8.882e-15\n'
             '  unit_diagonal                  pass  residual 0.000e+00\n'
-            '  rank_one                       pass  residual 0.000e+00\n'
-            '  spectrum_0_n                   pass  residual 0.000e+00\n'
-            '  product_sampling               pass  residual 8.910e-17\n'
+            '  rank_one                       pass  residual 7.105e-15\n'
+            '  spectrum_0_n                   pass  residual 1.421e-14\n'
+            '  product_sampling               pass  residual 3.020e-14\n'
             'star-preserving: yes\n'
             '  star_and_multiplicative        pass  residual 8.882e-15\n'
-            '  cp_isomorphism_proxy           pass  residual 0.000e+00\n'
-            '  rank_one_normal_unit_diag      pass  residual 0.000e+00\n'
-            '  rank_one_unimodular_unit_diag  pass  residual 0.000e+00\n'
-            '  selfadjoint_spectrum_norm      pass  residual 0.000e+00\n'
-            '  schur_pair_positive            pass  residual 0.000e+00\n'
+            '  cp_isomorphism_proxy           pass  residual 7.105e-15\n'
+            '  rank_one_normal_unit_diag      pass  residual 2.132e-14\n'
+            '  rank_one_unimodular_unit_diag  pass  residual 7.105e-15\n'
+            '  selfadjoint_spectrum_norm      pass  residual 7.105e-15\n'
+            '  schur_pair_positive            pass  residual 7.105e-15\n'
         ),
         "",
     ),
@@ -267,18 +272,20 @@ TRANSCRIPT = [
             '{"verdict": true, "multiplicative": {"verdict": true, "conditions": '
             '{"cocycle": {"pass": true, "residual": 8.881784197001347e-15}, '
             '"unit_diagonal": {"pass": true, "residual": 0.0}, "rank_one": {"pass": '
-            'true, "residual": 0.0}, "spectrum_0_n": {"pass": true, "residual": '
-            '0.0}, "product_sampling": {"pass": true, "residual": '
-            '8.910338380575612e-17}}, "witness": null, "scaling": [[1.0, 0.0], [0.0, '
-            '-1.0]], "inconsistent": false, "tolerance": {"rel": 1e-10, "abs": '
-            '1e-12}}, "star": {"verdict": true, "conditions": '
+            'true, "residual": 7.10542735760118e-15}, "spectrum_0_n": {"pass": true, '
+            '"residual": 1.421085471520213e-14}, "product_sampling": {"pass": true, '
+            '"residual": 3.0198066269805425e-14}}, "witness": null, "scaling": '
+            '[[1.0, 0.0], [0.0, -1.0]], "inconsistent": false, "tolerance": {"rel": '
+            '1e-10, "abs": 1e-12}}, "star": {"verdict": true, "conditions": '
             '{"star_and_multiplicative": {"pass": true, "residual": '
             '8.881784197001347e-15}, "cp_isomorphism_proxy": {"pass": true, '
-            '"residual": 0.0}, "rank_one_normal_unit_diag": {"pass": true, '
-            '"residual": 0.0}, "rank_one_unimodular_unit_diag": {"pass": true, '
-            '"residual": 0.0}, "selfadjoint_spectrum_norm": {"pass": true, '
-            '"residual": 0.0}, "schur_pair_positive": {"pass": true, "residual": '
-            '0.0}}, "tolerance": {"rel": 1e-10, "abs": 1e-12}}}\n'
+            '"residual": 7.105427357601177e-15}, "rank_one_normal_unit_diag": '
+            '{"pass": true, "residual": 2.131628207280417e-14}, '
+            '"rank_one_unimodular_unit_diag": {"pass": true, "residual": '
+            '7.10542735760118e-15}, "selfadjoint_spectrum_norm": {"pass": true, '
+            '"residual": 7.105427357601065e-15}, "schur_pair_positive": {"pass": '
+            'true, "residual": 7.105427357601177e-15}}, "tolerance": {"rel": 1e-10, '
+            '"abs": 1e-12}}}\n'
         ),
         "",
     ),
@@ -290,16 +297,16 @@ TRANSCRIPT = [
             'multiplicative: yes\n'
             '  cocycle                        pass  residual 8.882e-15\n'
             '  unit_diagonal                  pass  residual 0.000e+00\n'
-            '  rank_one                       pass  residual 0.000e+00\n'
-            '  spectrum_0_n                   pass  residual 0.000e+00\n'
-            '  product_sampling               pass  residual 8.910e-17\n'
+            '  rank_one                       pass  residual 7.105e-15\n'
+            '  spectrum_0_n                   pass  residual 1.421e-14\n'
+            '  product_sampling               pass  residual 3.020e-14\n'
             'star-preserving: yes\n'
             '  star_and_multiplicative        pass  residual 8.882e-15\n'
-            '  cp_isomorphism_proxy           pass  residual 0.000e+00\n'
-            '  rank_one_normal_unit_diag      pass  residual 0.000e+00\n'
-            '  rank_one_unimodular_unit_diag  pass  residual 0.000e+00\n'
-            '  selfadjoint_spectrum_norm      pass  residual 0.000e+00\n'
-            '  schur_pair_positive            pass  residual 0.000e+00\n'
+            '  cp_isomorphism_proxy           pass  residual 7.105e-15\n'
+            '  rank_one_normal_unit_diag      pass  residual 2.132e-14\n'
+            '  rank_one_unimodular_unit_diag  pass  residual 7.105e-15\n'
+            '  selfadjoint_spectrum_norm      pass  residual 7.105e-15\n'
+            '  schur_pair_positive            pass  residual 7.105e-15\n'
         ),
         "",
     ),
@@ -311,9 +318,9 @@ TRANSCRIPT = [
             'multiplicative: yes\n'
             '  cocycle                        pass  residual 2.842e-14\n'
             '  unit_diagonal                  pass  residual 0.000e+00\n'
-            '  rank_one                       pass  residual 0.000e+00\n'
-            '  spectrum_0_n                   pass  residual 4.441e-16\n'
-            '  product_sampling               pass  residual 0.000e+00\n'
+            '  rank_one                       pass  residual 7.105e-15\n'
+            '  spectrum_0_n                   pass  residual 3.020e-14\n'
+            '  product_sampling               pass  residual 2.309e-14\n'
             'star-preserving: no\n'
             '  star_and_multiplicative        FAIL  residual 6.000e-01\n'
             '  cp_isomorphism_proxy           FAIL  residual 6.000e-01\n'
@@ -331,18 +338,18 @@ TRANSCRIPT = [
             '{"verdict": false, "multiplicative": {"verdict": true, "conditions": '
             '{"cocycle": {"pass": true, "residual": 2.8421709430404336e-14}, '
             '"unit_diagonal": {"pass": true, "residual": 0.0}, "rank_one": {"pass": '
-            'true, "residual": 0.0}, "spectrum_0_n": {"pass": true, "residual": '
-            '4.440892098500626e-16}, "product_sampling": {"pass": true, "residual": '
-            '0.0}}, "witness": null, "scaling": [[1.0, 0.0], [0.5, 0.0]], '
-            '"inconsistent": false, "tolerance": {"rel": 1e-10, "abs": 1e-12}}, '
-            '"star": {"verdict": false, "conditions": {"star_and_multiplicative": '
-            '{"pass": false, "residual": 0.5999999999999999}, '
-            '"cp_isomorphism_proxy": {"pass": false, "residual": 0.6}, '
-            '"rank_one_normal_unit_diag": {"pass": false, "residual": '
-            '0.5999999999999998}, "rank_one_unimodular_unit_diag": {"pass": false, '
-            '"residual": 1.0}, "selfadjoint_spectrum_norm": {"pass": false, '
-            '"residual": 1.0}, "schur_pair_positive": {"pass": false, "residual": '
-            '0.6}}, "tolerance": {"rel": 1e-10, "abs": 1e-12}}}\n'
+            'true, "residual": 7.105427357601182e-15}, "spectrum_0_n": {"pass": '
+            'true, "residual": 3.0198066269804555e-14}, "product_sampling": {"pass": '
+            'true, "residual": 2.309263891220416e-14}}, "witness": null, "scaling": '
+            '[[1.0, 0.0], [0.5, 0.0]], "inconsistent": false, "tolerance": {"rel": '
+            '1e-10, "abs": 1e-12}}, "star": {"verdict": false, "conditions": '
+            '{"star_and_multiplicative": {"pass": false, "residual": '
+            '0.5999999999999999}, "cp_isomorphism_proxy": {"pass": false, '
+            '"residual": 0.6}, "rank_one_normal_unit_diag": {"pass": false, '
+            '"residual": 0.5999999999999998}, "rank_one_unimodular_unit_diag": '
+            '{"pass": false, "residual": 1.0}, "selfadjoint_spectrum_norm": {"pass": '
+            'false, "residual": 1.0}, "schur_pair_positive": {"pass": false, '
+            '"residual": 0.6}}, "tolerance": {"rel": 1e-10, "abs": 1e-12}}}\n'
         ),
         "",
     ),
@@ -381,6 +388,22 @@ TRANSCRIPT = [
         ),
     ),
     (
+        ["check", "zero.json"],
+        1,
+        "",
+        (
+            'multiplicative: no (the zero Schur map is excluded from certification)\n'
+        ),
+    ),
+    (
+        ["check", "zero.json", "--json"],
+        1,
+        "",
+        (
+            'multiplicative: no (the zero Schur map is excluded from certification)\n'
+        ),
+    ),
+    (
         ["factor", "unit.json"],
         0,
         (
@@ -407,6 +430,25 @@ TRANSCRIPT = [
             'not multiplicative; failing conditions: cocycle, unit_diagonal, '
             'rank_one, spectrum_0_n, product_sampling\n'
         ),
+    ),
+    (
+        ["factor", "zero.json"],
+        1,
+        "",
+        (
+            'not multiplicative (the zero Schur map is excluded from certification)\n'
+        ),
+    ),
+    (
+        ["norm", "zero.json"],
+        1,
+        (
+            'tolerance: rel=1e-10 abs=1e-12\n'
+            'operator_norm: 0\n'
+            'schur_map_norm: n/a (ratio identity fails with residual 1.000e+00 at '
+            'witness (1, 1, None))\n'
+        ),
+        "",
     ),
     (
         ["norm", "real.json"],

@@ -202,6 +202,16 @@ class TestFactorCommand:
         assert main(["factor", write(tmp_path, "m.json", doc)]) == 1
         assert "failing conditions" in capsys.readouterr().err
 
+    def test_zero_matrix_is_refused_not_malformed(self, tmp_path, capsys):
+        # a well-formed file: exit 1 with one line, as check and norm do
+        path = write(tmp_path, "m.json", matrix_to_document(ComplexMatrix(np.zeros((2, 2)))))
+        assert main(["factor", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "not multiplicative (the zero Schur map is excluded from certification)\n"
+        assert main(["check", path]) == 1
+        assert main(["norm", path]) == 1
+
 
 class TestCompleteCommand:
     def test_chain_fills_in(self, tmp_path, capsys):
@@ -393,6 +403,14 @@ class TestToleranceHandling:
         monkeypatch.setenv("SCHURLAB_TOL", "plenty")
         path = write(tmp_path, "m.json", UNIT_CIRCLE_DOC)
         assert main(["check", path]) == 2
+
+    def test_env_is_ignored_without_tol(self, capsys, monkeypatch):
+        # enumerate takes no tolerance, so a bad SCHURLAB_TOL cannot fail it
+        monkeypatch.setenv("SCHURLAB_TOL", "bad")
+        assert main(["enumerate", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 2
+        assert err == ""
 
     def test_loose_tolerance_changes_verdict(self, tmp_path):
         wobbled = ComplexMatrix([[1, 0.5 * (1 + 1e-7)], [2, 1]])

@@ -381,7 +381,7 @@ def full_scan_verdicts(data: np.ndarray, tol: Tolerance) -> tuple[bool, bool]:
 def ratio_test_verdicts(data: np.ndarray, tol: Tolerance) -> tuple[bool, bool]:
     scale = float(np.abs(data).max())
     with np.errstate(over="ignore", invalid="ignore"):
-        cocycle, unit_diagonal, _ = multiplicative._ratio_test(data, scale, tol)
+        cocycle, unit_diagonal, *_ = multiplicative._ratio_test(data, scale, tol)
     return cocycle.passed, unit_diagonal.passed
 
 
@@ -422,7 +422,7 @@ def test_pivot_bound_covers_the_scan(polar, log_eps, seed, perturb, tol):
     scale = float(np.abs(a).max())
     diag = float(np.abs(np.diagonal(a) - 1.0).max())
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = multiplicative._pivot_bound(a, scale, diag, tol)
+        bound = multiplicative._pivot_bound(a, scale, diag, tol).bound
         scan = multiplicative._cocycle_parts(a)[0]
     assert not bound < scan
     assert ratio_test_verdicts(a, tol) == full_scan_verdicts(a, tol)
