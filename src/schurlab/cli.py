@@ -28,7 +28,7 @@ from .errors import (
     ZeroEntryError,
 )
 from .groups import enumerate_real_positive
-from .multiplicative import certify_multiplicative, schur_map_norm
+from .multiplicative import certify_multiplicative, factor_scaling, schur_map_norm
 from .star import certify_star_multiplicative
 from .truncation import (
     CoefficientGenerator,
@@ -88,28 +88,34 @@ def _load_square(path: str):
     return matrix
 
 
+def _battery(certify, *args, **kwargs):
+    """``(certificate, None)``, or ``(None, reason)`` where its precondition fails."""
+    try:
+        return certify(*args, **kwargs), None
+    except PreconditionError as exc:
+        return None, str(exc)
+
+
+def _battery_dict(cert, reason: str | None) -> dict:
+    return cert.to_dict() if cert is not None else {"applicable": False, "reason": reason}
+
+
 def _cmd_check(args, tol: Tolerance):
     matrix = _load_square(args.path)
-    try:
-        cert = certify_multiplicative(matrix, tol, trials=args.trials, seed=args.seed)
-    except PreconditionError as exc:
-        raise _Refusal(f"multiplicative: no ({exc})") from exc
-
-    try:
-        star_cert = certify_star_multiplicative(matrix, tol)
-    except PreconditionError as exc:
-        star_cert, star_reason = None, str(exc)
+    cert, reason = _battery(certify_multiplicative, matrix, tol, trials=args.trials, seed=args.seed)
+    star_cert, star_reason = _battery(certify_star_multiplicative, matrix, tol)
 
     star_holds = star_cert is not None and star_cert.verdict
-    holds = cert.verdict and (star_holds or not args.star)
+    holds = cert is not None and cert.verdict and (star_holds or not args.star)
 
     if args.json:
         return holds, {
             "verdict": bool(holds),
-            "multiplicative": cert.to_dict(),
-            "star": star_cert.to_dict() if star_cert is not None
-            else {"applicable": False, "reason": star_reason},
+            "multiplicative": _battery_dict(cert, reason),
+            "star": _battery_dict(star_cert, star_reason),
         }
+    if cert is None:
+        raise _Refusal(f"multiplicative: no ({reason})")
     lines = [_tolerance_line(tol), *_battery_lines("multiplicative", cert)]
     if cert.witness is not None:
         i, j, k = cert.witness
@@ -125,14 +131,11 @@ def _cmd_check(args, tol: Tolerance):
 
 
 def _cmd_factor(args, tol: Tolerance):
+    matrix = _load_square(args.path)
     try:
-        cert = certify_multiplicative(io.load_matrix_file(args.path), tol)
-    except PreconditionError as exc:
+        values = factor_scaling(matrix, tol).values
+    except (NotMultiplicativeError, ZeroEntryError) as exc:
         raise _Refusal(f"not multiplicative ({exc})") from exc
-    if not cert.verdict or cert.scaling is None:
-        failing = [name for name, r in cert.conditions.items() if not r.passed]
-        raise _Refusal(f"not multiplicative; failing conditions: {', '.join(failing)}")
-    values = cert.scaling.values
     if args.json:
         return True, {"scaling": io.complex_cells(values), "tolerance": tol.to_dict()}
     return True, [

@@ -16,7 +16,8 @@ defect. Each bound includes rounding allowances and LAPACK's backward
 error, so it is a certified upper bound on what the O(n^3) code would
 report. A condition passes with its bound as its residual when the bound is
 within half the threshold; otherwise the O(n^3) code runs, so verdicts are
-the O(n^3) code's and rejections report exact residuals.
+the O(n^3) code's and rejections report exact residuals. Both batteries get
+these facts from ``_facts``, so on one matrix each pass runs once for both.
 """
 
 from __future__ import annotations
@@ -589,6 +590,19 @@ class _Facts:
         return _bounded(self.bounds.spectrum / per, 0.5 * threshold, exact)
 
 
+_last_facts: _Facts | None = None  # holds its matrix, so that object's id is never reused
+
+
+def _facts(m: ComplexMatrix, tol: Tolerance) -> _Facts:
+    """The last ``_Facts`` if it was built for this very ``m`` at an equal
+    ``tol``, else new ones, so both batteries on one matrix share one pass."""
+    global _last_facts
+    facts = _last_facts
+    if facts is None or facts.m is not m or facts.tol != tol:
+        facts = _last_facts = _Facts(m, tol)
+    return facts
+
+
 @dataclass
 class MultiplicativityCertificate:
     """Per-condition verdicts for the multiplicative battery.
@@ -698,7 +712,7 @@ def certify_multiplicative(
     tol = tol or DEFAULT_TOL
     if trials < 1:
         raise PreconditionError("trials must be positive")
-    facts = _Facts(m, tol)
+    facts = _facts(m, tol)
     one = tol.threshold(1.0)
 
     def sample():

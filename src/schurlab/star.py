@@ -10,7 +10,9 @@ of the Hermitian parts of A and of its Schur inverse are bounded from the
 rank-one split A = u v^T + E, with rounding allowances, and a condition
 whose bounds are all within half their thresholds passes with the bounds as
 its residual, certified upper bounds on the exact ones. Any other condition
-runs the O(n^3) code for all its parts and reports exact residuals.
+runs the O(n^3) code for all its parts and reports exact residuals. The
+ratio test, the SVD of A and its spectrum come from the multiplicative
+battery's ``_facts``, computed once per matrix for both batteries.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .multiplicative import (
     _bounded,
     _condition,
     _decide,
-    _Facts,
+    _facts,
     _fro,
     _known,
     _lapack,
@@ -207,7 +209,7 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
             f"unit diagonal required for the star battery, worst deviation {diag_res:.3e}"
         )
 
-    facts = _Facts(m, tol)
+    facts = _facts(m, tol)
     b = facts.bounds
     comm_thr = max(COMMUTATOR_REL, tol.rel)
 

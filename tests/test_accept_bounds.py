@@ -20,13 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurlab import (
+    DEFAULT_TOL,
     ComplexMatrix,
     PreconditionError,
     Tolerance,
     build_from_scaling,
     certify_multiplicative,
     certify_star_multiplicative,
+    cli,
     core,
+    io,
     multiplicative,
     star,
 )
@@ -59,10 +62,14 @@ def count_cubic_calls(monkeypatch) -> dict:
 
 @contextmanager
 def exact_only():
-    """Run the batteries without bounds, every condition from the O(n^3) code."""
+    """Run the batteries without bounds, every condition from the O(n^3) code.
+
+    The shared facts slot starts empty inside the block and is restored after
+    it, so no facts cross its boundary in either direction.
+    """
     with mock.patch.object(
         multiplicative, "_accept_bounds", lambda *args: multiplicative._NO_BOUNDS
-    ):
+    ), mock.patch.object(multiplicative, "_last_facts", None):
         yield
 
 
@@ -142,6 +149,67 @@ def test_rejected_inputs_run_every_fallback(monkeypatch, n):
     # the ratio scan, the SVDs of A, A - A*, the commutator, the Schur
     # inverse and its skew part, and the eigensolves of the Hermitian parts
     assert calls == {"_cocycle_parts": 1, "_singular_values": 5, "eigvals": 1, "eigvalsh": 2}
+
+
+def test_check_star_computes_each_fact_once(monkeypatch, tmp_path, capsys):
+    # both batteries read one ratio scan, one eigensolve and one SVD of A
+    a = scaled(64, 0.0, seed=64)
+    a[0, 1] *= 1 + 1e-3
+    path = tmp_path / "m.json"
+    path.write_text(io.dumps_document(io.matrix_to_document(a)))
+    calls = count_cubic_calls(monkeypatch)
+    assert cli.main(["check", str(path), "--star", "--json"]) == 1
+    capsys.readouterr()
+    # the other four SVDs: A - A*, the commutator, the Schur inverse and its skew part
+    assert calls == {
+        "_cocycle_parts": 1,
+        "_singular_values": 5,
+        "eigvals": 1,
+        "eigvalsh": 2,
+        "_product_sampling_residual": 1,
+    }
+
+
+def certificates(m: ComplexMatrix, tol: Tolerance) -> tuple:
+    cert, star_cert = certify_both(m, tol)
+    return cert.to_dict(), star_cert.to_dict() if star_cert is not None else None
+
+
+def fresh_certificates(m: ComplexMatrix, tol: Tolerance) -> tuple:
+    """``certificates`` from facts computed anew, on an equal copy of ``m``."""
+    return certificates(ComplexMatrix(m.data), tol)
+
+
+def test_shared_facts_are_keyed_by_matrix_object_and_tolerance():
+    a = scaled(6, 0.0, seed=6)
+    b = a.copy()
+    b[0, 1] *= 1 + 1e-6  # fails at the default tolerance, passes at rel=1e-3
+    ma, mb, loose = ComplexMatrix(a), ComplexMatrix(b), Tolerance(rel=1e-3)
+
+    facts = multiplicative._facts(mb, DEFAULT_TOL)
+    assert multiplicative._facts(mb, Tolerance()) is facts  # an equal tolerance
+    assert multiplicative._facts(mb, loose).tol is loose
+    copy = ComplexMatrix(b)
+    assert multiplicative._facts(copy, DEFAULT_TOL).m is copy
+
+    strict = certificates(mb, DEFAULT_TOL)
+    assert not strict[0]["verdict"]
+    assert certificates(mb, loose)[0]["verdict"]
+    assert certificates(mb, loose) == fresh_certificates(mb, loose)
+    assert certificates(mb, DEFAULT_TOL) == strict == fresh_certificates(mb, DEFAULT_TOL)
+    for m in (ma, mb, ma, mb):
+        assert certificates(m, DEFAULT_TOL) == fresh_certificates(m, DEFAULT_TOL)
+
+
+def test_exact_only_never_sees_facts_built_outside_it():
+    m = ComplexMatrix(scaled(6, 0.0, seed=6))
+    outside = multiplicative._facts(m, DEFAULT_TOL)
+    assert outside.bounds.p is not None  # accepted through the pivot bound
+    with exact_only():
+        inside = multiplicative._facts(m, DEFAULT_TOL)
+        assert inside is not outside
+        assert inside.bounds is multiplicative._NO_BOUNDS
+    assert multiplicative._facts(m, DEFAULT_TOL) is outside
 
 
 def conjugate_asymmetric(n: int, dev: float, seed: int) -> np.ndarray:

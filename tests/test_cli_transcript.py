@@ -398,10 +398,13 @@ TRANSCRIPT = [
     (
         ["check", "zero.json", "--json"],
         1,
-        "",
         (
-            'multiplicative: no (the zero Schur map is excluded from certification)\n'
+            '{"verdict": false, "multiplicative": {"applicable": false, "reason": '
+            '"the zero Schur map is excluded from certification"}, "star": '
+            '{"applicable": false, "reason": "unit diagonal required for the star '
+            'battery, worst deviation 1.000e+00"}}\n'
         ),
+        "",
     ),
     (
         ["factor", "unit.json"],
@@ -427,8 +430,8 @@ TRANSCRIPT = [
         1,
         "",
         (
-            'not multiplicative; failing conditions: cocycle, unit_diagonal, '
-            'rank_one, spectrum_0_n, product_sampling\n'
+            'not multiplicative (ratio identity fails with residual 2.000e+00 at '
+            'witness (1, 1, 1))\n'
         ),
     ),
     (
@@ -436,7 +439,8 @@ TRANSCRIPT = [
         1,
         "",
         (
-            'not multiplicative (the zero Schur map is excluded from certification)\n'
+            'not multiplicative (ratio identity fails with residual 1.000e+00 at '
+            'witness (1, 1, None))\n'
         ),
     ),
     (
@@ -616,3 +620,18 @@ def test_cli_transcript(argv, code, stdout, stderr, tmp_path, monkeypatch, capsy
     out, err = capsys.readouterr()
     assert ELAPSED.sub('"elapsed": 0.0', out) == stdout
     assert err == stderr
+
+
+# exactly multiplicative with f = (1, 1e-300); entries span 600 decades
+SCALED = '{"rows": 2, "cols": 2, "data": [[[1, 0], [1e300, 0]], [[1e-300, 0], [1, 0]]]}'
+
+
+@pytest.mark.parametrize("name", [*INPUTS, "scaled.json"])
+def test_factor_and_norm_apply_one_rule(name, tmp_path, monkeypatch, capsys):
+    for input_name, text in {**INPUTS, "scaled.json": SCALED}.items():
+        (tmp_path / input_name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SCHURLAB_TOL", raising=False)
+    assert main(["factor", name]) == main(["norm", name])
+    if name == "scaled.json":
+        assert "f = (1+0i, 1e-300+0i)\n" in capsys.readouterr().out

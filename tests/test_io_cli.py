@@ -168,6 +168,19 @@ class TestCheckCommand:
         assert payload["multiplicative"]["conditions"]["cocycle"]["pass"] is True
         assert payload["star"]["verdict"] is True
 
+    def test_json_reports_an_inapplicable_battery_on_stdout(self, tmp_path, capsys):
+        path = write(tmp_path, "m.json", matrix_to_document(ComplexMatrix(np.zeros((2, 2)))))
+        assert main(["check", path, "--json"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["verdict"] is False
+        assert payload["multiplicative"] == {
+            "applicable": False,
+            "reason": "the zero Schur map is excluded from certification",
+        }
+        assert payload["star"]["applicable"] is False
+
     def test_star_gate_changes_exit_code(self, tmp_path):
         doc = matrix_to_document(ComplexMatrix([[1, 0.5], [2, 1]]))
         path = write(tmp_path, "m.json", doc)
@@ -200,7 +213,7 @@ class TestFactorCommand:
     def test_not_multiplicative(self, tmp_path, capsys):
         doc = matrix_to_document(ComplexMatrix([[1, 1], [1, -1]]))
         assert main(["factor", write(tmp_path, "m.json", doc)]) == 1
-        assert "failing conditions" in capsys.readouterr().err
+        assert "ratio identity fails" in capsys.readouterr().err
 
     def test_zero_matrix_is_refused_not_malformed(self, tmp_path, capsys):
         # a well-formed file: exit 1 with one line, as check and norm do
@@ -208,7 +221,9 @@ class TestFactorCommand:
         assert main(["factor", path]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "not multiplicative (the zero Schur map is excluded from certification)\n"
+        assert err == (
+            "not multiplicative (ratio identity fails with residual 1.000e+00 at witness (1, 1, None))\n"
+        )
         assert main(["check", path]) == 1
         assert main(["norm", path]) == 1
 
