@@ -236,14 +236,23 @@ def _cmd_verify(args, tol: Tolerance):
     return report.ok, {**report.to_dict(), "tolerance": tol.to_dict()}
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_from(low: int, kind: str):
+    """An argparse type accepting integers >= ``low``, described as ``kind``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_from(1, "positive")
+_seed = _int_from(0, "non-negative")  # numpy seeds must be non-negative
 
 
 class _Parser(argparse.ArgumentParser):
@@ -275,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="require the star-preserving battery to pass as well")
     p.add_argument("--json", action="store_true")
     p.add_argument("--trials", type=_positive_int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("factor", help="print the scaling vector of a multiplicative matrix",
@@ -307,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a seeded property suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     add_tol(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -18,6 +18,15 @@ report. A condition passes with its bound as its residual when the bound is
 within half the threshold; otherwise the O(n^3) code runs, so verdicts are
 the O(n^3) code's and rejections report exact residuals. Both batteries get
 these facts from ``_facts``, so on one matrix each pass runs once for both.
+
+The ratio scan that decides a rejection costs O(n^2) as well when a few
+entries break the identity. The same split bounds the worst violation over
+j for each pair (i, k), and the scan evaluates only the pairs whose bound
+reaches a violation it has seen. It still reports the exact worst violation
+and the full O(n^3) scan's witness, bit for bit, and falls back to that scan
+where pruning would not pay. So ``check_cocycle``, ``factor_scaling`` and
+``schur_map_norm`` reject such inputs in O(n^2); the battery still runs the
+O(n^3) code for its other conditions on a rejected input.
 """
 
 from __future__ import annotations
@@ -148,15 +157,33 @@ def _condition(passed: bool, *residual_parts: float) -> ConditionResult:
     return ConditionResult(bool(passed) and math.isfinite(residual), residual)
 
 
-def _cocycle_parts(data: np.ndarray):
+_SLAB = 1 << 21  # complex entries in one (n, n, block) slab of the full scan: 32 MB
+_PRUNE_MIN_TRIPLES = 1 << 14  # n >= 26; pruning breaks even near n = 24 and gains little below
+
+
+def _cocycle_parts(data: np.ndarray, mod: np.ndarray | None = None, scale: float = math.inf):
     """Worst ratio-identity violation max|a_ij - a_ik a_kj| over all triples
     and its 1-based witness (i, j, k).
 
-    Scans the middle index in blocks sized to keep the (n, n, block) slab
-    around 32 MB.
+    The residual is exact, the square root of the largest squared modulus
+    as computed, and the witness is the first triple attaining it in
+    (k // block, i, j, k) order, block being the width of the full scan's
+    slab. The full scan evaluates every triple, the middle index in blocks
+    that keep the (n, n, block) slab at 32 MB: O(n^3). Given the pivot split
+    of ``_pivot_bound``, ``mod`` = |E| for E = a - a_:p a_p: and ``scale`` =
+    max|a|, ``_pruned_scan`` evaluates only the pairs (i, k) whose bound
+    reaches a value the scan attains and returns the same residual and
+    witness, bit for bit: O(n^2) work when a few entries break the
+    identity. The full scan runs without a split (no pivot above the floor,
+    max|a| >= 2^510 or an entry not finite) and when pruning would not pay:
+    under 2^14 triples, or more than half the pairs left.
     """
     n = data.shape[0]
-    block = min(n, max(1, (1 << 21) // (n * n)))
+    block = min(n, max(1, _SLAB // (n * n)))
+    if mod is not None and n**3 >= _PRUNE_MIN_TRIPLES:
+        found = _pruned_scan(data, mod, scale, block)
+        if found is not None:
+            return found
     target = data[:, :, None]
     buf = np.empty((n, n, block), dtype=np.complex128)
     mag = np.empty((n, n, block), dtype=np.float64)
@@ -177,6 +204,77 @@ def _cocycle_parts(data: np.ndarray):
             best = m
             witness = (int(i) + 1, int(j) + 1, int(k) + k0 + 1)
     return float(np.sqrt(best)), witness
+
+
+@np.errstate(over="ignore")  # an overflowed bound only keeps its pair
+def _pruned_scan(data: np.ndarray, mod: np.ndarray, scale: float, block: int):
+    """``_cocycle_parts`` from the pairs (i, k) whose bound reaches a value
+    the scan attains; None when max|E| >= 2^511 or when more than half the
+    pairs remain. ``scale`` = max|a| must be below 2^510.
+
+    For any column p, with E = a - a_:p a_p: (``mod`` = |E|, as computed),
+    R_i = max_j |E_ij|, d_k = a_kk - 1 and K = max|a| + max|E|, the identity
+    in ``_ratio_test`` gives, for every j,
+
+        |a_ij - a_ik a_kj| <= R_i + K (|d_k| + |E_kk| + R_k) + |E_ik| (K + R_k).
+
+    As in ``_pivot_bound``, with m = max|a| (1 + _EPS) and
+    c = _EPS m (1 + _EPS) + _ETA, each |E_ij| of the exact E is at most
+    |computed E_ij| (1 + _EPS) + c, the computed bound U is within a factor
+    1 + _EPS of the exact one, and the scan's own rounding takes a pair's
+    moduli to at most
+    ((1 + _EPS) U + _EPS m)(1 + _EPS)^2 + 2 _ETA before squaring. The k = p
+    slice of the scan is E, so the worst squared modulus is at least
+    rho^2 (1 - _EPS) with rho = max|E|, and a pair whose bound is below
+    tau = rho (1 - _EPS)^6 - (_EPS m + 3 _ETA)(1 + _EPS) cannot hold the
+    worst triple. For rho >= 2^511 the worst square may overflow, and an
+    inf would tie with triples the bound no longer covers, so that case
+    takes the full scan. The bound is at least max|E_i:| + K max|E_k:|, a
+    row term plus a column term, so the pairs that alone keeps are counted
+    in O(n log n), and more than half of them end the attempt before the
+    n-by-n bound is built. The pairs kept are evaluated with the full scan's
+    ufuncs and its operand order, so every squared modulus is bitwise the
+    full scan's, in slabs of at most 2^19 entries; the first worst triple in
+    the full scan's order is the witness.
+    """
+    n = data.shape[0]
+    top = mod.max(axis=1)
+    ascending = np.sort(top)
+    rho = float(ascending[-1])
+    if not rho < _SQRT_HUGE * 2:  # the worst square may overflow, and inf ties escape the bound
+        return None
+    m = scale * (1 + _EPS)
+    c = _EPS * m * (1 + _EPS) + _ETA
+    k_ = m + (rho * (1 + _EPS) + c)  # >= K
+    tau = rho * (1 - _EPS) ** 6 - (_EPS * m + 3 * _ETA) * (1 + _EPS)
+    # every pair with top_i + K top_k >= tau is kept: per k, searchsorted counts the others
+    if 2 * int(np.searchsorted(ascending, tau - k_ * ascending).sum()) < n * n:
+        return None  # pruning would not pay
+    rows = top * (1 + _EPS) + c  # >= R_i
+    near = (np.abs(np.diagonal(data) - 1.0) + np.diagonal(mod)) * (1 + _EPS) + c + rows
+    bound = mod * ((k_ + rows) * (1 + _EPS))
+    bound += k_ * near + c * (k_ + rows)
+    bound += rows[:, None]
+    keep = bound >= tau
+    if 2 * np.count_nonzero(keep) > n * n:
+        return None
+    ii, kk = np.nonzero(keep)
+    step = max(1, (_SLAB >> 2) // n)
+    jj = np.empty_like(ii)
+    worst = np.empty(ii.size)
+    for s in range(0, ii.size, step):
+        i, k = ii[s:s + step], kk[s:s + step]
+        pair = np.multiply(data[i, k][:, None], data[k])  # a_ik * a_kj, one row per pair
+        np.subtract(data[i], pair, out=pair)
+        mag2 = np.square(pair.real)
+        mag2 += np.square(pair.imag)
+        j = mag2.argmax(axis=1)
+        jj[s:s + step] = j
+        worst[s:s + step] = mag2[np.arange(j.size), j]
+    best = worst.max()
+    tied = np.flatnonzero(worst == best)
+    w = tied[np.lexsort((kk[tied], jj[tied], ii[tied], kk[tied] // block))[0]]
+    return float(np.sqrt(best)), (int(ii[w]) + 1, int(jj[w]) + 1, int(kk[w]) + 1)
 
 
 _EPS = 16 * 2.0**-53  # relative allowance: four times binary64's per-operation error
@@ -239,12 +337,14 @@ class _PivotBound(NamedTuple):
     bound: float  # on what ``_cocycle_parts`` would return; inf when none is offered
     p: int | None  # the ``_pivot`` column; None when it is below the floor
     rest: float  # upper bound on ||a - a_:p a_p:||_F
+    mod: np.ndarray | None  # |a - a_:p a_p:| as computed; None with p or for max|a| >= 2^510
 
 
 def _pivot_bound(data: np.ndarray, scale: float, diag_res: float, tol: Tolerance) -> _PivotBound:
     """Upper bound, rounding included, on what ``_cocycle_parts`` would return,
-    from one pivot column in O(n^2), with the pivot and ``_pivot_rest``'s
-    bound on the Frobenius norm of the pivot residual.
+    from one pivot column in O(n^2), with the pivot, ``_pivot_rest``'s
+    bound on the Frobenius norm of the pivot residual and the residual's
+    modulus, which prunes the ratio scan.
 
     With p the ``_pivot`` column, r = max|a_ij - a_ip a_pj|, delta the
     diagonal deviation and M = max|a|, the exact maximum is at most
@@ -264,16 +364,20 @@ def _pivot_bound(data: np.ndarray, scale: float, diag_res: float, tol: Tolerance
     try:
         p = _pivot(data, tol)
     except ZeroEntryError:
-        return _PivotBound(math.inf, None, math.inf)
+        return _PivotBound(math.inf, None, math.inf, None)
     dev, rest = _pivot_rest(data, p)
-    r_hat = float(np.abs(dev).max())
     m = scale * (1 + _EPS)
+    if not m < _SQRT_HUGE:  # NaN included
+        return _PivotBound(math.inf, p, rest, None)
+    mod = np.abs(dev)
+    r_hat = float(mod.max())
     delta = diag_res * (1 + _EPS)
     rho = (r_hat + _EPS * m) * (1 + _EPS) + _ETA
     k = m + rho
     t = rho * (1 + 3 * k) + k * delta + rho * rho
     bound = ((t + _EPS * (m + t)) * (1 + _EPS) + _ETA) * (1 + _EPS)
-    return _PivotBound(bound if max(m, bound) < _SQRT_HUGE else math.inf, p, rest)  # NaN is kept
+    bound = bound if bound < _SQRT_HUGE else math.inf
+    return _PivotBound(bound, p, rest, mod)
 
 
 def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
@@ -307,10 +411,13 @@ def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
     too, so ``cocycle`` passes with the bound as its residual, a certified
     upper bound, and the ``_PivotBound`` is returned as the fourth value for
     the other conditions' bounds. Otherwise (the bound is larger,
-    non-finite, or there is no pivot above the floor) the O(n^3)
-    ``_cocycle_parts`` scan decides and reports the exact worst residual and
-    its triple, and the fourth value is None. Verdicts are the scan's either
-    way.
+    non-finite, or there is no pivot above the floor) the ratio scan
+    ``_cocycle_parts`` decides and reports the exact worst residual and its
+    triple, the first in (k // block, i, j, k) order, and the fourth value is
+    None. The scan is pruned by this pivot split: it evaluates only the
+    pairs (i, k) that can hold the worst violation, O(n^2) work when a few
+    entries break the identity, and the full O(n^3) scan runs only where
+    pruning would not pay. Verdicts are the full scan's either way.
 
     Witness: (i, i, None) for the worst diagonal entry when only
     ``unit_diagonal`` fails, the worst triple when only ``cocycle`` fails,
@@ -325,7 +432,7 @@ def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
     if math.isfinite(accepted.bound) and accepted.bound <= 0.5 * threshold:
         cocycle, triple_witness = _condition(True, accepted.bound), None
     else:
-        triple_res, triple_witness = _cocycle_parts(data)
+        triple_res, triple_witness = _cocycle_parts(data, accepted.mod, scale)
         cocycle = _condition(triple_res <= threshold, triple_res)
         accepted = None
     if cocycle.passed and unit_diagonal.passed:
@@ -355,10 +462,15 @@ def check_cocycle(a, tol: Tolerance | None = None) -> CocycleResult:
     diagonal deviation and K = max|a| + r, plus rounding; an input whose
     bound is at most half the threshold is accepted in O(n^2) and its ratio
     residual is that bound, a certified upper bound. Every other input
-    takes the O(n^3) scan, so a rejection reports the exact worst
-    violation. On failure the witness names the failing condition, 1-based:
-    (i, i, None) for the diagonal, (i, j, k) for the worst triple, and the
-    larger raw residual when both fail.
+    takes the ratio scan, so a rejection reports the exact worst violation.
+    Pruned by the same pivot split, that scan costs O(n^2) when a few
+    entries break the identity (one perturbed entry, say) and O(n^3) at
+    worst, with the same result either way. On failure the witness names
+    the failing condition, 1-based: (i, i, None) for the diagonal, the worst
+    triple (i, j, k) for the ratio identity, and the larger raw residual
+    when both fail. Among equally bad triples the witness is the first in
+    (k // block, i, j, k) order, where block = max(1, 2^21 // n^2), so for
+    n <= 128 simply the first in (i, j, k) order.
     """
     m = as_matrix(a)
     require_square(m)

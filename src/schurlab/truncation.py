@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import DEFAULT_TOL, ComplexMatrix, Tolerance
-from .errors import DimensionError, PreconditionError, ZeroEntryError
+from .errors import DimensionError, PreconditionError, ResourceLimitError, ZeroEntryError
 from .multiplicative import ScalingVector, _require_multiplicative
 
 __all__ = [
@@ -116,7 +116,8 @@ def corner(gen: CoefficientGenerator, n: int) -> ComplexMatrix:
 
     A rule that raises an arithmetic error raises PreconditionError; one that
     yields a non-finite value raises PreconditionError naming the first such
-    1-based entry.
+    1-based entry. A corner that does not fit in memory raises
+    ResourceLimitError.
     """
     if n < 1:
         raise DimensionError("corner size must be positive")
@@ -124,11 +125,17 @@ def corner(gen: CoefficientGenerator, n: int) -> ComplexMatrix:
         raise DimensionError(
             f"generator only defined up to index {gen.max_index}, requested {n}"
         )
+    too_big = ResourceLimitError(f"generator corner of size {n} does not fit in memory")
+    try:
+        data = np.empty((n, n), dtype=np.complex128)  # first, so an oversized n allocates nothing
+    except (MemoryError, ValueError):  # ValueError: the byte count overflows an index
+        raise too_big from None
     index = np.arange(1, n + 1)
-    data = np.empty((n, n), dtype=np.complex128)
     try:
         with np.errstate(all="ignore"):
             data[...] = gen.rule(index[:, None], index[None, :])
+    except MemoryError:
+        raise too_big from None
     except ArithmeticError as exc:
         raise PreconditionError(f"generator corner of size {n} cannot be computed: {exc}") from exc
     try:

@@ -34,6 +34,12 @@ UNIT_CIRCLE_DOC = {
     "data": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]]],
 }
 
+OFF_DIAGONAL_DOC = {  # a_12 a_21 = 2: not multiplicative
+    "rows": 2,
+    "cols": 2,
+    "data": [[[1.0, 0.0], [2.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]],
+}
+
 
 def write(tmp_path, name, payload):
     path = tmp_path / name
@@ -556,6 +562,11 @@ def test_overflowing_scaling_file_exits_two_without_warning(tmp_path, capsys):
                      id="scaling-bad-json"),
         pytest.param(["check", "{m}", "--trials", "0"], {"m": UNIT_CIRCLE_DOC}, id="check-trials-0"),
         pytest.param(["verify", "--suite", "group", "--trials", "0"], {}, id="verify-trials-0"),
+        # a rejected input runs the product sampling, whose generator refuses -1
+        pytest.param(["check", "{m}", "--seed", "-1"], {"m": OFF_DIAGONAL_DOC}, id="check-seed-neg"),
+        pytest.param(["verify", "--suite", "thm21", "--trials", "2", "--seed", "-1"], {},
+                     id="verify-seed-neg"),
+        pytest.param(["witness", "100000000", "--gen", "toeplitz:1,0"], {}, id="witness-142-PiB"),
     ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, argv, files):

@@ -276,9 +276,9 @@ def count_scans(monkeypatch) -> list:
     calls = []
     scan = multiplicative._cocycle_parts
 
-    def spy(data):
+    def spy(data, *args):
         calls.append(data.shape)
-        return scan(data)
+        return scan(data, *args)
 
     monkeypatch.setattr(multiplicative, "_cocycle_parts", spy)
     return calls

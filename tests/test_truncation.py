@@ -7,6 +7,7 @@ from schurlab import (
     DimensionError,
     NotMultiplicativeError,
     PreconditionError,
+    ResourceLimitError,
     ZeroEntryError,
     all_ones,
     compact_bound_check,
@@ -132,6 +133,15 @@ class TestCornerAgainstLoop:
     def test_non_finite_entry_is_named(self):
         with pytest.raises(PreconditionError, match=r"entry \(1,3\) is not finite"):
             corner(toeplitz_generator(1e200), 3)
+
+    def test_corner_too_big_for_memory(self):
+        # 10^8 x 10^8 complex entries is 142 PiB, so the allocation fails at
+        # once, before the index vector or the rule are built
+        calls = []
+        gen = CoefficientGenerator(rule=lambda i, j: calls.append(1))
+        with pytest.raises(ResourceLimitError, match="does not fit in memory"):
+            corner(gen, 10**8)
+        assert calls == []
 
 
 class TestL2FactorCheck:
