@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, ZeroEntryError
+from .errors import ConvergenceError, DimensionError, PreconditionError, ZeroEntryError
 
 __all__ = [
     "Tolerance",
@@ -149,6 +149,12 @@ def require_square(matrix: ComplexMatrix) -> int:
     if not matrix.is_square:
         raise DimensionError(f"square matrix required, got shape {matrix.shape}")
     return matrix.rows
+
+
+def _require_seed(seed: int) -> None:
+    """PreconditionError unless ``seed`` can seed numpy's generators."""
+    if seed < 0:
+        raise PreconditionError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def schur_product(a, b) -> ComplexMatrix:

@@ -8,16 +8,21 @@ equivalent views (rank-one structure, {n, 0, ..., 0} spectrum, and a seeded
 sampling of the product rule) so that disagreement, which can only come from
 conditioning, is surfaced instead of silently resolved.
 
-Accepted inputs cost O(n^2). The ratio test accepts through one pivot
-column p, and then A = u v^T + E (u = a_:p, v = a_p:) bounds every other
-view: Weyl's inequality the singular values, Bauer-Fike on the balanced
-diag(u)^-1 A diag(u) the spectrum, and the ratio bound the sampled product
-defect. Each bound includes rounding allowances and LAPACK's backward
-error, so it is a certified upper bound on what the O(n^3) code would
-report. A condition passes with its bound as its residual when the bound is
-within half the threshold; otherwise the O(n^3) code runs, so verdicts are
-the O(n^3) code's and rejections report exact residuals. Both batteries get
-these facts from ``_facts``, so on one matrix each pass runs once for both.
+One fact carries the rest: the pivot split A = u v^T + E (u = a_:p,
+v = a_p:, p the ``_pivot`` column), a ``_Split`` built once per matrix by
+the ratio test. On a multiplicative A, E = 0 and the scaling f is u / u_1;
+every caller that needs f reads it off the split.
+
+Accepted inputs cost O(n^2). The ratio test accepts through the split, and
+then the split bounds every other view: Weyl's inequality the singular
+values, Bauer-Fike on the balanced diag(u)^-1 A diag(u) the spectrum, and
+the ratio bound the sampled product defect. Each bound includes rounding
+allowances and LAPACK's backward error, so it is a certified upper bound on
+what the O(n^3) code would report. A condition passes with its bound as its
+residual when the bound is within half the threshold; otherwise the O(n^3)
+code runs, so verdicts are the O(n^3) code's and rejections report exact
+residuals. Both batteries get these facts from ``_facts``, so on one matrix
+each pass runs once for both.
 
 The ratio scan that decides a rejection costs O(n^2) as well when a few
 entries break the identity. The same split bounds the worst violation over
@@ -45,6 +50,7 @@ from .core import (
     Tolerance,
     _hermitian_route,
     _rank,
+    _require_seed,
     _singular_values,
     as_matrix,
     eigenvalues,
@@ -161,7 +167,7 @@ _SLAB = 1 << 21  # complex entries in one (n, n, block) slab of the full scan: 3
 _PRUNE_MIN_TRIPLES = 1 << 14  # n >= 26; pruning breaks even near n = 24 and gains little below
 
 
-def _cocycle_parts(data: np.ndarray, mod: np.ndarray | None = None, scale: float = math.inf):
+def _cocycle_parts(data: np.ndarray, mod: np.ndarray | None = None, m: float = 0.0, k: float = 0.0):
     """Worst ratio-identity violation max|a_ij - a_ik a_kj| over all triples
     and its 1-based witness (i, j, k).
 
@@ -169,19 +175,20 @@ def _cocycle_parts(data: np.ndarray, mod: np.ndarray | None = None, scale: float
     as computed, and the witness is the first triple attaining it in
     (k // block, i, j, k) order, block being the width of the full scan's
     slab. The full scan evaluates every triple, the middle index in blocks
-    that keep the (n, n, block) slab at 32 MB: O(n^3). Given the pivot split
-    of ``_pivot_bound``, ``mod`` = |E| for E = a - a_:p a_p: and ``scale`` =
-    max|a|, ``_pruned_scan`` evaluates only the pairs (i, k) whose bound
-    reaches a value the scan attains and returns the same residual and
-    witness, bit for bit: O(n^2) work when a few entries break the
-    identity. The full scan runs without a split (no pivot above the floor,
-    max|a| >= 2^510 or an entry not finite) and when pruning would not pay:
-    under 2^14 triples, or more than half the pairs left.
+    that keep the (n, n, block) slab at 32 MB: O(n^3). Given what
+    ``_scan_bound`` derives from the pivot split, ``mod`` = |E| for
+    E = a - a_:p a_p:, the inflated max|a| ``m`` and ``k`` >= max|a| + max|E|,
+    ``_pruned_scan`` evaluates only the pairs (i, k) whose bound reaches a
+    value the scan attains and returns the same residual and witness, bit
+    for bit: O(n^2) work when a few entries break the identity. The full
+    scan runs without them (no pivot above the floor, max|a| >= 2^510 or an
+    entry not finite) and when pruning would not pay: under 2^14 triples,
+    or more than half the pairs left.
     """
     n = data.shape[0]
     block = min(n, max(1, _SLAB // (n * n)))
     if mod is not None and n**3 >= _PRUNE_MIN_TRIPLES:
-        found = _pruned_scan(data, mod, scale, block)
+        found = _pruned_scan(data, mod, m, k, block)
         if found is not None:
             return found
     target = data[:, :, None]
@@ -198,19 +205,19 @@ def _cocycle_parts(data: np.ndarray, mod: np.ndarray | None = None, scale: float
         np.subtract(target, dev, out=dev)
         np.square(dev.real, out=mag2)
         mag2 += np.square(dev.imag)
-        m = float(mag2.max())
-        if m > best:
-            i, j, k = np.unravel_index(int(np.argmax(mag2)), mag2.shape)
-            best = m
-            witness = (int(i) + 1, int(j) + 1, int(k) + k0 + 1)
+        worst = float(mag2.max())
+        if worst > best:
+            i, j, kk = np.unravel_index(int(np.argmax(mag2)), mag2.shape)
+            best = worst
+            witness = (int(i) + 1, int(j) + 1, int(kk) + k0 + 1)
     return float(np.sqrt(best)), witness
 
 
 @np.errstate(over="ignore")  # an overflowed bound only keeps its pair
-def _pruned_scan(data: np.ndarray, mod: np.ndarray, scale: float, block: int):
+def _pruned_scan(data: np.ndarray, mod: np.ndarray, m: float, k: float, block: int):
     """``_cocycle_parts`` from the pairs (i, k) whose bound reaches a value
     the scan attains; None when max|E| >= 2^511 or when more than half the
-    pairs remain. ``scale`` = max|a| must be below 2^510.
+    pairs remain. ``m`` and ``k`` are ``_scan_bound``'s, so max|a| < 2^510.
 
     For any column p, with E = a - a_:p a_p: (``mod`` = |E|, as computed),
     R_i = max_j |E_ij|, d_k = a_kk - 1 and K = max|a| + max|E|, the identity
@@ -218,8 +225,8 @@ def _pruned_scan(data: np.ndarray, mod: np.ndarray, scale: float, block: int):
 
         |a_ij - a_ik a_kj| <= R_i + K (|d_k| + |E_kk| + R_k) + |E_ik| (K + R_k).
 
-    As in ``_pivot_bound``, with m = max|a| (1 + _EPS) and
-    c = _EPS m (1 + _EPS) + _ETA, each |E_ij| of the exact E is at most
+    As in ``_scan_bound``, with m = max|a| (1 + _EPS) and
+    c = _EPS m (1 + _EPS) + _ETA, k >= K, each |E_ij| of the exact E is at most
     |computed E_ij| (1 + _EPS) + c, the computed bound U is within a factor
     1 + _EPS of the exact one, and the scan's own rounding takes a pair's
     moduli to at most
@@ -243,17 +250,15 @@ def _pruned_scan(data: np.ndarray, mod: np.ndarray, scale: float, block: int):
     rho = float(ascending[-1])
     if not rho < _SQRT_HUGE * 2:  # the worst square may overflow, and inf ties escape the bound
         return None
-    m = scale * (1 + _EPS)
     c = _EPS * m * (1 + _EPS) + _ETA
-    k_ = m + (rho * (1 + _EPS) + c)  # >= K
     tau = rho * (1 - _EPS) ** 6 - (_EPS * m + 3 * _ETA) * (1 + _EPS)
     # every pair with top_i + K top_k >= tau is kept: per k, searchsorted counts the others
-    if 2 * int(np.searchsorted(ascending, tau - k_ * ascending).sum()) < n * n:
+    if 2 * int(np.searchsorted(ascending, tau - k * ascending).sum()) < n * n:
         return None  # pruning would not pay
     rows = top * (1 + _EPS) + c  # >= R_i
     near = (np.abs(np.diagonal(data) - 1.0) + np.diagonal(mod)) * (1 + _EPS) + c + rows
-    bound = mod * ((k_ + rows) * (1 + _EPS))
-    bound += k_ * near + c * (k_ + rows)
+    bound = mod * ((k + rows) * (1 + _EPS))
+    bound += k * near + c * (k + rows)
     bound += rows[:, None]
     keep = bound >= tau
     if 2 * np.count_nonzero(keep) > n * n:
@@ -263,8 +268,8 @@ def _pruned_scan(data: np.ndarray, mod: np.ndarray, scale: float, block: int):
     jj = np.empty_like(ii)
     worst = np.empty(ii.size)
     for s in range(0, ii.size, step):
-        i, k = ii[s:s + step], kk[s:s + step]
-        pair = np.multiply(data[i, k][:, None], data[k])  # a_ik * a_kj, one row per pair
+        i, mid = ii[s:s + step], kk[s:s + step]
+        pair = np.multiply(data[i, mid][:, None], data[mid])  # a_ik * a_kj, one row per pair
         np.subtract(data[i], pair, out=pair)
         mag2 = np.square(pair.real)
         mag2 += np.square(pair.imag)
@@ -305,84 +310,104 @@ def _lapack(n: int, fro: float) -> float:
     return (n + 1) * _EPS * fro
 
 
-def _pivot_rest(x: np.ndarray, p: int) -> tuple[np.ndarray, float]:
-    """E = x - x_:p x_p: as computed, and an upper bound on ||E||_F for the
-    exact E.
+def _pivot(data: np.ndarray, tol: Tolerance) -> int:
+    """The column of largest minimum modulus, 0-based; ZeroEntryError if that
+    minimum is at or below the absolute floor."""
+    mags = np.abs(data)
+    col_min = mags.min(axis=0)
+    p = int(np.argmax(col_min))
+    if col_min[p] <= tol.abs:
+        i = int(np.argmin(mags[:, p]))
+        raise ZeroEntryError(
+            f"pivot column {p + 1} contains a below-floor entry at ({i + 1},{p + 1})",
+            position=(i + 1, p + 1),
+        )
+    return p
 
-    Each computed entry is off by at most _EPS (|x_ip| |x_pj| + |E_ij|), so
-    the Frobenius error is at most _EPS (||x_:p|| ||x_p:|| + ||E||_F).
+
+class _Split:
+    """The pivot split x = u v^T + E through column p: u = x_:p, v = x_p:.
+
+    ``rest`` bounds ||E||_F for the exact E: each computed entry of E is off
+    by at most _EPS (|u_i| |v_j| + |E_ij|), so the Frobenius error is at most
+    _EPS (||u|| ||v|| + ||E||_F). ``mod``, |E| as computed, serves the ratio
+    test's bound and pruned scan; the ratio test's callers drop it once
+    done, so kept facts hold no n-by-n array but the matrix. ``bound``
+    is the ratio test's certified bound on the worst ratio violation where
+    it accepted through this split, else inf.
+
+    The rank-one norms are computed on first use: ``fro`` >= ||x||_F, and
+    ``sigma1`` <= and ``sigma2`` >= the largest and second singular values
+    as LAPACK computes them. Weyl's inequality gives
+    sigma_2 <= ||E||_2 <= ||E||_F and sigma_1 >= ||u|| ||v|| - ||E||_F; the
+    SVD's rounding adds ``_lapack``.
     """
-    col, row = x[:, p], x[p]
-    dev = x - np.outer(col, row)
-    rest = _fro(dev)
-    return dev, (rest + _EPS * (_fro(col) * _fro(row) + rest)) * (1 + _EPS)
+
+    bound = math.inf
+
+    def __init__(self, x: np.ndarray, p: int):
+        self.x, self.p = x, p
+        self.u, self.v = u, v = x[:, p], x[p]
+        e = x - np.outer(u, v)
+        rest = _fro(e)
+        self.rest = (rest + _EPS * (_fro(u) * _fro(v) + rest)) * (1 + _EPS)
+        self.mod = np.abs(e)
+
+    @functools.cached_property
+    def fro(self) -> float:
+        return _fro(self.x)
+
+    @functools.cached_property
+    def sigma1(self) -> float:
+        n = self.x.shape[0]
+        uv = float(np.linalg.norm(self.u) * np.linalg.norm(self.v)) * (1 - 2 * n * _EPS)
+        return (uv - self.rest - _lapack(n, self.fro)) * (1 - _EPS)
+
+    @functools.cached_property
+    def sigma2(self) -> float:
+        return (self.rest + _lapack(self.x.shape[0], self.fro)) * (1 + _EPS)
+
+    def scaling(self) -> ScalingVector:
+        """f with f(1) = 1 read off u (any column on exact inputs); the
+        caller vouches for multiplicativity."""
+        return ScalingVector(self.u / self.u[0])
 
 
-def _rank_one_split(x: np.ndarray, p: int, rest: float) -> tuple[float, float, float]:
-    """(fro, sigma1, sigma2): an upper bound on ||x||_F, a lower bound on the
-    largest and an upper bound on the second singular value as LAPACK
-    computes them, from x = c r^T + E (c = x_:p, r = x_p:, ||E||_F <= rest).
-
-    Weyl's inequality gives sigma_2 <= ||E||_2 <= ||E||_F and
-    sigma_1 >= ||c|| ||r|| - ||E||_F; the SVD's rounding adds ``_lapack``.
-    """
-    n = x.shape[0]
-    fro = _fro(x)
-    slack = _lapack(n, fro)
-    cr = float(np.linalg.norm(x[:, p]) * np.linalg.norm(x[p])) * (1 - 2 * n * _EPS)
-    return fro, (cr - rest - slack) * (1 - _EPS), (rest + slack) * (1 + _EPS)
-
-
-class _PivotBound(NamedTuple):
-    bound: float  # on what ``_cocycle_parts`` would return; inf when none is offered
-    p: int | None  # the ``_pivot`` column; None when it is below the floor
-    rest: float  # upper bound on ||a - a_:p a_p:||_F
-    mod: np.ndarray | None  # |a - a_:p a_p:| as computed; None with p or for max|a| >= 2^510
-
-
-def _pivot_bound(data: np.ndarray, scale: float, diag_res: float, tol: Tolerance) -> _PivotBound:
+def _scan_bound(split: _Split | None, scale: float, diag_res: float) -> tuple[float, tuple]:
     """Upper bound, rounding included, on what ``_cocycle_parts`` would return,
-    from one pivot column in O(n^2), with the pivot, ``_pivot_rest``'s
-    bound on the Frobenius norm of the pivot residual and the residual's
-    modulus, which prunes the ratio scan.
+    from the split in O(n^2), and the arguments that prune that scan:
+    (|E| as computed, m, K), or () where no bound is offered.
 
-    With p the ``_pivot`` column, r = max|a_ij - a_ip a_pj|, delta the
-    diagonal deviation and M = max|a|, the exact maximum is at most
-    t = r(1 + 3K) + K delta + r^2 with K = M + r (derived in ``_ratio_test``).
-    Computed in binary64, a complex product, difference or modulus is off by
-    at most 4u of its exact value (u = 2^-53) plus a few 2^-1074 on
-    underflow (2^-537 after the scan's square root); every pivot product has
-    modulus at most M + r and every scan product at most M + t. So the true
-    r, delta and M lie below the inflated ``rho``, ``delta`` and ``m``
-    (relative allowance ``_EPS`` = 16u, absolute ``_ETA``), the scan's own
-    rounding adds at most ``_EPS`` (m + t), and the last factor covers
-    rounding in evaluating these lines. No bound is offered for a
-    below-floor pivot, for a non-finite residual, or where the scan's
-    squared deviations or squared entries could overflow and so fail it
-    closed.
+    With r = max|E_ij|, delta the diagonal deviation and M = max|a|, the
+    exact maximum is at most t = r(1 + 3K) + K delta + r^2 with K = M + r
+    (derived in ``_ratio_test``). Computed in binary64, a complex product,
+    difference or modulus is off by at most 4u of its exact value
+    (u = 2^-53) plus a few 2^-1074 on underflow (2^-537 after the scan's
+    square root); every pivot product has modulus at most M + r and every
+    scan product at most M + t. So the true r, delta, M and K lie below the
+    inflated ``rho``, ``delta``, ``m`` and ``k`` (relative allowance
+    ``_EPS`` = 16u, absolute ``_ETA``), the scan's own rounding adds at most
+    ``_EPS`` (m + t), and the last factor covers rounding in evaluating
+    these lines. No bound is offered without a split (no pivot above the
+    floor), for a non-finite residual, or where the scan's squared
+    deviations or squared entries could overflow and so fail it closed.
     """
-    try:
-        p = _pivot(data, tol)
-    except ZeroEntryError:
-        return _PivotBound(math.inf, None, math.inf, None)
-    dev, rest = _pivot_rest(data, p)
     m = scale * (1 + _EPS)
-    if not m < _SQRT_HUGE:  # NaN included
-        return _PivotBound(math.inf, p, rest, None)
-    mod = np.abs(dev)
-    r_hat = float(mod.max())
+    if split is None or not m < _SQRT_HUGE:  # NaN included
+        return math.inf, ()
+    r_hat = float(split.mod.max())
     delta = diag_res * (1 + _EPS)
     rho = (r_hat + _EPS * m) * (1 + _EPS) + _ETA
     k = m + rho
     t = rho * (1 + 3 * k) + k * delta + rho * rho
     bound = ((t + _EPS * (m + t)) * (1 + _EPS) + _ETA) * (1 + _EPS)
-    bound = bound if bound < _SQRT_HUGE else math.inf
-    return _PivotBound(bound, p, rest, mod)
+    return (bound if bound < _SQRT_HUGE else math.inf), (split.mod, m, k)
 
 
 def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
     """The one multiplicativity rule: the ``cocycle`` and ``unit_diagonal``
-    conditions, and the witness of the failing one unless both pass.
+    conditions, the witness of the failing one unless both pass, and the
+    ``_Split`` of the ``_pivot`` column (None when that is below the floor).
 
     ``cocycle`` compares max|a_ij - a_ik a_kj| against ``tol`` at scale
     M^2 (M = max|a|), ``unit_diagonal`` compares delta = max|a_ii - 1|
@@ -406,18 +431,18 @@ def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
                                = r (1 + 3K) + K delta + r^2,
 
     which is r(1 + 3M^2) + M^2 delta + r^2 or less whenever M >= 1 + r.
-    ``_pivot_bound`` evaluates it with rounding allowances in O(n^2). When
+    ``_scan_bound`` evaluates it with rounding allowances in O(n^2). When
     that bound is at most half the ``cocycle`` threshold, the scan would pass
     too, so ``cocycle`` passes with the bound as its residual, a certified
-    upper bound, and the ``_PivotBound`` is returned as the fourth value for
-    the other conditions' bounds. Otherwise (the bound is larger,
-    non-finite, or there is no pivot above the floor) the ratio scan
-    ``_cocycle_parts`` decides and reports the exact worst residual and its
-    triple, the first in (k // block, i, j, k) order, and the fourth value is
-    None. The scan is pruned by this pivot split: it evaluates only the
-    pairs (i, k) that can hold the worst violation, O(n^2) work when a few
-    entries break the identity, and the full O(n^3) scan runs only where
-    pruning would not pay. Verdicts are the full scan's either way.
+    upper bound, and the bound is kept as the split's ``bound`` for the
+    other conditions' bounds. Otherwise (the bound is larger, non-finite,
+    or there is no pivot above the floor) the ratio scan ``_cocycle_parts``
+    decides and reports the exact worst residual and its triple, the first
+    in (k // block, i, j, k) order. The scan is pruned by the same split: it
+    evaluates only the pairs (i, k) that can hold the worst violation,
+    O(n^2) work when a few entries break the identity, and the full O(n^3)
+    scan runs only where pruning would not pay. Verdicts are the full
+    scan's either way.
 
     Witness: (i, i, None) for the worst diagonal entry when only
     ``unit_diagonal`` fails, the worst triple when only ``cocycle`` fails,
@@ -428,23 +453,26 @@ def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
     diag_res = float(diag_dev[diag_i])
     unit_diagonal = _condition(diag_res <= tol.threshold(1.0), diag_res)
     threshold = tol.threshold(scale * scale)
-    accepted = _pivot_bound(data, scale, diag_res, tol)
-    if math.isfinite(accepted.bound) and accepted.bound <= 0.5 * threshold:
-        cocycle, triple_witness = _condition(True, accepted.bound), None
+    try:
+        split = _Split(data, _pivot(data, tol))
+    except ZeroEntryError:
+        split = None
+    bound, prune = _scan_bound(split, scale, diag_res)
+    if math.isfinite(bound) and bound <= 0.5 * threshold:
+        split.bound = bound
+        cocycle, triple_witness = _condition(True, bound), None
     else:
-        triple_res, triple_witness = _cocycle_parts(data, accepted.mod, scale)
+        triple_res, triple_witness = _cocycle_parts(data, *prune)
         cocycle = _condition(triple_res <= threshold, triple_res)
-        accepted = None
     if cocycle.passed and unit_diagonal.passed:
         witness = None
     elif cocycle.passed or (not unit_diagonal.passed and diag_res >= cocycle.residual):
         witness = (diag_i + 1, diag_i + 1, None)
     else:
         witness = triple_witness
-    return cocycle, unit_diagonal, witness, accepted
+    return cocycle, unit_diagonal, witness, split
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflowed residuals fail closed
 def check_cocycle(a, tol: Tolerance | None = None) -> CocycleResult:
     """Test a_ij = a_ik * a_kj for all triples and a_ii = 1 on the diagonal.
 
@@ -472,48 +500,39 @@ def check_cocycle(a, tol: Tolerance | None = None) -> CocycleResult:
     (k // block, i, j, k) order, where block = max(1, 2^21 // n^2), so for
     n <= 128 simply the first in (i, j, k) order.
     """
+    return _checked(a, tol or DEFAULT_TOL)[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflowed residuals fail closed
+def _checked(a, tol: Tolerance) -> tuple[CocycleResult, _Split | None]:
+    """``check_cocycle`` and the split ``_ratio_test`` built."""
     m = as_matrix(a)
     require_square(m)
     data = m.data
     scale = float(np.abs(data).max())
-    cocycle, unit_diagonal, witness, _ = _ratio_test(data, scale, tol or DEFAULT_TOL)
+    cocycle, unit_diagonal, witness, split = _ratio_test(data, scale, tol)
+    if split is not None:
+        # |E| goes before f is read: held, factor_scaling paged in 2 MB
+        # more per call at n = 512
+        del split.mod
     residual = _nanmax(cocycle.residual, unit_diagonal.residual)
-    return CocycleResult(witness is None, residual, witness)
+    return CocycleResult(witness is None, residual, witness), split
 
 
 def _require_multiplicative(m: ComplexMatrix, tol: Tolerance, message: str) -> ScalingVector:
-    """The pivot scaling of ``m``, or NotMultiplicativeError unless it passes
-    ``check_cocycle``, with ``message`` formatted with ``residual`` and ``witness``."""
-    result = check_cocycle(m, tol)
+    """The scaling read off the split of ``m``, or NotMultiplicativeError
+    unless it passes ``check_cocycle``, with ``message`` formatted with
+    ``residual`` and ``witness``."""
+    result, split = _checked(m, tol)
     if not result.passed:
         raise NotMultiplicativeError(
             message.format(residual=result.residual, witness=result.witness),
             residual=result.residual,
             witness=result.witness,
         )
-    return _pivot_scaling(m.data, tol)
-
-
-def _pivot(data: np.ndarray, tol: Tolerance) -> int:
-    """The column of largest minimum modulus, 0-based; ZeroEntryError if that
-    minimum is at or below the absolute floor."""
-    mags = np.abs(data)
-    col_min = mags.min(axis=0)
-    p = int(np.argmax(col_min))
-    if col_min[p] <= tol.abs:
-        i = int(np.argmin(mags[:, p]))
-        raise ZeroEntryError(
-            f"pivot column {p + 1} contains a below-floor entry at ({i + 1},{p + 1})",
-            position=(i + 1, p + 1),
-        )
-    return p
-
-
-def _pivot_scaling(data: np.ndarray, tol: Tolerance) -> ScalingVector:
-    """f with f(1) = 1 from the ``_pivot`` column (any column on exact
-    inputs); the caller vouches for multiplicativity."""
-    column = data[:, _pivot(data, tol)]
-    return ScalingVector(column / column[0])
+    if split is None:
+        _pivot(m.data, tol)  # raises: the pivot column holds a below-floor entry
+    return split.scaling()
 
 
 def factor_scaling(a, tol: Tolerance | None = None) -> ScalingVector:
@@ -563,26 +582,22 @@ def _decide(*parts: _Part) -> ConditionResult:
 class _Bounds(NamedTuple):
     """Certified O(n^2) bounds, rounding included, on what the O(n^3) code
     would compute for A; ``_NO_BOUNDS`` unless the ratio test accepted
-    through the pivot bound."""
+    through its split."""
 
-    p: int | None  # the pivot column
-    cocycle: float  # >= max|a_ij - a_ik a_kj|
-    fro: float  # >= ||A||_F
-    sigma1: float  # <= the computed sigma_1(A)
+    split: _Split | None  # the split the ratio test accepted through
     rank_residual: float  # >= the computed sigma_2 / sigma_1 where rank one is certified, else inf
     spectrum: float  # >= the computed spectrum distance to {n, 0^(n-1)}
     skew: float  # >= the computed ||A - A*||_2
 
 
-_NO_BOUNDS = _Bounds(None, math.inf, math.inf, 0.0, math.inf, math.inf, math.inf)
+_NO_BOUNDS = _Bounds(None, math.inf, math.inf, math.inf)
 
 
-def _accept_bounds(data: np.ndarray, scale: float, accepted: _PivotBound, tol: Tolerance) -> _Bounds:
-    """The ``_Bounds`` of A = u v^T + E (u = a_:p, v = a_p:), in O(n^2).
+def _accept_bounds(data: np.ndarray, scale: float, split: _Split, tol: Tolerance) -> _Bounds:
+    """The ``_Bounds`` of A = u v^T + E, in O(n^2).
 
-    Rank one: ``_rank_one_split``'s bounds certify rank 1 when sigma_1 is
-    above the cut (rel n <= 1/2 and sigma_1 > 2 abs) and sigma_2 is within
-    half of it.
+    Rank one: the split's norms certify rank 1 when sigma_1 is above the cut
+    (rel n <= 1/2 and sigma_1 > 2 abs) and sigma_2 is within half of it.
 
     Spectrum: with D = diag(u), the balanced copy D^-1 A D = J + G (J the
     all-ones matrix, g_ij = a_ij u_j / u_i - 1) has A's eigenvalues, and
@@ -598,27 +613,22 @@ def _accept_bounds(data: np.ndarray, scale: float, accepted: _PivotBound, tol: T
     _EPS (n + ||G||_F).
     """
     n = data.shape[0]
-    p = accepted.p
-    fro, sigma1, sigma2 = _rank_one_split(data, p, accepted.rest)
     rank_one = (
         n * tol.rel <= 0.5
-        and sigma1 > 2 * tol.abs
-        and sigma2 <= 0.5 * max(tol.rel * sigma1 * n, tol.abs)
+        and split.sigma1 > 2 * tol.abs
+        and split.sigma2 <= 0.5 * max(tol.rel * split.sigma1 * n, tol.abs)
     )
     anti = data - data.conj().T
     skew = _fro(anti)
-    u = data[:, p]
+    u = split.u
     mags = np.abs(u)
     kappa = float(mags.max() / mags.min()) * (1 + _EPS)
     gap = _fro(data * np.outer(1.0 / u, u) - 1.0)
-    solver = _lapack(n, fro) + (0.5 * skew if _hermitian_route(anti, scale, tol) else 0.0)
+    solver = _lapack(n, split.fro) + (0.5 * skew if _hermitian_route(anti, scale, tol) else 0.0)
     spectrum = ((gap + _EPS * (n + gap)) * (1 + _EPS) + kappa * solver) * (1 + _EPS)
     return _Bounds(
-        p=p,
-        cocycle=accepted.bound,
-        fro=fro,
-        sigma1=sigma1,
-        rank_residual=sigma2 / sigma1 if rank_one else math.inf,
+        split=split,
+        rank_residual=split.sigma2 / split.sigma1 if rank_one else math.inf,
         spectrum=spectrum if spectrum < 0.5 * n else math.inf,
         skew=skew + _lapack(n, skew),
     )
@@ -650,11 +660,11 @@ def _rank_one_spectrum_distance(vals: np.ndarray) -> float:
 class _Facts:
     """What both batteries read off one coefficient matrix.
 
-    The ratio test, the scaling and, when the ratio test accepted through
-    the pivot bound, the ``_Bounds`` are computed up front in O(n^2). The
-    singular values and the spectrum distance are computed on first use
-    and kept, so each O(n^3) pass runs at most once and an input the bounds
-    decide never runs it.
+    The ratio test, the scaling read off its split and, when the ratio test
+    accepted through that split, the ``_Bounds`` are computed up front in
+    O(n^2). The singular values and the spectrum distance are computed on
+    first use and kept, so each O(n^3) pass runs at most once and an input
+    the bounds decide never runs it.
     """
 
     def __init__(self, m: ComplexMatrix, tol: Tolerance):
@@ -664,14 +674,20 @@ class _Facts:
         if scale == 0.0:
             raise PreconditionError("the zero Schur map is excluded from certification")
         # the witness names the failing condition's worst entry, 1-based
-        self.cocycle, self.unit_diagonal, self.witness, accepted = _ratio_test(data, scale, tol)
-        self.scaling = None  # pivot scaling when the ratio test passes
-        if self.witness is None:
+        self.cocycle, self.unit_diagonal, self.witness, split = _ratio_test(data, scale, tol)
+        self.scaling = None  # read off the split when the ratio test passes
+        if self.witness is None and split is not None:
             try:
-                self.scaling = _pivot_scaling(data, tol)
+                self.scaling = split.scaling()
             except ZeroEntryError:
                 pass
-        self.bounds = _NO_BOUNDS if accepted is None else _accept_bounds(data, scale, accepted, tol)
+        self.bounds = _NO_BOUNDS
+        if split is not None and math.isfinite(split.bound):
+            self.bounds = _accept_bounds(data, scale, split, tol)
+            # the kept split drops |E| only now: dropped before the bounds,
+            # certify_multiplicative paged in 4 MB more per call at n = 512
+            # and ran up to 20% slower
+            del split.mod
 
     @functools.cached_property
     def singular_values(self) -> np.ndarray:
@@ -824,6 +840,7 @@ def certify_multiplicative(
     tol = tol or DEFAULT_TOL
     if trials < 1:
         raise PreconditionError("trials must be positive")
+    _require_seed(seed)
     facts = _facts(m, tol)
     one = tol.threshold(1.0)
 
@@ -831,7 +848,8 @@ def certify_multiplicative(
         residual = _product_sampling_residual(m.data, trials, seed)
         return residual <= one, residual
 
-    sampling = _sampling_bound(facts.bounds.cocycle, facts.scale, n)
+    split = facts.bounds.split
+    sampling = math.inf if split is None else _sampling_bound(split.bound, facts.scale, n)
     conditions = {
         "cocycle": facts.cocycle,
         "unit_diagonal": facts.unit_diagonal,

@@ -4,15 +4,17 @@ Complete positivity is never tested through Choi matrices: for a Schur map it
 is equivalent to positive semidefiniteness of the coefficient matrix itself,
 which is what the pair-positivity condition checks at O(n^3).
 
-On inputs the ratio test accepts through its pivot bound, the battery runs in
-O(n^2): ||A - A*||_2, the normality commutator and the smallest eigenvalues
-of the Hermitian parts of A and of its Schur inverse are bounded from the
-rank-one split A = u v^T + E, with rounding allowances, and a condition
-whose bounds are all within half their thresholds passes with the bounds as
-its residual, certified upper bounds on the exact ones. Any other condition
-runs the O(n^3) code for all its parts and reports exact residuals. The
-ratio test, the SVD of A and its spectrum come from the multiplicative
-battery's ``_facts``, computed once per matrix for both batteries.
+On inputs the ratio test accepts through its pivot split A = u v^T + E, the
+battery runs in O(n^2): ||A - A*||_2, the normality commutator and the
+smallest eigenvalues of the Hermitian parts of A and of its Schur inverse
+are bounded from that split, the one the multiplicative battery's
+``_facts`` built, and from one more ``_Split`` of the Schur inverse through
+the same column, with rounding allowances. A condition whose bounds are all
+within half their thresholds passes with the bounds as its residual,
+certified upper bounds on the exact ones. Any other condition runs the
+O(n^3) code for all its parts and reports exact residuals. The ratio test,
+the SVD of A and its spectrum come from ``_facts``, computed once per
+matrix for both batteries.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ from .multiplicative import (
     _known,
     _lapack,
     _nanmax,
-    _pivot_rest,
-    _rank_one_split,
+    _Split,
 )
 
 __all__ = [
@@ -135,34 +136,26 @@ class StarCertificate:
         }
 
 
-def _psd_bound(x: np.ndarray, p: int, fro: float, sigma1: float, skew: float, tol: Tolerance) -> float:
+def _psd_bound(x: np.ndarray, split: _Split, skew: float, tol: Tolerance) -> float:
     """Upper bound on the ``_psd_residual`` residual of x when it certifies a
-    pass, else inf. ``fro`` >= ||x||_F, ``sigma1`` <= the computed ||x||_2 and
-    ``skew`` >= the computed ||x - x*||_2.
+    pass, else inf, from the ``split`` of x and ``skew`` >= the computed
+    ||x - x*||_2.
 
-    With c = x_:p, cc* is positive semidefinite, so by Weyl's inequality
-    the Hermitian part H has lambda_min >= -||H - cc*||_F; the computed
-    outer product is off by at most _EPS |c_i| |c_j|, and eigvalsh adds
-    ``_lapack``. A pass is certified when that and ``skew`` are within half
-    the threshold at ``sigma1``.
+    With c = x_:p, the split's column, cc* is positive semidefinite, so by
+    Weyl's inequality the Hermitian part H has lambda_min >= -||H - cc*||_F;
+    the computed outer product is off by at most _EPS |c_i| |c_j|, and
+    eigvalsh adds ``_lapack``. A pass is certified when that and ``skew``
+    are within half the threshold at the split's lower bound on ||x||_2.
     """
-    c = x[:, p]
-    sym = (x + x.conj().T) / 2.0
-    below = _fro(sym - np.outer(c, c.conj())) * (1 + _EPS) + _EPS * _fro(c) ** 2
-    worst = _nanmax(skew, (below + _lapack(x.shape[0], fro)) * (1 + _EPS))
-    if not worst < 0.5 * tol.threshold(sigma1):
+    c = split.u
+    gap = x + x.conj().T  # in place from here: H, then H - cc*
+    gap *= 0.5
+    gap -= np.outer(c, c.conj())
+    below = _fro(gap) * (1 + _EPS) + _EPS * _fro(c) ** 2
+    worst = _nanmax(skew, (below + _lapack(x.shape[0], split.fro)) * (1 + _EPS))
+    if not worst < 0.5 * tol.threshold(split.sigma1):
         return math.inf
-    return worst / max(sigma1, 1.0)
-
-
-def _inverse_psd_bound(inv: np.ndarray, p: int, tol: Tolerance) -> float:
-    """``_psd_bound`` for the Schur inverse, split through the same pivot
-    column: its column p is 1/u, so for a multiplicative A it is rank one,
-    1/a_ij = (1/a_ip)(1/a_pj)."""
-    _, rest = _pivot_rest(inv, p)
-    fro, sigma1, _ = _rank_one_split(inv, p, rest)
-    skew = _fro(inv - inv.conj().T)
-    return _psd_bound(inv, p, fro, sigma1, skew + _lapack(inv.shape[0], skew), tol)
+    return worst / max(split.sigma1, 1.0)
 
 
 def _commutator_bound(fro: float, skew: float, n: int) -> float:
@@ -190,12 +183,12 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
     When the ratio test accepts through the pivot bound, the O(n^3) parts
     (the SVDs for ||A||_2 and ||A - A*||_2, the commutator, and the
     eigensolves of the Hermitian parts of A and its Schur inverse) are
-    replaced by O(n^2) bounds from ``_Facts.bounds``, ``_commutator_bound``
-    and ``_psd_bound`` wherever those are within half the threshold; a
-    passing condition then reports the bound, a certified upper bound on
-    the exact residual. A condition with any undecided part runs the O(n^3)
-    code for all its parts, so a failing condition reports its exact
-    residual.
+    replaced by O(n^2) bounds from ``_Facts.bounds`` and its split,
+    ``_commutator_bound`` and ``_psd_bound`` wherever those are within half
+    the threshold; a passing condition then reports the bound, a certified
+    upper bound on the exact residual. A condition with any undecided part
+    runs the O(n^3) code for all its parts, so a failing condition reports
+    its exact residual.
     """
     m = as_matrix(a)
     n = require_square(m)
@@ -229,10 +222,10 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
         comm_res = _spectral_norm(comm) / max(a_norm * a_norm, 1.0)
         return comm_res <= comm_thr, comm_res
 
-    herm_part = _bounded(b.skew / max(b.sigma1, 1.0), 0.5 * one, herm_exact)
-    comm_part = _bounded(
-        _commutator_bound(b.fro, b.skew, n) / max(b.sigma1 * b.sigma1, 1.0), 0.5 * comm_thr, comm_exact
-    )
+    sigma1, fro = (b.split.sigma1, b.split.fro) if b.split else (0.0, math.inf)
+    herm_part = _bounded(b.skew / max(sigma1, 1.0), 0.5 * one, herm_exact)
+    comm_bound = _commutator_bound(fro, b.skew, n) / max(sigma1 * sigma1, 1.0)
+    comm_part = _bounded(comm_bound, 0.5 * comm_thr, comm_exact)
     unimod_res = float(np.abs(np.abs(data) - 1.0).max())
     if facts.scaling is not None:
         map_norm_res = abs(facts.scaling.modulus_ratio - 1.0)
@@ -245,9 +238,12 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
         pair = _condition(False, math.inf)
     else:
         psd_a = psd_inv = math.inf
-        if b.p is not None:
-            psd_a = _psd_bound(data, b.p, b.fro, b.sigma1, b.skew, tol)
-            psd_inv = _inverse_psd_bound(inv, b.p, tol)
+        if b.split is not None:
+            psd_a = _psd_bound(data, b.split, b.skew, tol)
+            # column p of the Schur inverse is 1/u, so for a multiplicative A
+            # it splits through p as well: 1/a_ij = (1/a_ip)(1/a_pj)
+            inv_skew = _fro(inv - inv.conj().T)
+            psd_inv = _psd_bound(inv, _Split(inv, b.split.p), inv_skew + _lapack(n, inv_skew), tol)
         inv_diag_res = float(np.abs(np.diagonal(inv) - 1.0).max())
         pair = _decide(
             _bounded(psd_a, math.inf, lambda: _psd_residual(data, tol, norm(), herm())),

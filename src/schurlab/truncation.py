@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ComplexMatrix, Tolerance
+from .core import DEFAULT_TOL, ComplexMatrix, Tolerance, _require_seed
 from .errors import DimensionError, PreconditionError, ResourceLimitError, ZeroEntryError
 from .multiplicative import ScalingVector, _require_multiplicative
 
@@ -206,6 +206,7 @@ def compact_bound_check(
     only fall below it (the Frobenius bound caps the ratio at the coefficient
     supremum for rank-one T).
     """
+    _require_seed(seed)
     block = corner(gen, n).data
     best = float(np.abs(block).max())
     for t in range(trials):

@@ -25,6 +25,7 @@ from .completion import (
 from .core import (
     DEFAULT_TOL,
     Tolerance,
+    _require_seed,
     all_ones,
     eigenvalues,
     identity,
@@ -603,6 +604,7 @@ def run_suite(
     tol = tol or DEFAULT_TOL
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES + ('all',)}")
+    _require_seed(seed)
     report = VerifyReport(suite=suite, trials=trials, seed=seed)
     start = time.perf_counter()
     names = SUITE_NAMES if suite == "all" else (suite,)

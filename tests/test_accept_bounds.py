@@ -204,7 +204,7 @@ def test_shared_facts_are_keyed_by_matrix_object_and_tolerance():
 def test_exact_only_never_sees_facts_built_outside_it():
     m = ComplexMatrix(scaled(6, 0.0, seed=6))
     outside = multiplicative._facts(m, DEFAULT_TOL)
-    assert outside.bounds.p is not None  # accepted through the pivot bound
+    assert outside.bounds.split is not None  # accepted through the pivot split
     with exact_only():
         inside = multiplicative._facts(m, DEFAULT_TOL)
         assert inside is not outside
@@ -251,7 +251,7 @@ def test_weyl_bounds_where_the_pivot_column_grows(n, eps):
     b = multiplicative._Facts(ComplexMatrix(a), Tolerance()).bounds
     assert b is not multiplicative._NO_BOUNDS
     s = core._singular_values(a)
-    assert b.sigma1 <= s[0]
+    assert b.split.sigma1 <= s[0]
     assert b.rank_residual >= s[1] / s[0]
     assert_matches_exact(a, Tolerance())
 
@@ -347,26 +347,28 @@ def test_bounds_cover_the_cubic_code(polar, log_eps, seed, perturb, tol):
         b = facts.bounds
         if b is not multiplicative._NO_BOUNDS:
             s = core._singular_values(a)
-            assert b.fro >= np.linalg.norm(a)
-            assert not b.sigma1 > s[0]
+            assert b.split.fro >= np.linalg.norm(a)
+            assert not b.split.sigma1 > s[0]
             if math.isfinite(b.rank_residual):
                 assert core._rank(s, n, tol) == 1
                 assert b.rank_residual >= (s[1] / s[0] if n > 1 else 0.0)
             dist = multiplicative._rank_one_spectrum_distance(core.eigenvalues(m, tol))
             assert not b.spectrum < dist
             assert not b.skew < star._skew_norm(a)
-            bound = multiplicative._sampling_bound(b.cocycle, facts.scale, n)
+            bound = multiplicative._sampling_bound(b.split.bound, facts.scale, n)
             for trial_seed in (0, seed):
                 assert not bound < multiplicative._product_sampling_residual(a, 2, trial_seed)
             comm = a @ a.conj().T - a.conj().T @ a
-            assert not star._commutator_bound(b.fro, b.skew, n) < core._spectral_norm(comm)
-            psd = star._psd_bound(a, b.p, b.fro, b.sigma1, b.skew, tol)
+            assert not star._commutator_bound(b.split.fro, b.skew, n) < core._spectral_norm(comm)
+            psd = star._psd_bound(a, b.split, b.skew, tol)
             if math.isfinite(psd):
                 passed, residual = star._psd_residual(a, tol)
                 assert passed and psd >= residual
             if np.abs(a).min() > tol.abs:
                 inv = 1.0 / a
-                psd = star._inverse_psd_bound(inv, b.p, tol)
+                inv_split = multiplicative._Split(inv, b.split.p)
+                skew = multiplicative._fro(inv - inv.conj().T)
+                psd = star._psd_bound(inv, inv_split, skew + multiplicative._lapack(n, skew), tol)
                 if math.isfinite(psd):
                     passed, residual = star._psd_residual(inv, tol)
                     assert passed and psd >= residual
@@ -400,12 +402,12 @@ def exact_pivot_rest_squares(x: np.ndarray, p: int) -> Fraction:
     st.sampled_from(("exact", "entries", "pivot_outer")),
 )
 def test_frobenius_bounds_cover_exact_arithmetic(polar, log_eps, seed, perturb):
-    # the rounding allowances of ``_fro`` and ``_pivot_rest`` against the
+    # the rounding allowances of ``_fro`` and ``_Split.rest`` against the
     # exact rational values: a rounded outer product has a computed pivot
     # residual of 0 but an exact one of a few units in the last place
     tol = Tolerance()
     a = perturbed(polar, log_eps, seed, perturb, tol)
     assert Fraction(multiplicative._fro(a)) ** 2 >= exact_sum_of_squares(a)
     p = multiplicative._pivot(a, tol)
-    rest = multiplicative._pivot_rest(a, p)[1]
+    rest = multiplicative._Split(a, p).rest
     assert Fraction(rest) ** 2 >= exact_pivot_rest_squares(a, p)

@@ -13,6 +13,7 @@ from schurlab import (
     build_from_scaling,
     certify_multiplicative,
     check_cocycle,
+    compact_bound_check,
     eigenvalues,
     factor_scaling,
     group_product,
@@ -20,9 +21,11 @@ from schurlab import (
     multiset_distance,
     numerical_range_samples,
     operator_norm,
+    run_suite,
     schur_inverse,
     schur_map_norm,
     schur_product,
+    toeplitz_generator,
 )
 from tests.conftest import random_scaling_values
 
@@ -422,7 +425,8 @@ def test_pivot_bound_covers_the_scan(polar, log_eps, seed, perturb, tol):
     scale = float(np.abs(a).max())
     diag = float(np.abs(np.diagonal(a) - 1.0).max())
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = multiplicative._pivot_bound(a, scale, diag, tol).bound
+        split = multiplicative._Split(a, multiplicative._pivot(a, tol))
+        bound = multiplicative._scan_bound(split, scale, diag)[0]
         scan = multiplicative._cocycle_parts(a)[0]
     assert not bound < scan
     assert ratio_test_verdicts(a, tol) == full_scan_verdicts(a, tol)
@@ -469,3 +473,24 @@ def test_rank_one_spectrum_distance_is_the_bottleneck_value(vals):
     target = np.zeros(n)
     target[0] = n
     assert dist <= multiset_distance(vals, target) * (1 + 2**-52)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: certify_multiplicative([[1, 2], [1, 1]], seed=-1),
+        lambda: certify_multiplicative([[1, 1j], [-1j, 1]], seed=-1),
+        lambda: run_suite("thm21", trials=2, seed=-1),
+        lambda: compact_bound_check(toeplitz_generator(0.5), 4, seed=-1),
+    ],
+    ids=["rejected", "accepted", "run_suite", "compact_bound_check"],
+)
+def test_negative_seed_is_refused_up_front(monkeypatch, call):
+    # numpy refuses a negative seed only once the sampling runs, and an
+    # accepted input never samples; the library refuses it before any work
+    calls = []
+    pivot = multiplicative._pivot
+    monkeypatch.setattr(multiplicative, "_pivot", lambda *args: calls.append(args) or pivot(*args))
+    with pytest.raises(PreconditionError, match="seed must be a non-negative integer"):
+        call()
+    assert calls == []

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurlab import Tolerance, build_from_scaling, multiplicative
+from schurlab import Tolerance, ZeroEntryError, build_from_scaling, multiplicative
 
 KINDS = ("random", "one_entry", "pivot_row", "mixed", "noise", "diagonal", "integer", "signs",
          "repeated", "overflow")
@@ -68,11 +68,16 @@ def make_input(kind: str, n: int, seed: int) -> np.ndarray:
     return a
 
 
-def split(a: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """The ``mod`` and ``scale`` arguments ``_ratio_test`` passes to ``_cocycle_parts``."""
+def prune(a: np.ndarray) -> tuple:
+    """The pruning arguments ``_ratio_test`` passes to ``_cocycle_parts``:
+    ``_scan_bound``'s (|E|, m, K) from the pivot split, or () without one."""
     scale = float(np.abs(a).max())
     diag = float(np.abs(np.diagonal(a) - 1.0).max())
-    return multiplicative._pivot_bound(a, scale, diag, Tolerance()).mod, scale
+    try:
+        split = multiplicative._Split(a, multiplicative._pivot(a, Tolerance()))
+    except ZeroEntryError:
+        split = None
+    return multiplicative._scan_bound(split, scale, diag)[1]
 
 
 def bits(result) -> tuple[bytes, tuple]:
@@ -83,12 +88,12 @@ def bits(result) -> tuple[bytes, tuple]:
 @np.errstate(over="ignore")  # the overflow kind squares to inf, as the callers allow
 def assert_pruning_is_exact(kind: str, n: int, seed: int):
     a = make_input(kind, n, seed)
-    mod, scale = split(a)
+    args = prune(a)
     full = bits(multiplicative._cocycle_parts(a))
-    assert bits(multiplicative._cocycle_parts(a, mod, scale)) == full
-    if mod is not None:  # also below the size where _cocycle_parts prunes
+    assert bits(multiplicative._cocycle_parts(a, *args)) == full
+    if args:  # also below the size where _cocycle_parts prunes
         block = min(n, max(1, multiplicative._SLAB // (n * n)))
-        pruned = multiplicative._pruned_scan(a, mod, scale, block)
+        pruned = multiplicative._pruned_scan(a, *args, block)
         assert pruned is None or bits(pruned) == full
 
 
@@ -120,12 +125,12 @@ def test_one_entry_perturbation_never_builds_the_slab(di, dj):
     np.fill_diagonal(a, 1.0)
     p = multiplicative._pivot(a, Tolerance())
     a[(p + di) % n, (p + dj) % n] *= 1 + 1e-4
-    mod, scale = split(a)
+    args = prune(a)
     block = multiplicative._SLAB // (n * n)
     slab = n * n * block * 16  # the full scan's complex slab alone
     tracemalloc.start()
     try:
-        pruned = multiplicative._cocycle_parts(a, mod, scale)
+        pruned = multiplicative._cocycle_parts(a, *args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -141,9 +146,9 @@ def test_ties_across_blocks_follow_the_full_scan_order():
     n = 140
     a = np.ones((n, n), dtype=complex)
     a[99, 119] = a[119, 99] = -1.0
-    mod, scale = split(a)
-    assert multiplicative._pruned_scan(a, mod, scale, 106) == (2.0, (1, 120, 100))
-    assert multiplicative._cocycle_parts(a, mod, scale) == multiplicative._cocycle_parts(a)
+    args = prune(a)
+    assert multiplicative._pruned_scan(a, *args, 106) == (2.0, (1, 120, 100))
+    assert multiplicative._cocycle_parts(a, *args) == multiplicative._cocycle_parts(a)
 
 
 @pytest.mark.parametrize("kind", ["noise", "random", "pivot_row"])
@@ -152,10 +157,10 @@ def test_spread_residual_gives_up_before_the_pair_bound(kind):
     # row maxima tell so before the n-by-n bound (8 n^2 bytes) is built
     n = 256
     a = make_input(kind, n, 0)
-    mod, scale = split(a)
+    args = prune(a)
     tracemalloc.start()
     try:
-        assert multiplicative._pruned_scan(a, mod, scale, 32) is None
+        assert multiplicative._pruned_scan(a, *args, 32) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
