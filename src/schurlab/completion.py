@@ -102,14 +102,17 @@ class CompletionReport:
         }
 
 
-def _dfs_forest(adjacency: list[list[int]]):
-    """Depth-first spanning forest, roots and neighbors taken in ascending
-    order (a chain of specified entries stays a chain).
+def _dfs_forest(linked: np.ndarray):
+    """Depth-first spanning forest of the graph with boolean adjacency matrix
+    ``linked``, roots and neighbors taken in ascending order (a chain of
+    specified entries stays a chain).
 
     Returns the components (each sorted, ordered by smallest vertex), the
     parent and depth of every vertex, and the visiting order.
     """
-    n = len(adjacency)
+    n = len(linked)
+    rows, cols = np.nonzero(linked)  # the neighbors of v are cols[bounds[v]:bounds[v + 1]]
+    bounds, cols = np.searchsorted(rows, np.arange(n + 1)).tolist(), cols.tolist()
     parent, depth, order, components = [-1] * n, [0] * n, [], []
     seen = [False] * n
     for root in range(n):
@@ -125,7 +128,7 @@ def _dfs_forest(adjacency: list[list[int]]):
             order.append(v)
             if p >= 0:
                 parent[v], depth[v] = p, depth[p] + 1
-            stack += [(w, v) for w in reversed(adjacency[v]) if not seen[w]]
+            stack += [(w, v) for w in reversed(cols[bounds[v]:bounds[v + 1]]) if not seen[w]]
         components.append(sorted(order[start:]))
     return components, parent, depth, order
 
@@ -164,35 +167,26 @@ def complete_partial(
     reciprocal at the transposed position.
     """
     tol = tol or DEFAULT_TOL
-    n = partial.n
     unit_thr = tol.threshold(1.0)
-
-    specified = list(partial.specified_items())
-    if star_preserving:
-        for i, j, value in specified:
-            if i != j and abs(abs(value) - 1.0) > unit_thr:
+    entries, mask = partial.entries, partial.mask
+    off = mask & ~np.eye(partial.n, dtype=bool)
+    with np.errstate(all="ignore"):  # a modulus past the double range reads inf
+        if star_preserving:
+            bad = np.argwhere(off & (np.abs(_modulus(entries) - 1.0) > unit_thr))
+            if bad.size:
+                i, j = bad[0]
                 raise PreconditionError(
                     f"star-preserving completion requires unimodular data; "
-                    f"entry ({i + 1},{j + 1}) has modulus {abs(value):.12g}"
+                    f"entry ({i + 1},{j + 1}) has modulus {_modulus(entries[i, j]):.12g}"
                 )
-
-    ratios: dict[tuple[int, int], complex] = {}
-    diag_violations: list[Violation] = []
-    for i, j, value in specified:
-        if i == j:
-            dev = abs(value - 1.0)
-            if dev > unit_thr:
-                diag_violations.append(Violation((i + 1,), dev))
-            continue
-        ratios[(i, j)] = value
-        if star_preserving:
-            ratios.setdefault((j, i), 1.0 / value)
+        diag_dev = _modulus(np.diagonal(entries) - 1.0)
+    diag_violations = [
+        Violation((i + 1,), float(diag_dev[i]))
+        for i in np.flatnonzero(np.diagonal(mask) & (diag_dev > unit_thr)).tolist()
+    ]
 
     # A specified diagonal entry becomes a self-loop, which the walk skips.
-    linked = (partial.mask | partial.mask.T).tolist()
-    components, parent, depth, order = _dfs_forest(
-        [[w for w, on in enumerate(row) if on] for row in linked]
-    )
+    components, parent, depth, order = _dfs_forest(mask | mask.T)
 
     if diag_violations:
         return CompletionReport(INCONSISTENT, None, diag_violations, _one_based(components))
@@ -200,32 +194,46 @@ def complete_partial(
     if len(components) > 1:
         return CompletionReport(UNDERDETERMINED, None, [], _one_based(components))
 
-    f = np.ones(n, dtype=np.complex128)
+    # ratios[i, j] = a_ij = f(i)/f(j) where ``given``. In star mode a_ji also
+    # implies 1/a_ji at (i, j); a specified entry wins over an implied one.
+    ratios, given = entries.copy(), off
+    if star_preserving:
+        for i, j in np.argwhere(off.T & ~off).tolist():
+            ratios[i, j] = 1.0 / complex(entries[j, i])
+        given = off | off.T
+    f = np.ones(partial.n, dtype=np.complex128)
     with np.errstate(all="ignore"):
         for v in order[1:]:  # parents come first in visiting order
             p = parent[v]
-            if (p, v) in ratios:
-                f[v] = f[p] / ratios[(p, v)]  # a_pv = f(p)/f(v)
-            else:
-                f[v] = f[p] * ratios[(v, p)]  # a_vp = f(v)/f(p)
+            f[v] = f[p] / ratios[p, v] if given[p, v] else f[p] * ratios[v, p]
         completed = np.outer(f, 1.0 / f)
+        residual = _modulus(ratios - np.divide.outer(f, f))
+        # a modulus past the double range counts as the largest double, so the
+        # threshold stays finite and an entry that far off fails its check
+        scale = np.minimum(_modulus(ratios), np.finfo(np.float64).max)
+        violated = given & (residual > np.maximum(tol.rel * scale, tol.abs))
     finite = np.isfinite(completed)  # an entry that underflows to 0 has an infinite transpose
     if not finite.all():
         i, j = (int(v) + 1 for v in np.argwhere(~finite)[0])
         raise PreconditionError(f"completed entry ({i},{j}) cannot be represented as a double")
-    np.fill_diagonal(completed, 1.0)  # forced exactly by the unit-diagonal law
-    violations: list[Violation] = []
-    for (i, j), value in sorted(ratios.items()):
-        residual = abs(value - f[i] / f[j])
-        if residual > tol.threshold(abs(value)):
-            cycle = tuple(v + 1 for v in _tree_path(parent, depth, i, j))
-            violations.append(Violation(cycle, float(residual)))
-
-    if violations:
+    if violated.any():
+        violations = [
+            Violation(tuple(v + 1 for v in _tree_path(parent, depth, i, j)), float(residual[i, j]))
+            for i, j in np.argwhere(violated).tolist()
+        ]
         return CompletionReport(INCONSISTENT, None, violations, _one_based(components))
-    return CompletionReport(
-        COMPLETED, ComplexMatrix(completed), [], _one_based(components)
-    )
+    np.fill_diagonal(completed, 1.0)  # forced exactly by the unit-diagonal law
+    return CompletionReport(COMPLETED, ComplexMatrix(completed), [], _one_based(components))
+
+
+def _modulus(z) -> np.ndarray:
+    """|z| entrywise, through hypot.
+
+    hypot rounds as Python's abs(complex) does on every SIMD level; np.abs on
+    a complex array may take a SIMD path that differs in the last bit, which
+    would move a residual that sits at the tolerance across it.
+    """
+    return np.hypot(z.real, z.imag)
 
 
 def _one_based(components: list[list[int]]) -> list[list[int]]:

@@ -7,7 +7,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerance, _rank, _singular_values, as_matrix, require_square
+from .core import (
+    DEFAULT_TOL,
+    Tolerance,
+    _rank,
+    _singular_values,
+    _spectral_norm,
+    as_matrix,
+    require_square,
+)
 from .star import _psd_residual, _skew_norm
 
 __all__ = ["CorrelationVerdict", "correlation_check", "IsometryResult", "isometry_check"]
@@ -53,9 +61,9 @@ def _scalar_gram(gram: np.ndarray, tol: Tolerance) -> float | None:
     """c >= 0 with gram = c^2 I to tolerance, if one exists."""
     k = gram.shape[0]
     c2 = float(np.trace(gram).real) / k
-    if c2 < -tol.threshold(1.0):
+    if not -tol.threshold(1.0) <= c2 < np.inf:  # an overflowed Gram matrix has no scale
         return None
-    dev = float(np.linalg.norm(gram - c2 * np.eye(k), 2))
+    dev = _spectral_norm(gram - c2 * np.eye(k))
     if dev <= tol.threshold(max(abs(c2), 1.0)):
         return float(np.sqrt(max(c2, 0.0)))
     return None
@@ -71,11 +79,14 @@ def isometry_check(a, tol: Tolerance | None = None) -> IsometryResult:
     m = as_matrix(a)
     tol = tol or DEFAULT_TOL
     data = m.data
-    gram_right = data.conj().T @ data
-    gram_left = data @ data.conj().T
-    iso = float(np.linalg.norm(gram_right - np.eye(m.cols), 2)) <= tol.threshold(1.0)
-    coiso = float(np.linalg.norm(gram_left - np.eye(m.rows), 2)) <= tol.threshold(1.0)
-    scalar = _scalar_gram(gram_right, tol)
-    if scalar is None:
-        scalar = _scalar_gram(gram_left, tol)
+    # An entry past about 1e154 overflows the Gram matrices; _spectral_norm
+    # reads a non-finite operand as inf, so each test then fails closed.
+    with np.errstate(all="ignore"):
+        gram_right = data.conj().T @ data
+        gram_left = data @ data.conj().T
+        iso = _spectral_norm(gram_right - np.eye(m.cols)) <= tol.threshold(1.0)
+        coiso = _spectral_norm(gram_left - np.eye(m.rows)) <= tol.threshold(1.0)
+        scalar = _scalar_gram(gram_right, tol)
+        if scalar is None:
+            scalar = _scalar_gram(gram_left, tol)
     return IsometryResult(isometry=iso, coisometry=coiso, scalar_multiple=scalar)

@@ -87,13 +87,20 @@ def toeplitz_member(lam: complex, n: int) -> ComplexMatrix:
 
 
 def group_product(a, b, tol: Tolerance | None = None) -> ComplexMatrix:
-    """Schur product of two multiplicative members; closed by construction."""
+    """Schur product of two multiplicative members; closed by construction,
+    but refused with PreconditionError when an entry overflows a double."""
     tol = tol or DEFAULT_TOL
     ma, mb = as_matrix(a), as_matrix(b)
     for name, m in (("left", ma), ("right", mb)):
         _require_multiplicative(
             m, tol, f"{name} factor fails the ratio identity (residual {{residual:.3e}})"
         )
+    if ma.shape == mb.shape:  # else schur_product names the mismatch
+        with np.errstate(all="ignore"):
+            overflow = np.argwhere(~np.isfinite(ma.data * mb.data))
+        if overflow.size:
+            i, j = overflow[0] + 1
+            raise PreconditionError(f"product entry ({i},{j}) cannot be represented as a double")
     return schur_product(ma, mb)
 
 

@@ -81,6 +81,47 @@ class TestCompletePartial:
         assert report.status == COMPLETED
         assert report.matrix.data[1, 0] == pytest.approx(-1j)
 
+    def test_star_mode_checks_a_specified_transpose_as_given(self):
+        # the specified a_21 = i is checked, not replaced by the implied 1/a_12 = -i
+        report = complete_partial(partial_from(2, {(1, 2): 1j, (2, 1): 1j}), star_preserving=True)
+        assert report.status == INCONSISTENT
+        assert [(v.cycle, v.residual) for v in report.violations] == [((2, 1), 2.0)]
+        # within tolerance, the tree edge carries the specified a_12, not 1/a_21
+        near = {(1, 2): 1j, (2, 1): -1j * np.exp(1e-12j)}
+        report = complete_partial(partial_from(2, near), star_preserving=True)
+        assert report.matrix.data[0, 1] == 1j
+
+    @pytest.mark.parametrize("seed", [0, 10, 14])
+    def test_cycle_residual_rounds_as_python_abs(self, seed):
+        # For these seeds np.abs of the complex residual array rounds the (1,3)
+        # entry differently from abs(complex) on x86-64 at the AVX-512, AVX2 and
+        # baseline dispatch levels.
+        rng = np.random.default_rng(seed)
+        a12, a23 = (complex(*rng.standard_normal(2)) for _ in range(2))
+        f1 = np.complex128(1.0)
+        f3 = f1 / a12 / a23  # f propagated along (1,2), (2,3)
+        a13 = complex(f1 / f3) * (1 + 1e-3 * complex(*rng.standard_normal(2)))
+        report = complete_partial(partial_from(3, {(1, 2): a12, (2, 3): a23, (1, 3): a13}))
+        (violation,) = report.violations
+        assert violation.cycle == (1, 2, 3)
+        assert violation.residual == abs(a13 - complex(f1 / f3))
+
+    def test_modulus_past_the_double_range(self):
+        huge = 1.3e308 + 1.3e308j  # finite parts, modulus above the largest double
+        chain = {(1, 2): 1e154, (2, 3): 1.3e154 + 1.3e154j}  # a_13 = f(1)/f(3) = huge
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match=re.escape("(1,2) has modulus inf")):
+                complete_partial(partial_from(2, {(1, 2): huge}), star_preserving=True)
+            diagonal = complete_partial(partial_from(2, {(1, 1): huge, (1, 2): 1.0}))
+            consistent = complete_partial(partial_from(3, {**chain, (1, 3): huge}))
+            chain[(2, 3)] = 0.5e154 + 1.3e154j  # f(1)/f(3) moves by 8e307 in its real part
+            off = complete_partial(partial_from(3, {**chain, (1, 3): huge}))
+        assert [(v.cycle, v.residual) for v in diagonal.violations] == [((1,), np.inf)]
+        assert consistent.status == COMPLETED
+        assert [v.cycle for v in off.violations] == [(1, 2, 3)]
+        assert off.violations[0].residual == pytest.approx(8e307)
+
     def test_star_mode_requires_unimodular(self):
         with pytest.raises(PreconditionError):
             complete_partial(partial_from(2, {(1, 2): 2.0}), star_preserving=True)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,13 @@ class TestIsometryCheck:
         result = isometry_check(3 * identity(4).data)
         assert not result.isometry
         assert result.scalar_multiple == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("a", [[[1e200, 0], [0, 1]], [[1, 1e300], [1e-300, 1]]])
+    def test_overflowing_gram_fails_closed(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = isometry_check(a)
+        assert result == (False, False, None)
 
 
 class TestExtremeFamilies:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,14 @@ class TestToeplitzMember:
 
 
 class TestGroupProduct:
+    def test_overflowing_product_is_refused(self):
+        a = [[1, 1e300], [1e-300, 1]]  # each factor passes the ratio test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError) as err:
+                group_product(a, a)
+        assert str(err.value) == "product entry (1,2) cannot be represented as a double"
+
     def test_ones_is_identity(self):
         rng = np.random.default_rng(1)
         a = build_from_scaling(random_scaling_values(rng, 4))
