@@ -193,13 +193,19 @@ def eigenvalues(a, tol: Tolerance | None = None) -> np.ndarray:
     scale = float(np.abs(data).max())
     try:
         if _hermitian_route(data - data.conj().T, scale, tol):
-            vals = np.linalg.eigvalsh((data + data.conj().T) / 2.0).astype(np.complex128)
+            vals = np.linalg.eigvalsh(_hermitian_part(data)).astype(np.complex128)
         else:
             vals = np.linalg.eigvals(data)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
     order = np.lexsort((vals.imag, vals.real))[::-1]
     return vals[order]
+
+
+def _hermitian_part(x: np.ndarray) -> np.ndarray:
+    """(X + X*) / 2, halved before the sum so that it cannot overflow; equal
+    bit for bit to the sum halved wherever no half is subnormal."""
+    return 0.5 * x + 0.5 * x.conj().T
 
 
 def _hermitian_route(anti: np.ndarray, scale: float, tol: Tolerance) -> bool:
@@ -228,10 +234,27 @@ def _rank(s: np.ndarray, size: int, tol: Tolerance) -> int:
     return int(np.count_nonzero(s > max(tol.rel * float(s[0]) * size, tol.abs)))
 
 
+_DOWN = 2.0**-1000  # brings a sigma_max that overflowed back into range
+
+
+def _matrix_rank(data: np.ndarray, s: np.ndarray, tol: Tolerance) -> int:
+    """``_rank`` of ``data`` from its singular values ``s``.
+
+    Where sigma_max overflowed, the count is taken on data * 2^-1000 against
+    the floor scaled alike: a power of two scales every singular value
+    exactly, outside the subnormal range, so the count is the same.
+    """
+    size = max(data.shape)
+    if np.isfinite(s[0]):
+        return _rank(s, size, tol)
+    s = _singular_values(data * _DOWN)
+    return int(np.count_nonzero(s > max(tol.rel * float(s[0]) * size, tol.abs * _DOWN)))
+
+
 def numerical_rank(a, tol: Tolerance | None = None) -> int:
     """Count of singular values above ``rel * sigma_max * max(rows, cols)``, floored by ``abs``."""
-    m = as_matrix(a)
-    return _rank(_singular_values(m.data), max(m.rows, m.cols), tol or DEFAULT_TOL)
+    data = as_matrix(a).data
+    return _matrix_rank(data, _singular_values(data), tol or DEFAULT_TOL)
 
 
 def operator_norm(a) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     Tolerance,
-    _rank,
+    _matrix_rank,
     _singular_values,
     _spectral_norm,
     as_matrix,
@@ -42,8 +42,10 @@ def correlation_check(a, tol: Tolerance | None = None) -> CorrelationVerdict:
     unit_diag = float(np.abs(np.diagonal(m.data) - 1.0).max()) <= tol.threshold(1.0)
     s = _singular_values(m.data)  # one SVD gives both ||A||_2 and the rank
     psd, _ = _psd_residual(m.data, tol, float(s[0]), _skew_norm(m.data))
-    is_corr = psd and unit_diag
-    rank = _rank(s, m.rows, tol)
+    # the PSD threshold grows with ||A||_2, so an overflowed norm would pass
+    # any matrix; a correlation matrix has ||A||_2 <= n
+    is_corr = psd and unit_diag and bool(np.isfinite(s[0]))
+    rank = _matrix_rank(m.data, s, tol)
     return CorrelationVerdict(
         is_correlation=is_corr,
         rank=rank,

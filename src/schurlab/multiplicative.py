@@ -10,8 +10,13 @@ conditioning, is surfaced instead of silently resolved.
 
 One fact carries the rest: the pivot split A = u v^T + E (u = a_:p,
 v = a_p:, p the ``_pivot`` column), a ``_Split`` built once per matrix by
-the ratio test. On a multiplicative A, E = 0 and the scaling f is u / u_1;
-every caller that needs f reads it off the split.
+the ratio test. On a multiplicative A, E = 0 and the scaling f is u / u_1.
+The ratio test runs in one place, ``_facts``, and every multiplicativity
+decision (``check_cocycle``, ``factor_scaling``, ``schur_map_norm``, the
+truncation probes, ``group_product`` and both batteries) reads its verdict,
+its split and f from there; calls on one ``ComplexMatrix`` at an equal
+tolerance share one ratio test. E and |E| live only while the ratio test
+runs: a kept split holds views of the matrix and nothing else.
 
 Accepted inputs cost O(n^2). The ratio test accepts through the split, and
 then the split bounds every other view: Weyl's inequality the singular
@@ -21,8 +26,9 @@ allowances and LAPACK's backward error, so it is a certified upper bound on
 what the O(n^3) code would report. A condition passes with its bound as its
 residual when the bound is within half the threshold; otherwise the O(n^3)
 code runs, so verdicts are the O(n^3) code's and rejections report exact
-residuals. Both batteries get these facts from ``_facts``, so on one matrix
-each pass runs once for both.
+residuals. The bounds, the SVD and the spectrum are computed the first time
+a battery reads them and kept with the facts, so on one matrix each pass
+runs at most once, and ``factor_scaling`` and the like never run them.
 
 The ratio scan that decides a rejection costs O(n^2) as well when a few
 entries break the identity. The same split bounds the worst violation over
@@ -48,6 +54,7 @@ from .core import (
     DEFAULT_TOL,
     ComplexMatrix,
     Tolerance,
+    _hermitian_part,
     _hermitian_route,
     _rank,
     _require_seed,
@@ -328,11 +335,11 @@ def _pivot(data: np.ndarray, tol: Tolerance) -> int:
 class _Split:
     """The pivot split x = u v^T + E through column p: u = x_:p, v = x_p:.
 
-    ``rest`` bounds ||E||_F for the exact E: each computed entry of E is off
-    by at most _EPS (|u_i| |v_j| + |E_ij|), so the Frobenius error is at most
-    _EPS (||u|| ||v|| + ||E||_F). ``mod``, |E| as computed, serves the ratio
-    test's bound and pruned scan; the ratio test's callers drop it once
-    done, so kept facts hold no n-by-n array but the matrix. ``bound``
+    ``e`` is E as computed, which the split reads and does not keep, so a
+    split holds no array but views of x; ``_split`` forms E once, for the
+    split and for the ratio test's |E|. ``rest`` bounds ||E||_F for the exact E:
+    each computed entry of E is off by at most _EPS (|u_i| |v_j| + |E_ij|),
+    so the Frobenius error is at most _EPS (||u|| ||v|| + ||E||_F). ``bound``
     is the ratio test's certified bound on the worst ratio violation where
     it accepted through this split, else inf.
 
@@ -345,13 +352,11 @@ class _Split:
 
     bound = math.inf
 
-    def __init__(self, x: np.ndarray, p: int):
+    def __init__(self, x: np.ndarray, p: int, e: np.ndarray):
         self.x, self.p = x, p
         self.u, self.v = u, v = x[:, p], x[p]
-        e = x - np.outer(u, v)
         rest = _fro(e)
         self.rest = (rest + _EPS * (_fro(u) * _fro(v) + rest)) * (1 + _EPS)
-        self.mod = np.abs(e)
 
     @functools.cached_property
     def fro(self) -> float:
@@ -373,10 +378,16 @@ class _Split:
         return ScalingVector(self.u / self.u[0])
 
 
-def _scan_bound(split: _Split | None, scale: float, diag_res: float) -> tuple[float, tuple]:
+def _split(x: np.ndarray, p: int) -> tuple[_Split, np.ndarray]:
+    """The ``_Split`` of x through column p, and E = x - x_:p x_p: as computed."""
+    e = x - np.outer(x[:, p], x[p])
+    return _Split(x, p, e), e
+
+
+def _scan_bound(e: np.ndarray | None, scale: float, diag_res: float) -> tuple[float, tuple]:
     """Upper bound, rounding included, on what ``_cocycle_parts`` would return,
-    from the split in O(n^2), and the arguments that prune that scan:
-    (|E| as computed, m, K), or () where no bound is offered.
+    from E as computed for the pivot split, in O(n^2), and the arguments that
+    prune that scan: (|E| as computed, m, K), or () where no bound is offered.
 
     With r = max|E_ij|, delta the diagonal deviation and M = max|a|, the
     exact maximum is at most t = r(1 + 3K) + K delta + r^2 with K = M + r
@@ -389,25 +400,27 @@ def _scan_bound(split: _Split | None, scale: float, diag_res: float) -> tuple[fl
     ``_EPS`` = 16u, absolute ``_ETA``), the scan's own rounding adds at most
     ``_EPS`` (m + t), and the last factor covers rounding in evaluating
     these lines. No bound is offered without a split (no pivot above the
-    floor), for a non-finite residual, or where the scan's squared
+    floor, ``e`` None), for a non-finite residual, or where the scan's squared
     deviations or squared entries could overflow and so fail it closed.
     """
     m = scale * (1 + _EPS)
-    if split is None or not m < _SQRT_HUGE:  # NaN included
+    if e is None or not m < _SQRT_HUGE:  # NaN included
         return math.inf, ()
-    r_hat = float(split.mod.max())
+    mod = np.abs(e)
     delta = diag_res * (1 + _EPS)
-    rho = (r_hat + _EPS * m) * (1 + _EPS) + _ETA
+    rho = (float(mod.max()) + _EPS * m) * (1 + _EPS) + _ETA
     k = m + rho
     t = rho * (1 + 3 * k) + k * delta + rho * rho
     bound = ((t + _EPS * (m + t)) * (1 + _EPS) + _ETA) * (1 + _EPS)
-    return (bound if bound < _SQRT_HUGE else math.inf), (split.mod, m, k)
+    return (bound if bound < _SQRT_HUGE else math.inf), (mod, m, k)
 
 
 def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
     """The one multiplicativity rule: the ``cocycle`` and ``unit_diagonal``
     conditions, the witness of the failing one unless both pass, and the
     ``_Split`` of the ``_pivot`` column (None when that is below the floor).
+    ``_Facts`` is its only caller. E and |E| are formed here once and dropped
+    on return.
 
     ``cocycle`` compares max|a_ij - a_ik a_kj| against ``tol`` at scale
     M^2 (M = max|a|), ``unit_diagonal`` compares delta = max|a_ii - 1|
@@ -454,10 +467,10 @@ def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
     unit_diagonal = _condition(diag_res <= tol.threshold(1.0), diag_res)
     threshold = tol.threshold(scale * scale)
     try:
-        split = _Split(data, _pivot(data, tol))
+        split, e = _split(data, _pivot(data, tol))
     except ZeroEntryError:
-        split = None
-    bound, prune = _scan_bound(split, scale, diag_res)
+        split = e = None
+    bound, prune = _scan_bound(e, scale, diag_res)  # |E| lives only while this test runs
     if math.isfinite(bound) and bound <= 0.5 * threshold:
         split.bound = bound
         cocycle, triple_witness = _condition(True, bound), None
@@ -499,40 +512,28 @@ def check_cocycle(a, tol: Tolerance | None = None) -> CocycleResult:
     when both fail. Among equally bad triples the witness is the first in
     (k // block, i, j, k) order, where block = max(1, 2^21 // n^2), so for
     n <= 128 simply the first in (i, j, k) order.
+
+    The result is kept with the facts of the matrix (see ``_facts``), so a
+    later call on the same ``ComplexMatrix`` at an equal tolerance, here or
+    in a battery, reuses it.
     """
-    return _checked(a, tol or DEFAULT_TOL)[0]
-
-
-@np.errstate(over="ignore", invalid="ignore")  # overflowed residuals fail closed
-def _checked(a, tol: Tolerance) -> tuple[CocycleResult, _Split | None]:
-    """``check_cocycle`` and the split ``_ratio_test`` built."""
-    m = as_matrix(a)
-    require_square(m)
-    data = m.data
-    scale = float(np.abs(data).max())
-    cocycle, unit_diagonal, witness, split = _ratio_test(data, scale, tol)
-    if split is not None:
-        # |E| goes before f is read: held, factor_scaling paged in 2 MB
-        # more per call at n = 512
-        del split.mod
-    residual = _nanmax(cocycle.residual, unit_diagonal.residual)
-    return CocycleResult(witness is None, residual, witness), split
+    return _facts(as_matrix(a), tol or DEFAULT_TOL).result
 
 
 def _require_multiplicative(m: ComplexMatrix, tol: Tolerance, message: str) -> ScalingVector:
     """The scaling read off the split of ``m``, or NotMultiplicativeError
     unless it passes ``check_cocycle``, with ``message`` formatted with
     ``residual`` and ``witness``."""
-    result, split = _checked(m, tol)
-    if not result.passed:
+    facts = _facts(m, tol)
+    if not facts.result.passed:
+        residual, witness = facts.result.residual, facts.result.witness
         raise NotMultiplicativeError(
-            message.format(residual=result.residual, witness=result.witness),
-            residual=result.residual,
-            witness=result.witness,
+            message.format(residual=residual, witness=witness), residual=residual, witness=witness
         )
-    if split is None:
+    if facts.split is None:
         _pivot(m.data, tol)  # raises: the pivot column holds a below-floor entry
-    return split.scaling()
+    # split.scaling() raises the ZeroEntryError that left the facts without f
+    return facts.scaling if facts.scaling is not None else facts.split.scaling()
 
 
 def factor_scaling(a, tol: Tolerance | None = None) -> ScalingVector:
@@ -658,36 +659,44 @@ def _rank_one_spectrum_distance(vals: np.ndarray) -> float:
 
 
 class _Facts:
-    """What both batteries read off one coefficient matrix.
+    """What every multiplicativity decision reads off one coefficient matrix.
 
-    The ratio test, the scaling read off its split and, when the ratio test
-    accepted through that split, the ``_Bounds`` are computed up front in
-    O(n^2). The singular values and the spectrum distance are computed on
-    first use and kept, so each O(n^3) pass runs at most once and an input
-    the bounds decide never runs it.
+    The ratio test, its ``CocycleResult`` and its split are computed up
+    front in O(n^2). The scaling read off that split, the ``_Bounds`` (O(n^2),
+    and only when the ratio test accepted through the split), the singular
+    values and the spectrum distance are computed on first use and kept, so
+    each pass runs at most once and a call that reads none of them never
+    runs it.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")  # overflowed residuals fail closed
     def __init__(self, m: ComplexMatrix, tol: Tolerance):
         data = m.data
-        self.m, self.tol, self.n = m, tol, data.shape[0]
+        self.m, self.tol, self.n = m, tol, require_square(m)
         self.scale = scale = float(np.abs(data).max())  # max |a_ij|
-        if scale == 0.0:
-            raise PreconditionError("the zero Schur map is excluded from certification")
         # the witness names the failing condition's worst entry, 1-based
-        self.cocycle, self.unit_diagonal, self.witness, split = _ratio_test(data, scale, tol)
-        self.scaling = None  # read off the split when the ratio test passes
-        if self.witness is None and split is not None:
-            try:
-                self.scaling = split.scaling()
-            except ZeroEntryError:
-                pass
-        self.bounds = _NO_BOUNDS
-        if split is not None and math.isfinite(split.bound):
-            self.bounds = _accept_bounds(data, scale, split, tol)
-            # the kept split drops |E| only now: dropped before the bounds,
-            # certify_multiplicative paged in 4 MB more per call at n = 512
-            # and ran up to 20% slower
-            del split.mod
+        self.cocycle, self.unit_diagonal, self.witness, self.split = _ratio_test(data, scale, tol)
+        residual = _nanmax(self.cocycle.residual, self.unit_diagonal.residual)
+        self.result = CocycleResult(self.witness is None, residual, self.witness)
+
+    @functools.cached_property
+    def scaling(self) -> ScalingVector | None:
+        """f read off the split where the ratio test passed through one, else None."""
+        try:
+            return self.split.scaling() if self.result.passed and self.split is not None else None
+        except ZeroEntryError:
+            return None
+
+    @functools.cached_property
+    def bounds(self) -> _Bounds:
+        if self.split is None or not math.isfinite(self.split.bound):
+            return _NO_BOUNDS
+        return _accept_bounds(self.m.data, self.scale, self.split, self.tol)
+
+    def require_nonzero(self) -> None:
+        """PreconditionError for the zero map, which neither battery certifies."""
+        if self.scale == 0.0:
+            raise PreconditionError("the zero Schur map is excluded from certification")
 
     @functools.cached_property
     def singular_values(self) -> np.ndarray:
@@ -723,7 +732,8 @@ _last_facts: _Facts | None = None  # holds its matrix, so that object's id is ne
 
 def _facts(m: ComplexMatrix, tol: Tolerance) -> _Facts:
     """The last ``_Facts`` if it was built for this very ``m`` at an equal
-    ``tol``, else new ones, so both batteries on one matrix share one pass."""
+    ``tol``, else new ones, so every multiplicativity call on one matrix
+    shares one ratio test."""
     global _last_facts
     facts = _last_facts
     if facts is None or facts.m is not m or facts.tol != tol:
@@ -842,6 +852,7 @@ def certify_multiplicative(
         raise PreconditionError("trials must be positive")
     _require_seed(seed)
     facts = _facts(m, tol)
+    facts.require_nonzero()
     one = tol.threshold(1.0)
 
     def sample():
@@ -896,7 +907,7 @@ def numerical_range_samples(a, directions: int) -> list[tuple[float, float]]:
     for idx in range(directions):
         theta = 2.0 * np.pi * idx / directions
         rotated = np.exp(1j * theta) * data
-        herm = (rotated + rotated.conj().T) / 2.0
+        herm = _hermitian_part(rotated)
         try:
             support = float(np.linalg.eigvalsh(herm)[-1])
         except np.linalg.LinAlgError as exc:

@@ -7,14 +7,15 @@ which is what the pair-positivity condition checks at O(n^3).
 On inputs the ratio test accepts through its pivot split A = u v^T + E, the
 battery runs in O(n^2): ||A - A*||_2, the normality commutator and the
 smallest eigenvalues of the Hermitian parts of A and of its Schur inverse
-are bounded from that split, the one the multiplicative battery's
-``_facts`` built, and from one more ``_Split`` of the Schur inverse through
-the same column, with rounding allowances. A condition whose bounds are all
-within half their thresholds passes with the bounds as its residual,
-certified upper bounds on the exact ones. Any other condition runs the
-O(n^3) code for all its parts and reports exact residuals. The ratio test,
-the SVD of A and its spectrum come from ``_facts``, computed once per
-matrix for both batteries.
+are bounded from that split, the one ``multiplicative._facts`` holds, and
+from one more ``_Split`` of the Schur inverse through the same column, with
+rounding allowances; that second split forms its E once and computes no
+|E|. A condition whose bounds are all within half their thresholds passes
+with the bounds as its residual, certified upper bounds on the exact ones.
+Any other condition runs the O(n^3) code for all its parts and reports
+exact residuals. The ratio test (and so the unit-diagonal precondition), the
+SVD of A and its spectrum come from ``_facts``, computed once per matrix and
+tolerance for every multiplicativity call.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .multiplicative import (
     _lapack,
     _nanmax,
     _Split,
+    _split,
 )
 
 __all__ = [
@@ -177,8 +179,9 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
     """Run the star-preserving battery on a unital coefficient matrix.
 
     Requires a unit diagonal (the battery is stated for unital Schur maps);
-    anything else raises PreconditionError. Residuals are scale-normalized so
-    they are comparable across conditions.
+    anything else raises PreconditionError, as does the zero map where the
+    tolerance lets its diagonal pass. Residuals are scale-normalized so they
+    are comparable across conditions.
 
     When the ratio test accepts through the pivot bound, the O(n^3) parts
     (the SVDs for ||A||_2 and ||A - A*||_2, the commutator, and the
@@ -195,14 +198,13 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
     tol = tol or DEFAULT_TOL
     data = m.data
     one = tol.threshold(1.0)
-
-    diag_res = float(np.abs(np.diagonal(data) - 1.0).max())
-    if diag_res > one:
-        raise PreconditionError(
-            f"unit diagonal required for the star battery, worst deviation {diag_res:.3e}"
-        )
-
     facts = _facts(m, tol)
+    if not facts.unit_diagonal.passed:
+        raise PreconditionError(
+            "unit diagonal required for the star battery, "
+            f"worst deviation {facts.unit_diagonal.residual:.3e}"
+        )
+    facts.require_nonzero()  # a zero map gets here only where the tolerance at scale 1 is >= 1
     b = facts.bounds
     comm_thr = max(COMMUTATOR_REL, tol.rel)
 
@@ -243,7 +245,8 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
             # column p of the Schur inverse is 1/u, so for a multiplicative A
             # it splits through p as well: 1/a_ij = (1/a_ip)(1/a_pj)
             inv_skew = _fro(inv - inv.conj().T)
-            psd_inv = _psd_bound(inv, _Split(inv, b.split.p), inv_skew + _lapack(n, inv_skew), tol)
+            inv_split = _split(inv, b.split.p)[0]
+            psd_inv = _psd_bound(inv, inv_split, inv_skew + _lapack(n, inv_skew), tol)
         inv_diag_res = float(np.abs(np.diagonal(inv) - 1.0).max())
         pair = _decide(
             _bounded(psd_a, math.inf, lambda: _psd_residual(data, tol, norm(), herm())),

@@ -366,7 +366,7 @@ def test_bounds_cover_the_cubic_code(polar, log_eps, seed, perturb, tol):
                 assert passed and psd >= residual
             if np.abs(a).min() > tol.abs:
                 inv = 1.0 / a
-                inv_split = multiplicative._Split(inv, b.split.p)
+                inv_split = multiplicative._split(inv, b.split.p)[0]
                 skew = multiplicative._fro(inv - inv.conj().T)
                 psd = star._psd_bound(inv, inv_split, skew + multiplicative._lapack(n, skew), tol)
                 if math.isfinite(psd):
@@ -409,5 +409,5 @@ def test_frobenius_bounds_cover_exact_arithmetic(polar, log_eps, seed, perturb):
     a = perturbed(polar, log_eps, seed, perturb, tol)
     assert Fraction(multiplicative._fro(a)) ** 2 >= exact_sum_of_squares(a)
     p = multiplicative._pivot(a, tol)
-    rest = multiplicative._Split(a, p).rest
+    rest = multiplicative._split(a, p)[0].rest
     assert Fraction(rest) ** 2 >= exact_pivot_rest_squares(a, p)

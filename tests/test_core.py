@@ -152,6 +152,13 @@ class TestEigenvalues:
         assert abs(vals.sum() - np.trace(a)) < bound
 
 
+def test_hermitian_part_of_huge_entries_does_not_overflow():
+    # (X + X*) / 2 overflowed to NaN eigenvalues; halving first gives the
+    # eigenvalues of the exact Hermitian part, the larger one overflowing
+    vals = eigenvalues(np.full((2, 2), 1e308))
+    assert vals.tolist() == [complex(np.inf, 0.0), 0j]
+
+
 class TestNumericalRank:
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((3, 3))) == 0
@@ -167,6 +174,12 @@ class TestNumericalRank:
         rng = np.random.default_rng(100 + n)
         f = random_scaling_values(rng, n)
         assert numerical_rank(np.outer(f, 1 / f)) == 1
+
+    @pytest.mark.parametrize("tol", [Tolerance(), Tolerance(rel=0.0, abs=1e-12)])
+    def test_rank_survives_an_overflowing_largest_singular_value(self, tol):
+        # sigma_1 = 2e308 overflows, and LAPACK reports sigma_2 ~ 3e291; the
+        # rank is read off the matrix scaled by 2^-1000, floor included
+        assert numerical_rank(np.full((2, 2), 1e308), tol) == 1
 
 
 class TestOperatorNorm:

@@ -39,6 +39,19 @@ class TestCorrelationCheck:
         assert verdict.rank == 1
         assert not verdict.is_correlation
 
+    def test_rank_of_a_matrix_whose_norm_overflows(self):
+        verdict = correlation_check(np.full((2, 2), 1e308))
+        assert verdict.rank == 1
+        assert not verdict.is_correlation
+
+    def test_overflowing_norm_is_no_correlation_matrix(self):
+        # unit diagonal and rank one, but ||A||_2 overflows: the PSD
+        # threshold would be inf, and a correlation matrix has ||A||_2 <= n
+        verdict = correlation_check(build_from_scaling([1e154, 1e154, 1e-154, 1e-154]))
+        assert verdict.rank == 1
+        assert not verdict.is_correlation
+        assert not verdict.rank_one_extreme
+
 
 class TestIsometryCheck:
     def test_identity_unitary(self):

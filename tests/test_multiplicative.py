@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from schurlab import (
     multiplicative,
     multiset_distance,
     numerical_range_samples,
+    numerical_rank,
     operator_norm,
     run_suite,
     schur_inverse,
@@ -131,6 +134,13 @@ class TestCertifyMultiplicative:
         assert not any(comp.values())
         assert not cert.inconsistent
 
+    def test_rank_one_fails_closed_when_the_norm_overflows(self):
+        # exact and unit-diagonal, but sigma_1 overflows: numerical_rank
+        # reads the rank off a scaled copy, the battery's rank_one fails
+        a = build_from_scaling([1e154, 1e154, 1e-154, 1e-154])
+        assert numerical_rank(a) == 1
+        assert not certify_multiplicative(a).conditions["rank_one"].passed
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(PreconditionError):
             certify_multiplicative(np.zeros((2, 2)))
@@ -212,6 +222,12 @@ class TestNumericalRangeSamples:
     def test_zero_matrix_all_zero(self):
         samples = numerical_range_samples(np.zeros((3, 3)), 16)
         assert max(abs(s) for _, s in samples) == 0.0
+
+    def test_huge_entries_give_no_nan_support(self):
+        # halving before the sum keeps the Hermitian part finite: the
+        # support at angle 0 is the overflowed 2e308, at angle pi it is 0
+        samples = numerical_range_samples(np.full((2, 2), 1e308), 2)
+        assert samples == [(0.0, math.inf), (math.pi, 0.0)]
 
     def test_hermitian_multiplicative_preserves_supports(self):
         # direct comparison at 64 angles: the map is a unitary similarity
@@ -425,8 +441,8 @@ def test_pivot_bound_covers_the_scan(polar, log_eps, seed, perturb, tol):
     scale = float(np.abs(a).max())
     diag = float(np.abs(np.diagonal(a) - 1.0).max())
     with np.errstate(over="ignore", invalid="ignore"):
-        split = multiplicative._Split(a, multiplicative._pivot(a, tol))
-        bound = multiplicative._scan_bound(split, scale, diag)[0]
+        e = multiplicative._split(a, multiplicative._pivot(a, tol))[1]
+        bound = multiplicative._scan_bound(e, scale, diag)[0]
         scan = multiplicative._cocycle_parts(a)[0]
     assert not bound < scan
     assert ratio_test_verdicts(a, tol) == full_scan_verdicts(a, tol)

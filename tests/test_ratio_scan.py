@@ -70,14 +70,14 @@ def make_input(kind: str, n: int, seed: int) -> np.ndarray:
 
 def prune(a: np.ndarray) -> tuple:
     """The pruning arguments ``_ratio_test`` passes to ``_cocycle_parts``:
-    ``_scan_bound``'s (|E|, m, K) from the pivot split, or () without one."""
+    ``_scan_bound``'s (|E|, m, K) from the pivot split's E, or () without one."""
     scale = float(np.abs(a).max())
     diag = float(np.abs(np.diagonal(a) - 1.0).max())
     try:
-        split = multiplicative._Split(a, multiplicative._pivot(a, Tolerance()))
+        e = multiplicative._split(a, multiplicative._pivot(a, Tolerance()))[1]
     except ZeroEntryError:
-        split = None
-    return multiplicative._scan_bound(split, scale, diag)[1]
+        e = None
+    return multiplicative._scan_bound(e, scale, diag)[1]
 
 
 def bits(result) -> tuple[bytes, tuple]:

@@ -1,0 +1,137 @@
+"""One set of facts per matrix for every multiplicativity decision.
+
+``check_cocycle``, ``factor_scaling``, ``schur_map_norm``, the truncation
+probes, ``group_product`` and both batteries read the ratio test, its split
+and the scaling from ``multiplicative._facts``; calls on one ``ComplexMatrix``
+at an equal tolerance share them. The paths pinned here are the ones where
+the facts refuse: an input that passes the ratio test with no pivot column
+above the floor, and the zero map.
+"""
+
+import json
+import re
+
+import numpy as np
+import pytest
+
+from schurlab import (
+    ComplexMatrix,
+    PreconditionError,
+    Tolerance,
+    ZeroEntryError,
+    build_from_scaling,
+    certify_multiplicative,
+    certify_star_multiplicative,
+    check_cocycle,
+    factor_scaling,
+    group_product,
+    io,
+    multiplicative,
+    schur_map_norm,
+    table_generator,
+    unboundedness_witness,
+)
+from schurlab.cli import main
+
+# passes the ratio test at rel = 2, yet every column holds an entry at or
+# below the floor, so no split exists to read f off
+BELOW_FLOOR = [[1, 1e-13, 1e13], [1e13, 1, 1e-13], [1e-13, 1e13, 1]]
+LOOSE = Tolerance(rel=2)
+REASON = "pivot column 1 contains a below-floor entry at (3,1)"
+
+
+def document(a) -> str:
+    return io.dumps_document(io.matrix_to_document(ComplexMatrix(a)))
+
+
+def test_below_floor_input_passes_the_ratio_test():
+    assert check_cocycle(BELOW_FLOOR, LOOSE).passed
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        factor_scaling,
+        schur_map_norm,
+        lambda a, tol: unboundedness_witness(table_generator(np.array(a, complex)), 3, tol),
+        lambda a, tol: group_product(a, a, tol),
+    ],
+    ids=["factor_scaling", "schur_map_norm", "unboundedness_witness", "group_product"],
+)
+def test_below_floor_input_is_refused_with_the_pivot_reason(call):
+    with pytest.raises(ZeroEntryError, match=f"^{re.escape(REASON)}$"):
+        call(BELOW_FLOOR, LOOSE)
+
+
+def test_factor_refuses_the_below_floor_input(tmp_path, capsys):
+    path = tmp_path / "below.json"
+    path.write_text(document(BELOW_FLOOR))
+    assert main(["factor", str(path), "--tol", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"not multiplicative ({REASON})\n"
+
+
+def test_norm_reports_the_below_floor_reason(tmp_path, capsys):
+    path = tmp_path / "below.json"
+    path.write_text(document(BELOW_FLOOR))
+    assert main(["norm", str(path), "--tol", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == f"schur_map_norm: n/a ({REASON})"
+    assert err == ""
+
+
+def test_zero_map():
+    zero = np.zeros((3, 3))
+    assert check_cocycle(zero) == (False, 1.0, (1, 1, None))
+    with pytest.raises(PreconditionError, match="zero Schur map"):
+        certify_multiplicative(zero)
+    with pytest.raises(PreconditionError, match=r"worst deviation 1\.000e\+00$"):
+        certify_star_multiplicative(zero)
+    # at rel >= 1 the zero map has a unit diagonal to tolerance; the star
+    # battery then refuses it as the zero map
+    with pytest.raises(PreconditionError, match="zero Schur map"):
+        certify_star_multiplicative(zero, Tolerance(rel=2))
+
+
+def test_check_json_reports_both_batteries_inapplicable_on_the_zero_map(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(document(np.zeros((3, 3))))
+    assert main(["check", str(path), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["multiplicative"]["applicable"] is False
+    assert report["star"]["applicable"] is False
+    assert report["star"]["reason"].endswith("worst deviation 1.000e+00")
+
+
+def test_every_call_on_one_matrix_shares_one_ratio_test(monkeypatch):
+    calls = {"_pivot": 0}
+    splits = []
+    pivot, init = multiplicative._pivot, multiplicative._Split.__init__
+
+    def spy_pivot(*args):
+        calls["_pivot"] += 1
+        return pivot(*args)
+
+    def spy_init(self, *args):
+        splits.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(multiplicative, "_pivot", spy_pivot)
+    monkeypatch.setattr(multiplicative._Split, "__init__", spy_init)
+    m = ComplexMatrix(build_from_scaling(np.exp(1j * np.arange(6))).data)
+
+    factor_scaling(m)
+    assert "bounds" not in vars(multiplicative._last_facts)  # factor reads no bound
+    schur_map_norm(m)
+    assert check_cocycle(m).passed
+    assert certify_multiplicative(m).verdict
+    assert certify_star_multiplicative(m).verdict
+    assert calls["_pivot"] == 1
+    assert len(splits) == 2  # A's, and its Schur inverse's
+    # no split holds an array of its own: |E| stays inside the ratio test
+    for split in splits:
+        for value in vars(split).values():
+            if isinstance(value, np.ndarray):
+                assert np.shares_memory(value, split.x)
+    assert np.shares_memory(splits[0].x, m.data)
