@@ -192,7 +192,7 @@ def eigenvalues(a, tol: Tolerance | None = None) -> np.ndarray:
     data = m.data
     scale = float(np.abs(data).max())
     try:
-        if _hermitian_route(data - data.conj().T, scale, tol):
+        if _hermitian_route(0.5 * data - 0.5 * data.conj().T, scale, tol):
             vals = np.linalg.eigvalsh(_hermitian_part(data)).astype(np.complex128)
         else:
             vals = np.linalg.eigvals(data)
@@ -208,10 +208,14 @@ def _hermitian_part(x: np.ndarray) -> np.ndarray:
     return 0.5 * x + 0.5 * x.conj().T
 
 
-def _hermitian_route(anti: np.ndarray, scale: float, tol: Tolerance) -> bool:
+def _hermitian_route(half_anti: np.ndarray, scale: float, tol: Tolerance) -> bool:
     """Whether ``eigenvalues`` takes the symmetric solver for A, given
-    ``anti`` = A - A* and ``scale`` = max|a_ij|."""
-    return float(np.abs(anti).max()) <= tol.threshold(scale)
+    ``half_anti`` = (A - A*) / 2 and ``scale`` = max|a_ij|: max|a_ij - conj(a_ji)|
+    against the threshold at ``scale``, both halved. Formed from halves as
+    ``_hermitian_part`` forms its sum, the operand cannot overflow, and
+    halving is exact wherever no half is subnormal, so the comparison is the
+    unhalved one."""
+    return float(np.abs(half_anti).max()) <= 0.5 * tol.threshold(scale)
 
 
 def _singular_values(data: np.ndarray) -> np.ndarray:

@@ -24,20 +24,25 @@ values, Bauer-Fike on the balanced diag(u)^-1 A diag(u) the spectrum, and
 the ratio bound the sampled product defect. Each bound includes rounding
 allowances and LAPACK's backward error, so it is a certified upper bound on
 what the O(n^3) code would report. A condition passes with its bound as its
-residual when the bound is within half the threshold; otherwise the O(n^3)
-code runs, so verdicts are the O(n^3) code's and rejections report exact
-residuals. The bounds, the SVD and the spectrum are computed the first time
-a battery reads them and kept with the facts, so on one matrix each pass
-runs at most once, and ``factor_scaling`` and the like never run them.
+residual when the bound is within half the threshold.
 
-The ratio scan that decides a rejection costs O(n^2) as well when a few
-entries break the identity. The same split bounds the worst violation over
-j for each pair (i, k), and the scan evaluates only the pairs whose bound
-reaches a violation it has seen. It still reports the exact worst violation
-and the full O(n^3) scan's witness, bit for bit, and falls back to that scan
-where pruning would not pay. So ``check_cocycle``, ``factor_scaling`` and
-``schur_map_norm`` reject such inputs in O(n^2); the battery still runs the
-O(n^3) code for its other conditions on a rejected input.
+Rejections cost O(n^2) as well when a few entries break the identity. The
+same split bounds the worst violation over j for each pair (i, k), and the
+ratio scan evaluates only the pairs whose bound reaches a violation it has
+seen; it still reports the exact worst violation and the full O(n^3) scan's
+witness, bit for bit, and falls back to that scan where pruning would not
+pay. A condition the bounds leave open, every failing one included, reads
+the low-rank form ``_low_rank``: the few rows and columns of E above
+rounding (the split's ``support``) give A = Q T Q* + F with T at most
+2(|R| + |C| + 1) square and ||F||_F certified within LAPACK's own allowance,
+and T's singular values and eigenvalues, with every other value exactly 0,
+decide ``rank_one`` and ``spectrum_0_n`` wherever their certified spans lie
+on one side of the threshold. Anything else runs the SVD or the
+eigensolver, so verdicts are the O(n^3) code's. ``product_sampling`` draws
+rank-one probes, two matrix-vector products per trial. The bounds, the
+low-rank form, the SVD and the spectrum are computed the first time a
+battery reads them and kept with the facts, so on one matrix each pass runs
+at most once, and ``factor_scaling`` and the like never run them.
 """
 
 from __future__ import annotations
@@ -347,7 +352,8 @@ class _Split:
     ``sigma1`` <= and ``sigma2`` >= the largest and second singular values
     as LAPACK computes them. Weyl's inequality gives
     sigma_2 <= ||E||_2 <= ||E||_F and sigma_1 >= ||u|| ||v|| - ||E||_F; the
-    SVD's rounding adds ``_lapack``.
+    SVD's rounding adds ``_lapack``. ``support`` names the few rows and
+    columns of E above rounding, as Python ints, for ``_low_rank``.
     """
 
     bound = math.inf
@@ -376,6 +382,43 @@ class _Split:
         """f with f(1) = 1 read off u (any column on exact inputs); the
         caller vouches for multiplicativity."""
         return ScalingVector(self.u / self.u[0])
+
+    @functools.cached_property
+    def support(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """(rows, cols), 0-based: lines of E that together hold every entry
+        above the floor _EPS ||x||_F / 4, at most ``_cap(n)`` of them; None
+        beyond the cap.
+
+        E is formed anew and dropped on return. The lines are picked
+        greedily, each time the row or column (a column on ties) holding the
+        most entries not yet covered, so one perturbed entry, or a perturbed
+        pivot row or pivot column, takes one line. What the floor leaves out
+        is at most n times the floor in Frobenius norm, a quarter of
+        ``_lapack(n, ||x||_F)``; ``_low_rank`` certifies the exact rest.
+        """
+        n = self.x.shape[0]
+        cap = _cap(n)
+        if cap < 0:
+            return None
+        big = np.abs(self.x - np.outer(self.u, self.v)) > 0.25 * _EPS * self.fro
+        if np.count_nonzero(big) > cap * n:
+            return None
+        ii, jj = np.nonzero(big)
+        rows: list[int] = []
+        cols: list[int] = []
+        while ii.size:
+            if len(rows) + len(cols) == cap:
+                return None
+            by_row, by_col = np.bincount(ii, minlength=n), np.bincount(jj, minlength=n)
+            i, j = int(by_row.argmax()), int(by_col.argmax())
+            if by_col[j] >= by_row[i]:
+                cols.append(j)
+                keep = jj != j
+            else:
+                rows.append(i)
+                keep = ii != i
+            ii, jj = ii[keep], jj[keep]
+        return tuple(rows), tuple(cols)
 
 
 def _split(x: np.ndarray, p: int) -> tuple[_Split, np.ndarray]:
@@ -413,6 +456,15 @@ def _scan_bound(e: np.ndarray | None, scale: float, diag_res: float) -> tuple[fl
     t = rho * (1 + 3 * k) + k * delta + rho * rho
     bound = ((t + _EPS * (m + t)) * (1 + _EPS) + _ETA) * (1 + _EPS)
     return (bound if bound < _SQRT_HUGE else math.inf), (mod, m, k)
+
+
+def _unit_diagonal(data: np.ndarray, tol: Tolerance) -> tuple[ConditionResult, int]:
+    """The ``unit_diagonal`` condition, max|a_ii - 1| against ``tol`` at scale 1,
+    and the 0-based index of its worst entry, in O(n)."""
+    diag_dev = np.abs(np.diagonal(data) - 1.0)
+    diag_i = int(np.argmax(diag_dev))
+    diag_res = float(diag_dev[diag_i])
+    return _condition(diag_res <= tol.threshold(1.0), diag_res), diag_i
 
 
 def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
@@ -461,10 +513,8 @@ def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
     ``unit_diagonal`` fails, the worst triple when only ``cocycle`` fails,
     and the one with the larger raw residual when both fail.
     """
-    diag_dev = np.abs(np.diagonal(data) - 1.0)
-    diag_i = int(np.argmax(diag_dev))
-    diag_res = float(diag_dev[diag_i])
-    unit_diagonal = _condition(diag_res <= tol.threshold(1.0), diag_res)
+    unit_diagonal, diag_i = _unit_diagonal(data, tol)
+    diag_res = unit_diagonal.residual
     threshold = tol.threshold(scale * scale)
     try:
         split, e = _split(data, _pivot(data, tol))
@@ -625,7 +675,7 @@ def _accept_bounds(data: np.ndarray, scale: float, split: _Split, tol: Tolerance
     mags = np.abs(u)
     kappa = float(mags.max() / mags.min()) * (1 + _EPS)
     gap = _fro(data * np.outer(1.0 / u, u) - 1.0)
-    solver = _lapack(n, split.fro) + (0.5 * skew if _hermitian_route(anti, scale, tol) else 0.0)
+    solver = _lapack(n, split.fro) + (0.5 * skew if _hermitian_route(0.5 * anti, scale, tol) else 0.0)
     spectrum = ((gap + _EPS * (n + gap)) * (1 + _EPS) + kappa * solver) * (1 + _EPS)
     return _Bounds(
         split=split,
@@ -658,15 +708,258 @@ def _rank_one_spectrum_distance(vals: np.ndarray) -> float:
     return float(np.minimum(pair_k1, pair_other))
 
 
+_LOW_RANK_CAP = 8  # lines of E a low-rank form keeps beside the pivot term
+# Below this size LAPACK on A costs less than the low-rank form's many small
+# numpy calls: both batteries on one perturbed entry break even between
+# n = 16 and n = 24.
+_LOW_RANK_MIN_N = 24
+
+
+def _cap(n: int) -> int:
+    """How many lines of E ``_low_rank`` keeps at size n: 8, and fewer than
+    n/4, so the small problems stay at most half the size of A; negative
+    (LAPACK decides) below ``_LOW_RANK_MIN_N``."""
+    return min(_LOW_RANK_CAP, n // 4 - 1) if n >= _LOW_RANK_MIN_N else -1
+
+
+class _Span(NamedTuple):
+    """A value computed from a low-rank form, and an interval certain to
+    hold both the exact value and the one the O(n^3) code computes."""
+
+    value: float
+    lo: float
+    hi: float
+
+    def over(self, den: _Span, power: int = 1) -> _Span:
+        """self / max(den^power, 1), the batteries' normalization."""
+        return _Span(
+            self.value / max(den.value**power, 1.0),
+            self.lo / max(den.hi**power, 1.0),
+            self.hi / max(max(den.lo, 0.0) ** power, 1.0),
+        )
+
+    def verdict(self, threshold: float) -> tuple[bool, float] | None:
+        """(value <= threshold, value) where the whole span lies on one side
+        of ``threshold``, else None (so for NaN too)."""
+        if self.hi < threshold:
+            return True, self.value
+        if self.lo > threshold:
+            return False, self.value
+        return None
+
+
+def _near(value: float, err: float) -> _Span:
+    return _Span(value, value - err, value + err)
+
+
+def _top(x: np.ndarray) -> float:
+    return float(np.linalg.svd(x, compute_uv=False)[0])
+
+
+def _low_rank(x: np.ndarray, p: int, support, fro: float) -> _LowRank | None:
+    """x = Q T Q* + F from the pivot split through column p and the lines
+    ``support`` = (rows, cols) of its E, or None where that form is further
+    from x than ``_lapack(n, fro)``, LAPACK's own allowance (``fro`` >= ||x||_F),
+    or where ``fro`` lies outside [2^-400, 2^400], so that no product
+    below can overflow or lose its accuracy to underflow.
+
+    With u = x_:p, v = x_p:, E = x - u v^T as computed, C = cols and R = rows,
+    x = X Y^T + F for the n-by-k factors, k = 1 + |C| + |R|,
+
+        X = [u, E_:C, I_:R],   Y = [v, I_:C, (E_R: with its C columns zeroed)^T],
+
+    where F is E off the lines plus the rounding of E on them, so
+    ||F||_F <= (||E off the lines||_F + _EPS (||u|| ||v|| + ||E||_F))(1 + _EPS)
+    as for ``_Split.rest``. Householder QR of W = [X, conj(Y)] gives, for an
+    exactly orthonormal n-by-2k Q, W + dW = Q [R1, R2] with column j of dW at
+    most g ||w_j||: LAPACK's QR is backward stable column by column (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 19.4), and
+    g = (2k + 1) _EPS models it as ``_lapack`` models the n-by-n drivers,
+    with the 2k reflections QR applies in place of n. So x = Q T Q* + F'
+    with T = R1 R2^H, never Y^T X, whose rounding the condition of X would
+    amplify, and
+
+        ||F'||_F <= ||F||_F + sum_t (2g + g^2 + (k + 1) _EPS (1 + g)^2) ||x_t|| ||y_t||,
+
+    the last term for rounding T's product. The form is kept when ||F'||_F
+    plus the small solver's ``_lapack(2k, ||T||_F)`` is within
+    ``_lapack(n, fro)``: its values are then exact for a matrix as near x as
+    the matrix LAPACK's values are exact for. E is formed here and dropped.
+    """
+    if not 2.0**-400 <= fro <= 2.0**400:
+        return None
+    rows, cols = (list(line) for line in support)
+    n = x.shape[0]
+    u, v = x[:, p], x[p]
+    e = x - np.outer(u, v)
+    e_fro = _fro(e)
+    by_col = e[:, cols]
+    e[:, cols] = 0.0
+    by_row = e[rows]
+    e[rows] = 0.0
+    rest = (_fro(e) + _EPS * (_fro(u) * _fro(v) + e_fro)) * (1 + _EPS)
+    c, k = len(cols), 1 + len(cols) + len(rows)
+    w = np.zeros((n, 2 * k), dtype=np.complex128)  # [X, conj(Y)]
+    w[:, 0], w[:, k] = u, v.conj()
+    w[:, 1:1 + c] = by_col
+    w[cols, k + 1 + np.arange(c)] = 1.0
+    w[rows, 1 + c + np.arange(len(rows))] = 1.0
+    w[:, k + 1 + c:] = by_row.conj().T
+    r = np.linalg.qr(w, mode="r")
+    t = r[:, :k] @ r[:, k:].conj().T
+    norms = np.linalg.norm(w, axis=0)
+    pairs = float(norms[:k] @ norms[k:]) * (1 + 2 * n * _EPS)  # >= sum_t ||x_t|| ||y_t||
+    g = (2 * k + 1) * _EPS
+    eta = (rest + (2 * g + g * g + (k + 1) * _EPS * (1 + g) ** 2) * pairs) * (1 + _EPS) + _ETA
+    if not eta + _lapack(2 * k, _fro(t)) <= _lapack(n, fro):  # NaN included
+        return None
+    return _LowRank(t, eta, n, fro)
+
+
+class _LowRank:
+    """x = Q T Q* + F with Q an exactly orthonormal n-by-m basis, T the m-by-m
+    ``t`` (m = 2k <= 2(|R| + |C| + 1) <= n/2) and ||F||_F <= ``eta``, built by
+    ``_low_rank``. Each value the batteries read comes as a ``_Span``: the
+    value from problems of size m, and an interval that holds the exact value
+    and the value LAPACK computes from x.
+
+    B = Q T Q* is T padded with n - m zeros in a unitary basis, so its
+    singular values are T's and zeros, the eigenvalues of its Hermitian part
+    are those of (T + T*)/2 and zeros, and ||B - B*||_2 and the commutator
+    ||B B* - B* B||_2 are T's. Weyl's inequality moves each singular value
+    and Hermitian eigenvalue by at most ``eta`` from B to x; the small solver
+    adds ``_lapack(m, .)`` and its operand's rounding, and LAPACK's value on
+    x is off by ``_lapack(n, .)`` of its own operand (``lapack`` for x).
+    """
+
+    def __init__(self, t: np.ndarray, eta: float, n: int, fro: float):
+        self.t, self.eta, self.n, self.fro = t, eta, n, fro
+        self.lapack = _lapack(n, fro)
+
+    def _small(self, x: np.ndarray) -> float:
+        """Solver error and operand rounding of a small problem on ``x``."""
+        return (x.shape[0] + 2) * _EPS * _fro(x)
+
+    @functools.cached_property
+    def sigma(self) -> np.ndarray:
+        """T's singular values, descending; x's others are within
+        ``sigma_err`` of 0."""
+        return np.linalg.svd(self.t, compute_uv=False)
+
+    @functools.cached_property
+    def sigma_err(self) -> float:
+        return (self.eta + self._small(self.t) + self.lapack) * (1 + _EPS)
+
+    def norm(self) -> _Span:
+        """||x||_2."""
+        return _near(float(self.sigma[0]), self.sigma_err)
+
+    def rank_one(self, tol: Tolerance) -> tuple[bool, float] | None:
+        """``_rank(s, n, tol) == 1`` and sigma_2 / sigma_1 where every
+        singular value, T's and the zeros, is further from the cut
+        max(rel sigma_1 n, abs) than the allowance moves either; else None."""
+        s, err, n = self.sigma, self.sigma_err, self.n
+        cut_lo = max(tol.rel * (s[0] - err) * n, tol.abs)
+        cut_hi = max(tol.rel * (s[0] + err) * n, tol.abs)
+        above, below = s - err > cut_hi, s + err < cut_lo
+        if not (np.all(above | below) and err < cut_lo):
+            return None
+        return int(np.count_nonzero(above)) == 1, float(s[1] / s[0])
+
+    def skew(self) -> _Span:
+        """||x - x*||_2: B's is T's, x's is within 2 eta of it, and LAPACK
+        forms and factors an operand of Frobenius norm at most ||T - T*||_F + 2 eta."""
+        d = self.t - self.t.conj().T
+        d_fro = _fro(d)
+        lapack = (self.n + 2) * _EPS * (d_fro + 2 * self.eta)
+        return _near(_top(d), (2 * self.eta + self._small(d) + lapack) * (1 + _EPS))
+
+    def lam_min(self) -> _Span:
+        """The smallest eigenvalue of (x + x*) / 2: (T + T*)/2's or one of
+        the zeros."""
+        h = _hermitian_part(self.t)
+        low = min(float(np.linalg.eigvalsh(h)[0]), 0.0)
+        lapack = (self.n + 2) * _EPS * self.fro
+        return _near(low, (self.eta + self._small(h) + lapack) * (1 + _EPS))
+
+    def commutator(self) -> _Span:
+        """||x x* - x* x||_2. With x = B + D, ||D||_2 <= eta, the commutator
+        moves by at most 4 ||B||_2 eta + 2 eta^2; T's two products round by
+        (m + 1) _EPS ||T||_F^2 each, and LAPACK's value on x carries what
+        ``star._commutator_bound`` allows its products and SVD."""
+        t, eta, n = self.t, self.eta, self.n
+        m, t_fro = t.shape[0], _fro(t)
+        comm = t @ t.conj().T - t.conj().T @ t
+        ours = 2 * (m + 2) * _EPS * t_fro * t_fro + self._small(comm)
+        theirs = 2 * (n + 4) * _EPS * self.fro**2 + _lapack(n, 2 * self.fro**2)
+        moved = 4 * (float(self.sigma[0]) + self.sigma_err) * eta + 2 * eta * eta
+        return _near(_top(comm), (moved + ours + theirs) * (1 + _EPS))
+
+    def spectrum(self) -> _Span | None:
+        """Distance from the spectrum to {n, 0^(n-1)}, or None where the
+        eigenvalue of T nearest n is not isolated from the rest.
+
+        The value is ``_rank_one_spectrum_distance`` of T's eigenvalues and
+        n - m zeros. The span: let lam, x and y be T's eigenvalue nearest n
+        and its unit right and left eigenvectors, with residuals
+        r = ||T x - lam x|| and s = ||y* T - lam y*|| (rounding included).
+        Then B' = B - r x* - y s* + (y* r) y x*, in Q's basis, has lam as an
+        exact eigenvalue with those eigenvectors and ||B' - B||_2 <= 2r + s.
+        With S = [x, U], U an orthonormal basis of y's complement (invariant
+        under B'), S^-1 B' S = diag(lam, B2), kappa(S) <= 2 / |y* x| and
+        ||B2||_2 <= b2 = ||T (I - y y*)||_2 + 2r + s. Every matrix within
+        e = eta + 2r + s + ``lapack`` of B' (x, and the matrix LAPACK's
+        eigenvalues are exact for) has, at rho = kappa(S) e, its eigenvalues in
+        the disc of radius rho about lam and in the disc of radius b2 + rho
+        about 0 (block Bauer-Fike), and when the discs are disjoint exactly
+        one in the first (continuity). So its distance lies within
+        [min(|lam - n|, |lam|) - rho, max(|lam - n|, b2) + rho].
+        """
+        t, n = self.t, self.n
+        m, t_fro = t.shape[0], _fro(t)
+        vals, right = np.linalg.eig(t)
+        i = int(np.argmin(np.abs(vals - n)))
+        lam = complex(vals[i])
+        conj_vals, left = np.linalg.eig(t.conj().T)
+        j = int(np.argmin(np.abs(conj_vals - lam.conjugate())))
+        x = right[:, i] / np.linalg.norm(right[:, i])
+        y = left[:, j] / np.linalg.norm(left[:, j])
+        slack = (m + 2) * _EPS * (t_fro + abs(lam))  # rounding, normalization included
+        r = _fro(t @ x - lam * x) + slack
+        s = _fro(y.conj() @ t - lam * y.conj()) + slack
+        cos = abs(np.vdot(y, x)) - (m + 2) * _EPS
+        tail = t - np.outer(t @ y, y.conj())
+        b2 = _top(tail) + self._small(tail) + slack + 2 * r + s
+        rho = (2 / cos) * (self.eta + 2 * r + s + self.lapack) * (1 + _EPS) if cos > 0 else math.inf
+        if not abs(lam) - rho > b2 + rho:  # inf and NaN included
+            return None
+        value = _rank_one_spectrum_distance(np.concatenate([vals, np.zeros(n - m)]))
+        to_n = abs(lam - n)
+        return _Span(value, min(to_n, abs(lam)) - rho, max(to_n, b2) + rho)
+
+
+def _either(fast: Callable[[], tuple[bool, float] | None], slow: Callable[[], tuple[bool, float]]):
+    """``fast()`` where it decides, else ``slow()``: the low-rank form first,
+    LAPACK where it leaves the verdict open."""
+    decided = fast()
+    return decided if decided is not None else slow()
+
+
 class _Facts:
     """What every multiplicativity decision reads off one coefficient matrix.
 
     The ratio test, its ``CocycleResult`` and its split are computed up
-    front in O(n^2). The scaling read off that split, the ``_Bounds`` (O(n^2),
-    and only when the ratio test accepted through the split), the singular
-    values and the spectrum distance are computed on first use and kept, so
-    each pass runs at most once and a call that reads none of them never
-    runs it.
+    front in O(n^2) (through the pivot bound or the pruned scan; the star
+    battery checks the O(n) unit-diagonal precondition before it asks for
+    them). The scaling read off that split, the ``_Bounds`` (O(n^2), and
+    only when the ratio test accepted through the split), the low-rank
+    form, the singular values and the spectrum distance are computed on
+    first use and kept, so each pass runs at most once and a call that
+    reads none of them never runs it.
+
+    A condition the bounds leave open is decided by the low-rank form of A
+    (``_low_rank``, from the split's ``support``) where that form's span
+    lies on one side of the threshold, and by LAPACK otherwise.
     """
 
     @np.errstate(over="ignore", invalid="ignore")  # overflowed residuals fail closed
@@ -699,6 +992,14 @@ class _Facts:
             raise PreconditionError("the zero Schur map is excluded from certification")
 
     @functools.cached_property
+    def low_rank(self) -> _LowRank | None:
+        """A's ``_LowRank`` where its split's support is within the cap."""
+        split = self.split
+        if split is None or split.support is None:
+            return None
+        return _low_rank(self.m.data, split.p, split.support, split.fro)
+
+    @functools.cached_property
     def singular_values(self) -> np.ndarray:
         return _singular_values(self.m.data)
 
@@ -707,24 +1008,41 @@ class _Facts:
         """Distance from the spectrum to {n, 0^(n-1)}."""
         return _rank_one_spectrum_distance(eigenvalues(self.m, self.tol))
 
+    @functools.cached_property
+    def spectrum_span(self) -> _Span | None:
+        """The low-rank ``spectrum``, except where ``eigenvalues`` takes the
+        symmetric solver, whose values are those of (A + A*)/2."""
+        data = self.m.data
+        if self.low_rank is None or _hermitian_route(0.5 * data - 0.5 * data.conj().T, self.scale, self.tol):
+            return None
+        return self.low_rank.spectrum()
+
     def rank_one(self) -> _Part:
         """rank(A) == 1, with sigma_2 / sigma_1 as its residual."""
 
-        def exact():
+        def lapack():
             s = self.singular_values
             residual = float(s[1] / s[0]) if self.n > 1 and s[0] > 0 else 0.0
             return _rank(s, self.n, self.tol) == 1, residual
+
+        def exact():
+            lr = self.low_rank
+            return _either(lambda: lr.rank_one(self.tol) if lr is not None else None, lapack)
 
         return _bounded(self.bounds.rank_residual, math.inf, exact)
 
     def spectrum(self, threshold: float, per: float = 1.0) -> _Part:
         """The spectrum distance divided by ``per``, at most ``threshold``."""
 
-        def exact():
+        def fast():
+            span = self.spectrum_span
+            return None if span is None else _Span(*(v / per for v in span)).verdict(threshold)
+
+        def lapack():
             residual = self.spectrum_distance / per
             return residual <= threshold, residual
 
-        return _bounded(self.bounds.spectrum / per, 0.5 * threshold, exact)
+        return _bounded(self.bounds.spectrum / per, 0.5 * threshold, lambda: _either(fast, lapack))
 
 
 _last_facts: _Facts | None = None  # holds its matrix, so that object's id is never reused
@@ -783,44 +1101,75 @@ class MultiplicativityCertificate:
         }
 
 
-def _product_sampling_residual(data: np.ndarray, trials: int, seed: int) -> float:
-    """Worst normalized defect of S_A(BC) = S_A(B) S_A(C) over seeded pairs.
+_U = 2.0**-53  # unit roundoff of binary64
 
-    Frobenius norms throughout; each trial draws from a stream derived from
-    (seed, trial) so trials are reproducible independent of evaluation order.
-    A NaN defect (overflow) is kept, not folded away.
+
+def _product_sampling_residual(data: np.ndarray, trials: int, seed: int) -> float:
+    """Worst normalized defect of S_A(BC) x = S_A(B) S_A(C) x over seeded
+    rank-one probes, in O(n^2) per trial.
+
+    Every trial draws b1, b2, c1, c2 and x, standard complex Gaussian
+    n-vectors, from one ``default_rng(seed)`` stream, and takes B = b1 b2^T
+    and C = c1 c2^T. With y = c2 o x and w = b2 o c1,
+
+        S_A(BC) x = (b2 . c1) b1 o (A y),   S_A(B) S_A(C) x = b1 o (A (w o (A y))),
+
+    two matrix-vector products, and the defect is
+    d = b1 o sum_kj (a_ij - a_ik a_kj) w_k y_j. Its coefficient of
+    b1_i w_k y_j is exactly a ratio-identity deviation, so a random draw
+    misses a violation with probability zero (Freivalds 1977, applied to a
+    polynomial identity as in Schwartz-Zippel). The residual is
+    ||d|| / (||B||_F ||C||_F ||x||_rms max|a_ij|^2), x measured by its
+    root-mean-square entry ||x|| / sqrt(n): on one perturbed entry that
+    puts the residual at the size the n-by-n Gaussian pairs B, C of earlier
+    versions gave (1.2 times it in the median). A NaN defect (overflow) is
+    kept, not folded away.
     """
     n = data.shape[0]
     scale = float(np.abs(data).max())
+    draws = np.random.default_rng(seed).standard_normal((2, 5, trials, n))
+    b1, b2, c1, c2, x = draws[0] + 1j * draws[1]  # each (trials, n)
+    w, y = b2 * c1, c2 * x
+    ay = y @ data.T  # row t: A y for trial t
+    lhs = w.sum(axis=1)[:, None] * b1 * ay
+    rhs = b1 * ((w * ay) @ data.T)
+    defects = np.linalg.norm(lhs - rhs, axis=1) * math.sqrt(n)
+    sizes = np.prod([np.linalg.norm(v, axis=1) for v in (b1, b2, c1, c2, x)], axis=0)
     worst = 0.0
-    for t in range(trials):
-        rng = np.random.default_rng((int(seed), t))
-        pair = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
-        b, c = pair[0], pair[1]
-        lhs = data * (b @ c)
-        rhs = (data * b) @ (data * c)
-        denom = float(np.linalg.norm(b) * np.linalg.norm(c)) * scale * scale
-        if denom == 0.0:
-            continue
-        worst = _nanmax(worst, float(np.linalg.norm(lhs - rhs)) / denom)
+    for defect, size in zip(defects.tolist(), sizes.tolist()):
+        denom = size * scale * scale
+        if denom != 0.0:
+            worst = _nanmax(worst, defect / denom)
     return worst
 
 
 def _sampling_bound(cocycle: float, scale: float, n: int) -> float:
     """Upper bound on what ``_product_sampling_residual`` returns, for every
-    B and C, from ``cocycle`` >= max|a_ij - a_ik a_kj| and M = ``scale``.
+    draw, from ``cocycle`` >= max|a_ij - a_ik a_kj| and M = ``scale``.
 
-    The defect is (A o BC - (A o B)(A o C))_ij = sum_k (a_ij - a_ik a_kj) b_ik c_kj,
-    so its Frobenius norm is at most cocycle ||B||_F ||C||_F. The computed
-    matmuls and Schur products add at most (n + 4) _EPS (M + M^2) (|B||C|)_ij
-    to each entry, the norms and quotients a relative 4 (n^2 + 1) _EPS, and
-    ``_ETA`` covers underflow. inf outside 2^-400 <= M <= 2^400, where the
-    products, with Gaussian draws below 16, could overflow.
+    The defect is d_i = b1_i sum_kj (a_ij - a_ik a_kj) w_k y_j, so
+    ||d|| <= cocycle ||b1|| ||w||_1 ||y||_1, and by Cauchy-Schwarz
+    ||w||_1 <= ||b2|| ||c1|| and ||y||_1 <= ||c2|| ||x||, so
+    ||d|| <= cocycle ||B||_F ||C||_F ||x||. In binary64 (u = 2^-53; a
+    complex product is off by sqrt(2) gamma_2 <= 3u relative and an inner
+    product of length n by gamma_(n+2) of the sum of moduli, Higham,
+    Accuracy and Stability, section 3.6), A y is off by (n + 5) u M ||y||_1
+    per entry and b2 . c1 by (n + 2) u ||w||_1, so the computed
+    (b2 . c1) b1 o (A y) is off by (2n + 13) u M |b1_i| ||w||_1 ||y||_1,
+    b1 o (A (w o (A y))) by (2n + 16) u M^2 |b1_i| ||w||_1 ||y||_1, and with
+    the last difference the computed defect is within
+    (2n + 17) u (M + M^2) ||b1|| ||w||_1 ||y||_1 of the exact one, which
+    the same Cauchy-Schwarz step bounds by ||B||_F ||C||_F ||x||; the factor
+    2 below covers second-order terms. So each trial's residual is at
+    most sqrt(n) (cocycle / M^2 + 2 (2n + 17) u (1 + 1/M)); the norms, the
+    products and the quotient add a relative 8 (n + 2) _EPS, and ``_ETA``
+    covers underflow. inf outside 2^-400 <= M <= 2^400, where the products,
+    with Gaussian draws below 16, could overflow.
     """
     if not 2.0**-400 <= scale <= 2.0**400:
         return math.inf
-    per_pair = cocycle / (scale * scale) + (n + 4) * _EPS * (1 + 1 / scale)
-    return per_pair * (1 + 4 * (n * n + 1) * _EPS) + _ETA
+    per_trial = cocycle / (scale * scale) + 2 * (2 * n + 17) * _U * (1 + 1 / scale)
+    return math.sqrt(n) * per_trial * (1 + 8 * (n + 2) * _EPS) + _ETA
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowed residuals fail closed
@@ -842,8 +1191,11 @@ def certify_multiplicative(
     (``_accept_bounds``, ``_sampling_bound``) whenever those are within half
     the threshold, and then report the bound, a certified upper bound on
     what the SVD, the eigensolver and the sampling would report. Every other
-    condition, and every failing one, runs the O(n^3) code and reports its
-    exact residual; verdicts are the same either way.
+    condition, and every failing one, reads the low-rank form of the split
+    where its certified span decides the verdict, and the SVD or the
+    eigensolver otherwise; verdicts are the O(n^3) code's either way, and a
+    residual read off the form is within its span of the O(n^3) one.
+    ``product_sampling`` costs two matrix-vector products per trial.
     """
     m = as_matrix(a)
     n = require_square(m)

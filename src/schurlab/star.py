@@ -12,10 +12,16 @@ from one more ``_Split`` of the Schur inverse through the same column, with
 rounding allowances; that second split forms its E once and computes no
 |E|. A condition whose bounds are all within half their thresholds passes
 with the bounds as its residual, certified upper bounds on the exact ones.
-Any other condition runs the O(n^3) code for all its parts and reports
-exact residuals. The ratio test (and so the unit-diagonal precondition), the
-SVD of A and its spectrum come from ``_facts``, computed once per matrix and
-tolerance for every multiplicativity call.
+Any other condition, every failing one included, reads each part off the
+low-rank forms ``multiplicative._low_rank`` of A and of its Schur inverse,
+which splits on the same rows and columns: ||A||_2, ||A - A*||_2 and the
+commutator are T's, the Hermitian parts' smallest eigenvalues those of
+(T + T*)/2 or 0, each with a certified span. A part whose span leaves its
+verdict open runs the O(n^3) code. The unit-diagonal precondition is
+decided in O(n) before anything else, so a refusal costs no ratio test; the
+ratio test, the low-rank form of A, its SVD and its spectrum come from
+``_facts``, computed once per matrix and tolerance for every
+multiplicativity call.
 """
 
 from __future__ import annotations
@@ -42,13 +48,17 @@ from .multiplicative import (
     _bounded,
     _condition,
     _decide,
+    _either,
     _facts,
     _fro,
     _known,
     _lapack,
+    _low_rank,
+    _LowRank,
     _nanmax,
     _Split,
     _split,
+    _unit_diagonal,
 )
 
 __all__ = [
@@ -138,6 +148,28 @@ class StarCertificate:
         }
 
 
+def _psd_low_rank(lr: _LowRank, tol: Tolerance) -> tuple[bool, float] | None:
+    """``_psd_residual`` from a low-rank form where its spans decide both
+    tests, else None. The threshold moves with ||x||_2, so each test must
+    hold, or fail, at both ends of the norm's span."""
+    norm, skew, low = lr.norm(), lr.skew(), lr.lam_min()
+    thr_lo, thr_hi = tol.threshold(max(norm.lo, 0.0)), tol.threshold(norm.hi)
+    herm_ok = True if skew.hi < thr_lo else False if skew.lo > thr_hi else None
+    low_ok = True if low.lo > -thr_lo else False if low.hi < -thr_hi else None
+    if herm_ok is False or low_ok is False:
+        passed = False
+    elif herm_ok and low_ok:
+        passed = True
+    else:
+        return None
+    return passed, _nanmax(skew.value, -low.value) / max(norm.value, 1.0)
+
+
+def _commutator_norm(data: np.ndarray) -> float:
+    """||A A* - A* A||_2, two n-by-n products and an SVD."""
+    return _spectral_norm(data @ data.conj().T - data.conj().T @ data)
+
+
 def _psd_bound(x: np.ndarray, split: _Split, skew: float, tol: Tolerance) -> float:
     """Upper bound on the ``_psd_residual`` residual of x when it certifies a
     pass, else inf, from the ``split`` of x and ``skew`` >= the computed
@@ -190,44 +222,56 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
     ``_commutator_bound`` and ``_psd_bound`` wherever those are within half
     the threshold; a passing condition then reports the bound, a certified
     upper bound on the exact residual. A condition with any undecided part
-    runs the O(n^3) code for all its parts, so a failing condition reports
-    its exact residual.
+    evaluates all its parts, each from the low-rank forms of A and of its
+    Schur inverse where the certified span decides it (``_psd_low_rank``)
+    and from the O(n^3) code otherwise, so a failing condition reports a
+    residual within its span of the exact one, with LAPACK's verdict.
     """
     m = as_matrix(a)
     n = require_square(m)
     tol = tol or DEFAULT_TOL
     data = m.data
     one = tol.threshold(1.0)
-    facts = _facts(m, tol)
-    if not facts.unit_diagonal.passed:
+    unit_diagonal = _unit_diagonal(data, tol)[0]  # O(n), so a refusal costs no ratio test
+    if not unit_diagonal.passed:
         raise PreconditionError(
             "unit diagonal required for the star battery, "
-            f"worst deviation {facts.unit_diagonal.residual:.3e}"
+            f"worst deviation {unit_diagonal.residual:.3e}"
         )
+    facts = _facts(m, tol)
     facts.require_nonzero()  # a zero map gets here only where the tolerance at scale 1 is >= 1
     b = facts.bounds
     comm_thr = max(COMMUTATOR_REL, tol.rel)
 
-    # the O(n^3) code, run only for a condition the bounds leave undecided
+    # where the bounds leave a condition open: the low-rank forms of A and
+    # its Schur inverse where they decide it, else the O(n^3) code
     herm = functools.cache(lambda: _skew_norm(data))
 
     def norm():
         return float(facts.singular_values[0])
+
+    def from_low_rank(verdict):
+        return lambda: None if facts.low_rank is None else verdict(facts.low_rank)
 
     def herm_exact():
         herm_res = herm() / max(norm(), 1.0)
         return herm_res <= one, herm_res
 
     def comm_exact():
-        comm = data @ data.conj().T - data.conj().T @ data
         a_norm = norm()
-        comm_res = _spectral_norm(comm) / max(a_norm * a_norm, 1.0)
+        comm_res = _commutator_norm(data) / max(a_norm * a_norm, 1.0)
         return comm_res <= comm_thr, comm_res
 
     sigma1, fro = (b.split.sigma1, b.split.fro) if b.split else (0.0, math.inf)
-    herm_part = _bounded(b.skew / max(sigma1, 1.0), 0.5 * one, herm_exact)
+    herm_part = _bounded(
+        b.skew / max(sigma1, 1.0), 0.5 * one,
+        lambda: _either(from_low_rank(lambda lr: lr.skew().over(lr.norm()).verdict(one)), herm_exact),
+    )
     comm_bound = _commutator_bound(fro, b.skew, n) / max(sigma1 * sigma1, 1.0)
-    comm_part = _bounded(comm_bound, 0.5 * comm_thr, comm_exact)
+    comm_part = _bounded(
+        comm_bound, 0.5 * comm_thr,
+        lambda: _either(from_low_rank(lambda lr: lr.commutator().over(lr.norm(), 2).verdict(comm_thr)), comm_exact),
+    )
     unimod_res = float(np.abs(np.abs(data) - 1.0).max())
     if facts.scaling is not None:
         map_norm_res = abs(facts.scaling.modulus_ratio - 1.0)
@@ -247,10 +291,23 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
             inv_skew = _fro(inv - inv.conj().T)
             inv_split = _split(inv, b.split.p)[0]
             psd_inv = _psd_bound(inv, inv_split, inv_skew + _lapack(n, inv_skew), tol)
+
+        def inv_low_rank():
+            # off A's support 1/a_ij - (1/a_ip)(1/a_pj) = -E_ij / (a_ij a_ip a_pj)
+            # is rounding as well, so the inverse splits on the same lines
+            split = facts.split
+            if split is None or split.support is None:
+                return None
+            lr = _low_rank(inv, split.p, split.support, _fro(inv))
+            return None if lr is None else _psd_low_rank(lr, tol)
+
         inv_diag_res = float(np.abs(np.diagonal(inv) - 1.0).max())
         pair = _decide(
-            _bounded(psd_a, math.inf, lambda: _psd_residual(data, tol, norm(), herm())),
-            _bounded(psd_inv, math.inf, lambda: _psd_residual(inv, tol)),
+            _bounded(psd_a, math.inf, lambda: _either(
+                from_low_rank(lambda lr: _psd_low_rank(lr, tol)),
+                lambda: _psd_residual(data, tol, norm(), herm()),
+            )),
+            _bounded(psd_inv, math.inf, lambda: _either(inv_low_rank, lambda: _psd_residual(inv, tol))),
             _known(inv_diag_res <= one, inv_diag_res),
         )
 

@@ -46,14 +46,16 @@ CUBIC = (
 )
 
 
-def count_cubic_calls(monkeypatch) -> dict:
-    """Count the calls of every O(n^3) routine from here on, by name."""
+def count_cubic_calls(monkeypatch, n: int = 0) -> dict:
+    """Count the calls of every O(n^3) routine from here on, by name, on an
+    operand at least ``n`` wide: the low-rank form's small problems are not."""
     calls = {}
     for module, name in CUBIC:
         original = getattr(module, name)
 
         def spy(*args, _name=name, _original=original, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
+            if max(np.shape(args[0])) >= n:
+                calls[_name] = calls.get(_name, 0) + 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
@@ -62,7 +64,8 @@ def count_cubic_calls(monkeypatch) -> dict:
 
 @contextmanager
 def exact_only():
-    """Run the batteries without bounds, every condition from the O(n^3) code.
+    """Run the batteries without bounds, every condition from the low-rank
+    form or the O(n^3) code.
 
     The shared facts slot starts empty inside the block and is restored after
     it, so no facts cross its boundary in either direction.
@@ -134,40 +137,47 @@ def test_accepted_inputs_run_no_cubic_code(monkeypatch, n, spread):
 
 @pytest.mark.parametrize("n", [3, 64])
 def test_rejected_inputs_run_every_fallback(monkeypatch, n):
+    # at n = 3 every failing condition runs LAPACK; at n = 64 the low-rank
+    # form of A = u v^T + one column of E decides them all
     a = scaled(n, 0.0, seed=n)
     a[0, 1] *= 1 + 1e-3
-    calls = count_cubic_calls(monkeypatch)
+    lapack = n < multiplicative._LOW_RANK_MIN_N
+    calls = count_cubic_calls(monkeypatch, n)
     assert not certify_multiplicative(a).verdict
     assert calls == {
         "_cocycle_parts": 1,
-        "_singular_values": 1,
-        "eigvals": 1,
         "_product_sampling_residual": 1,
+        **({"_singular_values": 1, "eigvals": 1} if lapack else {}),
     }
     calls.clear()
     assert not certify_star_multiplicative(a).verdict
     # the ratio scan, the SVDs of A, A - A*, the commutator, the Schur
     # inverse and its skew part, and the eigensolves of the Hermitian parts
-    assert calls == {"_cocycle_parts": 1, "_singular_values": 5, "eigvals": 1, "eigvalsh": 2}
+    assert calls == {
+        "_cocycle_parts": 1,
+        **({"_singular_values": 5, "eigvals": 1, "eigvalsh": 2} if lapack else {}),
+    }
 
 
 def test_check_star_computes_each_fact_once(monkeypatch, tmp_path, capsys):
-    # both batteries read one ratio scan, one eigensolve and one SVD of A
-    a = scaled(64, 0.0, seed=64)
-    a[0, 1] *= 1 + 1e-3
-    path = tmp_path / "m.json"
-    path.write_text(io.dumps_document(io.matrix_to_document(a)))
-    calls = count_cubic_calls(monkeypatch)
-    assert cli.main(["check", str(path), "--star", "--json"]) == 1
-    capsys.readouterr()
-    # the other four SVDs: A - A*, the commutator, the Schur inverse and its skew part
-    assert calls == {
-        "_cocycle_parts": 1,
-        "_singular_values": 5,
-        "eigvals": 1,
-        "eigvalsh": 2,
-        "_product_sampling_residual": 1,
-    }
+    # both batteries read one ratio scan, and at n = 3 one eigensolve and one
+    # SVD of A; at n = 64 the low-rank form decides every failing condition
+    for n in (3, 64):
+        a = scaled(n, 0.0, seed=n)
+        a[0, 1] *= 1 + 1e-3
+        path = tmp_path / f"m{n}.json"
+        path.write_text(io.dumps_document(io.matrix_to_document(a)))
+        calls = count_cubic_calls(monkeypatch, n)
+        assert cli.main(["check", str(path), "--star", "--json"]) == 1
+        capsys.readouterr()
+        # the other four SVDs: A - A*, the commutator, the Schur inverse and its skew part
+        lapack = {"_singular_values": 5, "eigvals": 1, "eigvalsh": 2}
+        assert calls == {
+            "_cocycle_parts": 1,
+            "_product_sampling_residual": 1,
+            **(lapack if n < multiplicative._LOW_RANK_MIN_N else {}),
+        }
+        monkeypatch.undo()
 
 
 def certificates(m: ComplexMatrix, tol: Tolerance) -> tuple:

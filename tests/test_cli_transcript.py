@@ -209,7 +209,7 @@ TRANSCRIPT = [
             '  unit_diagonal                  pass  residual 0.000e+00\n'
             '  rank_one                       pass  residual 7.105e-15\n'
             '  spectrum_0_n                   pass  residual 1.421e-14\n'
-            '  product_sampling               pass  residual 3.020e-14\n'
+            '  product_sampling               pass  residual 2.575e-14\n'
             'star-preserving: yes\n'
             '  star_and_multiplicative        pass  residual 8.882e-15\n'
             '  cp_isomorphism_proxy           pass  residual 7.105e-15\n'
@@ -229,7 +229,7 @@ TRANSCRIPT = [
             '"unit_diagonal": {"pass": true, "residual": 0.0}, "rank_one": {"pass": '
             'true, "residual": 7.10542735760118e-15}, "spectrum_0_n": {"pass": true, '
             '"residual": 1.421085471520213e-14}, "product_sampling": {"pass": true, '
-            '"residual": 3.0198066269805425e-14}}, "witness": null, "scaling": '
+            '"residual": 2.574951632241551e-14}}, "witness": null, "scaling": '
             '[[1.0, 0.0], [0.0, -1.0]], "inconsistent": false, "tolerance": {"rel": '
             '1e-10, "abs": 1e-12}}, "star": {"verdict": true, "conditions": '
             '{"star_and_multiplicative": {"pass": true, "residual": '
@@ -254,7 +254,7 @@ TRANSCRIPT = [
             '  unit_diagonal                  pass  residual 0.000e+00\n'
             '  rank_one                       pass  residual 7.105e-15\n'
             '  spectrum_0_n                   pass  residual 1.421e-14\n'
-            '  product_sampling               pass  residual 3.020e-14\n'
+            '  product_sampling               pass  residual 2.575e-14\n'
             'star-preserving: yes\n'
             '  star_and_multiplicative        pass  residual 8.882e-15\n'
             '  cp_isomorphism_proxy           pass  residual 7.105e-15\n'
@@ -274,7 +274,7 @@ TRANSCRIPT = [
             '"unit_diagonal": {"pass": true, "residual": 0.0}, "rank_one": {"pass": '
             'true, "residual": 7.10542735760118e-15}, "spectrum_0_n": {"pass": true, '
             '"residual": 1.421085471520213e-14}, "product_sampling": {"pass": true, '
-            '"residual": 3.0198066269805425e-14}}, "witness": null, "scaling": '
+            '"residual": 2.574951632241551e-14}}, "witness": null, "scaling": '
             '[[1.0, 0.0], [0.0, -1.0]], "inconsistent": false, "tolerance": {"rel": '
             '1e-10, "abs": 1e-12}}, "star": {"verdict": true, "conditions": '
             '{"star_and_multiplicative": {"pass": true, "residual": '
@@ -299,7 +299,7 @@ TRANSCRIPT = [
             '  unit_diagonal                  pass  residual 0.000e+00\n'
             '  rank_one                       pass  residual 7.105e-15\n'
             '  spectrum_0_n                   pass  residual 1.421e-14\n'
-            '  product_sampling               pass  residual 3.020e-14\n'
+            '  product_sampling               pass  residual 2.575e-14\n'
             'star-preserving: yes\n'
             '  star_and_multiplicative        pass  residual 8.882e-15\n'
             '  cp_isomorphism_proxy           pass  residual 7.105e-15\n'
@@ -320,7 +320,7 @@ TRANSCRIPT = [
             '  unit_diagonal                  pass  residual 0.000e+00\n'
             '  rank_one                       pass  residual 7.105e-15\n'
             '  spectrum_0_n                   pass  residual 3.020e-14\n'
-            '  product_sampling               pass  residual 2.309e-14\n'
+            '  product_sampling               pass  residual 1.994e-14\n'
             'star-preserving: no\n'
             '  star_and_multiplicative        FAIL  residual 6.000e-01\n'
             '  cp_isomorphism_proxy           FAIL  residual 6.000e-01\n'
@@ -340,7 +340,7 @@ TRANSCRIPT = [
             '"unit_diagonal": {"pass": true, "residual": 0.0}, "rank_one": {"pass": '
             'true, "residual": 7.105427357601182e-15}, "spectrum_0_n": {"pass": '
             'true, "residual": 3.0198066269804555e-14}, "product_sampling": {"pass": '
-            'true, "residual": 2.309263891220416e-14}}, "witness": null, "scaling": '
+            'true, "residual": 1.9940174225285193e-14}}, "witness": null, "scaling": '
             '[[1.0, 0.0], [0.5, 0.0]], "inconsistent": false, "tolerance": {"rel": '
             '1e-10, "abs": 1e-12}}, "star": {"verdict": false, "conditions": '
             '{"star_and_multiplicative": {"pass": false, "residual": '
@@ -363,7 +363,7 @@ TRANSCRIPT = [
             '  unit_diagonal                  FAIL  residual 1.000e+00\n'
             '  rank_one                       FAIL  residual 3.333e-01\n'
             '  spectrum_0_n                   FAIL  residual 1.000e+00\n'
-            '  product_sampling               FAIL  residual 2.765e-01\n'
+            '  product_sampling               FAIL  residual 3.188e-01\n'
             '  worst violation at (1,1,1)\n'
             'star-preserving: n/a (unit diagonal required for the star battery, '
             'worst deviation 1.000e+00)\n'

@@ -159,6 +159,14 @@ def test_hermitian_part_of_huge_entries_does_not_overflow():
     assert vals.tolist() == [complex(np.inf, 0.0), 0j]
 
 
+def test_hermitian_route_of_huge_skew_entries_does_not_overflow():
+    # the route test formed A - A*, whose 2e308 overflowed with a warning;
+    # from halves it cannot, and this skew matrix still takes the general solver
+    vals = eigenvalues([[0, 1e308], [-1e308, 0]])
+    assert np.allclose(np.sort(vals.imag) / 1e308, [-1.0, 1.0], rtol=0, atol=1e-12)
+    assert np.abs(vals.real).max() <= 1e-12 * 1e308
+
+
 class TestNumericalRank:
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((3, 3))) == 0
