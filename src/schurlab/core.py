@@ -192,7 +192,7 @@ def eigenvalues(a, tol: Tolerance | None = None) -> np.ndarray:
     data = m.data
     scale = float(np.abs(data).max())
     try:
-        if _hermitian_route(0.5 * data - 0.5 * data.conj().T, scale, tol):
+        if _hermitian_route(data, scale, tol):
             vals = np.linalg.eigvalsh(_hermitian_part(data)).astype(np.complex128)
         else:
             vals = np.linalg.eigvals(data)
@@ -208,13 +208,14 @@ def _hermitian_part(x: np.ndarray) -> np.ndarray:
     return 0.5 * x + 0.5 * x.conj().T
 
 
-def _hermitian_route(half_anti: np.ndarray, scale: float, tol: Tolerance) -> bool:
-    """Whether ``eigenvalues`` takes the symmetric solver for A, given
-    ``half_anti`` = (A - A*) / 2 and ``scale`` = max|a_ij|: max|a_ij - conj(a_ji)|
-    against the threshold at ``scale``, both halved. Formed from halves as
-    ``_hermitian_part`` forms its sum, the operand cannot overflow, and
-    halving is exact wherever no half is subnormal, so the comparison is the
-    unhalved one."""
+def _hermitian_route(x: np.ndarray, scale: float, tol: Tolerance) -> bool:
+    """Whether ``eigenvalues`` takes the symmetric solver for x, given
+    ``scale`` = max|x_ij|: max|x_ij - conj(x_ji)| against the threshold at
+    ``scale``, both halved. Formed from halves as ``_hermitian_part`` forms
+    its sum, the difference cannot overflow, and halving is exact wherever
+    no half is subnormal, so the comparison is the unhalved one."""
+    half = 0.5 * x
+    half_anti = half - half.conj().T
     return float(np.abs(half_anti).max()) <= 0.5 * tol.threshold(scale)
 
 

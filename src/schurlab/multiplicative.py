@@ -34,11 +34,13 @@ witness, bit for bit, and falls back to that scan where pruning would not
 pay. A condition the bounds leave open, every failing one included, reads
 the low-rank form ``_low_rank``: the few rows and columns of E above
 rounding (the split's ``support``) give A = Q T Q* + F with T at most
-2(|R| + |C| + 1) square and ||F||_F certified within LAPACK's own allowance,
-and T's singular values and eigenvalues, with every other value exactly 0,
-decide ``rank_one`` and ``spectrum_0_n`` wherever their certified spans lie
-on one side of the threshold. Anything else runs the SVD or the
-eigensolver, so verdicts are the O(n^3) code's. ``product_sampling`` draws
+2(|R| + |C| + 1) square and ||F||_F within LAPACK's own allowance under an
+error model of the QR that builds Q (see ``_low_rank``). T's singular
+values and eigenvalues, with every other value exactly 0, decide
+``rank_one`` and ``spectrum_0_n`` wherever their spans lie on one side of
+the threshold. Anything else runs the SVD or the eigensolver, so verdicts
+are the O(n^3) code's as far as the QR and LAPACK keep within their
+modelled backward errors. ``product_sampling`` draws
 rank-one probes, two matrix-vector products per trial. The bounds, the
 low-rank form, the SVD and the spectrum are computed the first time a
 battery reads them and kept with the facts, so on one matrix each pass runs
@@ -644,7 +646,7 @@ class _Bounds(NamedTuple):
 _NO_BOUNDS = _Bounds(None, math.inf, math.inf, math.inf)
 
 
-def _accept_bounds(data: np.ndarray, scale: float, split: _Split, tol: Tolerance) -> _Bounds:
+def _accept_bounds(data: np.ndarray, split: _Split, tol: Tolerance, hermitian: bool) -> _Bounds:
     """The ``_Bounds`` of A = u v^T + E, in O(n^2).
 
     Rank one: the split's norms certify rank 1 when sigma_1 is above the cut
@@ -654,7 +656,7 @@ def _accept_bounds(data: np.ndarray, scale: float, split: _Split, tol: Tolerance
     all-ones matrix, g_ij = a_ij u_j / u_i - 1) has A's eigenvalues, and
     those ``eigenvalues`` computes are exact for a matrix within
     ``_lapack`` of what it factors: A, or on the Hermitian route
-    (A + A*)/2, which is ||A - A*||_F / 2 further from A. Conjugating by D
+    (``hermitian``) (A + A*)/2, which is ||A - A*||_F / 2 further from A. Conjugating by D
     multiplies those perturbations by at most kappa = max|u| / min|u|. J is
     normal with spectrum {n, 0^(n-1)}, so by Bauer-Fike every computed
     eigenvalue lies within r = ||G||_F + kappa (allowance) of n or of 0,
@@ -675,7 +677,7 @@ def _accept_bounds(data: np.ndarray, scale: float, split: _Split, tol: Tolerance
     mags = np.abs(u)
     kappa = float(mags.max() / mags.min()) * (1 + _EPS)
     gap = _fro(data * np.outer(1.0 / u, u) - 1.0)
-    solver = _lapack(n, split.fro) + (0.5 * skew if _hermitian_route(0.5 * anti, scale, tol) else 0.0)
+    solver = _lapack(n, split.fro) + (0.5 * skew if hermitian else 0.0)
     spectrum = ((gap + _EPS * (n + gap)) * (1 + _EPS) + kappa * solver) * (1 + _EPS)
     return _Bounds(
         split=split,
@@ -723,8 +725,10 @@ def _cap(n: int) -> int:
 
 
 class _Span(NamedTuple):
-    """A value computed from a low-rank form, and an interval certain to
-    hold both the exact value and the one the O(n^3) code computes."""
+    """A value computed from a low-rank form, and an interval that holds
+    both the exact value and the one the O(n^3) code computes, as far as
+    the QR and LAPACK keep within the error models of ``_low_rank`` and
+    ``_lapack``."""
 
     value: float
     lo: float
@@ -770,21 +774,26 @@ def _low_rank(x: np.ndarray, p: int, support, fro: float) -> _LowRank | None:
 
     where F is E off the lines plus the rounding of E on them, so
     ||F||_F <= (||E off the lines||_F + _EPS (||u|| ||v|| + ||E||_F))(1 + _EPS)
-    as for ``_Split.rest``. Householder QR of W = [X, conj(Y)] gives, for an
-    exactly orthonormal n-by-2k Q, W + dW = Q [R1, R2] with column j of dW at
-    most g ||w_j||: LAPACK's QR is backward stable column by column (Higham,
-    Accuracy and Stability of Numerical Algorithms, Thm 19.4), and
-    g = (2k + 1) _EPS models it as ``_lapack`` models the n-by-n drivers,
-    with the 2k reflections QR applies in place of n. So x = Q T Q* + F'
-    with T = R1 R2^H, never Y^T X, whose rounding the condition of X would
-    amplify, and
+    as for ``_Split.rest``. Householder QR of W = [X, conj(Y)] is backward
+    stable column by column: W + dW = Q [R1, R2] for an exactly orthonormal
+    n-by-2k Q, with ||dw_j|| <= gamma~_(2kn) ||w_j|| (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 19.4), a worst-case bound that
+    grows with the row count n. g = (2k + 1) _EPS in its place is an error
+    model, not that bound, just as ``_lapack``'s p(n) = 16(n + 1) is for
+    drivers whose worst-case bounds grow like n^2: it counts the 2k
+    reflections and not their length. numpy's QR on perturbed inputs at
+    n = 64 to 512, 2k <= 16, stayed below 0.11 g per column and its
+    computed Q within 0.16 g of orthonormal. Under that model
+    x = Q T Q* + F' with T = R1 R2^H, never Y^T X, whose rounding the
+    condition of X would amplify, and
 
         ||F'||_F <= ||F||_F + sum_t (2g + g^2 + (k + 1) _EPS (1 + g)^2) ||x_t|| ||y_t||,
 
     the last term for rounding T's product. The form is kept when ||F'||_F
     plus the small solver's ``_lapack(2k, ||T||_F)`` is within
-    ``_lapack(n, fro)``: its values are then exact for a matrix as near x as
-    the matrix LAPACK's values are exact for. E is formed here and dropped.
+    ``_lapack(n, fro)``: under both models its values are then exact for a
+    matrix as near x as the matrix LAPACK's values are exact for. E is
+    formed here and dropped.
     """
     if not 2.0**-400 <= fro <= 2.0**400:
         return None
@@ -821,7 +830,7 @@ class _LowRank:
     ``t`` (m = 2k <= 2(|R| + |C| + 1) <= n/2) and ||F||_F <= ``eta``, built by
     ``_low_rank``. Each value the batteries read comes as a ``_Span``: the
     value from problems of size m, and an interval that holds the exact value
-    and the value LAPACK computes from x.
+    and the value LAPACK computes from x, under ``_low_rank``'s error model.
 
     B = Q T Q* is T padded with n - m zeros in a unitary basis, so its
     singular values are T's and zeros, the eigenvalues of its Hermitian part
@@ -984,12 +993,17 @@ class _Facts:
     def bounds(self) -> _Bounds:
         if self.split is None or not math.isfinite(self.split.bound):
             return _NO_BOUNDS
-        return _accept_bounds(self.m.data, self.scale, self.split, self.tol)
+        return _accept_bounds(self.m.data, self.split, self.tol, self.hermitian_route)
 
     def require_nonzero(self) -> None:
         """PreconditionError for the zero map, which neither battery certifies."""
         if self.scale == 0.0:
             raise PreconditionError("the zero Schur map is excluded from certification")
+
+    @functools.cached_property
+    def hermitian_route(self) -> bool:
+        """Whether ``eigenvalues`` takes the symmetric solver for A."""
+        return _hermitian_route(self.m.data, self.scale, self.tol)
 
     @functools.cached_property
     def low_rank(self) -> _LowRank | None:
@@ -1012,8 +1026,7 @@ class _Facts:
     def spectrum_span(self) -> _Span | None:
         """The low-rank ``spectrum``, except where ``eigenvalues`` takes the
         symmetric solver, whose values are those of (A + A*)/2."""
-        data = self.m.data
-        if self.low_rank is None or _hermitian_route(0.5 * data - 0.5 * data.conj().T, self.scale, self.tol):
+        if self.low_rank is None or self.hermitian_route:
             return None
         return self.low_rank.spectrum()
 
@@ -1101,9 +1114,6 @@ class MultiplicativityCertificate:
         }
 
 
-_U = 2.0**-53  # unit roundoff of binary64
-
-
 def _product_sampling_residual(data: np.ndarray, trials: int, seed: int) -> float:
     """Worst normalized defect of S_A(BC) x = S_A(B) S_A(C) x over seeded
     rank-one probes, in O(n^2) per trial.
@@ -1161,14 +1171,15 @@ def _sampling_bound(cocycle: float, scale: float, n: int) -> float:
     (2n + 17) u (M + M^2) ||b1|| ||w||_1 ||y||_1 of the exact one, which
     the same Cauchy-Schwarz step bounds by ||B||_F ||C||_F ||x||; the factor
     2 below covers second-order terms. So each trial's residual is at
-    most sqrt(n) (cocycle / M^2 + 2 (2n + 17) u (1 + 1/M)); the norms, the
+    most sqrt(n) (cocycle / M^2 + 2 (2n + 17) u (1 + 1/M)), with
+    2u = _EPS / 8; the norms, the
     products and the quotient add a relative 8 (n + 2) _EPS, and ``_ETA``
     covers underflow. inf outside 2^-400 <= M <= 2^400, where the products,
     with Gaussian draws below 16, could overflow.
     """
     if not 2.0**-400 <= scale <= 2.0**400:
         return math.inf
-    per_trial = cocycle / (scale * scale) + 2 * (2 * n + 17) * _U * (1 + 1 / scale)
+    per_trial = cocycle / (scale * scale) + (2 * n + 17) * _EPS / 8 * (1 + 1 / scale)  # 2 (2n + 17) u
     return math.sqrt(n) * per_trial * (1 + 8 * (n + 2) * _EPS) + _ETA
 
 
@@ -1192,9 +1203,10 @@ def certify_multiplicative(
     the threshold, and then report the bound, a certified upper bound on
     what the SVD, the eigensolver and the sampling would report. Every other
     condition, and every failing one, reads the low-rank form of the split
-    where its certified span decides the verdict, and the SVD or the
-    eigensolver otherwise; verdicts are the O(n^3) code's either way, and a
-    residual read off the form is within its span of the O(n^3) one.
+    where its span decides the verdict, and the SVD or the eigensolver
+    otherwise; verdicts are the O(n^3) code's either way as far as the QR
+    and LAPACK keep within their modelled backward errors, and a residual
+    read off the form is within its span of the O(n^3) one.
     ``product_sampling`` costs two matrix-vector products per trial.
     """
     m = as_matrix(a)

@@ -16,8 +16,9 @@ Any other condition, every failing one included, reads each part off the
 low-rank forms ``multiplicative._low_rank`` of A and of its Schur inverse,
 which splits on the same rows and columns: ||A||_2, ||A - A*||_2 and the
 commutator are T's, the Hermitian parts' smallest eigenvalues those of
-(T + T*)/2 or 0, each with a certified span. A part whose span leaves its
-verdict open runs the O(n^3) code. The unit-diagonal precondition is
+(T + T*)/2 or 0, each with a span that holds LAPACK's value under the QR
+error model ``_low_rank`` states. A part whose span leaves its verdict open
+runs the O(n^3) code. The unit-diagonal precondition is
 decided in O(n) before anything else, so a refusal costs no ratio test; the
 ratio test, the low-rank form of A, its SVD and its spectrum come from
 ``_facts``, computed once per matrix and tolerance for every
@@ -223,7 +224,7 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
     the threshold; a passing condition then reports the bound, a certified
     upper bound on the exact residual. A condition with any undecided part
     evaluates all its parts, each from the low-rank forms of A and of its
-    Schur inverse where the certified span decides it (``_psd_low_rank``)
+    Schur inverse where their span decides it (``_psd_low_rank``)
     and from the O(n^3) code otherwise, so a failing condition reports a
     residual within its span of the exact one, with LAPACK's verdict.
     """
