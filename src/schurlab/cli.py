@@ -13,13 +13,13 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import importlib
 import json
 import math
 import os
 import sys
 
 from . import io
-from .completion import COMPLETED, INCONSISTENT, complete_partial
 from .core import Tolerance, operator_norm, require_square
 from .errors import (
     DocumentFormatError,
@@ -28,17 +28,42 @@ from .errors import (
     SchurError,
     ZeroEntryError,
 )
-from .groups import enumerate_real_positive
 from .multiplicative import certify_multiplicative, factor_scaling, schur_map_norm
 from .star import certify_star_multiplicative
-from .truncation import (
-    CoefficientGenerator,
-    scaling_generator,
-    table_generator,
-    toeplitz_generator,
-    unboundedness_witness,
-)
-from .verify import SUITE_NAMES, run_suite
+
+# check, factor and norm need only the modules above; these names load their
+# module when a command first reaches them (``__getattr__``), so a request
+# never imports the code of another subcommand
+_ON_DEMAND = {
+    "COMPLETED": "completion",
+    "INCONSISTENT": "completion",
+    "complete_partial": "completion",
+    "enumerate_real_positive": "groups",
+    "CoefficientGenerator": "truncation",
+    "scaling_generator": "truncation",
+    "table_generator": "truncation",
+    "toeplitz_generator": "truncation",
+    "unboundedness_witness": "truncation",
+    "SUITE_NAMES": "verify",
+    "run_suite": "verify",
+}
+# A bare name would skip ``__getattr__``, so commands reach the names above
+# through the module object; as with the imported names, a replacement set on
+# the module (a test's spy, a tracer's span) is the one called.
+_cli = sys.modules[__name__]
+# verify.SUITE_NAMES, copied so that building the parser loads no suite code
+# (a test pins the two equal)
+_SUITE_CHOICES = ("thm21", "thm24", "prop26", "group", "torus", "completion", "schatten", "extreme")
+
+
+def __getattr__(name: str):
+    module = _ON_DEMAND.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -147,10 +172,10 @@ def _cmd_factor(args, tol: Tolerance):
 
 
 def _cmd_complete(args, tol: Tolerance):
-    report = complete_partial(io.load_partial_file(args.path), tol, star_preserving=args.star)
-    if report.status == COMPLETED:
+    report = _cli.complete_partial(io.load_partial_file(args.path), tol, star_preserving=args.star)
+    if report.status == _cli.COMPLETED:
         return True, io.dumps_document(io.matrix_to_document(report.matrix))
-    if report.status == INCONSISTENT:
+    if report.status == _cli.INCONSISTENT:
         raise _Refusal(*(
             f"inconsistent cycle ({','.join(str(x) for x in v.cycle)}) residual {v.residual:.6e}"
             for v in report.violations
@@ -163,7 +188,7 @@ def _cmd_complete(args, tol: Tolerance):
 
 
 def _cmd_enumerate(args, tol: None):  # enumerate takes no tolerance
-    members = enumerate_real_positive(args.n)
+    members = _cli.enumerate_real_positive(args.n)
     docs = (io.dumps_document(io.matrix_to_document(m)) for m in members)
     if args.format == "array":
         return True, "[" + ",".join(docs) + "]"
@@ -206,18 +231,18 @@ def parse_generator_spec(spec: str) -> CoefficientGenerator:
             raise DocumentFormatError(f"bad toeplitz ratio: {rest!r}") from exc
         if not cmath.isfinite(lam):
             raise DocumentFormatError(f"toeplitz ratio must be finite, got {rest!r}")
-        return toeplitz_generator(lam)
+        return _cli.toeplitz_generator(lam)
     if kind == "scaling":
-        return scaling_generator(io.load_scaling_file(rest))
+        return _cli.scaling_generator(io.load_scaling_file(rest))
     if kind == "table":
-        return table_generator(io.load_table_file(rest).data)
+        return _cli.table_generator(io.load_table_file(rest).data)
     raise DocumentFormatError(f"unknown generator kind {kind!r}")
 
 
 def _cmd_witness(args, tol: Tolerance):
     gen = parse_generator_spec(args.gen)
     try:
-        result = unboundedness_witness(gen, args.n, tol)
+        result = _cli.unboundedness_witness(gen, args.n, tol)
     except NotMultiplicativeError as exc:
         raise _Refusal(f"corner is not multiplicative: {exc}") from exc
     holds = result.lower_bound >= args.n - tol.threshold(float(args.n))
@@ -233,7 +258,7 @@ def _cmd_witness(args, tol: Tolerance):
 
 
 def _cmd_verify(args, tol: Tolerance):
-    report = run_suite(args.suite, trials=args.trials, seed=args.seed, tol=tol)
+    report = _cli.run_suite(args.suite, trials=args.trials, seed=args.seed, tol=tol)
     return report.ok, {**report.to_dict(), "tolerance": tol.to_dict()}
 
 
@@ -316,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("verify", help="run a seeded property suite")
-    p.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
+    p.add_argument("--suite", required=True, choices=_SUITE_CHOICES + ("all",))
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=_seed, default=0)
     add_tol(p)

@@ -14,7 +14,6 @@ import numpy as np
 from .core import DEFAULT_TOL, ComplexMatrix, Tolerance, as_matrix, schur_product
 from .errors import DimensionError, PreconditionError, ResourceLimitError
 from .multiplicative import _require_multiplicative
-from .truncation import corner, toeplitz_generator
 
 __all__ = [
     "SignMatrix",
@@ -80,6 +79,8 @@ class SignMatrix:
 
 def toeplitz_member(lam: complex, n: int) -> ComplexMatrix:
     """The Toeplitz member a_ij = lam^(j-i); lam must be nonzero."""
+    from .truncation import corner, toeplitz_generator  # enumerate needs neither
+
     gen = toeplitz_generator(lam)
     if n < 1:
         raise DimensionError("n must be positive")

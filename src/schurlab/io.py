@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import json
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .completion import PartialMatrix
 from .core import ComplexMatrix, as_matrix
 from .errors import DocumentFormatError
+
+if TYPE_CHECKING:  # loaded where a partial document is read, which few requests do
+    from .completion import PartialMatrix
 
 __all__ = [
     "complex_cells",
@@ -142,6 +145,8 @@ def document_to_partial(doc) -> PartialMatrix:
     if rows != cols:
         raise DocumentFormatError("partial documents must be square")
     entries, known = _cells(data)
+    from .completion import PartialMatrix
+
     try:
         return PartialMatrix(entries=entries, mask=known)
     except ValueError as exc:

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    _DOWN,
     DEFAULT_TOL,
     Tolerance,
     _spectral_norm,
@@ -90,17 +91,28 @@ def _skew_norm(data: np.ndarray) -> float:
     return _spectral_norm(data - data.conj().T)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowed Hermitian part fails closed
+@np.errstate(over="ignore", invalid="ignore")  # overflow is detected and rescaled below
 def _psd_residual(
     data: np.ndarray, tol: Tolerance, norm: float | None = None, herm: float | None = None
 ) -> tuple[bool, float]:
     """PSD verdict and residual; ``norm`` = ||A||_2 and ``herm`` = ||A - A*||_2
-    are computed here unless the caller already has them."""
+    are computed here unless the caller already has them.
+
+    Where ||A||_2, ||A - A*||_2 or the Hermitian part overflowed, the test is
+    taken on A * 2^-1000 against the floor scaled alike, as
+    ``core._matrix_rank`` counts: a power of two scales every term exactly,
+    and the residual is a ratio to the norm, which is then far above 1.
+    """
     if norm is None:
         norm, herm = _spectral_norm(data), _skew_norm(data)
+    floor = tol.abs
     sym = (data + data.conj().T) / 2.0
+    if not (math.isfinite(norm) and math.isfinite(herm) and np.isfinite(sym).all()):
+        data = data * _DOWN
+        norm, herm, floor = _spectral_norm(data), _skew_norm(data), floor * _DOWN
+        sym = (data + data.conj().T) / 2.0
     lam_min = float(np.linalg.eigvalsh(sym)[0])
-    thr = tol.threshold(norm)
+    thr = max(tol.rel * norm, floor)
     passed = herm <= thr and lam_min >= -thr
     scale = max(norm, 1.0)
     residual = _nanmax(herm, -lam_min) / scale  # herm >= 0, so never below 0

@@ -34,6 +34,16 @@ class TestPositiveSemidefinite:
     def test_zero_matrix(self):
         assert is_positive_semidefinite(np.zeros((2, 2)))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a, psd", [
+        ([[1e308, 1e308], [1e308, 1e308]], True),  # eigenvalues 0 and 2e308
+        ([[1e308, 1e308j], [-1e308j, 1e308]], True),
+        ([[1.5e308, 1.5e308], [1.5e308, -1.5e308]], False),  # eigenvalues +-2.1e308
+    ])
+    def test_entries_whose_hermitian_part_overflows(self, a, psd):
+        # (A + A*)/2 and ||A||_2 overflow, so the test is taken on A * 2^-1000
+        assert is_positive_semidefinite(a) == psd
+
 
 class TestUnimodular:
     def test_unit_circle(self, unit_circle_2x2):
@@ -92,6 +102,15 @@ class TestCertifyStar:
         cert = certify_star_multiplicative([[1, 1], [0, 1]])
         assert not cert.verdict
         assert not cert.conditions["schur_pair_positive"].passed
+
+    def test_pair_positivity_past_overflow(self):
+        # the Hermitian part of A overflows; eigvalsh on it raised LinAlgError
+        cert = certify_star_multiplicative(
+            [[1, 1.5e308, 1e308], [1.5e308, 1, 1e308], [1e308, 1e308, 1]]
+        )
+        pair = cert.conditions["schur_pair_positive"]
+        assert not cert.verdict and not pair.passed
+        assert 0.5 < pair.residual <= 1.0  # lambda_min(A) / ||A||_2, about -0.64
 
     def test_condition_labels_fixed(self, unit_circle_2x2):
         cert = certify_star_multiplicative(unit_circle_2x2)
