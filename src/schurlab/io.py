@@ -6,6 +6,11 @@ unspecified entry in a partial document. Writing uses shortest round-trip
 decimals, so any document produced here reparses to bit-identical values. A
 CSV reader (cells like "1.5-2i") is accepted on input only; there is no
 second canonical writer.
+
+The writer shares rows. ``matrix_to_document`` gives bitwise-equal rows one
+cell list, and ``dumps_document`` encodes each distinct row list once and
+repeats its text, so a sign matrix s s^T (two distinct rows, s and -s) costs
+two row encodings and O(n^2) bytes of joining.
 """
 
 from __future__ import annotations
@@ -46,8 +51,16 @@ def complex_cells(z) -> list:
 
 
 def matrix_to_document(a) -> dict:
+    """The canonical document of a matrix; bitwise-equal rows share one cell list."""
     m = as_matrix(a)
-    return {"rows": m.rows, "cols": m.cols, "data": complex_cells(m.data)}
+    shared = {}
+    data = []
+    for row in np.ascontiguousarray(m.data).view(np.float64).reshape(m.rows, m.cols, 2):
+        key = row.tobytes()  # bits, not values: 0.0 == -0.0, but they are written apart
+        if key not in shared:
+            shared[key] = row.tolist()
+        data.append(shared[key])
+    return {"rows": m.rows, "cols": m.cols, "data": data}
 
 
 def partial_to_document(partial: PartialMatrix) -> dict:
@@ -58,9 +71,23 @@ def partial_to_document(partial: PartialMatrix) -> dict:
     return {"rows": partial.n, "cols": partial.n, "data": data}
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def dumps_document(doc: dict) -> str:
-    """Canonical serialization: compact separators, keys in insertion order."""
-    return json.dumps(doc, separators=(",", ":"))
+    """Canonical serialization of a document built by ``matrix_to_document`` or
+    ``partial_to_document``: keys ``rows``, ``cols``, ``data`` in that order,
+    the sizes Python ints.
+
+    The text equals ``json.dumps(doc, separators=(",", ":"))`` byte for byte;
+    each distinct row object of ``data`` is encoded once.
+    """
+    texts = {}
+    for row in doc["data"]:
+        if id(row) not in texts:
+            texts[id(row)] = _ENCODER.encode(row)
+    data = ",".join([texts[id(row)] for row in doc["data"]])
+    return '{"rows":%d,"cols":%d,"data":[%s]}' % (doc["rows"], doc["cols"], data)
 
 
 class _CellError(DocumentFormatError):  # a malformed cell; ``column`` is 0-based

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from schurlab import (
+    ENUMERATION_LIMIT,
     ComplexMatrix,
     DimensionError,
     NotMultiplicativeError,
@@ -169,6 +170,16 @@ class TestEnumerate:
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
             enumerate_real_positive(25)
+        with pytest.raises(ResourceLimitError, match=f"limit is n={ENUMERATION_LIMIT}"):
+            enumerate_real_positive(ENUMERATION_LIMIT + 1)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_the_per_member_reference_bitwise(self, n):
+        want = [SignMatrix.from_index(n, k).to_matrix() for k in range(2 ** (n - 1))]
+        got = enumerate_real_positive(n)
+        assert [m.shape for m in got] == [m.shape for m in want]
+        # bytes, not values: the sign bit of every zero imaginary part counts
+        assert [m.data.tobytes() for m in got] == [m.data.tobytes() for m in want]
 
     def test_two_by_two_members_are_toeplitz(self):
         # the n = 2 group is exactly the one-parameter Toeplitz family

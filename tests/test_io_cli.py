@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from schurlab import (
+    ENUMERATION_LIMIT,
     ComplexMatrix,
     DocumentFormatError,
     PartialMatrix,
@@ -41,6 +42,37 @@ OFF_DIAGONAL_DOC = {  # a_12 a_21 = 2: not multiplicative
 }
 
 
+# doubles the writer must keep bit for bit: signed zeros, subnormals, the range ends
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.0, -1.0]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def flip_zero_signs(z: complex) -> complex:
+    """z with the sign of each zero part flipped: equal by value, not bitwise."""
+    return complex(-z.real if z.real == 0 else z.real, -z.imag if z.imag == 0 else z.imag)
+
+
+@st.composite
+def repeated_row_grids(draw, square=False):
+    """Complex grids whose rows are drawn from a small pool, so rows repeat."""
+    if square:
+        rows = cols = draw(st.integers(1, 6))
+    else:
+        shapes = st.sampled_from([(1, 1), (1, 5), (5, 1)])
+        rows, cols = draw(shapes | st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    cell = st.builds(complex, EDGE_FLOATS, EDGE_FLOATS)
+    pool = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        pool.append([flip_zero_signs(z) for z in pool[0]])
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows, max_size=rows))
+    return np.array([pool[k] for k in picks], dtype=np.complex128)
+
+
+def canonical_dumps(doc) -> str:
+    return json.dumps(doc, separators=(",", ":"))
+
+
 def write(tmp_path, name, payload):
     path = tmp_path / name
     if isinstance(payload, bytes):
@@ -58,6 +90,36 @@ class TestDocuments:
         back = loads_matrix(text)
         assert np.array_equal(back.data, m.data)
         assert dumps_document(matrix_to_document(back)) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(repeated_row_grids())
+    def test_writer_matches_json_dumps_bytewise(self, grid):
+        doc = matrix_to_document(ComplexMatrix(grid))
+        unshared = {"rows": grid.shape[0], "cols": grid.shape[1], "data": complex_cells(grid)}
+        assert dumps_document(doc) == canonical_dumps(doc) == canonical_dumps(unshared)
+
+    @settings(max_examples=200, deadline=None)
+    @given(repeated_row_grids(square=True), st.data())
+    def test_partial_writer_matches_json_dumps_bytewise(self, grid, data):
+        n = grid.shape[0]
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+        mask = mask.reshape(n, n) & (np.abs(grid) != 0)  # specified entries are nonzero
+        doc = partial_to_document(PartialMatrix(entries=grid, mask=mask))
+        assert dumps_document(doc) == canonical_dumps(doc)
+
+    def test_sign_matrix_document_holds_two_row_lists(self):
+        s = np.array([1.0, -1.0, -1.0, 1.0, -1.0])
+        doc = matrix_to_document(ComplexMatrix(np.outer(s, s)))
+        assert len({id(row) for row in doc["data"]}) == 2
+        assert dumps_document(doc) == canonical_dumps(doc)
+
+    def test_rows_equal_by_value_but_not_bitwise_stay_apart(self):
+        doc = matrix_to_document(ComplexMatrix([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]))
+        assert doc["data"][0] is doc["data"][2] and doc["data"][0] is not doc["data"][1]
+        assert dumps_document(doc) == (
+            '{"rows":3,"cols":2,"data":[[[0.0,0.0],[1.0,0.0]],'
+            '[[-0.0,0.0],[1.0,0.0]],[[0.0,0.0],[1.0,0.0]]]}'
+        )
 
     def test_complex_cells_keep_shape_and_negative_zero(self):
         row = np.array([complex(1.0, -0.0), complex(-0.0, 2.5)])
@@ -316,6 +378,13 @@ class TestEnumerateCommand:
     @pytest.mark.parametrize("n", ["0", "25"])
     def test_out_of_range(self, n, capsys):
         assert main(["enumerate", n]) == 2
+
+    def test_one_past_the_limit_is_refused_in_one_line(self, capsys):
+        assert main(["enumerate", str(ENUMERATION_LIMIT + 1)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert f"limit is n={ENUMERATION_LIMIT}" in err
 
     def test_pipeline_every_member_checks_star(self, capsys, tmp_path):
         assert main(["enumerate", "5"]) == 0
