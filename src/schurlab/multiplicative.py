@@ -18,31 +18,33 @@ its split and f from there; calls on one ``ComplexMatrix`` at an equal
 tolerance share one ratio test. E and |E| live only while the ratio test
 runs: a kept split holds views of the matrix and nothing else.
 
-Accepted inputs cost O(n^2). The ratio test accepts through the split, and
-then the split bounds every other view: Weyl's inequality the singular
-values, Bauer-Fike on the balanced diag(u)^-1 A diag(u) the spectrum, and
-the ratio bound the sampled product defect. Each bound includes rounding
-allowances and LAPACK's backward error, so it is a certified upper bound on
-what the O(n^3) code would report. A condition passes with its bound as its
-residual when the bound is within half the threshold.
+Every other view is read off one low-rank form A = Q T Q* + F, Q with
+orthonormal columns, ||F||_F certified small: T's singular values and
+eigenvalues, with every other value exactly 0, give each value a ``_Span``
+that holds both the exact value and the one LAPACK computes. Accepted inputs
+cost O(n^2). The ratio test accepts through the split, and the split is the
+c = 0 form (no lines of E kept): u v^T = Q T Q* for Q a basis of
+span(u, conj v) and the 2-by-2 T = [[v^T u, beta], [0, 0]], so ||F||_F is
+the split's ``rest`` plus T's rounding. ``_closed`` reads T in closed form,
+in Python floats, and never computes Q, so its spans rest on Weyl's
+inequality, Bauer-Fike and LAPACK's error model ``_lapack`` alone.
+``product_sampling`` reads the ratio bound instead (``_sampling_bound``).
 
 Rejections cost O(n^2) as well when a few entries break the identity. The
 same split bounds the worst violation over j for each pair (i, k), and the
 ratio scan evaluates only the pairs whose bound reaches a violation it has
 seen; it still reports the exact worst violation and the full O(n^3) scan's
 witness, bit for bit, and falls back to that scan where pruning would not
-pay. A condition the bounds leave open, every failing one included, reads
-the low-rank form ``_low_rank``: the few rows and columns of E above
-rounding (the split's ``support``) give A = Q T Q* + F with T at most
-2(|R| + |C| + 1) square and ||F||_F within LAPACK's own allowance under an
-error model of the QR that builds Q (see ``_low_rank``). T's singular
-values and eigenvalues, with every other value exactly 0, decide
-``rank_one`` and ``spectrum_0_n`` wherever their spans lie on one side of
-the threshold. Anything else runs the SVD or the eigensolver, so verdicts
-are the O(n^3) code's as far as the QR and LAPACK keep within their
-modelled backward errors. ``product_sampling`` draws
-rank-one probes, two matrix-vector products per trial. The bounds, the
-low-rank form, the SVD and the spectrum are computed the first time a
+pay. A condition the c = 0 form leaves open, every failing one included,
+reads the support form ``_low_rank`` (n >= 24): the few rows and columns of
+E above rounding (the split's ``support``) give T at most 2(|R| + |C| + 1)
+square, with ||F||_F within LAPACK's own allowance under an error model of
+the QR that builds Q. A condition passes where every part's span lies below
+its threshold, reporting the spans' upper ends. Anything else runs the SVD
+or the eigensolver, so verdicts are the O(n^3) code's as far as LAPACK (and,
+for the support form, the QR) keep within their modelled backward errors.
+``product_sampling`` draws rank-one probes, two matrix-vector products per
+trial. The forms, the SVD and the spectrum are computed the first time a
 battery reads them and kept with the facts, so on one matrix each pass runs
 at most once, and ``factor_scaling`` and the like never run them.
 """
@@ -51,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -344,18 +345,14 @@ class _Split:
 
     ``e`` is E as computed, which the split reads and does not keep, so a
     split holds no array but views of x; ``_split`` forms E once, for the
-    split and for the ratio test's |E|. ``rest`` bounds ||E||_F for the exact E:
-    each computed entry of E is off by at most _EPS (|u_i| |v_j| + |E_ij|),
-    so the Frobenius error is at most _EPS (||u|| ||v|| + ||E||_F). ``bound``
-    is the ratio test's certified bound on the worst ratio violation where
-    it accepted through this split, else inf.
-
-    The rank-one norms are computed on first use: ``fro`` >= ||x||_F, and
-    ``sigma1`` <= and ``sigma2`` >= the largest and second singular values
-    as LAPACK computes them. Weyl's inequality gives
-    sigma_2 <= ||E||_2 <= ||E||_F and sigma_1 >= ||u|| ||v|| - ||E||_F; the
-    SVD's rounding adds ``_lapack``. ``support`` names the few rows and
-    columns of E above rounding, as Python ints, for ``_low_rank``.
+    split and for the ratio test's |E|. ``uv`` >= ||u|| ||v||, and ``rest``
+    bounds ||E||_F for the exact E: each computed entry of E is off by at
+    most _EPS (|u_i| |v_j| + |E_ij|), so the Frobenius error is at most
+    _EPS (||u|| ||v|| + ||E||_F). ``bound`` is the ratio test's certified
+    bound on the worst ratio violation where it accepted through this split,
+    else inf. ``fro`` >= ||x||_F and ``support``, the few rows and columns of
+    E above rounding as Python ints, are computed on first use, for
+    ``_low_rank``.
     """
 
     bound = math.inf
@@ -363,22 +360,12 @@ class _Split:
     def __init__(self, x: np.ndarray, p: int, e: np.ndarray):
         self.x, self.p = x, p
         self.u, self.v = u, v = x[:, p], x[p]
-        rest = _fro(e)
-        self.rest = (rest + _EPS * (_fro(u) * _fro(v) + rest)) * (1 + _EPS)
+        self.uv, rest = _fro(u) * _fro(v), _fro(e)
+        self.rest = (rest + _EPS * (self.uv + rest)) * (1 + _EPS)
 
     @functools.cached_property
     def fro(self) -> float:
         return _fro(self.x)
-
-    @functools.cached_property
-    def sigma1(self) -> float:
-        n = self.x.shape[0]
-        uv = float(np.linalg.norm(self.u) * np.linalg.norm(self.v)) * (1 - 2 * n * _EPS)
-        return (uv - self.rest - _lapack(n, self.fro)) * (1 - _EPS)
-
-    @functools.cached_property
-    def sigma2(self) -> float:
-        return (self.rest + _lapack(self.x.shape[0], self.fro)) * (1 + _EPS)
 
     def scaling(self) -> ScalingVector:
         """f with f(1) = 1 read off u (any column on exact inputs); the
@@ -501,11 +488,11 @@ def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
     ``_scan_bound`` evaluates it with rounding allowances in O(n^2). When
     that bound is at most half the ``cocycle`` threshold, the scan would pass
     too, so ``cocycle`` passes with the bound as its residual, a certified
-    upper bound, and the bound is kept as the split's ``bound`` for the
-    other conditions' bounds. Otherwise (the bound is larger, non-finite,
-    or there is no pivot above the floor) the ratio scan ``_cocycle_parts``
-    decides and reports the exact worst residual and its triple, the first
-    in (k // block, i, j, k) order. The scan is pruned by the same split: it
+    upper bound, and the bound is kept as the split's ``bound``, which
+    admits the c = 0 form and the sampling bound. Otherwise (the bound is
+    larger, non-finite, or there is no pivot above the floor) the ratio scan
+    ``_cocycle_parts`` decides and reports the exact worst residual and its
+    triple, the first in (k // block, i, j, k) order. The scan is pruned by the same split: it
     evaluates only the pairs (i, k) that can hold the worst violation,
     O(n^2) work when a few entries break the identity, and the full O(n^3)
     scan runs only where pruning would not pay. Verdicts are the full
@@ -603,88 +590,48 @@ def build_from_scaling(f) -> ComplexMatrix:
     return ComplexMatrix(np.outer(values, 1.0 / values))
 
 
-class _Part(NamedTuple):
-    """One test inside a condition: a certified residual bound that decides a
-    pass (None when the bound cannot decide), and the O(n^3) verdict and exact
-    residual, computed only on demand."""
+def _decide(n: int, *parts) -> ConditionResult:
+    """A condition from its parts, each a triple (closed, support, slow) of
+    thunks (``_part``): the verdict, value and certified upper end the c = 0
+    form and the support form decide (None where they do not), and the
+    O(n^3) code's verdict and residual.
 
-    bound: float | None
-    exact: Callable[[], tuple[bool, float]]
-
-
-def _bounded(bound: float, limit: float, exact: Callable[[], tuple[bool, float]]) -> _Part:
-    """A part decided by ``bound`` when it is below ``limit`` (NaN never is)."""
-    return _Part(bound if bound < limit else None, exact)
-
-
-def _known(passed: bool, residual: float) -> _Part:
-    """A part whose exact verdict and residual cost no more than a bound."""
-    return _Part(residual if passed else None, lambda: (passed, residual))
-
-
-def _decide(*parts: _Part) -> ConditionResult:
-    """Pass with the bounds as residuals when every part has one; otherwise
-    the exact verdict and residual of every part, so a failing condition
-    reports exactly what the O(n^3) code computes."""
-    if all(part.bound is not None for part in parts):
-        return _condition(True, *(part.bound for part in parts))
-    results = [part.exact() for part in parts]
-    return _condition(all(ok for ok, _ in results), *(res for _, res in results))
-
-
-class _Bounds(NamedTuple):
-    """Certified O(n^2) bounds, rounding included, on what the O(n^3) code
-    would compute for A; ``_NO_BOUNDS`` unless the ratio test accepted
-    through its split."""
-
-    split: _Split | None  # the split the ratio test accepted through
-    rank_residual: float  # >= the computed sigma_2 / sigma_1 where rank one is certified, else inf
-    spectrum: float  # >= the computed spectrum distance to {n, 0^(n-1)}
-    skew: float  # >= the computed ||A - A*||_2
-
-
-_NO_BOUNDS = _Bounds(None, math.inf, math.inf, math.inf)
-
-
-def _accept_bounds(data: np.ndarray, split: _Split, tol: Tolerance, hermitian: bool) -> _Bounds:
-    """The ``_Bounds`` of A = u v^T + E, in O(n^2).
-
-    Rank one: the split's norms certify rank 1 when sigma_1 is above the cut
-    (rel n <= 1/2 and sigma_1 > 2 abs) and sigma_2 is within half of it.
-
-    Spectrum: with D = diag(u), the balanced copy D^-1 A D = J + G (J the
-    all-ones matrix, g_ij = a_ij u_j / u_i - 1) has A's eigenvalues, and
-    those ``eigenvalues`` computes are exact for a matrix within
-    ``_lapack`` of what it factors: A, or on the Hermitian route
-    (``hermitian``) (A + A*)/2, which is ||A - A*||_F / 2 further from A. Conjugating by D
-    multiplies those perturbations by at most kappa = max|u| / min|u|. J is
-    normal with spectrum {n, 0^(n-1)}, so by Bauer-Fike every computed
-    eigenvalue lies within r = ||G||_F + kappa (allowance) of n or of 0,
-    and while r < n/2 continuity along J + tG keeps exactly one near n: the
-    bottleneck distance is at most r. Each entry of the computed G is off by
-    at most _EPS (1 + |g_ij|), so the computed ||G||_F is off by at most
-    _EPS (n + ||G||_F).
+    The condition passes with the upper ends where some form passes every
+    part. Otherwise every part reads ``slow``, except that from n =
+    ``_LOW_RANK_MIN_N`` on a verdict the support form decides stands with its
+    value, so a failing condition reports what the O(n^3) code computes,
+    within the support form's span from that size on. The c = 0 form alone
+    leaves out E, which may hold lines above rounding, so it decides passes
+    only.
     """
-    n = data.shape[0]
-    rank_one = (
-        n * tol.rel <= 0.5
-        and split.sigma1 > 2 * tol.abs
-        and split.sigma2 <= 0.5 * max(tol.rel * split.sigma1 * n, tol.abs)
-    )
-    anti = data - data.conj().T
-    skew = _fro(anti)
-    u = split.u
-    mags = np.abs(u)
-    kappa = float(mags.max() / mags.min()) * (1 + _EPS)
-    gap = _fro(data * np.outer(1.0 / u, u) - 1.0)
-    solver = _lapack(n, split.fro) + (0.5 * skew if hermitian else 0.0)
-    spectrum = ((gap + _EPS * (n + gap)) * (1 + _EPS) + kappa * solver) * (1 + _EPS)
-    return _Bounds(
-        split=split,
-        rank_residual=split.sigma2 / split.sigma1 if rank_one else math.inf,
-        spectrum=spectrum if spectrum < 0.5 * n else math.inf,
-        skew=skew + _lapack(n, skew),
-    )
+    fast = [d if (d := closed()) and d[0] else support() for closed, support, _ in parts]
+    if all(d and d[0] for d in fast):
+        return _condition(True, *(d[2] for d in fast))
+    exact = [(n >= _LOW_RANK_MIN_N and support()) or slow() for _, support, slow in parts]
+    return _condition(all(d[0] for d in exact), *(d[1] for d in exact))
+
+
+def _known(passed: bool, residual: float) -> tuple:
+    """A part whose exact verdict and residual cost no more than a form's."""
+    decided = (passed, residual, residual)
+    return (lambda: decided,) * 3
+
+
+def _once(thunk):
+    """``thunk``, run on the first call only: a ``functools.cache`` without
+    the cost of building one, which the batteries pay a dozen times a call."""
+    memo = []
+    return lambda: memo[0] if memo else memo.append(thunk()) or memo[0]
+
+
+def _part(forms, read, slow) -> tuple:
+    """A part of a condition: ``read(form)`` of each of ``forms``, the thunks
+    of ``_forms``, and ``slow``, the O(n^3) code, each run once."""
+
+    def reading(form):
+        return _once(lambda: None if (f := form()) is None else read(f))
+
+    return (*map(reading, forms), slow)
 
 
 def _rank_one_spectrum_distance(vals: np.ndarray) -> float:
@@ -725,30 +672,26 @@ def _cap(n: int) -> int:
 
 
 class _Span(NamedTuple):
-    """A value computed from a low-rank form, and an interval that holds
-    both the exact value and the one the O(n^3) code computes, as far as
-    the QR and LAPACK keep within the error models of ``_low_rank`` and
-    ``_lapack``."""
+    """A value read off a form, and an interval that holds both the exact
+    value and the one the O(n^3) code computes, as far as LAPACK keeps within
+    the error model of ``_lapack`` (and, for the support form, the QR within
+    that of ``_low_rank``)."""
 
     value: float
     lo: float
     hi: float
 
     def over(self, den: _Span, power: int = 1) -> _Span:
-        """self / max(den^power, 1), the batteries' normalization."""
-        return _Span(
-            self.value / max(den.value**power, 1.0),
-            self.lo / max(den.hi**power, 1.0),
-            self.hi / max(max(den.lo, 0.0) ** power, 1.0),
-        )
+        """self / max(den^power, 1), the batteries' normalization: each end
+        over the opposite end of ``den``."""
+        ends = zip(self, (den.value, den.hi, den.lo))
+        return _Span(*(x / max(max(d, 0.0) ** power, 1.0) for x, d in ends))
 
-    def verdict(self, threshold: float) -> tuple[bool, float] | None:
-        """(value <= threshold, value) where the whole span lies on one side
-        of ``threshold``, else None (so for NaN too)."""
-        if self.hi < threshold:
-            return True, self.value
-        if self.lo > threshold:
-            return False, self.value
+    def verdict(self, threshold: float) -> tuple[bool, float, float] | None:
+        """(value <= threshold, value, hi) where the whole span lies on one
+        side of ``threshold``, else None (so for NaN too)."""
+        if self.hi < threshold or self.lo > threshold:
+            return self.hi < threshold, self.value, self.hi
         return None
 
 
@@ -758,6 +701,197 @@ def _near(value: float, err: float) -> _Span:
 
 def _top(x: np.ndarray) -> float:
     return float(np.linalg.svd(x, compute_uv=False)[0])
+
+
+class _Form:
+    """x = Q T Q* + F with Q an n-by-m matrix of orthonormal columns, T
+    m-by-m and ||F||_F <= ``eta``. Each value the batteries read comes as a
+    ``_Span``: T's value, from ``sigma``, ``t_fro`` >= ||T||_F and the
+    subclass's ``_skew``, ``_low``, ``_comm`` and ``_eig``, and an interval
+    that holds the exact value and the value LAPACK computes from x.
+
+    B = Q T Q* is T padded with n - m zeros in a unitary basis, so its
+    singular values are T's and zeros, the eigenvalues of its Hermitian part
+    are those of (T + T*)/2 and zeros, and ||B - B*||_2 and the commutator
+    ||B B* - B* B||_2 are T's. Weyl's inequality moves each singular value
+    and Hermitian eigenvalue by at most ``eta`` from B to x; reading T's
+    value adds ``_small`` of its operand, and LAPACK's value on x is off by
+    ``_lapack(n, .)`` of its own operand (``lapack`` for x, ``fro`` >= ||x||_F).
+    """
+
+    def __init__(self, n: int, m: int, eta: float, fro: float):
+        self.n, self.m, self.eta, self.fro = n, m, eta, fro
+        self.lapack = _lapack(n, fro)
+
+    def _small(self, fro: float) -> float:
+        """Solver error and rounding of a value of T read off an m-by-m
+        operand of Frobenius norm at most ``fro``."""
+        return (self.m + 2) * _EPS * fro
+
+    @functools.cached_property
+    def sigma_err(self) -> float:
+        """How far x's singular values, T's and the zeros, lie from T's."""
+        return (self.eta + self._small(self.t_fro) + self.lapack) * (1 + _EPS)
+
+    def norm(self) -> _Span:
+        """||x||_2."""
+        return _near(float(self.sigma[0]), self.sigma_err)
+
+    def rank_one(self, tol: Tolerance) -> tuple[bool, float, float] | None:
+        """``_rank(s, n, tol) == 1``, sigma_2 / sigma_1 and, on a pass, its
+        upper end, where every singular value, T's and the zeros, is further
+        from the cut max(rel sigma_1 n, abs) than the allowance moves either;
+        else None."""
+        s, err, n = self.sigma.tolist(), self.sigma_err, self.n
+        cut_lo, cut_hi = (max(tol.rel * (s[0] + d) * n, tol.abs) for d in (-err, err))
+        above = [x - err > cut_hi for x in s]
+        if not (err < cut_lo and all(up or x + err < cut_lo for up, x in zip(above, s))):
+            return None
+        if sum(above) != 1:
+            return False, s[1] / s[0] if s[0] > 0 else 0.0, math.inf
+        return True, s[1] / s[0], (s[1] + err) / (s[0] - err)
+
+    def skew(self) -> _Span:
+        """||x - x*||_2: B's is T's, x's is within 2 eta of it, and LAPACK
+        forms and factors an operand of Frobenius norm at most ||T - T*||_F + 2 eta."""
+        value, d_fro = self._skew()
+        lapack = (self.n + 2) * _EPS * (d_fro + 2 * self.eta)
+        return _near(value, (2 * self.eta + self._small(d_fro) + lapack) * (1 + _EPS))
+
+    def lam_min(self) -> _Span:
+        """The smallest eigenvalue of (x + x*) / 2: (T + T*)/2's or one of
+        the zeros."""
+        value, h_fro = self._low()
+        lapack = (self.n + 2) * _EPS * self.fro
+        return _near(value, (self.eta + self._small(h_fro) + lapack) * (1 + _EPS))
+
+    def commutator(self) -> _Span:
+        """||x x* - x* x||_2. With x = B + D, ||D||_2 <= eta, the commutator
+        moves by at most 4 ||B||_2 eta + 2 eta^2; T's two products round by
+        (m + 1) _EPS ||T||_F^2 each. LAPACK's value on x carries
+        (n + 4) _EPS ||x||_F^2 for each of its two n-by-n products and
+        ``_lapack`` for its SVD."""
+        value, c_fro = self._comm()
+        n, eta, fro = self.n, self.eta, self.fro
+        ours = 2 * (self.m + 2) * _EPS * self.t_fro * self.t_fro + self._small(c_fro)
+        theirs = 2 * (n + 4) * _EPS * fro * fro + _lapack(n, 2 * fro * fro)
+        moved = 4 * (float(self.sigma[0]) + self.sigma_err) * eta + 2 * eta * eta
+        return _near(value, (moved + ours + theirs) * (1 + _EPS))
+
+    def spectrum(self, hermitian: bool = False) -> _Span | None:
+        """Distance from the spectrum to {n, 0^(n-1)}, or None where the
+        eigenvalue of T nearest n is not isolated from the rest.
+
+        ``_eig`` gives the value, ``_rank_one_spectrum_distance`` of T's
+        eigenvalues and n - m zeros, T's eigenvalue lam nearest n, the cosine
+        |y* x| of its unit right and left eigenvectors x and y, a ``defect``
+        such that some B' within it of B has lam as an exact eigenvalue with
+        those eigenvectors, and b2 >= the norm of B' beside lam. With
+        S = [x, U], U an orthonormal basis of y's complement (invariant under
+        B'), S^-1 B' S = diag(lam, B2), kappa(S) = (1 + sin) / cos for the
+        angle between x and y, and ||B2||_2 <= b2. Every matrix within
+        e = eta + defect + ``lapack`` of B' (x, and the matrix LAPACK's
+        eigenvalues are exact for) has, at rho = kappa(S) e, its eigenvalues
+        in the disc of radius rho about lam and in the disc of radius
+        b2 + rho about 0 (block Bauer-Fike), and when the discs are disjoint
+        exactly one in the first (continuity). So its distance lies within
+        [min(|lam - n|, |lam|) - rho, max(|lam - n|, b2) + rho]. Where
+        ``eigenvalues`` takes the symmetric solver (``hermitian``), its
+        values are exact for a matrix near (x + x*)/2, which is
+        ||x - x*||_F / 2 <= ||T - T*||_F / 2 + eta further from x, and e
+        grows by that.
+        """
+        value, lam, cos, defect, b2 = self._eig()
+        e = self.eta + defect + self.lapack
+        if hermitian:
+            e += 0.5 * self._skew()[1] + self.eta + self._small(self.t_fro)
+        kappa = (1 + math.sqrt(max(1 - cos * cos, 0.0))) / cos if cos > 0 else math.inf
+        rho = kappa * e * (1 + _EPS)
+        if not abs(lam) - rho > b2 + rho:  # inf and NaN included
+            return None
+        to_n = abs(lam - self.n)
+        return _Span(value, min(to_n, abs(lam)) - rho, max(to_n, b2) + rho)
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+class _Closed(_Form):
+    """The c = 0 form, built by ``_closed``: B = u v^T = Q T Q* with Q an
+    orthonormal basis of span(u, conj v) (u and any unit vector orthogonal
+    to it where that span is a line) and the 2-by-2
+
+        T = [[lam, beta], [0, 0]],  lam = v^T u,
+        beta = ||u|| ||conj v - (u* conj v / ||u||^2) u||,
+
+    T's first row being ||u|| Q* conj v. Every value of T is a closed form in
+    Python floats, a few roundings of its operand's norm, within ``_small``:
+
+    - singular values hypot(|lam|, beta) = ||u|| ||v|| and 0;
+    - eigenvalues lam and 0, lam's right eigenvector e_1 and its left one
+      along T's first row, at cosine |lam| / ||T||_F; T vanishes off that row,
+      so the defect and b2 are 0;
+    - ||T - T*||_2 = |Im lam| + hypot(Im lam, beta);
+    - (T + T*)/2 has eigenvalues (Re lam +- hypot(Re lam, beta)) / 2, the
+      smaller formed without cancellation;
+    - T T* - T* T = [[beta^2, -conj(lam) beta], [-lam beta, -beta^2]], of
+      2-norm beta ||T||_F.
+    """
+
+    def __init__(self, lam: complex, beta: float, n: int, eta: float, fro: float):
+        super().__init__(n, 2, eta, fro)
+        self.lam, self.beta = lam, beta
+        self.t_fro = math.hypot(abs(lam), beta)
+        self.sigma = np.array((self.t_fro, 0.0))
+
+    def _skew(self) -> tuple[float, float]:
+        im = abs(self.lam.imag)
+        return im + math.hypot(im, self.beta), math.hypot(2 * im, _SQRT2 * self.beta)
+
+    def _low(self) -> tuple[float, float]:
+        re, beta = self.lam.real, self.beta
+        h = math.hypot(re, beta)
+        low = -beta * beta / (2 * (re + h)) if re > 0 else (re - h) / 2
+        return low, math.hypot(re, beta / _SQRT2)
+
+    def _comm(self) -> tuple[float, float]:
+        comm = self.beta * self.t_fro
+        return comm, _SQRT2 * comm
+
+    def _eig(self) -> tuple:
+        lam, n = self.lam, self.n
+        cos = abs(lam) / self.t_fro - 4 * _EPS
+        return min(abs(lam - n), max(n, abs(lam))), lam, cos, 0.0, 0.0
+
+
+def _closed(split: _Split) -> _Closed | None:
+    """The c = 0 form of the split's x, in O(n); None for n < 2, where Q has
+    no room for T, and where ||u|| or ``uv`` / ||u|| >= ||v|| lies outside
+    [2^-200, 2^200], so that no product below overflows or underflows.
+
+    x = u v^T + E with ||E||_F <= ``rest``. lam = v^T u is an inner product
+    of length n, off by at most gamma_(n+2) ||u|| ||v|| (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 3.6). beta is formed from the
+    projection residual w = conj v - c u, never as
+    sqrt(||u||^2 ||v||^2 - |lam|^2), which cancels to about sqrt(u) ||u|| ||v||
+    wherever conj v is nearly parallel to u, every Hermitian input included.
+    The computed c = conj(lam) / ||u||^2 is off by at most (3n + 7) u ||v|| / ||u||,
+    which moves ||w|| by at most that times ||u||, w being the least residual
+    over c; forming w adds 4 u ||v||, and the two norms and the product
+    (2n + 3) u beta. So lam is off by (n + 2) u ||u|| ||v|| and beta by
+    (5n + 14) u ||u|| ||v||, and the computed T lies within
+    (n + 2) _EPS ||u|| ||v|| of T in Frobenius norm, which ``eta`` adds to
+    ``rest``. ||x||_F is at most ||u|| ||v|| + ||E||_F.
+    """
+    u, v, n = split.u, split.v, split.u.size
+    nu = math.sqrt(np.vdot(u, u).real)
+    if n < 2 or not (2.0**-200 <= nu <= 2.0**200 and 2.0**-200 <= split.uv / nu <= 2.0**200):
+        return None
+    lam = complex(v @ u)
+    w = v.conj() - (lam.conjugate() / (nu * nu)) * u
+    beta = nu * math.sqrt(np.vdot(w, w).real)
+    eta = (split.rest + (n + 2) * _EPS * split.uv) * (1 + _EPS)
+    return _Closed(lam, beta, n, eta, (split.uv + split.rest) * (1 + _EPS))
 
 
 def _low_rank(x: np.ndarray, p: int, support, fro: float) -> _LowRank | None:
@@ -825,107 +959,37 @@ def _low_rank(x: np.ndarray, p: int, support, fro: float) -> _LowRank | None:
     return _LowRank(t, eta, n, fro)
 
 
-class _LowRank:
-    """x = Q T Q* + F with Q an exactly orthonormal n-by-m basis, T the m-by-m
-    ``t`` (m = 2k <= 2(|R| + |C| + 1) <= n/2) and ||F||_F <= ``eta``, built by
-    ``_low_rank``. Each value the batteries read comes as a ``_Span``: the
-    value from problems of size m, and an interval that holds the exact value
-    and the value LAPACK computes from x, under ``_low_rank``'s error model.
-
-    B = Q T Q* is T padded with n - m zeros in a unitary basis, so its
-    singular values are T's and zeros, the eigenvalues of its Hermitian part
-    are those of (T + T*)/2 and zeros, and ||B - B*||_2 and the commutator
-    ||B B* - B* B||_2 are T's. Weyl's inequality moves each singular value
-    and Hermitian eigenvalue by at most ``eta`` from B to x; the small solver
-    adds ``_lapack(m, .)`` and its operand's rounding, and LAPACK's value on
-    x is off by ``_lapack(n, .)`` of its own operand (``lapack`` for x).
-    """
+class _LowRank(_Form):
+    """The support form, built by ``_low_rank``: T is m-by-m,
+    m = 2k <= 2(|R| + |C| + 1) <= n/2, and its values come from numpy's
+    solvers on T."""
 
     def __init__(self, t: np.ndarray, eta: float, n: int, fro: float):
-        self.t, self.eta, self.n, self.fro = t, eta, n, fro
-        self.lapack = _lapack(n, fro)
+        super().__init__(n, t.shape[0], eta, fro)
+        self.t, self.t_fro = t, _fro(t)
+        self.sigma = np.linalg.svd(t, compute_uv=False)  # descending
 
-    def _small(self, x: np.ndarray) -> float:
-        """Solver error and operand rounding of a small problem on ``x``."""
-        return (x.shape[0] + 2) * _EPS * _fro(x)
-
-    @functools.cached_property
-    def sigma(self) -> np.ndarray:
-        """T's singular values, descending; x's others are within
-        ``sigma_err`` of 0."""
-        return np.linalg.svd(self.t, compute_uv=False)
-
-    @functools.cached_property
-    def sigma_err(self) -> float:
-        return (self.eta + self._small(self.t) + self.lapack) * (1 + _EPS)
-
-    def norm(self) -> _Span:
-        """||x||_2."""
-        return _near(float(self.sigma[0]), self.sigma_err)
-
-    def rank_one(self, tol: Tolerance) -> tuple[bool, float] | None:
-        """``_rank(s, n, tol) == 1`` and sigma_2 / sigma_1 where every
-        singular value, T's and the zeros, is further from the cut
-        max(rel sigma_1 n, abs) than the allowance moves either; else None."""
-        s, err, n = self.sigma, self.sigma_err, self.n
-        cut_lo = max(tol.rel * (s[0] - err) * n, tol.abs)
-        cut_hi = max(tol.rel * (s[0] + err) * n, tol.abs)
-        above, below = s - err > cut_hi, s + err < cut_lo
-        if not (np.all(above | below) and err < cut_lo):
-            return None
-        return int(np.count_nonzero(above)) == 1, float(s[1] / s[0])
-
-    def skew(self) -> _Span:
-        """||x - x*||_2: B's is T's, x's is within 2 eta of it, and LAPACK
-        forms and factors an operand of Frobenius norm at most ||T - T*||_F + 2 eta."""
+    def _skew(self) -> tuple[float, float]:
         d = self.t - self.t.conj().T
-        d_fro = _fro(d)
-        lapack = (self.n + 2) * _EPS * (d_fro + 2 * self.eta)
-        return _near(_top(d), (2 * self.eta + self._small(d) + lapack) * (1 + _EPS))
+        return _top(d), _fro(d)
 
-    def lam_min(self) -> _Span:
-        """The smallest eigenvalue of (x + x*) / 2: (T + T*)/2's or one of
-        the zeros."""
+    def _low(self) -> tuple[float, float]:
         h = _hermitian_part(self.t)
-        low = min(float(np.linalg.eigvalsh(h)[0]), 0.0)
-        lapack = (self.n + 2) * _EPS * self.fro
-        return _near(low, (self.eta + self._small(h) + lapack) * (1 + _EPS))
+        return min(float(np.linalg.eigvalsh(h)[0]), 0.0), _fro(h)
 
-    def commutator(self) -> _Span:
-        """||x x* - x* x||_2. With x = B + D, ||D||_2 <= eta, the commutator
-        moves by at most 4 ||B||_2 eta + 2 eta^2; T's two products round by
-        (m + 1) _EPS ||T||_F^2 each, and LAPACK's value on x carries what
-        ``star._commutator_bound`` allows its products and SVD."""
-        t, eta, n = self.t, self.eta, self.n
-        m, t_fro = t.shape[0], _fro(t)
+    def _comm(self) -> tuple[float, float]:
+        t = self.t
         comm = t @ t.conj().T - t.conj().T @ t
-        ours = 2 * (m + 2) * _EPS * t_fro * t_fro + self._small(comm)
-        theirs = 2 * (n + 4) * _EPS * self.fro**2 + _lapack(n, 2 * self.fro**2)
-        moved = 4 * (float(self.sigma[0]) + self.sigma_err) * eta + 2 * eta * eta
-        return _near(_top(comm), (moved + ours + theirs) * (1 + _EPS))
+        return _top(comm), _fro(comm)
 
-    def spectrum(self) -> _Span | None:
-        """Distance from the spectrum to {n, 0^(n-1)}, or None where the
-        eigenvalue of T nearest n is not isolated from the rest.
-
-        The value is ``_rank_one_spectrum_distance`` of T's eigenvalues and
-        n - m zeros. The span: let lam, x and y be T's eigenvalue nearest n
-        and its unit right and left eigenvectors, with residuals
-        r = ||T x - lam x|| and s = ||y* T - lam y*|| (rounding included).
-        Then B' = B - r x* - y s* + (y* r) y x*, in Q's basis, has lam as an
-        exact eigenvalue with those eigenvectors and ||B' - B||_2 <= 2r + s.
-        With S = [x, U], U an orthonormal basis of y's complement (invariant
-        under B'), S^-1 B' S = diag(lam, B2), kappa(S) <= 2 / |y* x| and
-        ||B2||_2 <= b2 = ||T (I - y y*)||_2 + 2r + s. Every matrix within
-        e = eta + 2r + s + ``lapack`` of B' (x, and the matrix LAPACK's
-        eigenvalues are exact for) has, at rho = kappa(S) e, its eigenvalues in
-        the disc of radius rho about lam and in the disc of radius b2 + rho
-        about 0 (block Bauer-Fike), and when the discs are disjoint exactly
-        one in the first (continuity). So its distance lies within
-        [min(|lam - n|, |lam|) - rho, max(|lam - n|, b2) + rho].
-        """
-        t, n = self.t, self.n
-        m, t_fro = t.shape[0], _fro(t)
+    def _eig(self) -> tuple:
+        """Let lam, x and y be T's eigenvalue nearest n and its unit right
+        and left eigenvectors, with residuals r = ||T x - lam x|| and
+        s = ||y* T - lam y*|| (rounding included). Then
+        B' = B - r x* - y s* + (y* r) y x*, in Q's basis, has lam as an exact
+        eigenvalue with those eigenvectors, ||B' - B||_2 <= 2r + s, and its
+        block beside lam has norm at most ||T (I - y y*)||_2 + 2r + s."""
+        t, n, m = self.t, self.n, self.m
         vals, right = np.linalg.eig(t)
         i = int(np.argmin(np.abs(vals - n)))
         lam = complex(vals[i])
@@ -933,25 +997,39 @@ class _LowRank:
         j = int(np.argmin(np.abs(conj_vals - lam.conjugate())))
         x = right[:, i] / np.linalg.norm(right[:, i])
         y = left[:, j] / np.linalg.norm(left[:, j])
-        slack = (m + 2) * _EPS * (t_fro + abs(lam))  # rounding, normalization included
+        slack = (m + 2) * _EPS * (self.t_fro + abs(lam))  # rounding, normalization included
         r = _fro(t @ x - lam * x) + slack
         s = _fro(y.conj() @ t - lam * y.conj()) + slack
         cos = abs(np.vdot(y, x)) - (m + 2) * _EPS
         tail = t - np.outer(t @ y, y.conj())
-        b2 = _top(tail) + self._small(tail) + slack + 2 * r + s
-        rho = (2 / cos) * (self.eta + 2 * r + s + self.lapack) * (1 + _EPS) if cos > 0 else math.inf
-        if not abs(lam) - rho > b2 + rho:  # inf and NaN included
-            return None
+        b2 = _top(tail) + self._small(_fro(tail)) + slack + 2 * r + s
         value = _rank_one_spectrum_distance(np.concatenate([vals, np.zeros(n - m)]))
-        to_n = abs(lam - n)
-        return _Span(value, min(to_n, abs(lam)) - rho, max(to_n, b2) + rho)
+        return value, lam, cos, 2 * r + s, b2
 
 
-def _either(fast: Callable[[], tuple[bool, float] | None], slow: Callable[[], tuple[bool, float]]):
-    """``fast()`` where it decides, else ``slow()``: the low-rank form first,
-    LAPACK where it leaves the verdict open."""
-    decided = fast()
-    return decided if decided is not None else slow()
+def _forms(x: np.ndarray, split: _Split | None) -> tuple:
+    """Thunks of x's two forms, each built on its first call, in the order
+    every condition reads them: the c = 0 form where the ratio test accepted
+    through ``split``, then the support form on the split's lines (n >= 24,
+    within the cap), which is the c = 0 form again where there are none.
+
+    x is A, or its Schur inverse split through the same column: for a
+    multiplicative A, 1/a_ij = (1/a_ip)(1/a_pj), and off A's support
+    1/a_ij - (1/a_ip)(1/a_pj) = -E_ij / (a_ij a_ip a_pj) is rounding as well,
+    so the inverse splits on the same lines.
+    """
+    if split is None:
+        return (lambda: None,) * 2
+
+    closed = _once(lambda: _closed(split if x is split.x else _split(x, split.p)[0]))
+
+    def support():
+        lines = split.support
+        if lines is None or not any(lines):
+            return None if lines is None else closed()
+        return _low_rank(x, split.p, lines, split.fro if x is split.x else _fro(x))
+
+    return (closed if math.isfinite(split.bound) else lambda: None), _once(support)
 
 
 class _Facts:
@@ -960,15 +1038,11 @@ class _Facts:
     The ratio test, its ``CocycleResult`` and its split are computed up
     front in O(n^2) (through the pivot bound or the pruned scan; the star
     battery checks the O(n) unit-diagonal precondition before it asks for
-    them). The scaling read off that split, the ``_Bounds`` (O(n^2), and
-    only when the ratio test accepted through the split), the low-rank
-    form, the singular values and the spectrum distance are computed on
-    first use and kept, so each pass runs at most once and a call that
-    reads none of them never runs it.
-
-    A condition the bounds leave open is decided by the low-rank form of A
-    (``_low_rank``, from the split's ``support``) where that form's span
-    lies on one side of the threshold, and by LAPACK otherwise.
+    them). The scaling read off that split, A's forms (``_forms``), the
+    singular values and the spectrum distance are computed on first use and
+    kept, so each pass runs at most once and a call that reads none of them
+    never runs it. A condition reads the forms first and LAPACK where they
+    leave it open (``_decide``).
     """
 
     @np.errstate(over="ignore", invalid="ignore")  # overflowed residuals fail closed
@@ -989,12 +1063,6 @@ class _Facts:
         except ZeroEntryError:
             return None
 
-    @functools.cached_property
-    def bounds(self) -> _Bounds:
-        if self.split is None or not math.isfinite(self.split.bound):
-            return _NO_BOUNDS
-        return _accept_bounds(self.m.data, self.split, self.tol, self.hermitian_route)
-
     def require_nonzero(self) -> None:
         """PreconditionError for the zero map, which neither battery certifies."""
         if self.scale == 0.0:
@@ -1006,12 +1074,9 @@ class _Facts:
         return _hermitian_route(self.m.data, self.scale, self.tol)
 
     @functools.cached_property
-    def low_rank(self) -> _LowRank | None:
-        """A's ``_LowRank`` where its split's support is within the cap."""
-        split = self.split
-        if split is None or split.support is None:
-            return None
-        return _low_rank(self.m.data, split.p, split.support, split.fro)
+    def forms(self) -> tuple:
+        """Thunks of A's c = 0 and support forms (``_forms``)."""
+        return _forms(self.m.data, self.split)
 
     @functools.cached_property
     def singular_values(self) -> np.ndarray:
@@ -1022,40 +1087,28 @@ class _Facts:
         """Distance from the spectrum to {n, 0^(n-1)}."""
         return _rank_one_spectrum_distance(eigenvalues(self.m, self.tol))
 
-    @functools.cached_property
-    def spectrum_span(self) -> _Span | None:
-        """The low-rank ``spectrum``, except where ``eigenvalues`` takes the
-        symmetric solver, whose values are those of (A + A*)/2."""
-        if self.low_rank is None or self.hermitian_route:
-            return None
-        return self.low_rank.spectrum()
+    def rank_one(self) -> tuple:
+        """The part rank(A) == 1, with sigma_2 / sigma_1 as its residual."""
 
-    def rank_one(self) -> _Part:
-        """rank(A) == 1, with sigma_2 / sigma_1 as its residual."""
-
-        def lapack():
+        def slow():
             s = self.singular_values
             residual = float(s[1] / s[0]) if self.n > 1 and s[0] > 0 else 0.0
             return _rank(s, self.n, self.tol) == 1, residual
 
-        def exact():
-            lr = self.low_rank
-            return _either(lambda: lr.rank_one(self.tol) if lr is not None else None, lapack)
+        return _part(self.forms, lambda form: form.rank_one(self.tol), slow)
 
-        return _bounded(self.bounds.rank_residual, math.inf, exact)
+    def spectrum(self, threshold: float, per: float = 1.0) -> tuple:
+        """The part: the spectrum distance divided by ``per``, at most ``threshold``."""
 
-    def spectrum(self, threshold: float, per: float = 1.0) -> _Part:
-        """The spectrum distance divided by ``per``, at most ``threshold``."""
-
-        def fast():
-            span = self.spectrum_span
+        def read(form):
+            span = form.spectrum(self.hermitian_route)
             return None if span is None else _Span(*(v / per for v in span)).verdict(threshold)
 
-        def lapack():
+        def slow():
             residual = self.spectrum_distance / per
             return residual <= threshold, residual
 
-        return _bounded(self.bounds.spectrum / per, 0.5 * threshold, lambda: _either(fast, lapack))
+        return _part(self.forms, read, slow)
 
 
 _last_facts: _Facts | None = None  # holds its matrix, so that object's id is never reused
@@ -1197,16 +1250,15 @@ def certify_multiplicative(
     verdict is the conjunction; the theory predicts unanimous agreement, so
     disagreement is recorded on the certificate rather than raised.
 
-    When the ratio test accepts through the pivot bound, ``rank_one``,
-    ``spectrum_0_n`` and ``product_sampling`` are decided by O(n^2) bounds
-    (``_accept_bounds``, ``_sampling_bound``) whenever those are within half
-    the threshold, and then report the bound, a certified upper bound on
-    what the SVD, the eigensolver and the sampling would report. Every other
-    condition, and every failing one, reads the low-rank form of the split
-    where its span decides the verdict, and the SVD or the eigensolver
-    otherwise; verdicts are the O(n^3) code's either way as far as the QR
-    and LAPACK keep within their modelled backward errors, and a residual
-    read off the form is within its span of the O(n^3) one.
+    ``rank_one`` and ``spectrum_0_n`` read the c = 0 form where the ratio
+    test accepted through its pivot split, then the support form (n >= 24),
+    then the SVD or the eigensolver; ``product_sampling`` reads
+    ``_sampling_bound`` before it samples. A condition passes where every
+    span lies below its threshold, and then reports the span's upper end, a
+    certified upper bound on what the O(n^3) code would report. On the
+    accept path that rests on LAPACK's error model (``_lapack``) alone: no
+    QR runs there. A failing condition reports LAPACK's residual below
+    n = 24 and the form's, within its span of LAPACK's, from there on.
     ``product_sampling`` costs two matrix-vector products per trial.
     """
     m = as_matrix(a)
@@ -1223,14 +1275,14 @@ def certify_multiplicative(
         residual = _product_sampling_residual(m.data, trials, seed)
         return residual <= one, residual
 
-    split = facts.bounds.split
-    sampling = math.inf if split is None else _sampling_bound(split.bound, facts.scale, n)
+    bound = _sampling_bound(facts.split.bound if facts.split else math.inf, facts.scale, n)
+    sampling = (lambda: _Span(bound, -math.inf, bound).verdict(one), lambda: None, sample)
     conditions = {
         "cocycle": facts.cocycle,
         "unit_diagonal": facts.unit_diagonal,
-        "rank_one": _decide(facts.rank_one()),
-        "spectrum_0_n": _decide(facts.spectrum(tol.threshold(float(n)))),
-        "product_sampling": _decide(_bounded(sampling, 0.5 * one, sample)),
+        "rank_one": _decide(n, facts.rank_one()),
+        "spectrum_0_n": _decide(n, facts.spectrum(tol.threshold(float(n)))),
+        "product_sampling": _decide(n, sampling),
     }
     cert = MultiplicativityCertificate(
         verdict=all(r.passed for r in conditions.values()),

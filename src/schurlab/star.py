@@ -4,23 +4,21 @@ Complete positivity is never tested through Choi matrices: for a Schur map it
 is equivalent to positive semidefiniteness of the coefficient matrix itself,
 which is what the pair-positivity condition checks at O(n^3).
 
-On inputs the ratio test accepts through its pivot split A = u v^T + E, the
-battery runs in O(n^2): ||A - A*||_2, the normality commutator and the
-smallest eigenvalues of the Hermitian parts of A and of its Schur inverse
-are bounded from that split, the one ``multiplicative._facts`` holds, and
-from one more ``_Split`` of the Schur inverse through the same column, with
-rounding allowances; that second split forms its E once and computes no
-|E|. A condition whose bounds are all within half their thresholds passes
-with the bounds as its residual, certified upper bounds on the exact ones.
-Any other condition, every failing one included, reads each part off the
-low-rank forms ``multiplicative._low_rank`` of A and of its Schur inverse,
-which splits on the same rows and columns: ||A||_2, ||A - A*||_2 and the
-commutator are T's, the Hermitian parts' smallest eigenvalues those of
-(T + T*)/2 or 0, each with a span that holds LAPACK's value under the QR
-error model ``_low_rank`` states. A part whose span leaves its verdict open
-runs the O(n^3) code. The unit-diagonal precondition is
-decided in O(n) before anything else, so a refusal costs no ratio test; the
-ratio test, the low-rank form of A, its SVD and its spectrum come from
+Every O(n^3) part (||A||_2, ||A - A*||_2, the normality commutator and the
+smallest eigenvalues of the Hermitian parts of A and of its Schur inverse) is
+read off the same forms as the multiplicative battery's, in the same order
+(``multiplicative._forms``). Where the ratio test accepts through its pivot
+split A = u v^T + E, the first is the c = 0 form ``_closed`` of A and of the
+Schur inverse, split once more through the same column (forming its E once
+and no |E|): closed forms of a 2-by-2 T, whose spans rest on LAPACK's error
+model ``_lapack`` alone, with no QR. A condition passes where every part's
+span lies below its threshold, and reports the upper ends, certified upper
+bounds on the exact residuals. Any other condition reads the support forms
+``_low_rank`` of A and of its Schur inverse (n >= 24), split on the same rows
+and columns of E under the error model of the QR that builds them, and the
+O(n^3) code where their spans leave a part open. The unit-diagonal
+precondition is decided in O(n) before anything else, so a refusal costs no
+ratio test; the ratio test, A's forms, its SVD and its spectrum come from
 ``_facts``, computed once per matrix and tolerance for every
 multiplicativity call.
 """
@@ -44,22 +42,16 @@ from .core import (
 )
 from .errors import PreconditionError, ZeroEntryError
 from .multiplicative import (
-    _EPS,
-    _SQRT_HUGE,
     ConditionResult,
-    _bounded,
     _condition,
     _decide,
-    _either,
     _facts,
-    _fro,
+    _Form,
+    _forms,
     _known,
-    _lapack,
-    _low_rank,
-    _LowRank,
     _nanmax,
-    _Split,
-    _split,
+    _once,
+    _part,
     _unit_diagonal,
 )
 
@@ -161,62 +153,23 @@ class StarCertificate:
         }
 
 
-def _psd_low_rank(lr: _LowRank, tol: Tolerance) -> tuple[bool, float] | None:
-    """``_psd_residual`` from a low-rank form where its spans decide both
-    tests, else None. The threshold moves with ||x||_2, so each test must
-    hold, or fail, at both ends of the norm's span."""
-    norm, skew, low = lr.norm(), lr.skew(), lr.lam_min()
+def _psd_form(form: _Form, tol: Tolerance) -> tuple[bool, float, float] | None:
+    """``_psd_residual`` from a form where its spans decide both tests, with
+    the residual's upper end; else None. The threshold moves with ||x||_2,
+    so each test must hold, or fail, at both ends of the norm's span."""
+    norm, skew, low = form.norm(), form.skew(), form.lam_min()
     thr_lo, thr_hi = tol.threshold(max(norm.lo, 0.0)), tol.threshold(norm.hi)
     herm_ok = True if skew.hi < thr_lo else False if skew.lo > thr_hi else None
     low_ok = True if low.lo > -thr_lo else False if low.hi < -thr_hi else None
-    if herm_ok is False or low_ok is False:
-        passed = False
-    elif herm_ok and low_ok:
-        passed = True
-    else:
-        return None
-    return passed, _nanmax(skew.value, -low.value) / max(norm.value, 1.0)
+    if None in (herm_ok, low_ok) and False not in (herm_ok, low_ok):
+        return None  # neither test fails, and one is open
+    value = _nanmax(skew.value, -low.value) / max(norm.value, 1.0)
+    return bool(herm_ok and low_ok), value, _nanmax(skew.hi, -low.lo) / max(norm.lo, 1.0)
 
 
 def _commutator_norm(data: np.ndarray) -> float:
     """||A A* - A* A||_2, two n-by-n products and an SVD."""
     return _spectral_norm(data @ data.conj().T - data.conj().T @ data)
-
-
-def _psd_bound(x: np.ndarray, split: _Split, skew: float, tol: Tolerance) -> float:
-    """Upper bound on the ``_psd_residual`` residual of x when it certifies a
-    pass, else inf, from the ``split`` of x and ``skew`` >= the computed
-    ||x - x*||_2.
-
-    With c = x_:p, the split's column, cc* is positive semidefinite, so by
-    Weyl's inequality the Hermitian part H has lambda_min >= -||H - cc*||_F;
-    the computed outer product is off by at most _EPS |c_i| |c_j|, and
-    eigvalsh adds ``_lapack``. A pass is certified when that and ``skew``
-    are within half the threshold at the split's lower bound on ||x||_2.
-    """
-    c = split.u
-    gap = x + x.conj().T  # in place from here: H, then H - cc*
-    gap *= 0.5
-    gap -= np.outer(c, c.conj())
-    below = _fro(gap) * (1 + _EPS) + _EPS * _fro(c) ** 2
-    worst = _nanmax(skew, (below + _lapack(x.shape[0], split.fro)) * (1 + _EPS))
-    if not worst < 0.5 * tol.threshold(split.sigma1):
-        return math.inf
-    return worst / max(split.sigma1, 1.0)
-
-
-def _commutator_bound(fro: float, skew: float, n: int) -> float:
-    """Upper bound on the computed ||A A* - A* A||_2 from ``fro`` >= ||A||_F
-    and ``skew`` >= ||A - A*||_2; inf where the products could overflow.
-
-    A A* - A* A = A (A* - A) - (A* - A) A, so its Frobenius norm is at most
-    2 ||A||_2 ||A - A*||_F; each computed product is off by at most
-    (n + 4) _EPS ||A||_F^2 in Frobenius norm, and the SVD adds ``_lapack``.
-    """
-    if not fro < _SQRT_HUGE:
-        return math.inf
-    comm = 2 * fro * skew + 2 * (n + 4) * _EPS * fro * fro
-    return comm * (1 + _EPS) * (1 + (n + 2) * _EPS)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowed residuals fail closed
@@ -228,17 +181,16 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
     tolerance lets its diagonal pass. Residuals are scale-normalized so they
     are comparable across conditions.
 
-    When the ratio test accepts through the pivot bound, the O(n^3) parts
-    (the SVDs for ||A||_2 and ||A - A*||_2, the commutator, and the
-    eigensolves of the Hermitian parts of A and its Schur inverse) are
-    replaced by O(n^2) bounds from ``_Facts.bounds`` and its split,
-    ``_commutator_bound`` and ``_psd_bound`` wherever those are within half
-    the threshold; a passing condition then reports the bound, a certified
-    upper bound on the exact residual. A condition with any undecided part
-    evaluates all its parts, each from the low-rank forms of A and of its
-    Schur inverse where their span decides it (``_psd_low_rank``)
-    and from the O(n^3) code otherwise, so a failing condition reports a
-    residual within its span of the exact one, with LAPACK's verdict.
+    Every O(n^3) part (the SVDs for ||A||_2 and ||A - A*||_2, the
+    commutator, and the eigensolves of the Hermitian parts of A and its Schur
+    inverse) reads the c = 0 forms of A and of its Schur inverse where the
+    ratio test accepted through the pivot split, then (n >= 24) their
+    support forms, and the O(n^3) code where no span decides it
+    (``_psd_form``, ``multiplicative._decide``). On the accept path the
+    spans rest on LAPACK's error model alone, with no QR model. A passing
+    condition reports the spans' upper ends, certified upper bounds on the
+    exact residuals; a failing one reports LAPACK's residual below n = 24 and
+    the support form's, within its span of LAPACK's, from there on.
     """
     m = as_matrix(a)
     n = require_square(m)
@@ -253,91 +205,54 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
         )
     facts = _facts(m, tol)
     facts.require_nonzero()  # a zero map gets here only where the tolerance at scale 1 is >= 1
-    b = facts.bounds
     comm_thr = max(COMMUTATOR_REL, tol.rel)
-
-    # where the bounds leave a condition open: the low-rank forms of A and
-    # its Schur inverse where they decide it, else the O(n^3) code
-    herm = functools.cache(lambda: _skew_norm(data))
+    herm = _once(lambda: _skew_norm(data))
 
     def norm():
         return float(facts.singular_values[0])
 
-    def from_low_rank(verdict):
-        return lambda: None if facts.low_rank is None else verdict(facts.low_rank)
+    def normalized(span, value, power: int, thr: float):
+        """The part value / max(||A||_2^power, 1) <= thr: ``span`` of a form,
+        or the O(n^3) ``value``."""
 
-    def herm_exact():
-        herm_res = herm() / max(norm(), 1.0)
-        return herm_res <= one, herm_res
+        def slow():
+            a_norm = norm()  # squared by a product, which overflows to inf where ** raises
+            res = value() / max(a_norm * a_norm if power == 2 else a_norm, 1.0)
+            return res <= thr, res
 
-    def comm_exact():
-        a_norm = norm()
-        comm_res = _commutator_norm(data) / max(a_norm * a_norm, 1.0)
-        return comm_res <= comm_thr, comm_res
+        return _part(forms, lambda f: span(f).over(f.norm(), power).verdict(thr), slow)
 
-    sigma1, fro = (b.split.sigma1, b.split.fro) if b.split else (0.0, math.inf)
-    herm_part = _bounded(
-        b.skew / max(sigma1, 1.0), 0.5 * one,
-        lambda: _either(from_low_rank(lambda lr: lr.skew().over(lr.norm()).verdict(one)), herm_exact),
-    )
-    comm_bound = _commutator_bound(fro, b.skew, n) / max(sigma1 * sigma1, 1.0)
-    comm_part = _bounded(
-        comm_bound, 0.5 * comm_thr,
-        lambda: _either(from_low_rank(lambda lr: lr.commutator().over(lr.norm(), 2).verdict(comm_thr)), comm_exact),
-    )
+    psd = functools.partial(_psd_form, tol=tol)
+    forms = facts.forms
+    herm_part = normalized(lambda f: f.skew(), herm, 1, one)
+    comm_part = normalized(lambda f: f.commutator(), lambda: _commutator_norm(data), 2, comm_thr)
     unimod_res = float(np.abs(np.abs(data) - 1.0).max())
-    if facts.scaling is not None:
-        map_norm_res = abs(facts.scaling.modulus_ratio - 1.0)
-    else:
-        map_norm_res = math.inf
-
+    map_norm_res = abs(facts.scaling.modulus_ratio - 1.0) if facts.scaling is not None else math.inf
     try:
         inv = schur_inverse(m, tol).data
     except ZeroEntryError:
         pair = _condition(False, math.inf)
     else:
-        psd_a = psd_inv = math.inf
-        if b.split is not None:
-            psd_a = _psd_bound(data, b.split, b.skew, tol)
-            # column p of the Schur inverse is 1/u, so for a multiplicative A
-            # it splits through p as well: 1/a_ij = (1/a_ip)(1/a_pj)
-            inv_skew = _fro(inv - inv.conj().T)
-            inv_split = _split(inv, b.split.p)[0]
-            psd_inv = _psd_bound(inv, inv_split, inv_skew + _lapack(n, inv_skew), tol)
-
-        def inv_low_rank():
-            # off A's support 1/a_ij - (1/a_ip)(1/a_pj) = -E_ij / (a_ij a_ip a_pj)
-            # is rounding as well, so the inverse splits on the same lines
-            split = facts.split
-            if split is None or split.support is None:
-                return None
-            lr = _low_rank(inv, split.p, split.support, _fro(inv))
-            return None if lr is None else _psd_low_rank(lr, tol)
-
         inv_diag_res = float(np.abs(np.diagonal(inv) - 1.0).max())
         pair = _decide(
-            _bounded(psd_a, math.inf, lambda: _either(
-                from_low_rank(lambda lr: _psd_low_rank(lr, tol)),
-                lambda: _psd_residual(data, tol, norm(), herm()),
-            )),
-            _bounded(psd_inv, math.inf, lambda: _either(inv_low_rank, lambda: _psd_residual(inv, tol))),
+            n,
+            _part(forms, psd, lambda: _psd_residual(data, tol, norm(), herm())),
+            _part(_forms(inv, facts.split), psd, lambda: _psd_residual(inv, tol)),
             _known(inv_diag_res <= one, inv_diag_res),
         )
 
     rank_one = facts.rank_one()
+    cocycle_res = facts.cocycle.residual / max(facts.scale * facts.scale, 1.0)
     conditions = {
-        "star_and_multiplicative": _decide(
-            _known(facts.cocycle.passed, facts.cocycle.residual / max(facts.scale * facts.scale, 1.0)),
-            herm_part,
-        ),
+        "star_and_multiplicative": _decide(n, _known(facts.cocycle.passed, cocycle_res), herm_part),
         # For a Schur map the CP-isomorphism condition reduces to pair
         # positivity of A and its Schur inverse, so these two frozen names
         # report one computed test.
         "cp_isomorphism_proxy": pair,
-        "rank_one_normal_unit_diag": _decide(rank_one, comm_part),
-        "rank_one_unimodular_unit_diag": _decide(rank_one, _known(unimod_res <= one, unimod_res)),
+        "rank_one_normal_unit_diag": _decide(n, rank_one, comm_part),
+        "rank_one_unimodular_unit_diag": _decide(n, rank_one, _known(unimod_res <= one, unimod_res)),
         "selfadjoint_spectrum_norm": _decide(
-            herm_part, facts.spectrum(one, per=n), _known(map_norm_res <= one, map_norm_res)
+            n, herm_part, facts.spectrum(one, per=n), _known(map_norm_res <= one, map_norm_res)
         ),
         "schur_pair_positive": pair,
     }

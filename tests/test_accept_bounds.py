@@ -1,12 +1,15 @@
-"""The O(n^2) accept path: certified bounds in place of the O(n^3) code.
+"""The O(n^2) accept path: the c = 0 form in place of the O(n^3) code.
 
-When the ratio test accepts through the pivot bound, the batteries decide
-each condition from an O(n^2) bound and run the SVD, the eigensolvers, the
-product sampling and the star battery's extras only for a condition the
-bound cannot decide. These tests pin that: no O(n^3) call on accepted
-inputs, the same verdicts as the O(n^3) code everywhere, every bound at
-least the value the O(n^3) code computes, and exact residuals on every
-failing condition.
+When the ratio test accepts through the pivot bound, the batteries read
+each condition off the closed-form c = 0 case of the low-rank form (and
+``product_sampling`` off the ratio bound) and run the SVD, the
+eigensolvers, the product sampling and the star battery's extras only for
+a condition no span decides. These tests pin that: no O(n^3) call on
+accepted inputs, the same verdicts as the O(n^3) code everywhere, every
+span holding the value the O(n^3) code computes, every passing residual at
+least that value, and exact residuals on every failing condition below
+n = 24. They also check the closed form itself against numpy on T and its
+rounding against exact rational arithmetic.
 """
 
 import math
@@ -64,16 +67,16 @@ def count_cubic_calls(monkeypatch, n: int = 0) -> dict:
 
 @contextmanager
 def exact_only():
-    """Run the batteries without bounds or low-rank forms, every condition
-    from the O(n^3) code.
+    """Run the batteries without forms, c = 0 or support, and without the
+    sampling bound: every condition from the O(n^3) code.
 
     The shared facts slot starts empty inside the block and is restored after
     it, so no facts cross its boundary in either direction.
     """
-    with mock.patch.object(
-        multiplicative, "_accept_bounds", lambda *args: multiplicative._NO_BOUNDS
-    ), mock.patch.object(multiplicative, "_low_rank", lambda *args: None), mock.patch.object(
-        star, "_low_rank", lambda *args: None
+    with mock.patch.object(multiplicative, "_closed", lambda *args: None), mock.patch.object(
+        multiplicative, "_low_rank", lambda *args: None
+    ), mock.patch.object(
+        multiplicative, "_sampling_bound", lambda *args: math.inf
     ), mock.patch.object(multiplicative, "_last_facts", None):
         yield
 
@@ -228,11 +231,12 @@ def test_shared_facts_are_keyed_by_matrix_object_and_tolerance():
 def test_exact_only_never_sees_facts_built_outside_it():
     m = ComplexMatrix(scaled(6, 0.0, seed=6))
     outside = multiplicative._facts(m, DEFAULT_TOL)
-    assert outside.bounds.split is not None  # accepted through the pivot split
+    assert outside.forms[0]() is not None  # the c = 0 form of the accepted split
     with exact_only():
         inside = multiplicative._facts(m, DEFAULT_TOL)
         assert inside is not outside
-        assert inside.bounds is multiplicative._NO_BOUNDS
+        assert inside.forms[0]() is None
+        assert inside.forms[1]() is None
     assert multiplicative._facts(m, DEFAULT_TOL) is outside
 
 
@@ -269,14 +273,15 @@ def test_partial_fallback_reports_exact_failures(kind, n, size):
 @pytest.mark.parametrize("eps", [1e-13, 1e-12, 1e-11])
 def test_weyl_bounds_where_the_pivot_column_grows(n, eps):
     # one pivot-column entry of J grown by eps: ||u|| ||v|| is n + eps but
-    # sigma_1 only about n + eps/n, so the lower bound needs the -||E||_F term
+    # sigma_1 only about n + eps/n, so the norm's lower end needs ||F||_F
     a = np.ones((n, n), dtype=complex)
     a[1, multiplicative._pivot(a, Tolerance())] *= 1 + eps
-    b = multiplicative._Facts(ComplexMatrix(a), Tolerance()).bounds
-    assert b is not multiplicative._NO_BOUNDS
+    closed = multiplicative._Facts(ComplexMatrix(a), Tolerance()).forms[0]()
+    assert closed is not None
     s = core._singular_values(a)
-    assert b.split.sigma1 <= s[0]
-    assert b.rank_residual >= s[1] / s[0]
+    assert closed.norm().lo <= s[0] <= closed.norm().hi
+    passed, _, upper = closed.rank_one(Tolerance())
+    assert passed and upper >= s[1] / s[0]
     assert_matches_exact(a, Tolerance())
 
 
@@ -287,7 +292,7 @@ LOOSE = (Tolerance(rel=0.5), Tolerance(abs=100.0), Tolerance(rel=4.0), Tolerance
 @pytest.mark.parametrize("seed", range(4))
 def test_loose_tolerances_keep_exact_verdicts(tol, seed):
     # thresholds so loose that sigma_1 falls below the rank cut, or that the
-    # ratio test accepts a matrix far from rank one; the bounds must then
+    # ratio test accepts a matrix far from rank one; the forms must then
     # leave the verdicts to the O(n^3) code
     rng = np.random.default_rng(seed)
     n = 2 + seed
@@ -301,8 +306,9 @@ def test_loose_tolerances_keep_exact_verdicts(tol, seed):
 
 
 def test_partial_fallback_mixes_bounds_and_exact_residuals(monkeypatch):
-    # one certificate with a condition passed by its bound and a failing one
-    # computed exactly: rank one is certified, the unimodular test fails
+    # one certificate with a condition passed by its span's upper end and a
+    # failing one computed exactly: rank one is certified, the unimodular
+    # test fails
     a = scaled(6, 1e-9, seed=6)
     calls = count_cubic_calls(monkeypatch)
     cert = certify_star_multiplicative(a)
@@ -347,6 +353,36 @@ def perturbed(polar, log_eps, seed, perturb, tol) -> np.ndarray:
     return a
 
 
+def inside(span, value: float) -> bool:
+    return span.lo <= value <= span.hi
+
+
+def assert_form_holds_lapack(x: np.ndarray, form, tol: Tolerance) -> None:
+    """Every span of ``form`` holds what the O(n^3) code computes on x, and
+    every verdict the form decides is the O(n^3) code's, a pass with an upper
+    end at least the computed residual."""
+    n = x.shape[0]
+    s = core._singular_values(x)
+    assert form.fro >= np.linalg.norm(x)
+    assert inside(form.norm(), s[0])
+    padded = np.concatenate([form.sigma, np.zeros(n - form.sigma.size)])
+    assert np.all(np.abs(padded - s) <= form.sigma_err)
+    assert inside(form.skew(), star._skew_norm(x))
+    assert inside(form.lam_min(), float(np.linalg.eigvalsh(core._hermitian_part(x))[0]))
+    assert inside(form.commutator(), star._commutator_norm(x))
+    span = form.spectrum(core._hermitian_route(x, float(np.abs(x).max()), tol))
+    if span is not None:
+        eigs = core.eigenvalues(ComplexMatrix(x), tol)
+        assert inside(span, multiplicative._rank_one_spectrum_distance(eigs))
+    for decided, (passed, residual) in (
+        (form.rank_one(tol), (core._rank(s, n, tol) == 1, s[1] / s[0])),
+        (star._psd_form(form, tol), star._psd_residual(x, tol)),
+    ):
+        if decided is not None:
+            assert decided[0] == passed
+            assert not passed or decided[2] >= residual
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     st.lists(st.tuples(st.floats(-4, 4), st.floats(0, 6.3)), min_size=1, max_size=6),
@@ -361,41 +397,25 @@ def perturbed(polar, log_eps, seed, perturb, tol) -> np.ndarray:
     st.sampled_from(TOLERANCES),
 )
 def test_bounds_cover_the_cubic_code(polar, log_eps, seed, perturb, tol):
-    # every bound is at least what the O(n^3) code computes (rounding
-    # included), and every condition's verdict is the O(n^3) code's
+    # every span of the c = 0 forms of A and of its Schur inverse holds what
+    # the O(n^3) code computes (rounding included), the sampling bound is at
+    # least every sampled residual, and every condition's verdict is the
+    # O(n^3) code's
     a = perturbed(polar, log_eps, seed, perturb, tol)
     n = a.shape[0]
-    m = ComplexMatrix(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        facts = multiplicative._Facts(m, tol)
-        b = facts.bounds
-        if b is not multiplicative._NO_BOUNDS:
-            s = core._singular_values(a)
-            assert b.split.fro >= np.linalg.norm(a)
-            assert not b.split.sigma1 > s[0]
-            if math.isfinite(b.rank_residual):
-                assert core._rank(s, n, tol) == 1
-                assert b.rank_residual >= (s[1] / s[0] if n > 1 else 0.0)
-            dist = multiplicative._rank_one_spectrum_distance(core.eigenvalues(m, tol))
-            assert not b.spectrum < dist
-            assert not b.skew < star._skew_norm(a)
-            bound = multiplicative._sampling_bound(b.split.bound, facts.scale, n)
+        facts = multiplicative._Facts(ComplexMatrix(a), tol)
+        closed = facts.forms[0]()
+        if closed is not None:
+            assert_form_holds_lapack(a, closed, tol)
+            bound = multiplicative._sampling_bound(facts.split.bound, facts.scale, n)
             for trial_seed in (0, seed):
                 assert not bound < multiplicative._product_sampling_residual(a, 2, trial_seed)
-            comm = a @ a.conj().T - a.conj().T @ a
-            assert not star._commutator_bound(b.split.fro, b.skew, n) < core._spectral_norm(comm)
-            psd = star._psd_bound(a, b.split, b.skew, tol)
-            if math.isfinite(psd):
-                passed, residual = star._psd_residual(a, tol)
-                assert passed and psd >= residual
             if np.abs(a).min() > tol.abs:
                 inv = 1.0 / a
-                inv_split = multiplicative._split(inv, b.split.p)[0]
-                skew = multiplicative._fro(inv - inv.conj().T)
-                psd = star._psd_bound(inv, inv_split, skew + multiplicative._lapack(n, skew), tol)
-                if math.isfinite(psd):
-                    passed, residual = star._psd_residual(inv, tol)
-                    assert passed and psd >= residual
+                inv_closed = multiplicative._forms(inv, facts.split)[0]()
+                if inv_closed is not None:
+                    assert_form_holds_lapack(inv, inv_closed, tol)
     assert_matches_exact(a, tol)
 
 
@@ -435,3 +455,76 @@ def test_frobenius_bounds_cover_exact_arithmetic(polar, log_eps, seed, perturb):
     p = multiplicative._pivot(a, tol)
     rest = multiplicative._split(a, p)[0].rest
     assert Fraction(rest) ** 2 >= exact_pivot_rest_squares(a, p)
+
+
+def exact_complex(z) -> tuple[Fraction, Fraction]:
+    return Fraction(float(z.real)), Fraction(float(z.imag))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.floats(-4, 4), st.floats(0, 6.3)), min_size=2, max_size=8),
+    st.floats(-18, -2),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("exact", "unimodular", "conjugate", "entries", "pivot_column")),
+)
+def test_closed_form_matches_t_and_exact_rounding(polar, log_eps, seed, perturb):
+    # the closed form's values against numpy's solvers on T built from a QR
+    # of [u, conj v] (u v^T = Q (r_0 r_1^H) Q^H, unitarily similar to the
+    # closed form's T), and its computed lam and beta against their exact
+    # rational values: eta must cover the split's rest plus both roundings
+    tol = Tolerance()
+    a = perturbed(polar, log_eps, seed, perturb, tol)
+    split = multiplicative._split(a, multiplicative._pivot(a, tol))[0]
+    closed = multiplicative._closed(split)
+    assert closed is not None
+    u, v = split.u, split.v
+    n = u.size
+    r = np.linalg.qr(np.stack([u, v.conj()], axis=1), mode="r")
+    t = np.outer(r[:, 0], r[:, 1].conj())
+    size = closed.t_fro
+    err = 64 * n * 2.0**-53 * size
+
+    assert abs(closed.sigma[0] - np.linalg.svd(t, compute_uv=False)[0]) <= err
+    vals, right = np.linalg.eig(t)
+    i = int(np.argmin(np.abs(vals - closed.lam)))
+    assert abs(vals[i] - closed.lam) <= err
+    assert abs(closed._skew()[0] - np.linalg.svd(t - t.conj().T, compute_uv=False)[0]) <= err
+    assert abs(closed._low()[0] - np.linalg.eigvalsh(core._hermitian_part(t))[0]) <= err
+    comm = t @ t.conj().T - t.conj().T @ t
+    assert abs(closed._comm()[0] - np.linalg.svd(comm, compute_uv=False)[0]) <= err * size
+    if abs(closed.lam) > 1e-3 * size:  # the eigenvectors are well conditioned
+        conj_vals, left = np.linalg.eig(t.conj().T)
+        j = int(np.argmin(np.abs(conj_vals - closed.lam.conjugate())))
+        x, y = right[:, i], left[:, j] / np.linalg.norm(left[:, j])
+        cos = closed._eig()[2] + 4 * multiplicative._EPS
+        assert cos == pytest.approx(abs(np.vdot(y, x)), abs=1e-9)
+
+    lam = [sum(p) for p in zip(*(
+        (vr * ur - vi * ui, vr * ui + vi * ur)
+        for (ur, ui), (vr, vi) in ((exact_complex(x), exact_complex(y)) for x, y in zip(u, v))
+    ))]
+    beta2 = exact_sum_of_squares(u) * exact_sum_of_squares(v) - lam[0] ** 2 - lam[1] ** 2
+    eps = Fraction(multiplicative._EPS)
+    half = (Fraction(closed.eta) / (1 + eps) - Fraction(split.rest)) / 2  # per rounding
+    got_re, got_im = exact_complex(closed.lam)
+    assert (got_re - lam[0]) ** 2 + (got_im - lam[1]) ** 2 <= half**2
+    beta = Fraction(closed.beta)
+    assert max(beta - half, Fraction(0)) ** 2 <= beta2 <= (beta + half) ** 2
+
+
+def test_hermitian_beta_is_not_formed_by_cancellation(monkeypatch):
+    # a_ij = f(i) conj(f(j)) with |f| = 1 is Hermitian, so conj v is parallel
+    # to u and beta is 0 up to rounding. sqrt(||u||^2 ||v||^2 - |lam|^2)
+    # would cancel to about sqrt(2^-53) n: a skew part far above the
+    # star battery's threshold, which LAPACK would then have to decide
+    n = 64
+    f = np.exp(2j * np.pi * np.random.default_rng(n).random(n))
+    a = np.outer(f, f.conj())
+    np.fill_diagonal(a, 1.0)
+    closed = multiplicative._Facts(ComplexMatrix(a), Tolerance()).forms[0]()
+    assert closed.beta <= 1e-13 * closed.t_fro
+    calls = count_cubic_calls(monkeypatch)
+    cert = certify_star_multiplicative(a)
+    assert cert.verdict and calls == {}
+    assert cert.conditions["star_and_multiplicative"].residual < 1e-11

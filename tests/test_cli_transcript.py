@@ -207,16 +207,16 @@ TRANSCRIPT = [
             'multiplicative: yes\n'
             '  cocycle                        pass  residual 8.882e-15\n'
             '  unit_diagonal                  pass  residual 0.000e+00\n'
-            '  rank_one                       pass  residual 7.105e-15\n'
-            '  spectrum_0_n                   pass  residual 1.421e-14\n'
+            '  rank_one                       pass  residual 2.132e-14\n'
+            '  spectrum_0_n                   pass  residual 6.071e-14\n'
             '  product_sampling               pass  residual 2.575e-14\n'
             'star-preserving: yes\n'
-            '  star_and_multiplicative        pass  residual 8.882e-15\n'
-            '  cp_isomorphism_proxy           pass  residual 7.105e-15\n'
-            '  rank_one_normal_unit_diag      pass  residual 2.132e-14\n'
-            '  rank_one_unimodular_unit_diag  pass  residual 7.105e-15\n'
-            '  selfadjoint_spectrum_norm      pass  residual 7.105e-15\n'
-            '  schur_pair_positive            pass  residual 7.105e-15\n'
+            '  star_and_multiplicative        pass  residual 1.799e-14\n'
+            '  cp_isomorphism_proxy           pass  residual 2.309e-14\n'
+            '  rank_one_normal_unit_diag      pass  residual 8.193e-14\n'
+            '  rank_one_unimodular_unit_diag  pass  residual 2.132e-14\n'
+            '  selfadjoint_spectrum_norm      pass  residual 3.036e-14\n'
+            '  schur_pair_positive            pass  residual 2.309e-14\n'
         ),
         "",
     ),
@@ -227,19 +227,19 @@ TRANSCRIPT = [
             '{"verdict": true, "multiplicative": {"verdict": true, "conditions": '
             '{"cocycle": {"pass": true, "residual": 8.881784197001347e-15}, '
             '"unit_diagonal": {"pass": true, "residual": 0.0}, "rank_one": {"pass": '
-            'true, "residual": 7.10542735760118e-15}, "spectrum_0_n": {"pass": true, '
-            '"residual": 1.421085471520213e-14}, "product_sampling": {"pass": true, '
+            'true, "residual": 2.1316282072803637e-14}, "spectrum_0_n": {"pass": true, '
+            '"residual": 6.071015826856025e-14}, "product_sampling": {"pass": true, '
             '"residual": 2.574951632241551e-14}}, "witness": null, "scaling": '
             '[[1.0, 0.0], [0.0, -1.0]], "inconsistent": false, "tolerance": {"rel": '
             '1e-10, "abs": 1e-12}}, "star": {"verdict": true, "conditions": '
             '{"star_and_multiplicative": {"pass": true, "residual": '
-            '8.881784197001347e-15}, "cp_isomorphism_proxy": {"pass": true, '
-            '"residual": 7.105427357601177e-15}, "rank_one_normal_unit_diag": '
-            '{"pass": true, "residual": 2.131628207280417e-14}, '
+            '1.7985612998928252e-14}, "cp_isomorphism_proxy": {"pass": true, '
+            '"residual": 2.3092638912203947e-14}, "rank_one_normal_unit_diag": '
+            '{"pass": true, "residual": 8.193445921734214e-14}, '
             '"rank_one_unimodular_unit_diag": {"pass": true, "residual": '
-            '7.10542735760118e-15}, "selfadjoint_spectrum_norm": {"pass": true, '
-            '"residual": 7.105427357601065e-15}, "schur_pair_positive": {"pass": '
-            'true, "residual": 7.105427357601177e-15}}, "tolerance": {"rel": 1e-10, '
+            '2.1316282072803637e-14}, "selfadjoint_spectrum_norm": {"pass": true, '
+            '"residual": 3.035507913428012e-14}, "schur_pair_positive": {"pass": '
+            'true, "residual": 2.3092638912203947e-14}}, "tolerance": {"rel": 1e-10, '
             '"abs": 1e-12}}}\n'
         ),
         "",
@@ -252,16 +252,16 @@ TRANSCRIPT = [
             'multiplicative: yes\n'
             '  cocycle                        pass  residual 8.882e-15\n'
             '  unit_diagonal                  pass  residual 0.000e+00\n'
-            '  rank_one                       pass  residual 7.105e-15\n'
-            '  spectrum_0_n                   pass  residual 1.421e-14\n'
+            '  rank_one                       pass  residual 2.132e-14\n'
+            '  spectrum_0_n                   pass  residual 6.071e-14\n'
             '  product_sampling               pass  residual 2.575e-14\n'
             'star-preserving: yes\n'
-            '  star_and_multiplicative        pass  residual 8.882e-15\n'
-            '  cp_isomorphism_proxy           pass  residual 7.105e-15\n'
-            '  rank_one_normal_unit_diag      pass  residual 2.132e-14\n'
-            '  rank_one_unimodular_unit_diag  pass  residual 7.105e-15\n'
-            '  selfadjoint_spectrum_norm      pass  residual 7.105e-15\n'
-            '  schur_pair_positive            pass  residual 7.105e-15\n'
+            '  star_and_multiplicative        pass  residual 1.799e-14\n'
+            '  cp_isomorphism_proxy           pass  residual 2.309e-14\n'
+            '  rank_one_normal_unit_diag      pass  residual 8.193e-14\n'
+            '  rank_one_unimodular_unit_diag  pass  residual 2.132e-14\n'
+            '  selfadjoint_spectrum_norm      pass  residual 3.036e-14\n'
+            '  schur_pair_positive            pass  residual 2.309e-14\n'
         ),
         "",
     ),
@@ -272,19 +272,19 @@ TRANSCRIPT = [
             '{"verdict": true, "multiplicative": {"verdict": true, "conditions": '
             '{"cocycle": {"pass": true, "residual": 8.881784197001347e-15}, '
             '"unit_diagonal": {"pass": true, "residual": 0.0}, "rank_one": {"pass": '
-            'true, "residual": 7.10542735760118e-15}, "spectrum_0_n": {"pass": true, '
-            '"residual": 1.421085471520213e-14}, "product_sampling": {"pass": true, '
+            'true, "residual": 2.1316282072803637e-14}, "spectrum_0_n": {"pass": true, '
+            '"residual": 6.071015826856025e-14}, "product_sampling": {"pass": true, '
             '"residual": 2.574951632241551e-14}}, "witness": null, "scaling": '
             '[[1.0, 0.0], [0.0, -1.0]], "inconsistent": false, "tolerance": {"rel": '
             '1e-10, "abs": 1e-12}}, "star": {"verdict": true, "conditions": '
             '{"star_and_multiplicative": {"pass": true, "residual": '
-            '8.881784197001347e-15}, "cp_isomorphism_proxy": {"pass": true, '
-            '"residual": 7.105427357601177e-15}, "rank_one_normal_unit_diag": '
-            '{"pass": true, "residual": 2.131628207280417e-14}, '
+            '1.7985612998928252e-14}, "cp_isomorphism_proxy": {"pass": true, '
+            '"residual": 2.3092638912203947e-14}, "rank_one_normal_unit_diag": '
+            '{"pass": true, "residual": 8.193445921734214e-14}, '
             '"rank_one_unimodular_unit_diag": {"pass": true, "residual": '
-            '7.10542735760118e-15}, "selfadjoint_spectrum_norm": {"pass": true, '
-            '"residual": 7.105427357601065e-15}, "schur_pair_positive": {"pass": '
-            'true, "residual": 7.105427357601177e-15}}, "tolerance": {"rel": 1e-10, '
+            '2.1316282072803637e-14}, "selfadjoint_spectrum_norm": {"pass": true, '
+            '"residual": 3.035507913428012e-14}, "schur_pair_positive": {"pass": '
+            'true, "residual": 2.3092638912203947e-14}}, "tolerance": {"rel": 1e-10, '
             '"abs": 1e-12}}}\n'
         ),
         "",
@@ -297,16 +297,16 @@ TRANSCRIPT = [
             'multiplicative: yes\n'
             '  cocycle                        pass  residual 8.882e-15\n'
             '  unit_diagonal                  pass  residual 0.000e+00\n'
-            '  rank_one                       pass  residual 7.105e-15\n'
-            '  spectrum_0_n                   pass  residual 1.421e-14\n'
+            '  rank_one                       pass  residual 2.132e-14\n'
+            '  spectrum_0_n                   pass  residual 6.071e-14\n'
             '  product_sampling               pass  residual 2.575e-14\n'
             'star-preserving: yes\n'
-            '  star_and_multiplicative        pass  residual 8.882e-15\n'
-            '  cp_isomorphism_proxy           pass  residual 7.105e-15\n'
-            '  rank_one_normal_unit_diag      pass  residual 2.132e-14\n'
-            '  rank_one_unimodular_unit_diag  pass  residual 7.105e-15\n'
-            '  selfadjoint_spectrum_norm      pass  residual 7.105e-15\n'
-            '  schur_pair_positive            pass  residual 7.105e-15\n'
+            '  star_and_multiplicative        pass  residual 1.799e-14\n'
+            '  cp_isomorphism_proxy           pass  residual 2.309e-14\n'
+            '  rank_one_normal_unit_diag      pass  residual 8.193e-14\n'
+            '  rank_one_unimodular_unit_diag  pass  residual 2.132e-14\n'
+            '  selfadjoint_spectrum_norm      pass  residual 3.036e-14\n'
+            '  schur_pair_positive            pass  residual 2.309e-14\n'
         ),
         "",
     ),
@@ -318,8 +318,8 @@ TRANSCRIPT = [
             'multiplicative: yes\n'
             '  cocycle                        pass  residual 2.842e-14\n'
             '  unit_diagonal                  pass  residual 0.000e+00\n'
-            '  rank_one                       pass  residual 7.105e-15\n'
-            '  spectrum_0_n                   pass  residual 3.020e-14\n'
+            '  rank_one                       pass  residual 2.132e-14\n'
+            '  spectrum_0_n                   pass  residual 7.105e-14\n'
             '  product_sampling               pass  residual 1.994e-14\n'
             'star-preserving: no\n'
             '  star_and_multiplicative        FAIL  residual 6.000e-01\n'
@@ -338,8 +338,8 @@ TRANSCRIPT = [
             '{"verdict": false, "multiplicative": {"verdict": true, "conditions": '
             '{"cocycle": {"pass": true, "residual": 2.8421709430404336e-14}, '
             '"unit_diagonal": {"pass": true, "residual": 0.0}, "rank_one": {"pass": '
-            'true, "residual": 7.105427357601182e-15}, "spectrum_0_n": {"pass": '
-            'true, "residual": 3.0198066269804555e-14}, "product_sampling": {"pass": '
+            'true, "residual": 2.1316282072803643e-14}, "spectrum_0_n": {"pass": '
+            'true, "residual": 7.10542735760119e-14}, "product_sampling": {"pass": '
             'true, "residual": 1.9940174225285193e-14}}, "witness": null, "scaling": '
             '[[1.0, 0.0], [0.5, 0.0]], "inconsistent": false, "tolerance": {"rel": '
             '1e-10, "abs": 1e-12}}, "star": {"verdict": false, "conditions": '

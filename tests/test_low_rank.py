@@ -63,9 +63,10 @@ def make_input(kind: str, n: int, seed: int, delta: float = 1e-3) -> np.ndarray:
 
 @contextmanager
 def lapack_only():
-    """The batteries with no low-rank form: every open condition from LAPACK."""
+    """The batteries with no form, c = 0 or support: every open condition
+    from LAPACK."""
     with mock.patch.object(multiplicative, "_low_rank", lambda *args: None), mock.patch.object(
-        star, "_low_rank", lambda *args: None
+        multiplicative, "_closed", lambda *args: None
     ), mock.patch.object(multiplicative, "_last_facts", None):
         yield
 
@@ -104,7 +105,7 @@ def test_low_rank_values_match_lapack(kind, n):
     m = ComplexMatrix(a)
     cert, star_cert = both_batteries(m)
     facts = multiplicative._facts(m, Tolerance())
-    lr = facts.low_rank
+    lr = facts.forms[1]()
     if n < multiplicative._LOW_RANK_MIN_N:
         assert lr is None  # LAPACK decides
     else:
@@ -183,7 +184,7 @@ def spectrum_threshold_crossing(n: int) -> float:
     for _ in range(60):
         mid = math.sqrt(lo * hi)
         facts = multiplicative._Facts(ComplexMatrix(make_input("off_pivot", n, 5, mid)), Tolerance())
-        if facts.low_rank.spectrum().value < threshold:
+        if facts.forms[1]().spectrum().value < threshold:
             lo = mid
         else:
             hi = mid
@@ -195,8 +196,8 @@ def test_near_threshold_spectrum_falls_back(monkeypatch):
     a = make_input("off_pivot", n, 5, spectrum_threshold_crossing(n))
     m = ComplexMatrix(a)
     facts = multiplicative._facts(m, Tolerance())
-    assert facts.low_rank is not None
-    span = facts.low_rank.spectrum()
+    assert facts.forms[1]() is not None
+    span = facts.forms[1]().spectrum()
     assert span is None or span.verdict(Tolerance().threshold(float(n))) is None
     calls = count_lapack(monkeypatch)
     cert = certify_multiplicative(m)

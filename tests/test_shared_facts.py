@@ -122,7 +122,7 @@ def test_every_call_on_one_matrix_shares_one_ratio_test(monkeypatch):
     m = ComplexMatrix(build_from_scaling(np.exp(1j * np.arange(6))).data)
 
     factor_scaling(m)
-    assert "bounds" not in vars(multiplicative._last_facts)  # factor reads no bound
+    assert "forms" not in vars(multiplicative._last_facts)  # factor reads no form
     schur_map_norm(m)
     assert check_cocycle(m).passed
     assert certify_multiplicative(m).verdict
