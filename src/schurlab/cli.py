@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Each command returns ``(holds, output)`` or raises ``_Refusal``; ``main``
-alone prints and maps the outcome to an exit code. Exit codes are part of the
+alone prints and maps the outcome to an exit code. ``output`` is a dict (one
+JSON line), a line, a list of lines, or an iterator of text pieces carrying
+their own newlines, which ``main`` writes as they come. Exit codes are part of the
 contract: 0 the property holds / output produced, 1 the property is false,
 2 malformed input, 3 underdetermined completion. Machine output is UTF-8 JSON
 on stdout; diagnostics go to stderr. The default tolerance is 1e-10 relative,
@@ -187,12 +189,20 @@ def _cmd_complete(args, tol: Tolerance):
     )
 
 
+def _json_array(docs):
+    """The one-line JSON array of ``docs``, a piece at a time."""
+    yield "["
+    for k, doc in enumerate(docs):
+        yield "," + doc if k else doc
+    yield "]\n"
+
+
 def _cmd_enumerate(args, tol: None):  # enumerate takes no tolerance
     members = _cli.enumerate_real_positive(args.n)
     docs = (io.dumps_document(io.matrix_to_document(m)) for m in members)
     if args.format == "array":
-        return True, "[" + ",".join(docs) + "]"
-    return True, docs
+        return True, _json_array(docs)
+    return True, (doc + "\n" for doc in docs)
 
 
 def _cmd_norm(args, tol: Tolerance):
@@ -367,8 +377,13 @@ def main(argv=None) -> int:
         holds, output = args.func(args, tol)
         if isinstance(output, dict):
             output = json.dumps(output)
-        for line in [output] if isinstance(output, str) else output:
-            print(line)
+        if isinstance(output, str):
+            output = [output]
+        if isinstance(output, list):
+            output = (line + "\n" for line in output)
+        write = sys.stdout.write
+        for text in output:
+            write(text)
     except _Refusal as refusal:
         print(*refusal.args, sep="\n", file=sys.stderr)
         return refusal.code

@@ -56,10 +56,10 @@ class PartialMatrix:
                 f"mask shape {mask.shape} does not match entries shape {entries.shape}"
             )
         spec = entries[mask]
-        if spec.size and not np.all(np.isfinite(spec)):
+        if spec.size and not np.isfinite(spec).all():
             raise ValueError("specified entries must be finite")
         zero = mask & (np.abs(entries) == 0.0)
-        if np.any(zero):
+        if zero.any():
             i, j = np.argwhere(zero)[0]
             raise ZeroEntryError(
                 f"specified entry ({i + 1},{j + 1}) is zero",
@@ -251,7 +251,7 @@ def log_coordinates(a) -> np.ndarray:
     m = as_matrix(a)
     data = m.data
     mags = np.abs(data)
-    if np.any(mags == 0.0):
+    if (mags == 0.0).any():
         i, j = np.argwhere(mags == 0.0)[0]
         raise ZeroEntryError(
             f"entry ({i + 1},{j + 1}) is zero, logarithmic coordinates undefined",

@@ -72,10 +72,24 @@ class ComplexMatrix:
             raise DimensionError(
                 f"expected a nonempty two-dimensional array, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("matrix entries must be finite (no NaN/Inf components)")
         arr.setflags(write=False)
         self._data = arr
+
+    @classmethod
+    def _block(cls, block: np.ndarray) -> list["ComplexMatrix"]:
+        """One matrix per slice of a nonempty (k, rows, cols) complex128 block,
+        each a read-only view: the block is checked once, and no slice is copied."""
+        if not np.isfinite(block).all():
+            raise ValueError("matrix entries must be finite (no NaN/Inf components)")
+        block.setflags(write=False)
+        members = []
+        for data in block:
+            m = object.__new__(cls)
+            m._data = data
+            members.append(m)
+        return members
 
     @property
     def data(self) -> np.ndarray:
@@ -170,7 +184,7 @@ def schur_inverse(a, tol: Tolerance | None = None) -> ComplexMatrix:
     m = as_matrix(a)
     tol = tol or DEFAULT_TOL
     mags = np.abs(m.data)
-    if np.any(mags <= tol.abs):
+    if (mags <= tol.abs).any():
         i, j = (int(v) for v in np.unravel_index(int(np.argmin(mags)), m.shape))
         raise ZeroEntryError(
             f"entry ({i + 1},{j + 1}) has modulus {mags[i, j]:.3e}, "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -12,7 +13,6 @@ from .core import (
     Tolerance,
     _matrix_rank,
     _singular_values,
-    _spectral_norm,
     as_matrix,
     require_square,
 )
@@ -34,17 +34,25 @@ def correlation_check(a, tol: Tolerance | None = None) -> CorrelationVerdict:
     A correlation matrix is positive semidefinite with unit diagonal. Rank
     one is a sufficient condition for being an extreme point of the set of
     correlation matrices; no attempt is made to decide extremity at higher
-    rank.
+    rank. One SVD gives both ||A||_2 and the rank; the eigensolve of the PSD
+    test runs only when ||A - A*||_2 passes its Hermitian test.
     """
     m = as_matrix(a)
     require_square(m)
     tol = tol or DEFAULT_TOL
     unit_diag = float(np.abs(np.diagonal(m.data) - 1.0).max()) <= tol.threshold(1.0)
-    s = _singular_values(m.data)  # one SVD gives both ||A||_2 and the rank
-    psd, _ = _psd_residual(m.data, tol, float(s[0]), _skew_norm(m.data))
+    s = _singular_values(m.data)
+    norm, herm = float(s[0]), _skew_norm(m.data)
     # the PSD threshold grows with ||A||_2, so an overflowed norm would pass
-    # any matrix; a correlation matrix has ||A||_2 <= n
-    is_corr = psd and unit_diag and bool(np.isfinite(s[0]))
+    # any matrix; a correlation matrix has ||A||_2 <= n. A finite ||A - A*||_2
+    # above the threshold fails _psd_residual's Hermitian test before its
+    # eigensolve could matter.
+    is_corr = (
+        unit_diag
+        and math.isfinite(norm)
+        and not (math.isfinite(herm) and herm > tol.threshold(norm))
+        and _psd_residual(m.data, tol, norm, herm)[0]
+    )
     rank = _matrix_rank(m.data, s, tol)
     return CorrelationVerdict(
         is_correlation=is_corr,
@@ -59,15 +67,21 @@ class IsometryResult(NamedTuple):
     scalar_multiple: float | None
 
 
-def _scalar_gram(gram: np.ndarray, tol: Tolerance) -> float | None:
-    """c >= 0 with gram = c^2 I to tolerance, if one exists."""
-    k = gram.shape[0]
-    c2 = float(np.trace(gram).real) / k
-    if not -tol.threshold(1.0) <= c2 < np.inf:  # an overflowed Gram matrix has no scale
+def _gram_deviation(s2: np.ndarray, k: int, c2: float) -> float:
+    """||G - c2 I||_2 for a k-by-k Gram matrix G whose eigenvalues are the
+    squared singular values ``s2``, padded with zeros to k."""
+    dev = float(np.abs(s2 - c2).max())
+    return max(dev, abs(c2)) if k > s2.size else dev
+
+
+def _scalar_gram(s2: np.ndarray, k: int, tol: Tolerance) -> float | None:
+    """c >= 0 with G = c^2 I to tolerance, if one exists, for the k-by-k Gram
+    matrix G of eigenvalues ``s2`` padded with zeros: c^2 = trace(G) / k."""
+    c2 = float(s2.sum()) / k
+    if not c2 < np.inf:  # an overflowed (inf or NaN) spectrum has no scale
         return None
-    dev = _spectral_norm(gram - c2 * np.eye(k))
-    if dev <= tol.threshold(max(abs(c2), 1.0)):
-        return float(np.sqrt(max(c2, 0.0)))
+    if _gram_deviation(s2, k, c2) <= tol.threshold(max(c2, 1.0)):
+        return float(np.sqrt(c2))
     return None
 
 
@@ -76,19 +90,21 @@ def isometry_check(a, tol: Tolerance | None = None) -> IsometryResult:
 
     Rectangular input is allowed. ``scalar_multiple`` is the scalar c with
     A*A = c^2 I or AA* = c^2 I when either Gram matrix is scalar to
-    tolerance, otherwise None.
+    tolerance, otherwise None. One SVD of A decides all of it: the
+    eigenvalues of A*A and of AA* are the squared singular values, padded
+    with zeros to each Gram matrix's size, so ||A*A - I||_2 = max|s_i^2 - 1|
+    and ||G - c^2 I||_2 = max|s_i^2 - c^2| with c^2 = sum s_i^2 / size.
     """
     m = as_matrix(a)
     tol = tol or DEFAULT_TOL
-    data = m.data
-    # An entry past about 1e154 overflows the Gram matrices; _spectral_norm
-    # reads a non-finite operand as inf, so each test then fails closed.
+    # Past about 1e154, s_i^2 overflows to inf (and an SVD that overflowed
+    # gives inf or NaN), so every deviation is inf or NaN and each test fails
+    # closed.
     with np.errstate(all="ignore"):
-        gram_right = data.conj().T @ data
-        gram_left = data @ data.conj().T
-        iso = _spectral_norm(gram_right - np.eye(m.cols)) <= tol.threshold(1.0)
-        coiso = _spectral_norm(gram_left - np.eye(m.rows)) <= tol.threshold(1.0)
-        scalar = _scalar_gram(gram_right, tol)
+        s2 = _singular_values(m.data) ** 2
+        iso = _gram_deviation(s2, m.cols, 1.0) <= tol.threshold(1.0)
+        coiso = _gram_deviation(s2, m.rows, 1.0) <= tol.threshold(1.0)
+        scalar = _scalar_gram(s2, m.cols, tol)
         if scalar is None:
-            scalar = _scalar_gram(gram_left, tol)
+            scalar = _scalar_gram(s2, m.rows, tol)
     return IsometryResult(isometry=iso, coisometry=coiso, scalar_multiple=scalar)

@@ -24,11 +24,10 @@ __all__ = [
     "ENUMERATION_LIMIT",
 ]
 
-# The list holds 2^(n-1) n x n complex128 matrices. Within a 1 GB budget for
-# peak RSS, n = 17 is served: about 0.33 GB written as jsonl, 0.72 GB as one
-# array, which also holds every line; n = 18 takes 0.70 GB as jsonl and about
-# twice that as an array.
-ENUMERATION_LIMIT = 17
+# The list holds 2^(n-1) n x n complex128 matrices, and either output format
+# holds one line at a time. Within a 1 GB budget for peak RSS, n = 18 is
+# served (about 0.71 GB in both formats); n = 19 holds 1.5 GB of entries alone.
+ENUMERATION_LIMIT = 18
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,9 @@ def enumerate_real_positive(n: int) -> list[ComplexMatrix]:
     """All 2^(n-1) real positive members, in binary-counter order (all +1 first).
 
     The list is built in memory; n above ``ENUMERATION_LIMIT`` raises
-    ResourceLimitError.
+    ResourceLimitError. Members come 1024 at a time from one read-only
+    (k, n, n) block, checked once; each member is a C-contiguous view of its
+    block, not a copy.
     """
     if n < 1:
         raise DimensionError("n must be positive")
@@ -149,5 +150,6 @@ def enumerate_real_positive(n: int) -> list[ComplexMatrix]:
     for start in range(0, count, block):
         bits = (np.arange(start, min(start + block, count))[:, None] >> shifts) & 1
         signs = np.hstack([np.ones((len(bits), 1)), 1.0 - 2 * bits])
-        members.extend(ComplexMatrix(s[:, None] * s) for s in signs)  # outer(s, s)
+        outer = (signs[:, :, None] * signs[:, None, :]).astype(np.complex128)  # outer(s, s)
+        members.extend(ComplexMatrix._block(outer))
     return members

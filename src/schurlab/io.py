@@ -52,15 +52,20 @@ def complex_cells(z) -> list:
 
 def matrix_to_document(a) -> dict:
     """The canonical document of a matrix; bitwise-equal rows share one cell list."""
-    m = as_matrix(a)
+    z = as_matrix(a).data
+    rows, cols = z.shape
+    cells = np.ascontiguousarray(z).view(np.float64).reshape(rows, cols, 2)
+    bits = cells.tobytes()  # keyed by bits, not values: 0.0 == -0.0, but they are written apart
+    width = len(bits) // rows
     shared = {}
     data = []
-    for row in np.ascontiguousarray(m.data).view(np.float64).reshape(m.rows, m.cols, 2):
-        key = row.tobytes()  # bits, not values: 0.0 == -0.0, but they are written apart
-        if key not in shared:
-            shared[key] = row.tolist()
-        data.append(shared[key])
-    return {"rows": m.rows, "cols": m.cols, "data": data}
+    for i, start in enumerate(range(0, len(bits), width)):
+        key = bits[start:start + width]
+        row = shared.get(key)
+        if row is None:
+            row = shared[key] = cells[i].tolist()
+        data.append(row)
+    return {"rows": rows, "cols": cols, "data": data}
 
 
 def partial_to_document(partial: PartialMatrix) -> dict:

@@ -117,10 +117,10 @@ class ScalingVector:
         arr = np.array(self.values, dtype=np.complex128, copy=True).ravel()
         if arr.size == 0:
             raise DimensionError("scaling vector must be nonempty")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("scaling values must be finite")
         zero = np.abs(arr) == 0.0
-        if np.any(zero):
+        if zero.any():
             i = int(np.argmax(zero))
             raise ZeroEntryError(
                 f"scaling value {i + 1} is zero", position=(i + 1, 1)

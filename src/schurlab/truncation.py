@@ -84,7 +84,7 @@ def scaling_generator(values) -> CoefficientGenerator:
     if arr.size == 0:
         raise DimensionError("scaling sequence must be nonempty")
     zero = np.abs(arr) == 0.0
-    if np.any(zero):
+    if zero.any():
         k = int(np.argmax(zero))
         raise ZeroEntryError(f"scaling value {k + 1} is zero", position=(k + 1, 1))
     mags = np.abs(arr)

@@ -62,6 +62,20 @@ class TestComplexMatrix:
         with pytest.raises(ValueError):
             m.data[0, 0] = 5.0
 
+    def test_block_wraps_each_slice_without_a_copy(self):
+        block = np.arange(12, dtype=np.complex128).reshape(3, 2, 2)
+        members = ComplexMatrix._block(block)
+        assert [m.data.tobytes() for m in members] == [x.tobytes() for x in block]
+        assert all(np.shares_memory(m.data, block) for m in members)
+        assert not block.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.inf, complex(0, np.nan)])
+    def test_block_rejects_a_nonfinite_block(self, bad):
+        block = np.ones((4, 3, 3), dtype=np.complex128)
+        block[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            ComplexMatrix._block(block)
+
     def test_matmul(self):
         a = ComplexMatrix([[1, 1], [0, 1]])
         b = ComplexMatrix([[1, 0], [1, 1]])

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurlab import (
     all_ones,
@@ -13,6 +15,7 @@ from schurlab import (
     projection_check,
     torus_param,
 )
+from schurlab.core import DEFAULT_TOL, _spectral_norm
 from tests.conftest import random_scaling_values
 
 
@@ -90,6 +93,90 @@ class TestIsometryCheck:
             warnings.simplefilter("error")
             result = isometry_check(a)
         assert result == (False, False, None)
+
+
+def _gram_reference(a, tol=DEFAULT_TOL):
+    """isometry_check as two Gram products, each tested by the SVD of its
+    deviation from a scalar matrix."""
+    data = np.asarray(a, dtype=np.complex128)
+    rows, cols = data.shape
+
+    def scalar(gram):
+        k = gram.shape[0]
+        c2 = float(np.trace(gram).real) / k
+        if not -tol.threshold(1.0) <= c2 < np.inf:
+            return None
+        if _spectral_norm(gram - c2 * np.eye(k)) <= tol.threshold(max(abs(c2), 1.0)):
+            return float(np.sqrt(max(c2, 0.0)))
+        return None
+
+    with np.errstate(all="ignore"):
+        right, left = data.conj().T @ data, data @ data.conj().T
+        iso = _spectral_norm(right - np.eye(cols)) <= tol.threshold(1.0)
+        coiso = _spectral_norm(left - np.eye(rows)) <= tol.threshold(1.0)
+        c = scalar(right)
+        return iso, coiso, scalar(left) if c is None else c
+
+
+@st.composite
+def _isometry_inputs(draw):
+    """(A, kind): c Q for Q with orthonormal columns or rows, squared singular
+    values moved off c^2 by 0.5 or 2 thresholds, or entries near 1e154 or
+    1e308."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    k = min(rows, cols)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, k)) + 1j * rng.standard_normal((cols, k)))
+    kind = draw(st.sampled_from(["scaled", "near", "huge"]))
+    c = draw(st.sampled_from([1.0, draw(st.floats(0.5, 2.0))]))
+    s2 = np.full(k, c * c)
+    if kind == "near":  # one threshold either side of 1e-10 on the worst s_i^2
+        d = draw(st.sampled_from([0.5, 2.0])) * DEFAULT_TOL.threshold(max(c * c, 1.0))
+        s2 = s2 + d * rng.uniform(-1.0, 1.0, k)
+        s2[rng.integers(k)] = c * c + d * draw(st.sampled_from([-1.0, 1.0]))
+    a = (u * np.sqrt(s2)) @ v.conj().T
+    if kind == "huge":
+        a = a / np.abs(a).max() * draw(st.sampled_from([1e154, 3e154, 1e307, 1e308]))
+    return a, kind
+
+
+class TestIsometryFromOneSvd:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_isometry_inputs())
+    def test_matches_the_gram_matrix_reference(self, case):
+        a, kind = case
+        iso, coiso, scalar = isometry_check(a)
+        want_iso, want_coiso, want_scalar = _gram_reference(a)
+        assert (iso, coiso) == (want_iso, want_coiso)
+        assert (scalar is None) == (want_scalar is None)
+        if scalar is not None:
+            assert scalar == pytest.approx(want_scalar, rel=1e-12)
+        if kind == "huge":  # fails closed, and no scale survives an overflowed ||A||_F^2
+            assert not iso and not coiso
+            if np.abs(a).max() > 1e155:
+                assert scalar is None
+
+    def test_one_isometry_check_runs_one_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return svd(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        a = np.random.default_rng(3).standard_normal((5, 3))
+        isometry_check(a)
+        assert calls == [(5, 3)]
+
+    def test_a_non_hermitian_input_runs_no_eigensolve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh ran on a non-Hermitian input")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        verdict = correlation_check([[1, 2], [0, 1]])
+        assert not verdict.is_correlation and not verdict.rank_one_extreme
 
 
 class TestExtremeFamilies:

@@ -173,6 +173,12 @@ class TestEnumerate:
         with pytest.raises(ResourceLimitError, match=f"limit is n={ENUMERATION_LIMIT}"):
             enumerate_real_positive(ENUMERATION_LIMIT + 1)
 
+    def test_limit_is_the_largest_size_whose_entries_fit_in_a_gigabyte(self):
+        # the list's complex128 entries, 2^(n-1) n^2 of them; either output
+        # format adds one line of text
+        entries = lambda n: 16 * n * n << (n - 1)
+        assert entries(ENUMERATION_LIMIT) <= 1e9 < entries(ENUMERATION_LIMIT + 1)
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_the_per_member_reference_bitwise(self, n):
         want = [SignMatrix.from_index(n, k).to_matrix() for k in range(2 ** (n - 1))]
@@ -180,6 +186,7 @@ class TestEnumerate:
         assert [m.shape for m in got] == [m.shape for m in want]
         # bytes, not values: the sign bit of every zero imaginary part counts
         assert [m.data.tobytes() for m in got] == [m.data.tobytes() for m in want]
+        assert all(m.data.flags.c_contiguous and not m.data.flags.writeable for m in got)
 
     def test_two_by_two_members_are_toeplitz(self):
         # the n = 2 group is exactly the one-parameter Toeplitz family

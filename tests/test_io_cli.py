@@ -375,6 +375,24 @@ class TestEnumerateCommand:
         docs = json.loads(capsys.readouterr().out)
         assert len(docs) == 2
 
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_each_format_writes_one_document_at_a_time(self, n):
+        class Spy(StringIO):
+            def write(self, text):
+                self.writes.append(text)
+                return super().write(text)
+
+        jsonl, array = Spy(), Spy()
+        jsonl.writes, array.writes = [], []
+        with redirect_stdout(jsonl):
+            assert main(["enumerate", str(n)]) == 0
+        with redirect_stdout(array):
+            assert main(["enumerate", str(n), "--format", "array"]) == 0
+        lines = jsonl.getvalue().splitlines()
+        assert jsonl.writes == [line + "\n" for line in lines]
+        assert array.getvalue() == "[" + ",".join(lines) + "]\n"
+        assert max(map(len, array.writes)) <= max(map(len, lines)) + 1
+
     @pytest.mark.parametrize("n", ["0", "25"])
     def test_out_of_range(self, n, capsys):
         assert main(["enumerate", n]) == 2
