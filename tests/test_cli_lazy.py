@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import schurlab
@@ -61,6 +62,34 @@ def test_subcommand_loads_only_its_modules(tmp_path, command):
     )
     assert {"core", "errors", "io", "multiplicative", "star"} <= loaded
     assert loaded & set(LOADED_BY) == {m for m, cmds in LOADED_BY.items() if command in cmds}
+
+
+def test_split_parse_loads_no_concurrency_module(tmp_path):
+    """A check on a document above the split size forks by hand: it loads no
+    process pool, executor, subprocess or thread module the interpreter did
+    not already hold at start-up."""
+    f = np.exp(2j * np.pi * np.random.default_rng(0).random(128))
+    path = tmp_path / "large.json"
+    path.write_text(io.dumps_document(io.matrix_to_document(np.outer(f, 1 / f))))
+    assert path.stat().st_size >= 2 * io._PIECE_MIN_CHARS
+    code = (
+        "import os, sys\n"
+        "WATCH = ('multiprocessing', 'concurrent', 'subprocess', 'threading')\n"
+        "before = {m for m in WATCH if m in sys.modules}\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from schurlab import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "assert forks == [1], forks\n"
+        "print({m for m in WATCH if m in sys.modules} - before or 'none')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    res = subprocess.run([sys.executable, "-c", code, "check", str(path), "--star", "--json"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "none"
 
 
 def test_import_alone_loads_core_and_errors():

@@ -2,7 +2,7 @@
 
 Each case runs ``schurlab.cli.main`` in a directory holding the 2x2 and 3x3
 inputs below. The help text is formatted for 80 columns, and the one field
-that varies from run to run, ``elapsed`` in ``verify`` reports, reads 0.0.
+that varies from run to run, ``timing.elapsed`` in ``verify`` reports, reads 0.0.
 """
 
 import re
@@ -588,7 +588,7 @@ TRANSCRIPT = [
         0,
         (
             '{"suite": "prop26", "trials": 2, "seed": 0, "cases": 4, "failures": [], '
-            '"elapsed": 0.0, "tolerance": {"rel": 1e-10, "abs": 1e-12}}\n'
+            '"timing": {"elapsed": 0.0}, "tolerance": {"rel": 1e-10, "abs": 1e-12}}\n'
         ),
         "",
     ),

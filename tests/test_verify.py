@@ -41,5 +41,5 @@ def test_unknown_suite_rejected():
 def test_report_serialization():
     report = run_suite("extreme", trials=5, seed=0)
     payload = report.to_dict()
-    assert set(payload) == {"suite", "trials", "seed", "cases", "failures", "elapsed"}
+    assert set(payload) == {"suite", "trials", "seed", "cases", "failures", "timing"}
     assert payload["failures"] == []
