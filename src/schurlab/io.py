@@ -15,21 +15,11 @@ two row encodings and O(n^2) bytes of joining.
 Reading pauses the cyclic garbage collector while JSON text is parsed: the
 parse builds one list per cell, and no list it builds can form a cycle.
 
-``loads_matrix`` parses a large canonical document one piece per CPU. The text
-must read ``{"rows":R,"cols":C,"data":[`` ... ``]}`` exactly (trailing JSON
-whitespace allowed), as ``dumps_document`` writes it, and hold at least
-``_PIECE_MIN_CHARS`` characters per piece. It is cut where one row ends and
-the next begins (``]],[[``), nearest each 1/k of the data; the parent parses
-the first piece and each forked child one more, under the same row-length
-check and the same ``_cells`` as the serial path, and sends back its rows as
-complex128 bytes. JSON arrays concatenate, so pieces that all parse and
-validate hold exactly the rows the whole text does. Any failure (another
-form, no row boundary, ``fork`` refused, a piece that does not parse or
-validate or holds a null, a row count other than R, a non-finite value)
-reparses the whole text serially, which gives the one message and exit code
-the document has always had. Forking is safe here: the split runs only when
-no other Python thread exists, and a child runs no BLAS call and no atexit
-handler, flushes no inherited stdio buffer, and leaves by ``os._exit``.
+``loads_matrix`` parses a text of at least ``2 * _PIECE_MIN_CHARS``
+characters one piece per usable CPU, in forked children, where the process
+runs no other Python thread; ``_parallel_load`` holds the rule, the checks and
+the serial fallback. It is loaded only for such texts, so a small request
+does not compile it.
 """
 
 from __future__ import annotations
@@ -37,7 +27,6 @@ from __future__ import annotations
 import gc
 import json
 import os
-import re
 import sys
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -216,13 +205,17 @@ def loads_matrix(text: str) -> ComplexMatrix:
     """The matrix of a JSON document.
 
     A large canonical document is parsed one piece per usable CPU in forked
-    children (see the module docstring); the matrix is bitwise the serial
+    children (see ``_parallel_load``); the matrix is bitwise the serial
     parse's, and any failure falls back to the serial parse, which raises the
     document's one ``DocumentFormatError``.
     """
-    matrix = _split_matrix(text) if isinstance(text, str) else None
-    if matrix is not None:
-        return matrix
+    pieces = _piece_count(len(text)) if isinstance(text, str) else 1
+    if pieces >= 2:
+        from ._parallel_load import load_in_pieces
+
+        matrix = load_in_pieces(text, pieces)
+        if matrix is not None:
+            return matrix
     return document_to_matrix(_loads(text))
 
 
@@ -248,132 +241,18 @@ def _loads(text: str):
 # break even at about 380-450 K characters and win in 20 of 21 runs or more
 # from 515 K on.
 _PIECE_MIN_CHARS = 256 * 1024
-_CANONICAL_HEAD = re.compile(r'\{"rows":([1-9][0-9]*),"cols":([1-9][0-9]*),"data":\[')
-_ROW_BREAK = "]],[["
 
 
 def _piece_count(size: int) -> int:
     """How many pieces to parse a text of ``size`` characters in: one per usable
     CPU, each at least ``_PIECE_MIN_CHARS``; 1 where forking is not available or
     not safe (another Python thread runs)."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    if size < 2 * _PIECE_MIN_CHARS or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     threading = sys.modules.get("threading")
     if threading is not None and threading.active_count() > 1:
         return 1
     return min(len(os.sched_getaffinity(0)), size // _PIECE_MIN_CHARS)
-
-
-def _row_spans(text: str, start: int, end: int, k: int) -> list[tuple[int, int]] | None:
-    """``k`` spans of ``text[start:end]``, cut at the row break nearest each
-    1/k of it; each span but the last ends with ``]]``, each but the first
-    starts with ``[[``, and the ``,`` between them belongs to neither."""
-    spans, lo = [], start
-    for i in range(1, k):
-        target = start + (end - start) * i // k
-        found = [p for p in (text.rfind(_ROW_BREAK, lo, target + len(_ROW_BREAK) - 1),
-                             text.find(_ROW_BREAK, max(target, lo), end)) if p >= 0]
-        if not found:
-            return None
-        cut = min(found, key=lambda p: abs(p - target))
-        spans.append((lo, cut + 2))
-        lo = cut + 3
-    spans.append((lo, end))
-    return spans
-
-
-def _piece_entries(text: str, start: int, end: int, cols: int) -> np.ndarray:
-    """The (rows, cols) complex128 entries of the rows in ``text[start:end]``.
-
-    Raises ``DocumentFormatError`` where the piece does not parse, a row is not
-    ``cols`` entries long, or a cell is not a number pair.
-    """
-    data = _loads("[" + text[start:end] + "]")
-    _check_row_lengths(data, cols)
-    entries, known = _cells(data)
-    if not known.all():
-        raise DocumentFormatError("null entry")
-    return entries
-
-
-def _split_matrix(text: str) -> ComplexMatrix | None:
-    """The matrix of a canonical document parsed one piece per CPU, or None
-    where the serial parse must decide (see the module docstring)."""
-    k = _piece_count(len(text))
-    if k < 2:
-        return None
-    head = _CANONICAL_HEAD.match(text)
-    end = len(text.rstrip(" \t\n\r")) - 2  # the newline ``complete`` prints is allowed
-    if head is None or text[end:end + 2] != "]}":
-        return None
-    rows, cols = int(head[1]), int(head[2])
-    spans = _row_spans(text, head.end(), end, k)
-    if spans is None:
-        return None
-    children = []  # (pid, read end of its pipe)
-    try:
-        for start, stop in spans[1:]:
-            children.append(_fork_piece(text, start, stop, cols, children))
-        parts = [_piece_entries(text, *spans[0], cols)]
-        parts += [_read_all(fd) for _, fd in children]
-    except (OSError, RecursionError, DocumentFormatError):
-        parts = None
-    finally:
-        reaped = _reap(children)
-    if parts is None or not reaped:
-        return None
-    try:  # ValueError: a part that is not whole rows, or a non-finite value
-        entries = np.concatenate(
-            [parts[0]] + [np.frombuffer(blob, np.complex128).reshape(-1, cols) for blob in parts[1:]]
-        )
-        return ComplexMatrix(entries) if entries.shape[0] == rows else None
-    except ValueError:
-        return None
-
-
-def _fork_piece(text: str, start: int, end: int, cols: int, children: list) -> tuple[int, int]:
-    """Fork a child that parses ``text[start:end]`` and writes its entries to a
-    pipe; returns its pid and the pipe's read end."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        try:  # the exit status is the child's only other result
-            for fd in [r] + [fd for _, fd in children]:
-                os.close(fd)
-            view = memoryview(_piece_entries(text, start, end, cols).tobytes())
-            while view:
-                view = view[os.write(w, view):]
-            os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(w)
-    return pid, r
-
-
-def _read_all(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 20):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
-def _reap(children: list) -> bool:
-    """Close each child's pipe, so none stays blocked writing, then wait for
-    each; True when every child exited 0."""
-    for _, fd in children:
-        os.close(fd)
-    ok = True
-    for pid, _ in children:
-        try:
-            ok = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0 and ok
-        except ChildProcessError:  # reaped elsewhere (SIGCHLD ignored): its status is lost
-            ok = False
-    return ok
 
 
 def _read_text(path: str) -> str:

@@ -18,6 +18,7 @@ SRC = str(Path(schurlab.__file__).resolve().parents[1])
 
 # each module ``import schurlab.cli`` leaves out, and the subcommands that load it
 LOADED_BY = {
+    "_parallel_load": set(),  # only for a document of at least 512 KiB
     "completion": {"complete", "verify"},
     "extreme": {"verify"},
     "groups": {"enumerate", "verify"},
@@ -82,6 +83,7 @@ def test_split_parse_loads_no_concurrency_module(tmp_path):
         "from schurlab import cli\n"
         "assert cli.main(sys.argv[1:]) == 0\n"
         "assert forks == [1], forks\n"
+        "assert 'schurlab._parallel_load' in sys.modules\n"
         "print({m for m in WATCH if m in sys.modules} - before or 'none')\n"
     )
     env = dict(os.environ)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurlab import DocumentFormatError, io
+from schurlab import DocumentFormatError, _parallel_load, io
 from schurlab.io import document_to_matrix, dumps_document, loads_matrix, matrix_to_document
 
 from test_cli_transcript import INPUTS
@@ -91,8 +91,8 @@ TEXT_EDITS = ["truncate", "drop", "double", "space", "newline"]
 
 
 def cut_positions(text: str, k: int) -> list[int]:
-    head = io._CANONICAL_HEAD.match(text)
-    spans = io._row_spans(text, head.end(), len(text) - 2, k) if head else None
+    head = _parallel_load._CANONICAL_HEAD.match(text)
+    spans = _parallel_load._row_spans(text, head.end(), len(text) - 2, k) if head else None
     return [end for _, end in spans[:-1]] if spans else [len(text) // 2]
 
 
@@ -154,11 +154,9 @@ def test_split_parse_is_the_serial_parse(case):
     with pytest.MonkeyPatch.context() as mp:
         split_everything(mp, k)
         got = outcome(text)
-        if mutation in ("none", "trailing") and not isinstance(got, str) and got.rows >= 2:
-            with pytest.MonkeyPatch.context() as two:
-                two.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-                assert io._split_matrix(text) is not None  # the property covers the split path
     assert same(got, reference(text))
+    if mutation in ("none", "trailing") and not isinstance(got, str) and got.rows >= 2:
+        assert _parallel_load.load_in_pieces(text, 2) is not None  # the split path ran
     no_child_left()
 
 
@@ -195,8 +193,8 @@ def test_pieces_follow_the_usable_cpus(monkeypatch):
 
 def test_pieces_are_cut_at_row_breaks():
     text = document(9, 2)
-    head = io._CANONICAL_HEAD.match(text)
-    spans = io._row_spans(text, head.end(), len(text) - 2, 3)
+    head = _parallel_load._CANONICAL_HEAD.match(text)
+    spans = _parallel_load._row_spans(text, head.end(), len(text) - 2, 3)
     assert len(spans) == 3
     rows = []
     for start, end in spans:
@@ -205,7 +203,8 @@ def test_pieces_are_cut_at_row_breaks():
         rows += json.loads("[" + text[start:end] + "]")
     assert rows == json.loads(text)["data"]
     one_row = document(1, 5)
-    assert io._row_spans(one_row, io._CANONICAL_HEAD.match(one_row).end(), len(one_row) - 2, 2) is None
+    head = _parallel_load._CANONICAL_HEAD.match(one_row)
+    assert _parallel_load._row_spans(one_row, head.end(), len(one_row) - 2, 2) is None
 
 
 class TestNoFork:
@@ -255,14 +254,14 @@ class TestFallback:
     def test_failing_child_falls_back_to_the_serial_parse(self, monkeypatch):
         split_everything(monkeypatch)
         parent = os.getpid()
-        real = io._piece_entries
+        real = _parallel_load._piece_entries
 
         def fail_in_child(*args):
             if os.getpid() != parent:
                 raise DocumentFormatError("child failed")
             return real(*args)
 
-        monkeypatch.setattr(io, "_piece_entries", fail_in_child)
+        monkeypatch.setattr(_parallel_load, "_piece_entries", fail_in_child)
         text = document(20, 20)
         assert same(loads_matrix(text), reference(text))
         no_child_left()
