@@ -9,10 +9,9 @@ ties everything together with seeded verification suites and a CLI.
 
 Importing the package loads ``core`` and ``errors``, which every path needs.
 Each public name is resolved from its submodule on first use, so a program
-loads only the submodules it reaches.
+loads only the submodules it reaches. ``_HOME`` is the one table of which
+submodule holds each name; the CLI resolves its library names through it too.
 """
-
-import importlib
 
 from . import core, errors  # noqa: F401  (loaded by every path)
 
@@ -66,7 +65,8 @@ def __getattr__(name: str):
     module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    # ``__import__`` takes the import statement's own path, which ``-X importtime`` reports
+    value = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
     globals()[name] = value  # later lookups find it without this hook
     return value
 

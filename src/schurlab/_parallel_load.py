@@ -19,7 +19,9 @@ other than R, a non-finite value.
 
 Forking is safe here: no other Python thread can hold a lock the child
 needs, and a child runs no BLAS call, flushes no inherited stdio buffer and
-runs no atexit handler; it leaves by ``os._exit`` whatever happens. The
+runs no atexit handler; it leaves by ``os._exit`` whatever happens. Where
+the parent's own piece fails, or a fork or a read does, the parent sends each
+child ``SIGKILL`` at once, since the serial parse decides without them. The
 parent closes every pipe before it waits, so a child blocked writing to a
 pipe nobody reads gets EPIPE and exits, and reaps every child before it
 returns.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import os
 import re
+import signal
 
 import numpy as np
 
@@ -89,8 +92,13 @@ def load_in_pieces(text: str, k: int) -> ComplexMatrix | None:
             children.append(_fork_piece(text, start, stop, cols, children))
         parts = [_piece_entries(text, *spans[0], cols)]
         parts += [_read_all(fd) for _, fd in children]
-    except (OSError, RecursionError, DocumentFormatError):
+    except (OSError, DocumentFormatError):
         parts = None
+        for pid, _ in children:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:  # reaped already (SIGCHLD ignored)
+                pass
     finally:
         reaped = _reap(children)
     if parts is None or not reaped:

@@ -15,13 +15,12 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import importlib
 import json
 import math
 import os
 import sys
 
-from . import io
+from . import _HOME, io
 from .core import Tolerance, operator_norm, require_square
 from .errors import (
     DocumentFormatError,
@@ -30,28 +29,12 @@ from .errors import (
     SchurError,
     ZeroEntryError,
 )
-from .multiplicative import certify_multiplicative, factor_scaling, schur_map_norm
-from .star import certify_star_multiplicative
 
-# check, factor and norm need only the modules above; these names load their
-# module when a command first reaches them (``__getattr__``), so a request
-# never imports the code of another subcommand
-_ON_DEMAND = {
-    "COMPLETED": "completion",
-    "INCONSISTENT": "completion",
-    "complete_partial": "completion",
-    "enumerate_real_positive": "groups",
-    "CoefficientGenerator": "truncation",
-    "scaling_generator": "truncation",
-    "table_generator": "truncation",
-    "toeplitz_generator": "truncation",
-    "unboundedness_witness": "truncation",
-    "SUITE_NAMES": "verify",
-    "run_suite": "verify",
-}
-# A bare name would skip ``__getattr__``, so commands reach the names above
-# through the module object; as with the imported names, a replacement set on
-# the module (a test's spy, a tracer's span) is the one called.
+# Every other library name is resolved through the package's one name table,
+# ``_HOME``, when a command first reaches it (``__getattr__``), so a request
+# loads only the modules its subcommand runs. A bare name would skip
+# ``__getattr__``, so commands reach those names through the module object; a
+# replacement set on the module (a test's spy, a tracer's span) is the one called.
 _cli = sys.modules[__name__]
 # verify.SUITE_NAMES, copied so that building the parser loads no suite code
 # (a test pins the two equal)
@@ -59,11 +42,9 @@ _SUITE_CHOICES = ("thm21", "thm24", "prop26", "group", "torus", "completion", "s
 
 
 def __getattr__(name: str):
-    module = _ON_DEMAND.get(name)
-    if module is None:
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __package__), name)
-    globals()[name] = value
+    value = globals()[name] = getattr(sys.modules[__package__], name)
     return value
 
 
@@ -130,8 +111,8 @@ def _battery_dict(cert, reason: str | None) -> dict:
 
 def _cmd_check(args, tol: Tolerance):
     matrix = _load_square(args.path)
-    cert, reason = _battery(certify_multiplicative, matrix, tol, trials=args.trials, seed=args.seed)
-    star_cert, star_reason = _battery(certify_star_multiplicative, matrix, tol)
+    cert, reason = _battery(_cli.certify_multiplicative, matrix, tol, trials=args.trials, seed=args.seed)
+    star_cert, star_reason = _battery(_cli.certify_star_multiplicative, matrix, tol)
 
     star_holds = star_cert is not None and star_cert.verdict
     holds = cert is not None and cert.verdict and (star_holds or not args.star)
@@ -161,7 +142,7 @@ def _cmd_check(args, tol: Tolerance):
 def _cmd_factor(args, tol: Tolerance):
     matrix = _load_square(args.path)
     try:
-        values = factor_scaling(matrix, tol).values
+        values = _cli.factor_scaling(matrix, tol).values
     except (NotMultiplicativeError, ZeroEntryError) as exc:
         raise _Refusal(f"not multiplicative ({exc})") from exc
     if args.json:
@@ -209,7 +190,7 @@ def _cmd_norm(args, tol: Tolerance):
     matrix = _load_square(args.path)
     op = operator_norm(matrix)
     try:
-        map_norm = schur_map_norm(matrix, tol)
+        map_norm = _cli.schur_map_norm(matrix, tol)
     except (NotMultiplicativeError, ZeroEntryError) as exc:
         map_norm, reason = None, str(exc)
     holds = map_norm is not None

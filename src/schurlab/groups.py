@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ComplexMatrix, Tolerance, as_matrix, schur_product
+from .core import DEFAULT_TOL, ComplexMatrix, Tolerance, as_matrix
 from .errors import DimensionError, PreconditionError, ResourceLimitError
-from .multiplicative import _require_multiplicative
 
 __all__ = [
     "SignMatrix",
@@ -93,19 +92,23 @@ def toeplitz_member(lam: complex, n: int) -> ComplexMatrix:
 def group_product(a, b, tol: Tolerance | None = None) -> ComplexMatrix:
     """Schur product of two multiplicative members; closed by construction,
     but refused with PreconditionError when an entry overflows a double."""
+    from .multiplicative import _require_multiplicative  # enumerate does not need it
+
     tol = tol or DEFAULT_TOL
     ma, mb = as_matrix(a), as_matrix(b)
     for name, m in (("left", ma), ("right", mb)):
         _require_multiplicative(
             m, tol, f"{name} factor fails the ratio identity (residual {{residual:.3e}})"
         )
-    if ma.shape == mb.shape:  # else schur_product names the mismatch
-        with np.errstate(all="ignore"):
-            overflow = np.argwhere(~np.isfinite(ma.data * mb.data))
-        if overflow.size:
-            i, j = overflow[0] + 1
-            raise PreconditionError(f"product entry ({i},{j}) cannot be represented as a double")
-    return schur_product(ma, mb)
+    if ma.shape != mb.shape:
+        raise DimensionError(f"shape mismatch: {ma.shape} vs {mb.shape}")
+    with np.errstate(all="ignore"):
+        product = ma.data * mb.data
+    overflow = np.argwhere(~np.isfinite(product))
+    if overflow.size:
+        i, j = overflow[0] + 1
+        raise PreconditionError(f"product entry ({i},{j}) cannot be represented as a double")
+    return ComplexMatrix(product)
 
 
 def torus_param(z, tol: Tolerance | None = None) -> ComplexMatrix:

@@ -229,7 +229,9 @@ def _loads(text: str):
     gc.disable()
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer literal too long to convert, or arrays
+        # nested deeper than the interpreter's recursion limit
         raise DocumentFormatError(f"invalid JSON: {exc}") from exc
     finally:
         if enabled:

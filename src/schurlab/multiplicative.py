@@ -78,7 +78,6 @@ from .errors import (
     PreconditionError,
     ZeroEntryError,
 )
-from .io import complex_cells
 
 __all__ = [
     "ScalingVector",
@@ -590,24 +589,24 @@ def build_from_scaling(f) -> ComplexMatrix:
     return ComplexMatrix(np.outer(values, 1.0 / values))
 
 
-def _decide(n: int, *parts) -> ConditionResult:
+def _decide(*parts) -> ConditionResult:
     """A condition from its parts, each a triple (closed, support, slow) of
     thunks (``_part``): the verdict, value and certified upper end the c = 0
     form and the support form decide (None where they do not), and the
     O(n^3) code's verdict and residual.
 
     The condition passes with the upper ends where some form passes every
-    part. Otherwise every part reads ``slow``, except that from n =
-    ``_LOW_RANK_MIN_N`` on a verdict the support form decides stands with its
-    value, so a failing condition reports what the O(n^3) code computes,
-    within the support form's span from that size on. The c = 0 form alone
-    leaves out E, which may hold lines above rounding, so it decides passes
-    only.
+    part. Otherwise every part reads ``slow``, except that a verdict the
+    support form decides stands with its value, so a failing condition
+    reports what the O(n^3) code computes, within the support form's span.
+    The support form exists only from the size ``_cap`` allows on. The c = 0
+    form alone leaves out E, which may hold lines above rounding, so it
+    decides passes only.
     """
     fast = [d if (d := closed()) and d[0] else support() for closed, support, _ in parts]
     if all(d and d[0] for d in fast):
         return _condition(True, *(d[2] for d in fast))
-    exact = [(n >= _LOW_RANK_MIN_N and support()) or slow() for _, support, slow in parts]
+    exact = [support() or slow() for _, support, slow in parts]
     return _condition(all(d[0] for d in exact), *(d[1] for d in exact))
 
 
@@ -1157,6 +1156,8 @@ class MultiplicativityCertificate:
         }
 
     def to_dict(self) -> dict:
+        from .io import complex_cells  # a certificate that is not printed needs no io
+
         return {
             "verdict": self.verdict,
             "conditions": {name: r.to_dict() for name, r in self.conditions.items()},
@@ -1280,9 +1281,9 @@ def certify_multiplicative(
     conditions = {
         "cocycle": facts.cocycle,
         "unit_diagonal": facts.unit_diagonal,
-        "rank_one": _decide(n, facts.rank_one()),
-        "spectrum_0_n": _decide(n, facts.spectrum(tol.threshold(float(n)))),
-        "product_sampling": _decide(n, sampling),
+        "rank_one": _decide(facts.rank_one()),
+        "spectrum_0_n": _decide(facts.spectrum(tol.threshold(float(n)))),
+        "product_sampling": _decide(sampling),
     }
     cert = MultiplicativityCertificate(
         verdict=all(r.passed for r in conditions.values()),

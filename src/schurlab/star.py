@@ -235,7 +235,6 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
     else:
         inv_diag_res = float(np.abs(np.diagonal(inv) - 1.0).max())
         pair = _decide(
-            n,
             _part(forms, psd, lambda: _psd_residual(data, tol, norm(), herm())),
             _part(_forms(inv, facts.split), psd, lambda: _psd_residual(inv, tol)),
             _known(inv_diag_res <= one, inv_diag_res),
@@ -244,15 +243,15 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
     rank_one = facts.rank_one()
     cocycle_res = facts.cocycle.residual / max(facts.scale * facts.scale, 1.0)
     conditions = {
-        "star_and_multiplicative": _decide(n, _known(facts.cocycle.passed, cocycle_res), herm_part),
+        "star_and_multiplicative": _decide(_known(facts.cocycle.passed, cocycle_res), herm_part),
         # For a Schur map the CP-isomorphism condition reduces to pair
         # positivity of A and its Schur inverse, so these two frozen names
         # report one computed test.
         "cp_isomorphism_proxy": pair,
-        "rank_one_normal_unit_diag": _decide(n, rank_one, comm_part),
-        "rank_one_unimodular_unit_diag": _decide(n, rank_one, _known(unimod_res <= one, unimod_res)),
+        "rank_one_normal_unit_diag": _decide(rank_one, comm_part),
+        "rank_one_unimodular_unit_diag": _decide(rank_one, _known(unimod_res <= one, unimod_res)),
         "selfadjoint_spectrum_norm": _decide(
-            n, herm_part, facts.spectrum(one, per=n), _known(map_norm_res <= one, map_norm_res)
+            herm_part, facts.spectrum(one, per=n), _known(map_norm_res <= one, map_norm_res)
         ),
         "schur_pair_positive": pair,
     }

@@ -1,6 +1,7 @@
 """What a request imports: the package resolves names on first use, and each
 CLI subcommand loads only the modules it runs."""
 
+import ast
 import importlib
 import json
 import os
@@ -22,6 +23,8 @@ LOADED_BY = {
     "completion": {"complete", "verify"},
     "extreme": {"verify"},
     "groups": {"enumerate", "verify"},
+    "multiplicative": {"check", "factor", "norm", "witness", "verify"},
+    "star": {"check", "verify"},
     "truncation": {"witness", "verify"},
     "verify": {"verify"},
 }
@@ -61,7 +64,7 @@ def test_subcommand_loads_only_its_modules(tmp_path, command):
     loaded = loaded_after(
         "import sys\nfrom schurlab import cli\nassert cli.main(sys.argv[1:]) == 0", *argv
     )
-    assert {"core", "errors", "io", "multiplicative", "star"} <= loaded
+    assert {"core", "errors", "io"} <= loaded
     assert loaded & set(LOADED_BY) == {m for m, cmds in LOADED_BY.items() if command in cmds}
 
 
@@ -96,6 +99,26 @@ def test_split_parse_loads_no_concurrency_module(tmp_path):
 
 def test_import_alone_loads_core_and_errors():
     assert loaded_after("import schurlab") == {"core", "errors"}
+
+
+def test_certification_alone_loads_no_io():
+    """A certificate is serialized only by ``to_dict``, which loads ``io`` then."""
+    code = "import schurlab\nschurlab.certify_multiplicative([[1, 1j], [-1j, 1]])"
+    assert loaded_after(code) == {"core", "errors", "multiplicative"}
+
+
+def test_cli_resolves_library_names_through_the_package():
+    """``schurlab._HOME`` is the one name table: every library name a command
+    reaches through ``_cli`` is the package's."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    called = {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "_cli"}
+    assert {"certify_multiplicative", "certify_star_multiplicative", "factor_scaling",
+            "schur_map_norm", "complete_partial", "run_suite"} <= called
+    for name in called:
+        assert getattr(cli, name) is getattr(schurlab, name), name
+    assert not hasattr(cli, "_ON_DEMAND")
 
 
 class TestLazyNamespace:
@@ -134,7 +157,8 @@ def test_parser_suite_choices_are_verify_suite_names():
 
 def test_commands_call_what_the_module_holds(tmp_path, monkeypatch, capsys):
     """A replacement set on ``cli`` (how a tracer wraps the library calls) is
-    the one each command calls, also for names ``cli`` loads on demand."""
+    the one each command calls: every library name a command reaches is
+    resolved through the module, whether or not ``cli`` has loaded it yet."""
     calls = []
 
     def spy(name):
@@ -146,8 +170,9 @@ def test_commands_call_what_the_module_holds(tmp_path, monkeypatch, capsys):
 
         monkeypatch.setattr(cli, name, wrapper)
 
-    for name in ("certify_multiplicative", "certify_star_multiplicative",
-                 "unboundedness_witness", "enumerate_real_positive"):
+    for name in ("certify_multiplicative", "certify_star_multiplicative", "factor_scaling",
+                 "schur_map_norm", "complete_partial", "unboundedness_witness",
+                 "enumerate_real_positive"):
         spy(name)
 
     class CountingIO:
@@ -160,9 +185,12 @@ def test_commands_call_what_the_module_holds(tmp_path, monkeypatch, capsys):
     assert cli.main(argv["witness"]) == 0
     assert cli.main(argv["enumerate"]) == 0
     assert cli.main(argv["check"]) == 0
+    for command in ("factor", "norm", "complete"):
+        assert cli.main(argv[command]) == 0
     capsys.readouterr()
     assert [c for c in calls if not c.startswith("io.")] == [
         "unboundedness_witness", "enumerate_real_positive",
         "certify_multiplicative", "certify_star_multiplicative",
+        "factor_scaling", "schur_map_norm", "complete_partial",
     ]
     assert {"io.complex_cells", "io.dumps_document", "io.load_matrix_file"} <= set(calls)

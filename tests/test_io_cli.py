@@ -623,6 +623,10 @@ def test_overflowing_scaling_file_exits_two_without_warning(tmp_path, capsys):
     assert capsys.readouterr().err == "error: generator entry (1,2) is not finite\n"
 
 
+DEEP_ARRAY = "[" * 200_000 + "]" * 200_000
+DEEP_DOC = '{"rows":1,"cols":1,"data":' + DEEP_ARRAY + "}"
+
+
 @pytest.mark.parametrize(
     "argv, files",
     [
@@ -658,6 +662,15 @@ def test_overflowing_scaling_file_exits_two_without_warning(tmp_path, capsys):
         pytest.param(["verify", "--suite", "thm21", "--trials", "2", "--seed", "-1"], {},
                      id="verify-seed-neg"),
         pytest.param(["witness", "100000000", "--gen", "toeplitz:1,0"], {}, id="witness-142-PiB"),
+        # arrays nested past the interpreter's recursion limit, one per reader
+        *(pytest.param(argv, {"d": DEEP_DOC if doc else DEEP_ARRAY}, id=f"deep-{name}")
+          for name, argv, doc in [
+              ("check", ["check", "{d}"], True),
+              ("factor", ["factor", "{d}"], True),
+              ("complete", ["complete", "{d}"], True),
+              ("table", ["witness", "3", "--gen", "table:{d}"], True),
+              ("scaling", ["witness", "3", "--gen", "scaling:{d}"], False),
+          ]),
     ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, argv, files):

@@ -7,6 +7,7 @@ import json
 import os
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -292,6 +293,28 @@ class TestFallback:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+        no_child_left()
+
+    def test_failing_parent_piece_stops_its_children(self, monkeypatch):
+        """The serial parse decides without the children, so a child still
+        parsing is stopped, not waited for."""
+        split_everything(monkeypatch)
+        parent = os.getpid()
+        real = _parallel_load._piece_entries
+
+        def slow_in_child(*args):
+            if os.getpid() != parent:
+                time.sleep(30)
+            return real(*args)
+
+        monkeypatch.setattr(_parallel_load, "_piece_entries", slow_in_child)
+        text = document(20, 20)
+        bad = text[:200] + "]" + text[200:]  # breaks the parent's own piece
+        want = reference(bad)
+        assert isinstance(want, str)
+        start = time.monotonic()
+        assert outcome(bad) == want
+        assert time.monotonic() - start < 10
         no_child_left()
 
     @pytest.mark.parametrize("cell", BAD_CELL, ids=repr)
