@@ -15,11 +15,19 @@ two row encodings and O(n^2) bytes of joining.
 Reading pauses the cyclic garbage collector while JSON text is parsed: the
 parse builds one list per cell, and no list it builds can form a cycle.
 
-``loads_matrix`` parses a text of at least ``2 * _PIECE_MIN_CHARS``
+``loads_matrix`` reads a text of at least ``2 * _PIECE_MIN_CHARS``
 characters one piece per usable CPU, in forked children, where the process
-runs no other Python thread; ``_parallel_load`` holds the rule, the checks and
-the serial fallback. It is loaded only for such texts, so a small request
-does not compile it.
+runs no other Python thread, and where the text is a canonical document as
+``dumps_document`` writes it. Where ``np.longdouble`` is the x87 extended
+format, each piece is read without ``json``: a numpy scanner checks every
+byte against the canonical layout and JSON's number grammar before it
+converts anything, and gives each number bitwise the double ``json.loads``
+gives, by Clinger's fast path in extended precision with ``float`` for the
+few numbers that path cannot round exactly (elsewhere each piece is parsed
+by ``json.loads``). Any other text, and any failure, is parsed whole by
+``json.loads``, which gives every error message. ``_parallel_load`` holds the
+rule, the checks, the exactness argument and the serial fallback. It is
+loaded only for such texts, so a small request does not compile it.
 """
 
 from __future__ import annotations
@@ -204,10 +212,11 @@ def document_to_partial(doc) -> PartialMatrix:
 def loads_matrix(text: str) -> ComplexMatrix:
     """The matrix of a JSON document.
 
-    A large canonical document is parsed one piece per usable CPU in forked
-    children (see ``_parallel_load``); the matrix is bitwise the serial
-    parse's, and any failure falls back to the serial parse, which raises the
-    document's one ``DocumentFormatError``.
+    A large canonical document is read one piece per usable CPU in forked
+    children, by a scanner that builds no Python object per number (see
+    ``_parallel_load``); the matrix is bitwise the serial parse's, and any
+    failure falls back to the serial parse, which raises the document's one
+    ``DocumentFormatError``.
     """
     pieces = _piece_count(len(text)) if isinstance(text, str) else 1
     if pieces >= 2:
@@ -238,10 +247,12 @@ def _loads(text: str):
             gc.enable()
 
 
-# Fewest characters worth one piece of a split parse, so a text splits from
-# 512 KiB on. Loading once in a fresh process on a 2-vCPU host, two pieces
-# break even at about 380-450 K characters and win in 20 of 21 runs or more
-# from 515 K on.
+# Fewest characters worth one piece of a split read, so a text splits from
+# 512 KiB on. Loading once in a fresh process on a 2-vCPU host, the scanner
+# in two pieces against one serial ``json.loads`` loses every run up to 318 K
+# characters (about 7 ms of it the module's import, the fork and the pipe),
+# breaks even at 378-444 K and wins 15 of 21 runs at 515 K, 16 of 21 at
+# 592 K and 15 of 15 at 674 K.
 _PIECE_MIN_CHARS = 256 * 1024
 
 

@@ -351,10 +351,12 @@ class _Split:
     bound on the worst ratio violation where it accepted through this split,
     else inf. ``fro`` >= ||x||_F and ``support``, the few rows and columns of
     E above rounding as Python ints, are computed on first use, for
-    ``_low_rank``.
+    ``_low_rank``. ``e_max`` bounds max|E_ij| for the exact E where the
+    ratio test offered a bound, else it is inf.
     """
 
     bound = math.inf
+    e_max = math.inf
 
     def __init__(self, x: np.ndarray, p: int, e: np.ndarray):
         self.x, self.p = x, p
@@ -365,6 +367,18 @@ class _Split:
     @functools.cached_property
     def fro(self) -> float:
         return _fro(self.x)
+
+    def skew_max(self) -> float:
+        """An upper bound on max|x_ij - conj(x_ji)|, rounding included, in
+        O(n). Since
+
+            x_ij - conj(x_ji) = u_i (v_j - conj(u_j)) + (u_i - conj(v_i)) conj(u_j)
+                                + E_ij - conj(E_ji),
+
+        it is at most 2 max|u| max|u - conj(v)| + 2 ``e_max``."""
+        mu = float(np.abs(self.u).max())
+        mw = float(np.abs(self.u - self.v.conj()).max())
+        return (2 * mu * mw + 2 * self.e_max) * (1 + _EPS) + _ETA
 
     def scaling(self) -> ScalingVector:
         """f with f(1) = 1 read off u (any column on exact inputs); the
@@ -415,10 +429,11 @@ def _split(x: np.ndarray, p: int) -> tuple[_Split, np.ndarray]:
     return _Split(x, p, e), e
 
 
-def _scan_bound(e: np.ndarray | None, scale: float, diag_res: float) -> tuple[float, tuple]:
+def _scan_bound(e: np.ndarray | None, scale: float, diag_res: float) -> tuple[float, tuple, float]:
     """Upper bound, rounding included, on what ``_cocycle_parts`` would return,
-    from E as computed for the pivot split, in O(n^2), and the arguments that
-    prune that scan: (|E| as computed, m, K), or () where no bound is offered.
+    from E as computed for the pivot split, in O(n^2), the arguments that
+    prune that scan: (|E| as computed, m, K), or () where no bound is offered,
+    and ``rho`` >= max|E_ij| for the exact E (inf where no bound is offered).
 
     With r = max|E_ij|, delta the diagonal deviation and M = max|a|, the
     exact maximum is at most t = r(1 + 3K) + K delta + r^2 with K = M + r
@@ -436,14 +451,14 @@ def _scan_bound(e: np.ndarray | None, scale: float, diag_res: float) -> tuple[fl
     """
     m = scale * (1 + _EPS)
     if e is None or not m < _SQRT_HUGE:  # NaN included
-        return math.inf, ()
+        return math.inf, (), math.inf
     mod = np.abs(e)
     delta = diag_res * (1 + _EPS)
     rho = (float(mod.max()) + _EPS * m) * (1 + _EPS) + _ETA
     k = m + rho
     t = rho * (1 + 3 * k) + k * delta + rho * rho
     bound = ((t + _EPS * (m + t)) * (1 + _EPS) + _ETA) * (1 + _EPS)
-    return (bound if bound < _SQRT_HUGE else math.inf), (mod, m, k)
+    return (bound if bound < _SQRT_HUGE else math.inf), (mod, m, k), rho
 
 
 def _unit_diagonal(data: np.ndarray, tol: Tolerance) -> tuple[ConditionResult, int]:
@@ -508,7 +523,9 @@ def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
         split, e = _split(data, _pivot(data, tol))
     except ZeroEntryError:
         split = e = None
-    bound, prune = _scan_bound(e, scale, diag_res)  # |E| lives only while this test runs
+    bound, prune, rho = _scan_bound(e, scale, diag_res)  # |E| lives only while this test runs
+    if split is not None:
+        split.e_max = rho
     if math.isfinite(bound) and bound <= 0.5 * threshold:
         split.bound = bound
         cocycle, triple_witness = _condition(True, bound), None
@@ -1072,6 +1089,26 @@ class _Facts:
         """Whether ``eigenvalues`` takes the symmetric solver for A."""
         return _hermitian_route(self.m.data, self.scale, self.tol)
 
+    def route(self, form: _Form) -> bool:
+        """``hermitian_route``, without its n-by-n pass where the split or
+        ``form`` decides it.
+
+        That pass compares c, the computed max|a_ij - conj(a_ji)| / 2, with
+        half the threshold; c lies within a relative 4u (u = 2^-53), and a
+        few 2^-1075 where a half is subnormal, of d / 2 for the exact
+        d = max|a_ij - conj(a_ji)|. The split's ``skew_max`` bounds d from
+        above, and d >= ||A - A*||_2 / n, whose lower end ``form``'s skew
+        span gives. That span alone rarely shows d small enough: its width,
+        2 eta, is about 9e-10 for a unimodular n = 512 input, against a
+        threshold of 1e-10.
+        """
+        half = 0.5 * self.tol.threshold(self.scale)
+        if self.split is not None and 0.5 * self.split.skew_max() * (1 + _EPS) + _ETA <= half:
+            return True
+        if 0.5 * (form.skew().lo / self.n) * (1 - _EPS) - _ETA > half:
+            return False
+        return self.hermitian_route
+
     @functools.cached_property
     def forms(self) -> tuple:
         """Thunks of A's c = 0 and support forms (``_forms``)."""
@@ -1100,7 +1137,7 @@ class _Facts:
         """The part: the spectrum distance divided by ``per``, at most ``threshold``."""
 
         def read(form):
-            span = form.spectrum(self.hermitian_route)
+            span = form.spectrum(self.route(form))
             return None if span is None else _Span(*(v / per for v in span)).verdict(threshold)
 
         def slow():

@@ -197,6 +197,23 @@ def test_check_star_computes_each_fact_once(monkeypatch, tmp_path, capsys):
         monkeypatch.undo()
 
 
+def test_accepted_check_forms_no_skew_matrix(monkeypatch, tmp_path, capsys):
+    # the accept path reads the symmetric-solver route off the split, so a
+    # unimodular check --star at n = 512 forms no n-by-n A - A*
+    f = np.exp(2j * np.pi * np.random.default_rng(512).random(512))
+    path = tmp_path / "m512.json"
+    path.write_text(io.dumps_document(io.matrix_to_document(np.outer(f, 1 / f))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an n-by-n A - A* was formed")
+
+    for module, name in ((core, "_hermitian_route"), (multiplicative, "_hermitian_route"),
+                         (star, "_skew_norm")):
+        monkeypatch.setattr(module, name, refuse)
+    assert cli.main(["check", str(path), "--star", "--json"]) == 0
+    capsys.readouterr()
+
+
 def certificates(m: ComplexMatrix, tol: Tolerance) -> tuple:
     cert, star_cert = certify_both(m, tol)
     return cert.to_dict(), star_cert.to_dict() if star_cert is not None else None
@@ -405,6 +422,11 @@ def test_bounds_cover_the_cubic_code(polar, log_eps, seed, perturb, tol):
     n = a.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         facts = multiplicative._Facts(ComplexMatrix(a), tol)
+        route = core._hermitian_route(a, facts.scale, tol)
+        if facts.split is not None:
+            assert facts.split.skew_max() >= np.abs(a - a.conj().T).max()
+        for form in (thunk() for thunk in facts.forms):
+            assert form is None or facts.route(form) == route
         closed = facts.forms[0]()
         if closed is not None:
             assert_form_holds_lapack(a, closed, tol)

@@ -161,6 +161,19 @@ def test_split_parse_is_the_serial_parse(case):
     no_child_left()
 
 
+@given(documents())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_json_pieces_are_the_serial_parse(case):
+    """Where ``np.longdouble`` is not the x87 format, pieces parse with ``json``."""
+    text, k, _ = case
+    with pytest.MonkeyPatch.context() as mp:
+        split_everything(mp, k)
+        mp.setattr(_parallel_load, "_EXTENDED", False)
+        got = outcome(text)
+    assert same(got, reference(text))
+    no_child_left()
+
+
 def test_values_round_trip_bitwise(monkeypatch):
     split_everything(monkeypatch)
     cells = [[[x, y] for y in SPECIAL] for x in SPECIAL]
@@ -206,6 +219,200 @@ def test_pieces_are_cut_at_row_breaks():
     one_row = document(1, 5)
     head = _parallel_load._CANONICAL_HEAD.match(one_row)
     assert _parallel_load._row_spans(one_row, head.end(), len(one_row) - 2, 2) is None
+
+
+def scanned(tokens: list[str], cols: int = 2) -> np.ndarray | None:
+    """``_scan_rows`` of rows of ``cols`` cells holding ``tokens`` in order."""
+    cells = ["[%s,%s]" % pair for pair in zip(tokens[::2], tokens[1::2])]
+    rows = [cells[i:i + cols] for i in range(0, len(cells), cols)]
+    text = ",".join("[" + ",".join(row) + "]" for row in rows)
+    return _parallel_load._scan_rows(text.encode("ascii"), cols)
+
+
+# a midpoint, 10^22 and 10^23, exponents +-27 and +-28, mantissas of 18, 19
+# and 22 digits, the least subnormal, the zeros, a 23-digit integer, E+, a
+# 19-digit mantissa int64 cannot hold, exponents int64 cannot hold
+EXACT_TOKENS = [
+    "9007199254740993.0", "9007199254740993", "1e22", "1e23", "1e27", "1e-27", "1e28", "1e-28",
+    "123456789012345678e-27", "123456789012345678e10", "0.123456789012345678",
+    "1234567890123456789", "0.1234567890123456789", "0.0001234567890123456789",
+    "1234567890.123456789012", "5e-324", "-5e-324", "-0", "-0.0", "0e5", "-0e5", "0.000",
+    "12345678901234567890123", "1E+5", "1e+05", "2.2250738585072014e-308",
+    "1.7976931348623157e308", "4.9406564584124654e-324", "0.1", "0.2", "0.3", "-2.5", "1e-5",
+    "7E-0", "100000000000000000", "9999999999999999999", "0.9999999999999999999",
+    "9223372036854775808", "1e0000000000000000000005", "1e99999999999999999999",
+    "1e-99999999999999999999", "-1e-400",
+]
+
+# text that is not a JSON number token, in place of one (JSON reads the
+# two with a space, which the scanner refuses too)
+BAD_TOKENS = [
+    "01", "-01", "00", "-00.5", "1.", ".5", "-", "1e", "1e+", "1E-", "+1", "1.5.2", "1e5e5",
+    "1e5.5", "--1", "1-2", "1+2", "1e--5", "1e+-5", "0x1", " 1", "1 ", "Infinity", "-Infinity",
+    "NaN", "1.e5", "-.5", "1ee5", "e5", "1.5e", "true", "null", "\u0661", "1\u00e9", "[1]", "",
+]
+
+
+@pytest.mark.parametrize("token", EXACT_TOKENS)
+def test_scanner_reads_what_float_reads(token):
+    tokens = [token, "1.5", "-" + token.lstrip("-"), token]
+    got = scanned(tokens)
+    want = np.array([json.loads(t) for t in tokens], dtype=np.float64)
+    if np.isfinite(want).all():
+        assert got is not None and got.view(np.float64).ravel().tobytes() == want.tobytes()
+    else:
+        assert got is None
+
+
+# JSON numbers, exponents wide enough to overflow and underflow
+json_number = st.from_regex(r"-?(0|[1-9][0-9]{0,24})(\.[0-9]{1,24})?([eE][+-]?[0-9]{1,3})?",
+                            fullmatch=True)
+
+
+@given(st.lists(json_number, min_size=2, max_size=8).filter(lambda t: len(t) % 2 == 0))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_scanner_reads_json_numbers_bitwise(tokens):
+    want = np.array([float(json.loads(t)) for t in tokens])
+    got = scanned(tokens, cols=1)
+    if np.isfinite(want).all():
+        assert got is not None and got.view(np.float64).ravel().tobytes() == want.tobytes()
+    else:
+        assert got is None
+
+
+@pytest.mark.parametrize("token", BAD_TOKENS, ids=repr)
+def test_other_tokens_take_the_serial_parse(monkeypatch, token):
+    if token.isascii():
+        assert scanned(["1.5", token, token, "2"]) is None
+    split_everything(monkeypatch)
+    for row in (0, 9):  # the parent's piece and the child's
+        doc = json.loads(document(10, 3))
+        doc["data"][row][1][1] = 12345.5
+        bad = dumps_document(doc).replace("12345.5", token)
+        assert same(outcome(bad), reference(bad))
+    no_child_left()
+
+
+@pytest.mark.parametrize("where", ["head", "tail", "parent", "child"])
+def test_layout_outside_the_numbers_is_checked(monkeypatch, where):
+    """A digit before the first row or after the last, and rows of C + 1 and
+    C - 1 cells whose brackets count as two rows of C, fall back to the
+    serial parse."""
+    split_everything(monkeypatch)
+    text = document(10, 3)
+    if where == "head":
+        bad = text.replace('"data":[', '"data":[5', 1)
+    elif where == "tail":
+        bad = text[:-2] + "5" + text[-2:]
+    else:
+        doc = json.loads(text)
+        row = 0 if where == "parent" else 8
+        doc["data"][row].append(doc["data"][row + 1].pop())
+        bad = dumps_document(doc)
+    want = reference(bad)
+    assert isinstance(want, str)
+    assert outcome(bad) == want
+    no_child_left()
+
+
+def test_non_ascii_text_is_parsed_serially(monkeypatch):
+    split_everything(monkeypatch)
+    text = document(10, 3)
+    for at in (40, len(text) - 40):
+        bad = text[:at] + "\u00e9" + text[at:]
+        assert outcome(bad) == reference(bad)
+    no_child_left()
+
+
+def test_scanner_reads_random_doubles_bitwise():
+    rng = np.random.default_rng(20)
+    x = rng.integers(0, 2**64, size=60000, dtype=np.uint64).view(np.float64)
+    x = np.concatenate([x[np.isfinite(x)], rng.standard_normal(60000), rng.random(60000) * 1e-3])
+    tokens = [repr(v) for v in x.tolist()] + ["%.17e" % v for v in x[:20000].tolist()]
+    tokens += ["%.25f" % v for v in x[-20000:].tolist()]
+    tokens = tokens[: len(tokens) // 100 * 100]
+    got = scanned(tokens, cols=50)
+    want = np.array([float(t) for t in tokens])
+    assert got is not None and got.view(np.float64).ravel().tobytes() == want.tobytes()
+
+
+MUTATION_BYTES = "0123456789.eE+-[], x"
+
+
+@st.composite
+def mutated_documents(draw):
+    rows, cols = draw(st.integers(2, 5)), draw(st.integers(1, 5))
+    cells = draw(st.lists(st.tuples(number, number), min_size=rows * cols, max_size=rows * cols))
+    data = [[list(cells[i * cols + j]) for j in range(cols)] for i in range(rows)]
+    text = dumps_document({"rows": rows, "cols": cols, "data": data})
+    # half the edits next to a non-digit, where most of the grammar lies
+    edges = [i + d for i, c in enumerate(text) if not c.isdigit() for d in (0, 1)]
+    edges = [i for i in edges if i < len(text)]
+    at = draw(st.one_of(st.integers(0, len(text) - 1), st.sampled_from(edges)))
+    edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+    byte = draw(st.sampled_from(MUTATION_BYTES))
+    if edit == "delete":
+        return text[:at] + text[at + 1:]
+    return text[:at] + byte + text[at + (edit == "replace"):]
+
+
+@given(mutated_documents())
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_single_byte_mutations_read_as_the_serial_parse(text):
+    with pytest.MonkeyPatch.context() as mp:
+        split_everything(mp)
+        mp.setattr(_parallel_load, "_BLOCK_CHARS", 40)
+        got = outcome(text)
+    assert same(got, reference(text))
+    no_child_left()
+
+
+def test_pieces_are_read_in_blocks_cut_at_row_breaks(monkeypatch):
+    split_everything(monkeypatch)
+    monkeypatch.setattr(_parallel_load, "_BLOCK_CHARS", 300)
+    blocks = []
+    real = _parallel_load._scan_rows
+    monkeypatch.setattr(_parallel_load, "_scan_rows",
+                        lambda raw, cols: blocks.append(raw) or real(raw, cols))
+    text = document(30, 4)
+    assert same(loads_matrix(text), reference(text))
+    assert len(blocks) >= 3  # the parent's piece alone
+    assert all(raw.startswith(b"[[") and raw.endswith(b"]]") for raw in blocks)
+    no_child_left()
+
+
+@pytest.mark.parametrize(
+    "case", ["valid", "specials", "null", "nan", "spaced", "truncated", "long row"]
+)
+def test_without_extended_precision_pieces_parse_with_json(monkeypatch, case):
+    """Where ``np.longdouble`` is not the x87 format, each piece is parsed by
+    ``json.loads``, with the same outcomes."""
+    split_everything(monkeypatch)
+    monkeypatch.setattr(_parallel_load, "_EXTENDED", False)
+    doc = json.loads(document(12, 5))
+    if case == "specials":
+        doc["data"][0] = [[x, -x] for x in SPECIAL[:5]]
+    elif case == "null":
+        doc["data"][-1][2] = None
+    elif case == "nan":
+        doc["data"][-1][2] = [float("nan"), 0.0]
+    elif case == "long row":
+        doc["data"][-1].append([1.0, 2.0])
+    text = dumps_document(doc)
+    if case == "spaced":
+        text = text.replace("],[", "], [")
+    elif case == "truncated":
+        text = text[:-5]
+    parsed = []
+    real = _parallel_load._loads
+    monkeypatch.setattr(_parallel_load, "_loads", lambda s: parsed.append(len(s)) or real(s))
+    scans = []
+    monkeypatch.setattr(_parallel_load, "_scan_rows", lambda *args: scans.append(1))
+    assert same(outcome(text), reference(text))
+    assert scans == []
+    # no row break, no "]}": the serial parse alone
+    assert bool(parsed) is (case not in ("spaced", "truncated"))
+    no_child_left()
 
 
 class TestNoFork:
@@ -370,10 +577,15 @@ class TestFallback:
         no_child_left()
 
 
+CANONICAL = document(20, 20)
+
+
 @pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("text", [document(20, 20), '{"rows":1,"cols":1,"data":[[[1,0]]]}',
-                                  "{not json", document(20, 20)[:-3]])
+@pytest.mark.parametrize("text", [CANONICAL, '{"rows":1,"cols":1,"data":[[[1,0]]]}',
+                                  "{not json", CANONICAL[:-3], CANONICAL.replace(",", ", ")])
 def test_gc_state_is_restored(monkeypatch, enabled, text):
+    """The split path reads the canonical text without ``json``; every other
+    text, the spaced one among them, is parsed by ``json.loads``."""
     split_everything(monkeypatch)
     seen = []
     real = json.loads
@@ -390,5 +602,6 @@ def test_gc_state_is_restored(monkeypatch, enabled, text):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
-    assert seen and not any(seen)  # every parse in this process ran with the GC paused
+    assert not any(seen)  # every parse in this process ran with the GC paused
+    assert bool(seen) is (text != CANONICAL or not _parallel_load._EXTENDED)
     no_child_left()
