@@ -1,17 +1,19 @@
 """Parse a large canonical matrix document one piece per CPU.
 
-``io.loads_matrix`` calls ``load_in_pieces`` with k >= 2 pieces, one per
-usable CPU, each at least ``io._PIECE_MIN_CHARS`` characters, where the
-process runs no other Python thread. The text must be ASCII and read
-``{"rows":R,"cols":C,"data":[`` ... ``]}`` exactly, as ``io.dumps_document``
-writes it; trailing JSON whitespace is allowed. It is cut where one row ends
-and the next begins (``]],[[``), nearest each 1/k of the data. The parent
-reads the first piece and each forked child one more (``_piece_entries``),
-and a child sends its rows back as complex128 bytes through a pipe. Pieces
-that all read hold exactly the rows the whole text does.
+``io.load_matrix_file`` and ``io.loads_matrix`` call ``load_in_pieces`` with
+a document's bytes (a file's as read, a text's ASCII encoding) and k >= 2
+pieces, one per usable CPU, each at least ``io._PIECE_MIN_BYTES`` bytes,
+where the process runs no other Python thread. Nothing here decodes text:
+the bytes must be ASCII and read ``{"rows":R,"cols":C,"data":[`` ... ``]}``
+exactly, as ``io.dumps_document`` writes it; trailing JSON whitespace is
+allowed. They are cut where one row ends and the next begins (``]],[[``),
+nearest each 1/k of the data. The parent reads the first piece and each
+forked child one more (``_piece_entries``), and a child sends its rows back
+as complex128 bytes through a pipe. Pieces that all read hold exactly the
+rows the whole document does.
 
-A piece is read by ``_scan_rows`` in blocks of about ``_BLOCK_CHARS``, cut at
-row breaks as well, which builds no Python object per number. Before it
+A piece is read by ``_scan_rows`` in blocks of about ``_BLOCK_BYTES``,
+cut at row breaks as well, which builds no Python object per number. Before it
 converts anything it checks that every byte is a digit or one of
 ``[],-+.eE``, that the brackets and commas are exactly the canonical sequence
 of rows of C cells of two numbers, and that each number between them reads
@@ -35,12 +37,12 @@ Where ``np.longdouble`` is not that format, or its arithmetic does not round
 to 64 bits (``_extended``, checked at import), pieces parse with
 ``json.loads`` under the serial path's row-length check and ``_cells``.
 
-Any failure returns None, and ``loads_matrix`` reparses the whole text
-serially, which gives the one message and exit code the document has always
-had: another layout, no row break, ``fork`` refused, a piece that is not
-canonical rows (or, through ``json``, does not parse or validate or holds a
-null), a child that exits nonzero, a row count other than R, a non-finite
-value.
+Any failure returns None, and the caller parses the whole document serially
+from the text a text-mode ``open`` gives (``io._decode``), which gives the
+one message and exit code the document has always had: another layout, no
+row break, ``fork`` refused, a piece that is not canonical rows (or, through
+``json``, does not parse or validate or holds a null), a child that exits
+nonzero, a row count other than R, a non-finite value.
 
 Forking is safe here: no other Python thread can hold a lock the child
 needs, and a child runs no BLAS call, flushes no inherited stdio buffer and
@@ -64,15 +66,15 @@ from .core import ComplexMatrix
 from .errors import DocumentFormatError
 from .io import _cells, _check_row_lengths, _loads
 
-_CANONICAL_HEAD = re.compile(r'\{"rows":([1-9][0-9]*),"cols":([1-9][0-9]*),"data":\[')
-_ROW_BREAK = "]],[["
+_CANONICAL_HEAD = re.compile(rb'\{"rows":([1-9][0-9]*),"cols":([1-9][0-9]*),"data":\[')
+_ROW_BREAK = b"]],[["
 
-# Characters per block of ``_scan_rows``: its arrays then stay within a few
+# Bytes per block of ``_scan_rows``: its arrays then stay within a few
 # MB whatever the document's size. Reading all of an n = 512 document
 # (10.8 MB) in one process on a 2-vCPU host took 156 ms in one block, 106 ms
 # in 1 MiB blocks, 78 ms in 256 KiB blocks and 91 ms in 64 KiB blocks (best
 # of 9).
-_BLOCK_CHARS = 256 * 1024
+_BLOCK_BYTES = 256 * 1024
 
 
 def _extended() -> bool:
@@ -118,15 +120,15 @@ for _x, _y, _need in [
 _FIELDS = bytes.maketrans(b"eE", b",,")  # with [ ] . deleted: mantissas and exponents
 
 
-def _row_spans(text: str, start: int, end: int, k: int) -> list[tuple[int, int]] | None:
-    """``k`` spans of ``text[start:end]``, cut at the row break nearest each
+def _row_spans(raw: bytes, start: int, end: int, k: int) -> list[tuple[int, int]] | None:
+    """``k`` spans of ``raw[start:end]``, cut at the row break nearest each
     1/k of it; each span but the last ends with ``]]``, each but the first
     starts with ``[[``, and the ``,`` between them belongs to neither."""
     spans, lo = [], start
     for i in range(1, k):
         target = start + (end - start) * i // k
-        found = [p for p in (text.rfind(_ROW_BREAK, lo, target + len(_ROW_BREAK) - 1),
-                             text.find(_ROW_BREAK, max(target, lo), end)) if p >= 0]
+        found = [p for p in (raw.rfind(_ROW_BREAK, lo, target + len(_ROW_BREAK) - 1),
+                             raw.find(_ROW_BREAK, max(target, lo), end)) if p >= 0]
         if not found:
             return None
         cut = min(found, key=lambda p: abs(p - target))
@@ -209,47 +211,47 @@ def _scan_rows(raw: bytes, cols: int) -> np.ndarray | None:
     return d.view(np.complex128).reshape(rows, cols)
 
 
-def _piece_entries(text: str, start: int, end: int, cols: int) -> np.ndarray:
-    """The (rows, cols) complex128 entries of the rows in ``text[start:end]``,
-    an ASCII text.
+def _piece_entries(raw: bytes, start: int, end: int, cols: int) -> np.ndarray:
+    """The (rows, cols) complex128 entries of the rows in ``raw[start:end]``,
+    ASCII bytes.
 
     Raises ``DocumentFormatError`` where the piece is not rows of ``cols``
     finite number pairs (through ``json``: where it does not parse, a row is
     not ``cols`` entries long, or a cell is not a number pair).
     """
     if not _EXTENDED:
-        data = _loads("[" + text[start:end] + "]")
+        data = _loads(b"[" + raw[start:end] + b"]")
         _check_row_lengths(data, cols)
         entries, known = _cells(data)
         if not known.all():
             raise DocumentFormatError("null entry")
         return entries
     parts = []
-    blocks = _row_spans(text, start, end, max(1, (end - start) // _BLOCK_CHARS))
+    blocks = _row_spans(raw, start, end, max(1, (end - start) // _BLOCK_BYTES))
     for lo, hi in blocks or [(start, end)]:
-        part = _scan_rows(text[lo:hi].encode("ascii"), cols)
+        part = _scan_rows(raw[lo:hi], cols)
         if part is None:
             raise DocumentFormatError("not canonical rows")
         parts.append(part)
     return np.concatenate(parts)
 
 
-def load_in_pieces(text: str, k: int) -> ComplexMatrix | None:
-    """The matrix of a canonical document parsed in ``k`` pieces, or None
-    where the serial parse must decide."""
-    head = _CANONICAL_HEAD.match(text)
-    end = len(text.rstrip(" \t\n\r")) - 2  # the newline ``complete`` prints is allowed
-    if head is None or not text.isascii() or text[end:end + 2] != "]}":
+def load_in_pieces(raw: bytes, k: int) -> ComplexMatrix | None:
+    """The matrix of the canonical document ``raw`` parsed in ``k`` pieces, or
+    None where the serial parse must decide."""
+    head = _CANONICAL_HEAD.match(raw)
+    end = len(raw.rstrip(b" \t\n\r")) - 2  # the newline ``complete`` prints is allowed
+    if head is None or not raw.isascii() or raw[end:end + 2] != b"]}":
         return None
     rows, cols = int(head[1]), int(head[2])
-    spans = _row_spans(text, head.end(), end, k)
+    spans = _row_spans(raw, head.end(), end, k)
     if spans is None:
         return None
     children = []  # (pid, read end of its pipe)
     try:
         for start, stop in spans[1:]:
-            children.append(_fork_piece(text, start, stop, cols, children))
-        parts = [_piece_entries(text, *spans[0], cols)]
+            children.append(_fork_piece(raw, start, stop, cols, children))
+        parts = [_piece_entries(raw, *spans[0], cols)]
         parts += [_read_all(fd) for _, fd in children]
     except (OSError, DocumentFormatError):
         parts = None
@@ -271,8 +273,8 @@ def load_in_pieces(text: str, k: int) -> ComplexMatrix | None:
         return None
 
 
-def _fork_piece(text: str, start: int, end: int, cols: int, children: list) -> tuple[int, int]:
-    """Fork a child that parses ``text[start:end]`` and writes its entries to a
+def _fork_piece(raw: bytes, start: int, end: int, cols: int, children: list) -> tuple[int, int]:
+    """Fork a child that parses ``raw[start:end]`` and writes its entries to a
     pipe; returns its pid and the pipe's read end."""
     r, w = os.pipe()
     try:
@@ -285,7 +287,7 @@ def _fork_piece(text: str, start: int, end: int, cols: int, children: list) -> t
         try:  # the exit status is the child's only other result
             for fd in [r] + [fd for _, fd in children]:
                 os.close(fd)
-            view = memoryview(_piece_entries(text, start, end, cols).tobytes())
+            view = memoryview(_piece_entries(raw, start, end, cols).tobytes())
             while view:
                 view = view[os.write(w, view):]
             os._exit(0)

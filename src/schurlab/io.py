@@ -15,19 +15,24 @@ two row encodings and O(n^2) bytes of joining.
 Reading pauses the cyclic garbage collector while JSON text is parsed: the
 parse builds one list per cell, and no list it builds can form a cycle.
 
-``loads_matrix`` reads a text of at least ``2 * _PIECE_MIN_CHARS``
-characters one piece per usable CPU, in forked children, where the process
-runs no other Python thread, and where the text is a canonical document as
-``dumps_document`` writes it. Where ``np.longdouble`` is the x87 extended
-format, each piece is read without ``json``: a numpy scanner checks every
-byte against the canonical layout and JSON's number grammar before it
-converts anything, and gives each number bitwise the double ``json.loads``
-gives, by Clinger's fast path in extended precision with ``float`` for the
-few numbers that path cannot round exactly (elsewhere each piece is parsed
-by ``json.loads``). Any other text, and any failure, is parsed whole by
-``json.loads``, which gives every error message. ``_parallel_load`` holds the
-rule, the checks, the exactness argument and the serial fallback. It is
-loaded only for such texts, so a small request does not compile it.
+``load_matrix_file`` reads a JSON document as bytes. Where it holds at least
+``2 * _PIECE_MIN_BYTES`` bytes, the process runs no other Python thread, and
+the bytes are a canonical document as ``dumps_document`` writes it, they are
+read one piece per usable CPU, in forked children, without being decoded;
+``loads_matrix`` sends a text's ASCII encoding the same way. Where
+``np.longdouble`` is the x87 extended format, each piece is read without
+``json``: a numpy scanner checks every byte against the canonical layout and
+JSON's number grammar before it converts anything, and gives each number
+bitwise the double ``json.loads`` gives, by Clinger's fast path in extended
+precision with ``float`` for the few numbers that path cannot round exactly
+(elsewhere each piece is parsed by ``json.loads``). Any other document, and
+any failure, is parsed whole by ``json.loads`` from the text a text-mode
+``open(path, encoding="utf-8")`` gives: UTF-8 with universal newlines, from
+the same decoder (``_decode``), so every error message, its character
+offsets and the "file is not UTF-8 text" message are a text-mode read's.
+``_parallel_load`` holds the rule, the checks, the exactness argument and
+the serial fallback. It is loaded only for large documents, so a small
+request does not compile it.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import gc
 import json
 import os
 import sys
+from io import BytesIO, TextIOWrapper
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -218,14 +224,20 @@ def loads_matrix(text: str) -> ComplexMatrix:
     failure falls back to the serial parse, which raises the document's one
     ``DocumentFormatError``.
     """
-    pieces = _piece_count(len(text)) if isinstance(text, str) else 1
-    if pieces >= 2:
-        from ._parallel_load import load_in_pieces
+    ascii_text = isinstance(text, str) and text.isascii()  # only ASCII bytes can split
+    matrix = _load_split(text.encode("ascii")) if ascii_text and _piece_count(len(text)) >= 2 else None
+    return matrix if matrix is not None else document_to_matrix(_loads(text))
 
-        matrix = load_in_pieces(text, pieces)
-        if matrix is not None:
-            return matrix
-    return document_to_matrix(_loads(text))
+
+def _load_split(raw: bytes) -> ComplexMatrix | None:
+    """The matrix of the document ``raw`` read in pieces, or None where the
+    serial parse must decide."""
+    pieces = _piece_count(len(raw))
+    if pieces < 2:
+        return None
+    from ._parallel_load import load_in_pieces
+
+    return load_in_pieces(raw, pieces)
 
 
 def loads_partial(text: str) -> PartialMatrix:
@@ -247,37 +259,46 @@ def _loads(text: str):
             gc.enable()
 
 
-# Fewest characters worth one piece of a split read, so a text splits from
-# 512 KiB on. Loading once in a fresh process on a 2-vCPU host, the scanner
-# in two pieces against one serial ``json.loads`` loses every run up to 318 K
-# characters (about 7 ms of it the module's import, the fork and the pipe),
-# breaks even at 378-444 K and wins 15 of 21 runs at 515 K, 16 of 21 at
-# 592 K and 15 of 15 at 674 K.
-_PIECE_MIN_CHARS = 256 * 1024
+# Fewest bytes worth one piece of a split read, so a document splits from
+# 512 KiB on. Loading a file once in a fresh process on a 2-vCPU host
+# (``load_matrix_file``, bytes in), the scanner in two pieces against the
+# decode and one serial ``json.loads`` loses 21 of 21 runs at 167 K bytes
+# (9.4 against 3.9 ms median: about 5.5 ms of fixed cost, mostly the
+# module's import, the fork and the pipe) and 20 of 21 at 262 K, breaks even
+# at 318-444 K (6, 8 and 10 of 21) and wins 16 of 21 runs at 515 K, 18 of 21
+# at 592 K and 21 of 21 at 674 K.
+_PIECE_MIN_BYTES = 256 * 1024
 
 
 def _piece_count(size: int) -> int:
-    """How many pieces to parse a text of ``size`` characters in: one per usable
-    CPU, each at least ``_PIECE_MIN_CHARS``; 1 where forking is not available or
+    """How many pieces to parse a document of ``size`` bytes in: one per usable
+    CPU, each at least ``_PIECE_MIN_BYTES``; 1 where forking is not available or
     not safe (another Python thread runs)."""
-    if size < 2 * _PIECE_MIN_CHARS or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    if size < 2 * _PIECE_MIN_BYTES or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     threading = sys.modules.get("threading")
     if threading is not None and threading.active_count() > 1:
         return 1
-    return min(len(os.sched_getaffinity(0)), size // _PIECE_MIN_CHARS)
+    return min(len(os.sched_getaffinity(0)), size // _PIECE_MIN_BYTES)
 
 
-def _read_text(path: str) -> str:
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _decode(raw: bytes) -> str:
+    """The text ``open(path, encoding="utf-8").read()`` gives for a file holding
+    ``raw``: the same decoder, fed the whole file at once, with universal
+    newlines, so a decode error names the same bytes and offset."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return TextIOWrapper(BytesIO(raw), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         raise DocumentFormatError(f"file is not UTF-8 text: {exc}") from exc
 
 
 def _load_json_file(path: str):
-    return _loads(_read_text(path))
+    return _loads(_decode(_read_bytes(path)))
 
 
 def _parse_csv_cell(cell: str, i: int, j: int) -> complex:
@@ -309,11 +330,17 @@ def read_matrix_csv(text: str) -> ComplexMatrix:
 
 
 def load_matrix_file(path: str) -> ComplexMatrix:
-    """Read a matrix from a JSON document, or CSV when the path ends in .csv."""
-    text = _read_text(path)
+    """Read a matrix from a JSON document, or CSV when the path ends in .csv.
+
+    A JSON document is read as bytes; a large canonical one is read in pieces
+    without being decoded (``_load_split``), and any other is decoded as a
+    text-mode read decodes it and parsed serially.
+    """
+    raw = _read_bytes(path)
     if path.lower().endswith(".csv"):
-        return read_matrix_csv(text)
-    return loads_matrix(text)
+        return read_matrix_csv(_decode(raw))
+    matrix = _load_split(raw)
+    return matrix if matrix is not None else document_to_matrix(_loads(_decode(raw)))
 
 
 def load_partial_file(path: str) -> PartialMatrix:

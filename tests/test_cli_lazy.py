@@ -75,7 +75,7 @@ def test_split_parse_loads_no_concurrency_module(tmp_path):
     f = np.exp(2j * np.pi * np.random.default_rng(0).random(128))
     path = tmp_path / "large.json"
     path.write_text(io.dumps_document(io.matrix_to_document(np.outer(f, 1 / f))))
-    assert path.stat().st_size >= 2 * io._PIECE_MIN_CHARS
+    assert path.stat().st_size >= 2 * io._PIECE_MIN_BYTES
     code = (
         "import os, sys\n"
         "WATCH = ('multiprocessing', 'concurrent', 'subprocess', 'threading')\n"

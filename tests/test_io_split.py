@@ -67,7 +67,7 @@ class ForkSpy:
 
 
 def split_everything(mp, cpus: int = 2) -> None:
-    mp.setattr(io, "_PIECE_MIN_CHARS", 1)
+    mp.setattr(io, "_PIECE_MIN_BYTES", 1)
     mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
@@ -92,8 +92,9 @@ TEXT_EDITS = ["truncate", "drop", "double", "space", "newline"]
 
 
 def cut_positions(text: str, k: int) -> list[int]:
-    head = _parallel_load._CANONICAL_HEAD.match(text)
-    spans = _parallel_load._row_spans(text, head.end(), len(text) - 2, k) if head else None
+    raw = text.encode()  # ASCII: the document's characters are its bytes
+    head = _parallel_load._CANONICAL_HEAD.match(raw)
+    spans = _parallel_load._row_spans(raw, head.end(), len(raw) - 2, k) if head else None
     return [end for _, end in spans[:-1]] if spans else [len(text) // 2]
 
 
@@ -157,7 +158,7 @@ def test_split_parse_is_the_serial_parse(case):
         got = outcome(text)
     assert same(got, reference(text))
     if mutation in ("none", "trailing") and not isinstance(got, str) and got.rows >= 2:
-        assert _parallel_load.load_in_pieces(text, 2) is not None  # the split path ran
+        assert _parallel_load.load_in_pieces(text.encode(), 2) is not None  # the split path ran
     no_child_left()
 
 
@@ -189,7 +190,7 @@ def test_values_round_trip_bitwise(monkeypatch):
 def test_a_large_document_splits_at_the_size_constant(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     text = document(128, 128)
-    assert len(text) >= 2 * io._PIECE_MIN_CHARS
+    assert len(text) >= 2 * io._PIECE_MIN_BYTES
     spy = ForkSpy(monkeypatch)
     assert same(loads_matrix(text), reference(text))
     assert spy.calls == 1
@@ -206,17 +207,17 @@ def test_pieces_follow_the_usable_cpus(monkeypatch):
 
 
 def test_pieces_are_cut_at_row_breaks():
-    text = document(9, 2)
+    text = document(9, 2).encode()
     head = _parallel_load._CANONICAL_HEAD.match(text)
     spans = _parallel_load._row_spans(text, head.end(), len(text) - 2, 3)
     assert len(spans) == 3
     rows = []
     for start, end in spans:
-        assert text[start:start + 2] == "[["
-        assert text[end - 2:end] == "]]"
-        rows += json.loads("[" + text[start:end] + "]")
+        assert text[start:start + 2] == b"[["
+        assert text[end - 2:end] == b"]]"
+        rows += json.loads(b"[" + text[start:end] + b"]")
     assert rows == json.loads(text)["data"]
-    one_row = document(1, 5)
+    one_row = document(1, 5).encode()
     head = _parallel_load._CANONICAL_HEAD.match(one_row)
     assert _parallel_load._row_spans(one_row, head.end(), len(one_row) - 2, 2) is None
 
@@ -361,7 +362,7 @@ def mutated_documents(draw):
 def test_single_byte_mutations_read_as_the_serial_parse(text):
     with pytest.MonkeyPatch.context() as mp:
         split_everything(mp)
-        mp.setattr(_parallel_load, "_BLOCK_CHARS", 40)
+        mp.setattr(_parallel_load, "_BLOCK_BYTES", 40)
         got = outcome(text)
     assert same(got, reference(text))
     no_child_left()
@@ -369,7 +370,7 @@ def test_single_byte_mutations_read_as_the_serial_parse(text):
 
 def test_pieces_are_read_in_blocks_cut_at_row_breaks(monkeypatch):
     split_everything(monkeypatch)
-    monkeypatch.setattr(_parallel_load, "_BLOCK_CHARS", 300)
+    monkeypatch.setattr(_parallel_load, "_BLOCK_BYTES", 300)
     blocks = []
     real = _parallel_load._scan_rows
     monkeypatch.setattr(_parallel_load, "_scan_rows",
@@ -422,12 +423,12 @@ class TestNoFork:
         for text in INPUTS.values():
             assert same(outcome(text), reference(text))
         text = document(64, 64)
-        assert len(text) < 2 * io._PIECE_MIN_CHARS
+        assert len(text) < 2 * io._PIECE_MIN_BYTES
         assert same(loads_matrix(text), reference(text))
         assert spy.calls == 0
 
     def test_one_usable_cpu(self, monkeypatch):
-        monkeypatch.setattr(io, "_PIECE_MIN_CHARS", 1)
+        monkeypatch.setattr(io, "_PIECE_MIN_BYTES", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         spy = ForkSpy(monkeypatch)
         text = document(20, 20)
@@ -605,3 +606,114 @@ def test_gc_state_is_restored(monkeypatch, enabled, text):
     assert not any(seen)  # every parse in this process ran with the GC paused
     assert bool(seen) is (text != CANONICAL or not _parallel_load._EXTENDED)
     no_child_left()
+
+
+def file_reference(path) -> object:
+    """What a text-mode read and the serial parse give for a file: the matrix,
+    or the message raised."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        return f"file is not UTF-8 text: {exc}"
+    return reference(text)
+
+
+def file_outcome(path) -> object:
+    try:
+        return io.load_matrix_file(str(path))
+    except DocumentFormatError as exc:
+        return str(exc)
+
+
+LARGE = document(128, 128)
+
+
+def at_fraction(raw: bytes, fraction: float) -> int:
+    """The index of the first digit at or after ``fraction`` of ``raw``."""
+    at = int(len(raw) * fraction)
+    while not raw[at:at + 1].isdigit():
+        at += 1
+    return at
+
+
+def large_variant(name: str) -> bytes:
+    raw = LARGE.encode()
+    first, last = at_fraction(raw, 0.1), at_fraction(raw, 0.9)  # in the first piece, the last
+    return {
+        "crlf": raw.replace(b"]],[[", b"]],\r\n[["),
+        "crlf truncated": raw.replace(b"]],[[", b"]],\r\n[[")[:-7],
+        "cr truncated": raw.replace(b"]],[[", b"]],\r[[")[:-7],
+        "crlf before an error": raw.replace(b"]],[[", b"]],\r\n[[", 40)[:last] + b"x" + raw[last:],
+        "bom": b"\xef\xbb\xbf" + raw,
+        "invalid utf-8 in the first piece": raw[:first] + b"\xff" + raw[first:],
+        "invalid utf-8 in the last piece": raw[:last] + b"\xc3\x28" + raw[last:],
+        "utf-8 cut short at the end": raw + b"\xe2\x82",
+        "trailing crlf": raw + b"\r\n",
+        "trailing cr": raw + b"\r",
+        "trailing crlf and space": raw + b"\r\n \r\n",
+        "non-ascii digit": raw[:last] + "٣".encode() + raw[last + 1:],
+        "non-ascii digit after crlf": raw.replace(b"]],[[", b"]],\r\n[[")[:first]
+        + "٣".encode() + raw.replace(b"]],[[", b"]],\r\n[[")[first + 1:],
+        "non-ascii space": raw.replace(b"]],[[", "]], [[".encode(), 1),
+    }[name]
+
+
+SPLITS = {"trailing crlf", "trailing cr", "trailing crlf and space"}  # canonical up to whitespace
+
+
+@pytest.mark.parametrize("name", [
+    "crlf", "crlf truncated", "cr truncated", "crlf before an error", "bom",
+    "invalid utf-8 in the first piece", "invalid utf-8 in the last piece",
+    "utf-8 cut short at the end", "trailing crlf", "trailing cr", "trailing crlf and space",
+    "non-ascii digit", "non-ascii digit after crlf", "non-ascii space",
+])
+def test_large_files_read_as_bytes_give_the_text_reads_outcome(monkeypatch, tmp_path, name):
+    """A large file is read as bytes; where it does not split, it is decoded
+    as a text-mode read decodes it, so the matrix, the message and its
+    character offsets are the text read's."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    raw = large_variant(name)
+    assert len(raw) >= 2 * io._PIECE_MIN_BYTES
+    path = tmp_path / "large.json"
+    path.write_bytes(raw)
+    decoded = []
+    real = io._decode
+    monkeypatch.setattr(io, "_decode", lambda raw: decoded.append(1) or real(raw))
+    got, want = file_outcome(path), file_reference(path)
+    assert same(got, want)
+    assert isinstance(want, str) is (name not in ("crlf", *SPLITS))
+    assert bool(decoded) is (name not in SPLITS)  # a split read decodes nothing
+    no_child_left()
+
+
+@pytest.mark.parametrize("kind", ["canonical", "exponents"])
+def test_large_text_and_file_loads_are_the_json_parse(monkeypatch, tmp_path, kind):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    text = LARGE
+    if kind == "exponents":
+        doc = json.loads(LARGE)
+        rows = ",".join("[" + ",".join("[%.16e,%.16e]" % tuple(cell) for cell in row) + "]"
+                        for row in doc["data"])
+        text = '{"rows":128,"cols":128,"data":[%s]}' % rows
+    path = tmp_path / "large.json"
+    path.write_text(text)
+    want = document_to_matrix(json.loads(text)).data.tobytes()
+    spy = ForkSpy(monkeypatch)
+    assert loads_matrix(text).data.tobytes() == want
+    assert io.load_matrix_file(str(path)).data.tobytes() == want
+    assert spy.calls == 2
+    no_child_left()
+
+
+@pytest.mark.parametrize("raw", [b"1,2i\r\n3,4\r\n", b"1,2i\r3,4", b"\xff1,2\n", b"1,\xe2\x82"],
+                         ids=["crlf", "cr", "invalid utf-8", "cut short"])
+def test_csv_files_read_as_the_text_read(tmp_path, raw):
+    path = tmp_path / "m.csv"
+    path.write_bytes(raw)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            want = io.read_matrix_csv(fh.read())
+    except UnicodeDecodeError as exc:
+        want = f"file is not UTF-8 text: {exc}"
+    assert same(file_outcome(path), want)
