@@ -34,15 +34,15 @@ midpoint is an extended number, so the first rounding cannot carry a value
 across one. The values lie in [1e-27, 1e45], where every double is normal.
 Midpoints, longer mantissas and wider exponents take ``float`` of their text.
 Where ``np.longdouble`` is not that format, or its arithmetic does not round
-to 64 bits (``_extended``, checked at import), pieces parse with
-``json.loads`` under the serial path's row-length check and ``_cells``.
+to 64 bits (``_extended``, checked at import), ``load_in_pieces`` returns
+None at once: such a host forks nothing and parses every document serially,
+as a host without ``fork`` or ``sched_getaffinity`` does.
 
 Any failure returns None, and the caller parses the whole document serially
 from the text a text-mode ``open`` gives (``io._decode``), which gives the
 one message and exit code the document has always had: another layout, no
-row break, ``fork`` refused, a piece that is not canonical rows (or, through
-``json``, does not parse or validate or holds a null), a child that exits
-nonzero, a row count other than R, a non-finite value.
+row break, ``fork`` refused, a piece that is not canonical rows, a child that
+exits nonzero, a row count other than R, a non-finite value.
 
 Forking is safe here: no other Python thread can hold a lock the child
 needs, and a child runs no BLAS call, flushes no inherited stdio buffer and
@@ -64,7 +64,6 @@ import numpy as np
 
 from .core import ComplexMatrix
 from .errors import DocumentFormatError
-from .io import _cells, _check_row_lengths, _loads
 
 _CANONICAL_HEAD = re.compile(rb'\{"rows":([1-9][0-9]*),"cols":([1-9][0-9]*),"data":\[')
 _ROW_BREAK = b"]],[["
@@ -213,19 +212,11 @@ def _scan_rows(raw: bytes, cols: int) -> np.ndarray | None:
 
 def _piece_entries(raw: bytes, start: int, end: int, cols: int) -> np.ndarray:
     """The (rows, cols) complex128 entries of the rows in ``raw[start:end]``,
-    ASCII bytes.
+    ASCII bytes, read by ``_scan_rows`` a block at a time.
 
-    Raises ``DocumentFormatError`` where the piece is not rows of ``cols``
-    finite number pairs (through ``json``: where it does not parse, a row is
-    not ``cols`` entries long, or a cell is not a number pair).
+    Raises ``DocumentFormatError`` where a block is not canonical rows of
+    ``cols`` finite number pairs.
     """
-    if not _EXTENDED:
-        data = _loads(b"[" + raw[start:end] + b"]")
-        _check_row_lengths(data, cols)
-        entries, known = _cells(data)
-        if not known.all():
-            raise DocumentFormatError("null entry")
-        return entries
     parts = []
     blocks = _row_spans(raw, start, end, max(1, (end - start) // _BLOCK_BYTES))
     for lo, hi in blocks or [(start, end)]:
@@ -239,6 +230,8 @@ def _piece_entries(raw: bytes, start: int, end: int, cols: int) -> np.ndarray:
 def load_in_pieces(raw: bytes, k: int) -> ComplexMatrix | None:
     """The matrix of the canonical document ``raw`` parsed in ``k`` pieces, or
     None where the serial parse must decide."""
+    if not _EXTENDED:  # the scanner's rounding argument needs the x87 format
+        return None
     head = _CANONICAL_HEAD.match(raw)
     end = len(raw.rstrip(b" \t\n\r")) - 2  # the newline ``complete`` prints is allowed
     if head is None or not raw.isascii() or raw[end:end + 2] != b"]}":

@@ -6,9 +6,10 @@ JSON line), a line, a list of lines, or an iterator of text pieces carrying
 their own newlines, which ``main`` writes as they come. Exit codes are part of the
 contract: 0 the property holds / output produced, 1 the property is false,
 2 malformed input, 3 underdetermined completion. Machine output is UTF-8 JSON
-on stdout; diagnostics go to stderr. The default tolerance is 1e-10 relative,
-overridable by SCHURLAB_TOL or --tol. A closed stdout, a broken pipe or a full
-disk met while writing is an ``OSError`` exit: one ``error:`` line and code 2.
+on stdout; diagnostics go to stderr, and are dropped where stderr is closed.
+The default tolerance is 1e-10 relative, overridable by SCHURLAB_TOL or
+--tol. A closed stdout, a broken pipe or a full disk met while writing is an
+``OSError`` exit: one ``error:`` line and code 2.
 
 A process started by ``entrypoint`` (the ``schurlab`` script, or ``python -m
 schurlab.cli``) ends without interpreter teardown: once ``main`` returns, it
@@ -69,10 +70,8 @@ def _resolve_tolerance(args) -> Tolerance | None:
     if not hasattr(args, "tol"):
         return None
     rel = args.tol
-    if rel is None:
-        env = os.environ.get("SCHURLAB_TOL")
-        if env is not None:
-            rel = float(env)
+    if rel is None and "SCHURLAB_TOL" in os.environ:
+        rel = float(os.environ["SCHURLAB_TOL"])
     return Tolerance(rel=rel) if rel is not None else Tolerance()
 
 
@@ -362,7 +361,7 @@ def main(argv=None) -> int:
     try:
         tol = _resolve_tolerance(args)
     except ValueError as exc:
-        print(f"error: bad tolerance: {exc}", file=sys.stderr)
+        _diagnose(f"error: bad tolerance: {exc}")
         return EXIT_INPUT
     try:
         holds, output = args.func(args, tol)
@@ -378,12 +377,25 @@ def main(argv=None) -> int:
         for text in output:
             write(text)
     except _Refusal as refusal:
-        print(*refusal.args, sep="\n", file=sys.stderr)
+        _diagnose(*refusal.args)
         return refusal.code
     except (SchurError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):  # a write cut short by the closing reader
+            # leaves bytes in stdout's buffer that no flush can write: drop them,
+            # or the final flush fails again and the process exits 120
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        _diagnose(f"error: {exc}")
         return EXIT_INPUT
     return EXIT_OK if holds else EXIT_FALSE
+
+
+def _diagnose(*lines: str) -> None:
+    """Write ``lines`` to stderr. Where fd 2 was closed when the interpreter
+    started, ``sys.stderr`` is None and ``print`` would write them to stdout,
+    so they are dropped: the exit code still carries the outcome."""
+    if sys.stderr is not None:
+        print(*lines, sep="\n", file=sys.stderr)
 
 
 def entrypoint() -> None:

@@ -19,20 +19,19 @@ parse builds one list per cell, and no list it builds can form a cycle.
 ``2 * _PIECE_MIN_BYTES`` bytes, the process runs no other Python thread, and
 the bytes are a canonical document as ``dumps_document`` writes it, they are
 read one piece per usable CPU, in forked children, without being decoded;
-``loads_matrix`` sends a text's ASCII encoding the same way. Where
-``np.longdouble`` is the x87 extended format, each piece is read without
-``json``: a numpy scanner checks every byte against the canonical layout and
-JSON's number grammar before it converts anything, and gives each number
-bitwise the double ``json.loads`` gives, by Clinger's fast path in extended
-precision with ``float`` for the few numbers that path cannot round exactly
-(elsewhere each piece is parsed by ``json.loads``). Any other document, and
-any failure, is parsed whole by ``json.loads`` from the text a text-mode
-``open(path, encoding="utf-8")`` gives: UTF-8 with universal newlines, from
-the same decoder (``_decode``), so every error message, its character
-offsets and the "file is not UTF-8 text" message are a text-mode read's.
-``_parallel_load`` holds the rule, the checks, the exactness argument and
-the serial fallback. It is loaded only for large documents, so a small
-request does not compile it.
+``loads_matrix`` sends a text's ASCII encoding the same way. Each piece is
+read without ``json``: a numpy scanner checks every byte against the
+canonical layout and JSON's number grammar before it converts anything, and
+gives each number bitwise the double ``json.loads`` gives, by Clinger's fast
+path in x87 extended precision with ``float`` for the few numbers that path
+cannot round exactly; where ``np.longdouble`` is not the x87 format, no
+document is split. Any other document, and any failure, is parsed whole by
+``json.loads`` from the text a text-mode ``open(path, encoding="utf-8")``
+gives: UTF-8 with universal newlines, from the same decoder (``_decode``), so
+every error message, its character offsets and the "file is not UTF-8 text"
+message are a text-mode read's. ``_parallel_load`` holds the rule, the
+checks, the exactness argument and the serial fallback. It is loaded only
+for large documents, so a small request does not compile it.
 """
 
 from __future__ import annotations
@@ -179,14 +178,10 @@ def _validated_grid(doc) -> tuple[int, int, list]:
         raise DocumentFormatError("rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows:
         raise DocumentFormatError(f"data must contain exactly {rows} rows")
-    _check_row_lengths(data, cols)
-    return rows, cols, data
-
-
-def _check_row_lengths(data: list, cols: int) -> None:
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             raise DocumentFormatError(f"row {i + 1} must contain exactly {cols} entries")
+    return rows, cols, data
 
 
 def document_to_matrix(doc) -> ComplexMatrix:
@@ -225,19 +220,8 @@ def loads_matrix(text: str) -> ComplexMatrix:
     ``DocumentFormatError``.
     """
     ascii_text = isinstance(text, str) and text.isascii()  # only ASCII bytes can split
-    matrix = _load_split(text.encode("ascii")) if ascii_text and _piece_count(len(text)) >= 2 else None
+    matrix = _load_split(text.encode("ascii")) if ascii_text else None
     return matrix if matrix is not None else document_to_matrix(_loads(text))
-
-
-def _load_split(raw: bytes) -> ComplexMatrix | None:
-    """The matrix of the document ``raw`` read in pieces, or None where the
-    serial parse must decide."""
-    pieces = _piece_count(len(raw))
-    if pieces < 2:
-        return None
-    from ._parallel_load import load_in_pieces
-
-    return load_in_pieces(raw, pieces)
 
 
 def loads_partial(text: str) -> PartialMatrix:
@@ -270,16 +254,23 @@ def _loads(text: str):
 _PIECE_MIN_BYTES = 256 * 1024
 
 
-def _piece_count(size: int) -> int:
-    """How many pieces to parse a document of ``size`` bytes in: one per usable
-    CPU, each at least ``_PIECE_MIN_BYTES``; 1 where forking is not available or
-    not safe (another Python thread runs)."""
+def _load_split(raw: bytes) -> ComplexMatrix | None:
+    """The matrix of the document ``raw`` read in pieces, one per usable CPU
+    and each at least ``_PIECE_MIN_BYTES``, or None where the serial parse
+    must decide: fewer than two pieces, forking not available or not safe
+    (another Python thread runs), or a split read that fails."""
+    size = len(raw)
     if size < 2 * _PIECE_MIN_BYTES or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
+        return None
     threading = sys.modules.get("threading")
     if threading is not None and threading.active_count() > 1:
-        return 1
-    return min(len(os.sched_getaffinity(0)), size // _PIECE_MIN_BYTES)
+        return None
+    pieces = min(len(os.sched_getaffinity(0)), size // _PIECE_MIN_BYTES)
+    if pieces < 2:
+        return None
+    from ._parallel_load import load_in_pieces
+
+    return load_in_pieces(raw, pieces)
 
 
 def _read_bytes(path: str) -> bytes:

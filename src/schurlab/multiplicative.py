@@ -76,6 +76,7 @@ from .errors import (
     DimensionError,
     NotMultiplicativeError,
     PreconditionError,
+    ResourceLimitError,
     ZeroEntryError,
 )
 
@@ -1224,11 +1225,15 @@ def _product_sampling_residual(data: np.ndarray, trials: int, seed: int) -> floa
     root-mean-square entry ||x|| / sqrt(n): on one perturbed entry that
     puts the residual at the size the n-by-n Gaussian pairs B, C of earlier
     versions gave (1.2 times it in the median). A NaN defect (overflow) is
-    kept, not folded away.
+    kept, not folded away. Draws that do not fit in memory raise
+    ResourceLimitError.
     """
     n = data.shape[0]
     scale = float(np.abs(data).max())
-    draws = np.random.default_rng(seed).standard_normal((2, 5, trials, n))
+    try:
+        draws = np.random.default_rng(seed).standard_normal((2, 5, trials, n))
+    except (MemoryError, ValueError):  # ValueError: the byte count overflows an index
+        raise ResourceLimitError(f"{trials} sampling trials at n = {n} do not fit in memory") from None
     b1, b2, c1, c2, x = draws[0] + 1j * draws[1]  # each (trials, n)
     w, y = b2 * c1, c2 * x
     ay = y @ data.T  # row t: A y for trial t
@@ -1297,7 +1302,9 @@ def certify_multiplicative(
     accept path that rests on LAPACK's error model (``_lapack``) alone: no
     QR runs there. A failing condition reports LAPACK's residual below
     n = 24 and the form's, within its span of LAPACK's, from there on.
-    ``product_sampling`` costs two matrix-vector products per trial.
+    ``product_sampling`` costs two matrix-vector products per trial; where
+    it samples and its draws do not fit in memory, ResourceLimitError is
+    raised.
     """
     m = as_matrix(a)
     n = require_square(m)

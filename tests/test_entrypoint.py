@@ -3,10 +3,14 @@ prints and exits with its code, skipping interpreter teardown, and a stream
 that fails or is closed is reported as it was before teardown was skipped."""
 
 import contextlib
+import fcntl
 import io as _io
 import os
+import struct
 import subprocess
 import sys
+import termios
+import time
 from pathlib import Path
 
 import pytest
@@ -93,6 +97,31 @@ def test_a_broken_pipe_exits_two_with_one_line(inputs, argv):
     assert err == b"error: [Errno 32] Broken pipe\n"
 
 
+@pytest.mark.parametrize("argv", [["enumerate", "14"], ["enumerate", "14", "--format", "array"]])
+def test_a_reader_closing_a_full_pipe_exits_two_with_one_line(inputs, argv):
+    """The reader closes only once the pipe has stopped filling, so the write
+    under way is cut short and stdout still holds bytes it can never write:
+    they are dropped, not retried at the final flush (which ended in exit 120)."""
+    proc = subprocess.Popen([sys.executable, "-m", "schurlab.cli", *argv], cwd=inputs,
+                            env=environment(True), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    seen, still, deadline = -1, 0, time.monotonic() + 60
+    while still < 5 and time.monotonic() < deadline:
+        time.sleep(0.02)
+        now = pending(proc.stdout)
+        still = still + 1 if now == seen and now > 0 else 0
+        seen = now
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 2
+    assert err == b"error: [Errno 32] Broken pipe\n"
+
+
+def pending(stream) -> int:
+    """The bytes waiting in a pipe's read end."""
+    return struct.unpack("i", fcntl.ioctl(stream, termios.FIONREAD, b"\0\0\0\0"))[0]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 def test_a_full_disk_exits_two_with_one_line(inputs, buffered):
@@ -162,3 +191,31 @@ def test_the_process_skips_teardown(inputs):
     assert (res.returncode, res.stderr) == (0, b"")
     res = run(["old", "factor", "real.json"], inputs, code=code)
     assert (res.returncode, res.stderr) == (0, b"finalized\n")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["check", "missing.json"], 2),
+    (["factor", "real.json", "--tol", "-1"], 2),
+    (["factor", "real.json", "--tol", "x"], 2),
+    (["factor", "offdiag.json"], 1),
+])
+def test_a_closed_stderr_leaves_stdout_empty(inputs, monkeypatch, capsys, argv, code):
+    """``schurlab check missing.json 2>&-``: with fd 2 closed at start-up,
+    ``sys.stderr`` is None, and the diagnostic is dropped, not written to stdout."""
+    monkeypatch.chdir(inputs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stderr", None)
+        assert cli.main(argv) == code
+    assert capsys.readouterr().out == ""
+
+
+def test_too_many_trials_exit_two_with_one_line(tmp_path):
+    """``check --trials 1000000000000`` on a rejected matrix: its draws do not
+    fit in memory, which is one ``error:`` line, not a traceback."""
+    (tmp_path / "perturbed.json").write_text(
+        '{"rows":3,"cols":3,"data":[[[1,0],[0.5,0],[0.3,0]],[[2,0],[1,0],[0.5,0]],[[4,0],[2,0],[1,0]]]}'
+    )
+    res = run(["check", "perturbed.json", "--trials", "1000000000000"], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.startswith(b"error: ") and res.stderr.count(b"\n") == 1
+    assert b"Traceback" not in res.stderr

@@ -165,12 +165,15 @@ def test_split_parse_is_the_serial_parse(case):
 @given(documents())
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_json_pieces_are_the_serial_parse(case):
-    """Where ``np.longdouble`` is not the x87 format, pieces parse with ``json``."""
+    """Where ``np.longdouble`` is not the x87 format, no document is split:
+    nothing forks, and the outcome is the serial parse's."""
     text, k, _ = case
     with pytest.MonkeyPatch.context() as mp:
         split_everything(mp, k)
         mp.setattr(_parallel_load, "_EXTENDED", False)
+        spy = ForkSpy(mp)
         got = outcome(text)
+    assert spy.calls == 0
     assert same(got, reference(text))
     no_child_left()
 
@@ -386,8 +389,9 @@ def test_pieces_are_read_in_blocks_cut_at_row_breaks(monkeypatch):
     "case", ["valid", "specials", "null", "nan", "spaced", "truncated", "long row"]
 )
 def test_without_extended_precision_pieces_parse_with_json(monkeypatch, case):
-    """Where ``np.longdouble`` is not the x87 format, each piece is parsed by
-    ``json.loads``, with the same outcomes."""
+    """Where ``np.longdouble`` is not the x87 format, there are no pieces: the
+    whole document is parsed once by ``json.loads``, never by the scanner,
+    nothing forks, and the outcomes are the serial parse's."""
     split_everything(monkeypatch)
     monkeypatch.setattr(_parallel_load, "_EXTENDED", False)
     doc = json.loads(document(12, 5))
@@ -405,14 +409,15 @@ def test_without_extended_precision_pieces_parse_with_json(monkeypatch, case):
     elif case == "truncated":
         text = text[:-5]
     parsed = []
-    real = _parallel_load._loads
-    monkeypatch.setattr(_parallel_load, "_loads", lambda s: parsed.append(len(s)) or real(s))
+    real = io._loads
+    monkeypatch.setattr(io, "_loads", lambda s: parsed.append(len(s)) or real(s))
     scans = []
     monkeypatch.setattr(_parallel_load, "_scan_rows", lambda *args: scans.append(1))
+    spy = ForkSpy(monkeypatch)
     assert same(outcome(text), reference(text))
     assert scans == []
-    # no row break, no "]}": the serial parse alone
-    assert bool(parsed) is (case not in ("spaced", "truncated"))
+    assert spy.calls == 0
+    assert parsed == [len(text)]
     no_child_left()
 
 

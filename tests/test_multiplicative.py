@@ -9,6 +9,7 @@ from schurlab import (
     ComplexMatrix,
     NotMultiplicativeError,
     PreconditionError,
+    ResourceLimitError,
     Tolerance,
     ZeroEntryError,
     all_ones,
@@ -170,6 +171,15 @@ class TestCertifyMultiplicative:
         assert not cert.verdict
         assert not any(cert.composite_conditions().values())
         assert not cert.inconsistent
+
+    @pytest.mark.parametrize("trials", [10**17, 10**20])
+    def test_draws_beyond_memory_are_a_resource_limit(self, trials):
+        """Draws whose byte count overflows numpy's size index are refused
+        before anything is allocated (a count that fits the index but not the
+        memory is the CLI test ``test_too_many_trials_exit_two_with_one_line``)."""
+        a = np.array([[1, 0.5, 0.3], [2, 1, 0.5], [4, 2, 1]])
+        with pytest.raises(ResourceLimitError, match=f"^{trials} sampling trials at n = 3 do not fit"):
+            certify_multiplicative(a, trials=trials)
 
     def test_to_dict_is_json_ready(self, unit_circle_2x2):
         import json
