@@ -10,7 +10,8 @@ allowed. They are cut where one row ends and the next begins (``]],[[``),
 nearest each 1/k of the data. The parent reads the first piece and each
 forked child one more (``_piece_entries``), and a child sends its rows back
 as complex128 bytes through a pipe. Pieces that all read hold exactly the
-rows the whole document does.
+rows the whole document does. The parent copies each block's rows once, into
+the one (R, C) array the matrix then keeps, checked for finiteness once.
 
 A piece is read by ``_scan_rows`` in blocks of about ``_BLOCK_BYTES``,
 cut at row breaks as well, which builds no Python object per number. Before it
@@ -210,9 +211,9 @@ def _scan_rows(raw: bytes, cols: int) -> np.ndarray | None:
     return d.view(np.complex128).reshape(rows, cols)
 
 
-def _piece_entries(raw: bytes, start: int, end: int, cols: int) -> np.ndarray:
-    """The (rows, cols) complex128 entries of the rows in ``raw[start:end]``,
-    ASCII bytes, read by ``_scan_rows`` a block at a time.
+def _piece_entries(raw: bytes, start: int, end: int, cols: int) -> list[np.ndarray]:
+    """The complex128 entries of the rows in ``raw[start:end]``, ASCII bytes,
+    read by ``_scan_rows`` a block at a time: one (rows, cols) array per block.
 
     Raises ``DocumentFormatError`` where a block is not canonical rows of
     ``cols`` finite number pairs.
@@ -224,7 +225,7 @@ def _piece_entries(raw: bytes, start: int, end: int, cols: int) -> np.ndarray:
         if part is None:
             raise DocumentFormatError("not canonical rows")
         parts.append(part)
-    return np.concatenate(parts)
+    return parts
 
 
 def load_in_pieces(raw: bytes, k: int) -> ComplexMatrix | None:
@@ -244,8 +245,8 @@ def load_in_pieces(raw: bytes, k: int) -> ComplexMatrix | None:
     try:
         for start, stop in spans[1:]:
             children.append(_fork_piece(raw, start, stop, cols, children))
-        parts = [_piece_entries(raw, *spans[0], cols)]
-        parts += [_read_all(fd) for _, fd in children]
+        parts = _piece_entries(raw, *spans[0], cols)
+        blobs = [_read_all(fd) for _, fd in children]
     except (OSError, DocumentFormatError):
         parts = None
         for pid, _ in children:
@@ -257,11 +258,13 @@ def load_in_pieces(raw: bytes, k: int) -> ComplexMatrix | None:
         reaped = _reap(children)
     if parts is None or not reaped:
         return None
-    try:  # ValueError: a part that is not whole rows, or a non-finite value
-        entries = np.concatenate(
-            [parts[0]] + [np.frombuffer(blob, np.complex128).reshape(-1, cols) for blob in parts[1:]]
-        )
-        return ComplexMatrix(entries) if entries.shape[0] == rows else None
+    try:  # ValueError: a child's part that is not whole rows, or a non-finite value
+        parts += [np.frombuffer(blob, np.complex128).reshape(-1, cols) for blob in blobs]
+        if sum(map(len, parts)) != rows:  # checked before R rows are allocated
+            return None
+        # copied once, into the array the matrix keeps
+        entries = np.concatenate(parts, out=np.empty((rows, cols), np.complex128))
+        return ComplexMatrix._block(entries[None])[0]
     except ValueError:
         return None
 
@@ -280,9 +283,10 @@ def _fork_piece(raw: bytes, start: int, end: int, cols: int, children: list) -> 
         try:  # the exit status is the child's only other result
             for fd in [r] + [fd for _, fd in children]:
                 os.close(fd)
-            view = memoryview(_piece_entries(raw, start, end, cols).tobytes())
-            while view:
-                view = view[os.write(w, view):]
+            for part in _piece_entries(raw, start, end, cols):
+                view = memoryview(part.reshape(-1).view(np.uint8))
+                while view:
+                    view = view[os.write(w, view):]
             os._exit(0)
         finally:
             os._exit(1)

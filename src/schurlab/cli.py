@@ -179,20 +179,19 @@ def _cmd_complete(args, tol: Tolerance):
     )
 
 
-def _json_array(docs):
-    """The one-line JSON array of ``docs``, a piece at a time."""
+def _json_array(members):
+    """The one-line JSON array of the members' documents, a piece at a time."""
     yield "["
-    for k, doc in enumerate(docs):
-        yield "," + doc if k else doc
+    for k, m in enumerate(members):
+        yield ("," if k else "") + io.dumps_document(io.matrix_to_document(m))
     yield "]\n"
 
 
 def _cmd_enumerate(args, tol: None):  # enumerate takes no tolerance
     members = _cli.enumerate_real_positive(args.n)
-    docs = (io.dumps_document(io.matrix_to_document(m)) for m in members)
     if args.format == "array":
-        return True, _json_array(docs)
-    return True, (doc + "\n" for doc in docs)
+        return True, _json_array(members)
+    return True, (io.dumps_document(io.matrix_to_document(m)) + "\n" for m in members)
 
 
 def _cmd_norm(args, tol: Tolerance):

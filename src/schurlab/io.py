@@ -10,7 +10,11 @@ second canonical writer.
 The writer shares rows. ``matrix_to_document`` gives bitwise-equal rows one
 cell list, and ``dumps_document`` encodes each distinct row list once and
 repeats its text, so a sign matrix s s^T (two distinct rows, s and -s) costs
-two row encodings and O(n^2) bytes of joining.
+two row encodings and O(n^2) bytes of joining. A row is encoded by one C
+encoder built at import (``_ROW_CHUNKS``), the one ``json.JSONEncoder``
+builds afresh on every ``encode`` call; where the ``_json`` accelerator is
+missing it is None and each row goes through ``_ENCODER.encode``, the same
+text in pure Python.
 
 Reading pauses the cyclic garbage collector while JSON text is parsed: the
 parse builds one list per cell, and no list it builds can form a cycle.
@@ -84,8 +88,8 @@ def matrix_to_document(a) -> dict:
     width = len(bits) // rows
     shared = {}
     data = []
-    for i, start in enumerate(range(0, len(bits), width)):
-        key = bits[start:start + width]
+    for i in range(rows):
+        key = bits[i * width:(i + 1) * width]
         row = shared.get(key)
         if row is None:
             row = shared[key] = cells[i].tolist()
@@ -102,6 +106,13 @@ def partial_to_document(partial: PartialMatrix) -> dict:
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
+# The C encoder ``_ENCODER.iterencode`` builds on every call, built once. It
+# keeps no circular-reference set: a document from ``matrix_to_document`` or
+# ``partial_to_document`` cannot hold a cycle. None where ``_json`` is missing.
+_make_encoder = json.encoder.c_make_encoder
+_ROW_CHUNKS = None if _make_encoder is None else _make_encoder(
+    None, _ENCODER.default, json.encoder.encode_basestring_ascii, None, ":", ",", False, False, True
+)
 
 
 def dumps_document(doc: dict) -> str:
@@ -113,11 +124,14 @@ def dumps_document(doc: dict) -> str:
     each distinct row object of ``data`` is encoded once.
     """
     texts = {}
+    parts = []
     for row in doc["data"]:
-        if id(row) not in texts:
-            texts[id(row)] = _ENCODER.encode(row)
-    data = ",".join([texts[id(row)] for row in doc["data"]])
-    return '{"rows":%d,"cols":%d,"data":[%s]}' % (doc["rows"], doc["cols"], data)
+        text = texts.get(id(row))
+        if text is None:
+            text = "".join(_ROW_CHUNKS(row, 0)) if _ROW_CHUNKS else _ENCODER.encode(row)
+            texts[id(row)] = text
+        parts.append(text)
+    return '{"rows":%d,"cols":%d,"data":[%s]}' % (doc["rows"], doc["cols"], ",".join(parts))
 
 
 class _CellError(DocumentFormatError):  # a malformed cell; ``column`` is 0-based

@@ -3,7 +3,7 @@ import math
 import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from io import StringIO
+from io import BytesIO, StringIO, TextIOWrapper
 
 import numpy as np
 import pytest
@@ -18,6 +18,8 @@ from schurlab import (
     all_ones,
     is_positive_semidefinite,
 )
+from schurlab import cli
+from schurlab import io as schur_io
 from schurlab.cli import main, parse_generator_spec
 from schurlab.io import (
     complex_cells,
@@ -55,14 +57,14 @@ def flip_zero_signs(z: complex) -> complex:
 
 
 @st.composite
-def repeated_row_grids(draw, square=False):
+def repeated_row_grids(draw, square=False, floats=EDGE_FLOATS):
     """Complex grids whose rows are drawn from a small pool, so rows repeat."""
     if square:
         rows = cols = draw(st.integers(1, 6))
     else:
         shapes = st.sampled_from([(1, 1), (1, 5), (5, 1)])
         rows, cols = draw(shapes | st.tuples(st.integers(1, 6), st.integers(1, 6)))
-    cell = st.builds(complex, EDGE_FLOATS, EDGE_FLOATS)
+    cell = st.builds(complex, floats, floats)
     pool = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=1, max_size=3))
     if draw(st.booleans()):
         pool.append([flip_zero_signs(z) for z in pool[0]])
@@ -72,6 +74,23 @@ def repeated_row_grids(draw, square=False):
 
 def canonical_dumps(doc) -> str:
     return json.dumps(doc, separators=(",", ":"))
+
+
+# integral floats too: shortest repr writes 3.0 and 1e+16, never 3 or 1e16
+WRITER_FLOATS = EDGE_FLOATS | st.integers(-(2**60), 2**60).map(float) | st.sampled_from([1e16, -1e22])
+
+
+@st.composite
+def written_documents(draw):
+    """Documents as the writer receives them: a matrix's (rows shared where
+    bitwise equal, some equal only by value) or a partial's (null cells)."""
+    grid = draw(repeated_row_grids(square=draw(st.booleans()), floats=WRITER_FLOATS))
+    if grid.shape[0] != grid.shape[1] or draw(st.booleans()):
+        return matrix_to_document(ComplexMatrix(grid))
+    n = grid.shape[0]
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+    mask = mask.reshape(n, n) & (np.abs(grid) != 0)  # specified entries are nonzero
+    return partial_to_document(PartialMatrix(entries=grid, mask=mask))
 
 
 def write(tmp_path, name, payload):
@@ -107,6 +126,19 @@ class TestDocuments:
         mask = mask.reshape(n, n) & (np.abs(grid) != 0)  # specified entries are nonzero
         doc = partial_to_document(PartialMatrix(entries=grid, mask=mask))
         assert dumps_document(doc) == canonical_dumps(doc)
+
+    @pytest.mark.parametrize("encoder", ["reused", "fallback"])
+    @settings(max_examples=300, deadline=None)
+    @given(doc=written_documents())
+    def test_dumps_document_is_json_dumps_with_either_row_encoder(self, encoder, doc):
+        """The C encoder built once, and the pure-Python ``encode`` taken where
+        ``_json`` is missing, write the same bytes as ``json.dumps``."""
+        with pytest.MonkeyPatch.context() as mp:
+            if encoder == "fallback":
+                mp.setattr(schur_io, "_ROW_CHUNKS", None)
+            else:
+                assert schur_io._ROW_CHUNKS is not None
+            assert dumps_document(doc) == canonical_dumps(doc)
 
     def test_sign_matrix_document_holds_two_row_lists(self):
         s = np.array([1.0, -1.0, -1.0, 1.0, -1.0])
@@ -393,6 +425,41 @@ class TestEnumerateCommand:
         assert jsonl.writes == [line + "\n" for line in lines]
         assert array.getvalue() == "[" + ",".join(lines) + "]\n"
         assert max(map(len, array.writes)) <= max(map(len, lines)) + 1
+
+    @pytest.mark.parametrize("array", [False, True], ids=["jsonl", "array"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_each_line_is_one_writer_call_through_cli_io(self, monkeypatch, n, array):
+        """One ``cli.io.dumps_document`` call per member, whose texts are stdout
+        byte for byte: the benchmark counts the writer's bytes through
+        ``cli.io``, so a path around it would go unmeasured."""
+        texts = []
+
+        class CountingIO:
+            def __getattr__(self, name):
+                return getattr(schur_io, name)
+
+            def dumps_document(self, doc):
+                texts.append(schur_io.dumps_document(doc))
+                return texts[-1]
+
+        monkeypatch.setattr(cli, "io", CountingIO())
+        raw = BytesIO()
+        out = TextIOWrapper(raw, encoding="utf-8", write_through=True)
+        with redirect_stdout(out):
+            assert main(["enumerate", str(n)] + ["--format", "array"] * array) == 0
+        out.flush()
+        count = 1 << (n - 1)
+        assert len(texts) == count
+        # member k is s s^T, s = (1, signs): bit j of k, from the top, negates s_(j+2)
+        cell = {1: "[1.0,0.0]", -1: "[-1.0,0.0]"}
+        docs = []
+        for k in range(count):
+            s = [1] + [-1 if k >> (n - 2 - j) & 1 else 1 for j in range(n - 1)]
+            rows = ("[" + ",".join(cell[si * sj] for sj in s) + "]" for si in s)
+            docs.append('{"rows":%d,"cols":%d,"data":[%s]}' % (n, n, ",".join(rows)))
+        assert texts == docs
+        joined = "[" + ",".join(texts) + "]\n" if array else "".join(t + "\n" for t in texts)
+        assert raw.getvalue() == joined.encode()
 
     @pytest.mark.parametrize("n", ["0", "25"])
     def test_out_of_range(self, n, capsys):
