@@ -92,14 +92,12 @@ def toeplitz_member(lam: complex, n: int) -> ComplexMatrix:
 def group_product(a, b, tol: Tolerance | None = None) -> ComplexMatrix:
     """Schur product of two multiplicative members; closed by construction,
     but refused with PreconditionError when an entry overflows a double."""
-    from .multiplicative import _require_multiplicative  # enumerate does not need it
+    from .multiplicative import _passing_facts  # enumerate does not need it
 
     tol = tol or DEFAULT_TOL
     ma, mb = as_matrix(a), as_matrix(b)
     for name, m in (("left", ma), ("right", mb)):
-        _require_multiplicative(
-            m, tol, f"{name} factor fails the ratio identity (residual {{residual:.3e}})"
-        )
+        _passing_facts(m, tol, f"{name} factor fails the ratio identity (residual {{residual:.3e}})")
     if ma.shape != mb.shape:
         raise DimensionError(f"shape mismatch: {ma.shape} vs {mb.shape}")
     with np.errstate(all="ignore"):

@@ -14,9 +14,9 @@ the ratio test. On a multiplicative A, E = 0 and the scaling f is u / u_1.
 The ratio test runs in one place, ``_facts``, and every multiplicativity
 decision (``check_cocycle``, ``factor_scaling``, ``schur_map_norm``, the
 truncation probes, ``group_product`` and both batteries) reads its verdict,
-its split and f from there; calls on one ``ComplexMatrix`` at an equal
-tolerance share one ratio test. E and |E| live only while the ratio test
-runs: a kept split holds views of the matrix and nothing else.
+its split and f from there; calls on one matrix, or on bitwise-equal ones,
+at an equal tolerance share one ratio test. E and |E| live only while the
+ratio test runs: a kept split holds views of the matrix and nothing else.
 
 Every other view is read off one low-rank form A = Q T Q* + F, Q with
 orthonormal columns, ||F||_F certified small: T's singular values and
@@ -36,13 +36,15 @@ ratio scan evaluates only the pairs whose bound reaches a violation it has
 seen; it still reports the exact worst violation and the full O(n^3) scan's
 witness, bit for bit, and falls back to that scan where pruning would not
 pay. A condition the c = 0 form leaves open, every failing one included,
-reads the support form ``_low_rank`` (n >= 24): the few rows and columns of
-E above rounding (the split's ``support``) give T at most 2(|R| + |C| + 1)
-square, with ||F||_F within LAPACK's own allowance under an error model of
-the QR that builds Q. A condition passes where every part's span lies below
-its threshold, reporting the spans' upper ends. Anything else runs the SVD
-or the eigensolver, so verdicts are the O(n^3) code's as far as LAPACK (and,
-for the support form, the QR) keep within their modelled backward errors.
+reads the support form: the c = 0 form itself, at every n, where no entry
+of E lies above rounding, and from n = 24 on ``_low_rank``, where the few
+rows and columns of E above rounding (the split's ``support``) give T at
+most 2(|R| + |C| + 1) square, with ||F||_F within LAPACK's own allowance
+under an error model of the QR that builds Q. A condition passes where
+every part's span lies below its threshold, reporting the spans' upper
+ends. Anything else runs the SVD or the eigensolver, so verdicts are the
+O(n^3) code's as far as LAPACK (and, for the support form, the QR) keep
+within their modelled backward errors.
 ``product_sampling`` draws rank-one probes, two matrix-vector products per
 trial. The forms, the SVD and the spectrum are computed the first time a
 battery reads them and kept with the facts, so on one matrix each pass runs
@@ -307,9 +309,12 @@ def _fro(x: np.ndarray) -> float:
     a square overflows.
 
     numpy sums the squares as a dot product, off by at most ``x.size`` u
-    (u = 2^-53) relative, and squares below 2^-1074 are lost.
+    (u = 2^-53) relative, and squares below 2^-1074 are lost. The sum is
+    ``np.linalg.norm``'s, bit for bit, without its argument handling.
     """
-    return float(np.linalg.norm(x)) * (1 + x.size * _EPS) + x.size * _ETA
+    flat = x.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im)) * (1 + x.size * _EPS) + x.size * _ETA
 
 
 def _lapack(n: int, fro: float) -> float:
@@ -351,13 +356,14 @@ class _Split:
     _EPS (||u|| ||v|| + ||E||_F). ``bound`` is the ratio test's certified
     bound on the worst ratio violation where it accepted through this split,
     else inf. ``fro`` >= ||x||_F and ``support``, the few rows and columns of
-    E above rounding as Python ints, are computed on first use, for
-    ``_low_rank``. ``e_max`` bounds max|E_ij| for the exact E where the
-    ratio test offered a bound, else it is inf.
+    E above rounding as Python ints, are computed on first use, for the
+    support form. Where the ratio test offered a bound, ``e_max`` bounds
+    max|E_ij| for the exact E and ``e_top`` is max|E_ij| as computed; else
+    both are inf.
     """
 
     bound = math.inf
-    e_max = math.inf
+    e_max = e_top = math.inf
 
     def __init__(self, x: np.ndarray, p: int, e: np.ndarray):
         self.x, self.p = x, p
@@ -390,20 +396,27 @@ class _Split:
     def support(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         """(rows, cols), 0-based: lines of E that together hold every entry
         above the floor _EPS ||x||_F / 4, at most ``_cap(n)`` of them; None
-        beyond the cap.
+        beyond the cap. A clean split, with no entry above the floor, has
+        no lines, ((), ()), at every n; below the size ``_cap`` allows, every
+        other split gets None.
 
-        E is formed anew and dropped on return. The lines are picked
-        greedily, each time the row or column (a column on ties) holding the
-        most entries not yet covered, so one perturbed entry, or a perturbed
-        pivot row or pivot column, takes one line. What the floor leaves out
-        is at most n times the floor in Frobenius norm, a quarter of
-        ``_lapack(n, ||x||_F)``; ``_low_rank`` certifies the exact rest.
+        The ratio test's ``e_top`` tells a clean split without forming E.
+        Otherwise E is formed anew, bitwise the E whose maximum ``e_top`` is,
+        and dropped on return. The lines are picked greedily, each time the
+        row or column (a column on ties) holding the most entries not yet
+        covered, so one perturbed entry, or a perturbed pivot row or pivot
+        column, takes one line. What the floor leaves out is at most n times
+        the floor in Frobenius norm, a quarter of ``_lapack(n, ||x||_F)``;
+        ``_low_rank`` certifies the exact rest.
         """
         n = self.x.shape[0]
+        floor = 0.25 * _EPS * self.fro
+        if self.e_top <= floor:
+            return (), ()
         cap = _cap(n)
         if cap < 0:
             return None
-        big = np.abs(self.x - np.outer(self.u, self.v)) > 0.25 * _EPS * self.fro
+        big = np.abs(self.x - np.outer(self.u, self.v)) > floor
         if np.count_nonzero(big) > cap * n:
             return None
         ii, jj = np.nonzero(big)
@@ -430,11 +443,12 @@ def _split(x: np.ndarray, p: int) -> tuple[_Split, np.ndarray]:
     return _Split(x, p, e), e
 
 
-def _scan_bound(e: np.ndarray | None, scale: float, diag_res: float) -> tuple[float, tuple, float]:
+def _scan_bound(e: np.ndarray | None, scale: float, diag_res: float) -> tuple:
     """Upper bound, rounding included, on what ``_cocycle_parts`` would return,
     from E as computed for the pivot split, in O(n^2), the arguments that
     prune that scan: (|E| as computed, m, K), or () where no bound is offered,
-    and ``rho`` >= max|E_ij| for the exact E (inf where no bound is offered).
+    ``rho`` >= max|E_ij| for the exact E and ``top``, max|E_ij| as computed
+    (both inf where no bound is offered).
 
     With r = max|E_ij|, delta the diagonal deviation and M = max|a|, the
     exact maximum is at most t = r(1 + 3K) + K delta + r^2 with K = M + r
@@ -452,14 +466,15 @@ def _scan_bound(e: np.ndarray | None, scale: float, diag_res: float) -> tuple[fl
     """
     m = scale * (1 + _EPS)
     if e is None or not m < _SQRT_HUGE:  # NaN included
-        return math.inf, (), math.inf
+        return math.inf, (), math.inf, math.inf
     mod = np.abs(e)
     delta = diag_res * (1 + _EPS)
-    rho = (float(mod.max()) + _EPS * m) * (1 + _EPS) + _ETA
+    top = float(mod.max())
+    rho = (top + _EPS * m) * (1 + _EPS) + _ETA
     k = m + rho
     t = rho * (1 + 3 * k) + k * delta + rho * rho
     bound = ((t + _EPS * (m + t)) * (1 + _EPS) + _ETA) * (1 + _EPS)
-    return (bound if bound < _SQRT_HUGE else math.inf), (mod, m, k), rho
+    return (bound if bound < _SQRT_HUGE else math.inf), (mod, m, k), rho, top
 
 
 def _unit_diagonal(data: np.ndarray, tol: Tolerance) -> tuple[ConditionResult, int]:
@@ -524,9 +539,9 @@ def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
         split, e = _split(data, _pivot(data, tol))
     except ZeroEntryError:
         split = e = None
-    bound, prune, rho = _scan_bound(e, scale, diag_res)  # |E| lives only while this test runs
+    bound, prune, rho, top = _scan_bound(e, scale, diag_res)  # |E| lives only while this test runs
     if split is not None:
-        split.e_max = rho
+        split.e_max, split.e_top = rho, top
     if math.isfinite(bound) and bound <= 0.5 * threshold:
         split.bound = bound
         cocycle, triple_witness = _condition(True, bound), None
@@ -570,16 +585,17 @@ def check_cocycle(a, tol: Tolerance | None = None) -> CocycleResult:
     n <= 128 simply the first in (i, j, k) order.
 
     The result is kept with the facts of the matrix (see ``_facts``), so a
-    later call on the same ``ComplexMatrix`` at an equal tolerance, here or
-    in a battery, reuses it.
+    later call on the same matrix, or on a bitwise-equal one, at an equal
+    tolerance, here or in a battery, reuses it.
     """
     return _facts(as_matrix(a), tol or DEFAULT_TOL).result
 
 
-def _require_multiplicative(m: ComplexMatrix, tol: Tolerance, message: str) -> ScalingVector:
-    """The scaling read off the split of ``m``, or NotMultiplicativeError
+def _passing_facts(m: ComplexMatrix, tol: Tolerance, message: str) -> _Facts:
+    """The facts of ``m``, split through its pivot column. NotMultiplicativeError
     unless it passes ``check_cocycle``, with ``message`` formatted with
-    ``residual`` and ``witness``."""
+    ``residual`` and ``witness``; the pivot's ZeroEntryError where it passes
+    with no column above the floor."""
     facts = _facts(m, tol)
     if not facts.result.passed:
         residual, witness = facts.result.residual, facts.result.witness
@@ -588,6 +604,12 @@ def _require_multiplicative(m: ComplexMatrix, tol: Tolerance, message: str) -> S
         )
     if facts.split is None:
         _pivot(m.data, tol)  # raises: the pivot column holds a below-floor entry
+    return facts
+
+
+def _require_multiplicative(m: ComplexMatrix, tol: Tolerance, message: str) -> ScalingVector:
+    """The scaling read off the split of ``m``, refused as ``_passing_facts`` refuses."""
+    facts = _passing_facts(m, tol, message)
     # split.scaling() raises the ZeroEntryError that left the facts without f
     return facts.scaling if facts.scaling is not None else facts.split.scaling()
 
@@ -617,9 +639,10 @@ def _decide(*parts) -> ConditionResult:
     part. Otherwise every part reads ``slow``, except that a verdict the
     support form decides stands with its value, so a failing condition
     reports what the O(n^3) code computes, within the support form's span.
-    The support form exists only from the size ``_cap`` allows on. The c = 0
-    form alone leaves out E, which may hold lines above rounding, so it
-    decides passes only.
+    Below the size ``_cap`` allows, only a clean split has a support form,
+    its c = 0 form, so there a failing condition reports the c = 0 form's
+    value exactly as from that size on. The c = 0 form alone leaves out E,
+    which may hold lines above rounding, so it decides passes only.
     """
     fast = [d if (d := closed()) and d[0] else support() for closed, support, _ in parts]
     if all(d and d[0] for d in fast):
@@ -643,12 +666,16 @@ def _once(thunk):
 
 def _part(forms, read, slow) -> tuple:
     """A part of a condition: ``read(form)`` of each of ``forms``, the thunks
-    of ``_forms``, and ``slow``, the O(n^3) code, each run once."""
+    of ``_forms``, and ``slow``, the O(n^3) code, each run once. A support
+    form that is the c = 0 form itself, a clean split's, is read once."""
+    closed, support = forms
+    first = _once(lambda: None if (f := closed()) is None else read(f))
 
-    def reading(form):
-        return _once(lambda: None if (f := form()) is None else read(f))
+    def second():
+        f = support()
+        return None if f is None else first() if f is closed() else read(f)
 
-    return (*map(reading, forms), slow)
+    return first, _once(second), slow
 
 
 def _rank_one_spectrum_distance(vals: np.ndarray) -> float:
@@ -675,16 +702,18 @@ def _rank_one_spectrum_distance(vals: np.ndarray) -> float:
 
 
 _LOW_RANK_CAP = 8  # lines of E a low-rank form keeps beside the pivot term
-# Below this size LAPACK on A costs less than the low-rank form's many small
-# numpy calls: both batteries on one perturbed entry break even between
-# n = 16 and n = 24.
+# Below this size LAPACK on A costs less than a support form with lines, and
+# its QR and small solvers: both batteries on one perturbed entry break even
+# between n = 16 and n = 24. A clean split's c = 0 form costs less than
+# LAPACK at every size, so it decides below this size too.
 _LOW_RANK_MIN_N = 24
 
 
 def _cap(n: int) -> int:
     """How many lines of E ``_low_rank`` keeps at size n: 8, and fewer than
     n/4, so the small problems stay at most half the size of A; negative
-    (LAPACK decides) below ``_LOW_RANK_MIN_N``."""
+    below ``_LOW_RANK_MIN_N``, where only a clean split, with no lines, has
+    a support form (its c = 0 form) and LAPACK decides for every other."""
     return min(_LOW_RANK_CAP, n // 4 - 1) if n >= _LOW_RANK_MIN_N else -1
 
 
@@ -1027,8 +1056,9 @@ class _LowRank(_Form):
 def _forms(x: np.ndarray, split: _Split | None) -> tuple:
     """Thunks of x's two forms, each built on its first call, in the order
     every condition reads them: the c = 0 form where the ratio test accepted
-    through ``split``, then the support form on the split's lines (n >= 24,
-    within the cap), which is the c = 0 form again where there are none.
+    through ``split``, then the support form on the split's lines (within
+    the cap, ``_Split.support``), which is the c = 0 form again where there
+    are none, at every n.
 
     x is A, or its Schur inverse split through the same column: for a
     multiplicative A, 1/a_ij = (1/a_ip)(1/a_pj), and off A's support
@@ -1148,16 +1178,27 @@ class _Facts:
         return _part(self.forms, read, slow)
 
 
-_last_facts: _Facts | None = None  # holds its matrix, so that object's id is never reused
+_last_facts: _Facts | None = None
 
 
 def _facts(m: ComplexMatrix, tol: Tolerance) -> _Facts:
-    """The last ``_Facts`` if it was built for this very ``m`` at an equal
-    ``tol``, else new ones, so every multiplicativity call on one matrix
-    shares one ratio test."""
+    """The last ``_Facts`` if it was built at an equal ``tol`` for ``m`` or a
+    bitwise-equal matrix, else new ones, so every multiplicativity call on
+    one matrix shares one ratio test, whichever object carries it.
+
+    Bitwise-equal means the same shape and the same complex128 bits, so
+    0.0 and -0.0 differ; every fact is a function of those bits and ``tol``.
+    The same object is recognised first; otherwise one n^2 comparison runs,
+    and only where the shapes match. A ``ComplexMatrix`` holds a read-only
+    copy of what it was built from, so a caller's array changed in place is
+    a new matrix.
+    """
     global _last_facts
     facts = _last_facts
-    if facts is None or facts.m is not m or facts.tol != tol:
+    if facts is None or facts.tol != tol or not (
+        facts.m is m
+        or (facts.m.shape == m.shape and facts.m.data.tobytes() == m.data.tobytes())
+    ):
         facts = _last_facts = _Facts(m, tol)
     return facts
 
@@ -1294,14 +1335,16 @@ def certify_multiplicative(
     disagreement is recorded on the certificate rather than raised.
 
     ``rank_one`` and ``spectrum_0_n`` read the c = 0 form where the ratio
-    test accepted through its pivot split, then the support form (n >= 24),
-    then the SVD or the eigensolver; ``product_sampling`` reads
-    ``_sampling_bound`` before it samples. A condition passes where every
-    span lies below its threshold, and then reports the span's upper end, a
-    certified upper bound on what the O(n^3) code would report. On the
-    accept path that rests on LAPACK's error model (``_lapack``) alone: no
-    QR runs there. A failing condition reports LAPACK's residual below
-    n = 24 and the form's, within its span of LAPACK's, from there on.
+    test accepted through its pivot split, then the support form (the c = 0
+    form again on a clean split, at every n; the low-rank form on a few
+    lines of E from n = 24 on), then the SVD or the eigensolver;
+    ``product_sampling`` reads ``_sampling_bound`` before it samples. A
+    condition passes where every span lies below its threshold, and then
+    reports the span's upper end, a certified upper bound on what the
+    O(n^3) code would report. On the accept path that rests on LAPACK's
+    error model (``_lapack``) alone: no QR runs there. A failing condition
+    reports the value of the support form that decides it, within its span
+    of LAPACK's, and LAPACK's residual where no form decides it.
     ``product_sampling`` costs two matrix-vector products per trial; where
     it samples and its draws do not fit in memory, ResourceLimitError is
     raised.

@@ -14,13 +14,14 @@ and no |E|): closed forms of a 2-by-2 T, whose spans rest on LAPACK's error
 model ``_lapack`` alone, with no QR. A condition passes where every part's
 span lies below its threshold, and reports the upper ends, certified upper
 bounds on the exact residuals. Any other condition reads the support forms
-``_low_rank`` of A and of its Schur inverse (n >= 24), split on the same rows
-and columns of E under the error model of the QR that builds them, and the
-O(n^3) code where their spans leave a part open. The unit-diagonal
-precondition is decided in O(n) before anything else, so a refusal costs no
-ratio test; the ratio test, A's forms, its SVD and its spectrum come from
-``_facts``, computed once per matrix and tolerance for every
-multiplicativity call.
+of A and of its Schur inverse: on a clean split, with no entry of E above
+rounding, the c = 0 forms again, at every n, and from n = 24 on
+``_low_rank``, split on the same rows and columns of E under the error model
+of the QR that builds them; then the O(n^3) code where their spans leave a
+part open. The unit-diagonal precondition is decided in O(n) before
+anything else, so a refusal costs no ratio test; the ratio test, A's forms,
+its SVD and its spectrum come from ``_facts``, computed once per
+bitwise-equal matrix and tolerance for every multiplicativity call.
 """
 
 from __future__ import annotations
@@ -184,13 +185,16 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
     Every O(n^3) part (the SVDs for ||A||_2 and ||A - A*||_2, the
     commutator, and the eigensolves of the Hermitian parts of A and its Schur
     inverse) reads the c = 0 forms of A and of its Schur inverse where the
-    ratio test accepted through the pivot split, then (n >= 24) their
-    support forms, and the O(n^3) code where no span decides it
-    (``_psd_form``, ``multiplicative._decide``). On the accept path the
-    spans rest on LAPACK's error model alone, with no QR model. A passing
-    condition reports the spans' upper ends, certified upper bounds on the
-    exact residuals; a failing one reports LAPACK's residual below n = 24 and
-    the support form's, within its span of LAPACK's, from there on.
+    ratio test accepted through the pivot split, then their support forms
+    (the c = 0 forms again on a clean split, at every n; the low-rank forms
+    on a few lines of E from n = 24 on), and the O(n^3) code where no span
+    decides it (``_psd_form``, ``multiplicative._decide``). On the accept
+    path and on a clean split the spans rest on LAPACK's error model alone,
+    with no QR model. A passing condition reports the spans' upper ends,
+    certified upper bounds on the exact residuals; a failing one reports the
+    support form's value, within its span of LAPACK's, and LAPACK's residual
+    where no form decides it. A multiplicative input of mixed modulus thus
+    fails its conditions with no SVD or eigensolve at any n.
     """
     m = as_matrix(a)
     n = require_square(m)

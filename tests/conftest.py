@@ -15,3 +15,11 @@ def random_scaling_values(rng, n, unimodular=False, lo=0.5, hi=2.0):
     if unimodular:
         return phases
     return rng.uniform(lo, hi, n) * phases
+
+
+@pytest.fixture(autouse=True)
+def fresh_facts():
+    """Start every test with no shared facts, so no count depends on the test before it."""
+    from schurlab import multiplicative
+
+    multiplicative._last_facts = None

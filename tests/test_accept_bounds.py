@@ -8,8 +8,11 @@ a condition no span decides. These tests pin that: no O(n^3) call on
 accepted inputs, the same verdicts as the O(n^3) code everywhere, every
 span holding the value the O(n^3) code computes, every passing residual at
 least that value, and exact residuals on every failing condition below
-n = 24. They also check the closed form itself against numpy on T and its
-rounding against exact rational arithmetic.
+n = 24 that no clean split decides. A clean split, with no entry of E above
+rounding (a multiplicative input of mixed modulus, say), is decided by its
+c = 0 form at every n, failing conditions included, with no LAPACK call.
+They also check the closed form itself against numpy on T and its rounding
+against exact rational arithmetic.
 """
 
 import math
@@ -90,9 +93,10 @@ def scaled(n: int, spread: float, seed: int) -> np.ndarray:
     return a
 
 
-# How far a residual read off a low-rank form (n >= _LOW_RANK_MIN_N) may lie
-# from the O(n^3) code's, relative: the allowance tests/test_low_rank.py
-# checks the forms against.
+# How far a residual read off a support form (a clean split's c = 0 form at
+# every n, the low-rank form from _LOW_RANK_MIN_N on) may lie from the O(n^3)
+# code's, relative: the allowance tests/test_low_rank.py checks the forms
+# against.
 FORM_REL = 1e-3
 
 
@@ -126,11 +130,20 @@ def certify_both(a, tol: Tolerance):
     return cert, star_cert
 
 
+def form_rel(a, tol: Tolerance) -> float:
+    """``FORM_REL`` where a failing condition may report a form's value: on a
+    clean split (no entry of E above rounding, so the c = 0 form) at every
+    n, and on the low-rank form from n = 24 on; else 0, LAPACK's residual."""
+    split = multiplicative._facts(ComplexMatrix(a), tol).split
+    clean = split is not None and split.support == ((), ())
+    return FORM_REL if clean or a.shape[0] >= multiplicative._LOW_RANK_MIN_N else 0.0
+
+
 def assert_matches_exact(a, tol: Tolerance) -> None:
     cert, star_cert = certify_both(a, tol)
+    rel = form_rel(a, tol)
     with exact_only():
         ref, star_ref = certify_both(a, tol)
-    rel = FORM_REL if a.shape[0] >= multiplicative._LOW_RANK_MIN_N else 0.0
     same_verdicts_exact_failures(cert, ref, rel)
     assert cert.inconsistent == ref.inconsistent
     assert cert.witness == ref.witness
@@ -152,6 +165,13 @@ def test_accepted_inputs_run_no_cubic_code(monkeypatch, n, spread):
         assert calls == {}
 
 
+def one_ulp_off(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` with the real part of a_12 moved by one unit in the last place."""
+    b = a.copy()
+    b[0, 1] = complex(np.nextafter(b[0, 1].real, math.inf), b[0, 1].imag)
+    return b
+
+
 @pytest.mark.parametrize("n", [3, 64])
 def test_rejected_inputs_run_every_fallback(monkeypatch, n):
     # at n = 3 every failing condition runs LAPACK; at n = 64 the low-rank
@@ -168,12 +188,33 @@ def test_rejected_inputs_run_every_fallback(monkeypatch, n):
     }
     calls.clear()
     assert not certify_star_multiplicative(a).verdict
-    # the ratio scan, the SVDs of A, A - A*, the commutator, the Schur
-    # inverse and its skew part, and the eigensolves of the Hermitian parts
+    # the same content shares the ratio scan, the SVD of A and its spectrum;
+    # the SVDs of A - A*, the commutator, the Schur inverse and its skew part,
+    # and the eigensolves of the Hermitian parts remain
+    assert calls == ({"_singular_values": 4, "eigvalsh": 2} if lapack else {})
+    calls.clear()
+    assert not certify_star_multiplicative(one_ulp_off(a)).verdict
+    # distinct content, one ulp away, shares nothing
     assert calls == {
         "_cocycle_parts": 1,
         **({"_singular_values": 5, "eigvals": 1, "eigvalsh": 2} if lapack else {}),
     }
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 23])
+def test_mixed_modulus_star_battery_runs_no_lapack(monkeypatch, n):
+    # a multiplicative input of mixed modulus splits cleanly: every star
+    # condition fails, and the c = 0 forms of A and of its Schur inverse decide
+    # them all, below n = 24 as from there on
+    a = scaled(n, 1.0, seed=n)
+    calls = count_cubic_calls(monkeypatch)
+    cert = certify_star_multiplicative(a)
+    assert not cert.verdict
+    assert not any(c.passed for c in cert.conditions.values())
+    assert calls == {}
+    assert multiplicative._last_facts.split.support == ((), ())
+    assert certify_multiplicative(a).verdict
+    assert calls == {}
 
 
 def test_check_star_computes_each_fact_once(monkeypatch, tmp_path, capsys):
@@ -224,7 +265,7 @@ def fresh_certificates(m: ComplexMatrix, tol: Tolerance) -> tuple:
     return certificates(ComplexMatrix(m.data), tol)
 
 
-def test_shared_facts_are_keyed_by_matrix_object_and_tolerance():
+def test_shared_facts_are_keyed_by_matrix_bits_and_tolerance():
     a = scaled(6, 0.0, seed=6)
     b = a.copy()
     b[0, 1] *= 1 + 1e-6  # fails at the default tolerance, passes at rel=1e-3
@@ -232,9 +273,10 @@ def test_shared_facts_are_keyed_by_matrix_object_and_tolerance():
 
     facts = multiplicative._facts(mb, DEFAULT_TOL)
     assert multiplicative._facts(mb, Tolerance()) is facts  # an equal tolerance
+    assert multiplicative._facts(ComplexMatrix(b), DEFAULT_TOL) is facts  # an equal copy
     assert multiplicative._facts(mb, loose).tol is loose
-    copy = ComplexMatrix(b)
-    assert multiplicative._facts(copy, DEFAULT_TOL).m is copy
+    near = ComplexMatrix(one_ulp_off(b))
+    assert multiplicative._facts(near, loose).m is near  # one ulp away: facts of its own
 
     strict = certificates(mb, DEFAULT_TOL)
     assert not strict[0]["verdict"]
@@ -324,17 +366,20 @@ def test_loose_tolerances_keep_exact_verdicts(tol, seed):
 
 def test_partial_fallback_mixes_bounds_and_exact_residuals(monkeypatch):
     # one certificate with a condition passed by its span's upper end and a
-    # failing one computed exactly: rank one is certified, the unimodular
-    # test fails
+    # failing one whose residual is exact: rank one is certified, the
+    # unimodular test fails. The split is clean, so the c = 0 form reads the
+    # rest, and no LAPACK runs
     a = scaled(6, 1e-9, seed=6)
     calls = count_cubic_calls(monkeypatch)
     cert = certify_star_multiplicative(a)
     assert cert.conditions["rank_one_normal_unit_diag"].passed
     assert not cert.conditions["rank_one_unimodular_unit_diag"].passed
-    assert calls["_singular_values"] >= 1
+    assert calls == {}
     with exact_only():
         ref = certify_star_multiplicative(a)
-    same_verdicts_exact_failures(cert, ref)
+    same_verdicts_exact_failures(cert, ref, form_rel(a, DEFAULT_TOL))
+    name = "rank_one_unimodular_unit_diag"
+    assert cert.conditions[name].residual == ref.conditions[name].residual
     assert cert.conditions["rank_one_normal_unit_diag"].residual > ref.conditions[
         "rank_one_normal_unit_diag"
     ].residual

@@ -344,9 +344,9 @@ TRANSCRIPT = [
             '[[1.0, 0.0], [0.5, 0.0]], "inconsistent": false, "tolerance": {"rel": '
             '1e-10, "abs": 1e-12}}, "star": {"verdict": false, "conditions": '
             '{"star_and_multiplicative": {"pass": false, "residual": '
-            '0.5999999999999999}, "cp_isomorphism_proxy": {"pass": false, '
+            '0.6}, "cp_isomorphism_proxy": {"pass": false, '
             '"residual": 0.6}, "rank_one_normal_unit_diag": {"pass": false, '
-            '"residual": 0.5999999999999998}, "rank_one_unimodular_unit_diag": '
+            '"residual": 0.6}, "rank_one_unimodular_unit_diag": '
             '{"pass": false, "residual": 1.0}, "selfadjoint_spectrum_norm": {"pass": '
             'false, "residual": 1.0}, "schur_pair_positive": {"pass": false, '
             '"residual": 0.6}}, "tolerance": {"rel": 1e-10, "abs": 1e-12}}}\n'

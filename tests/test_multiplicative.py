@@ -325,15 +325,18 @@ def test_only_rejections_run_the_ratio_scan(monkeypatch):
     accepted = build_from_scaling(np.exp(1j * np.arange(5)))
     rejected = accepted.data.copy()
     rejected[1, 3] *= 1 + 1e-3
+    runs = (certify_multiplicative, certify_star_multiplicative, check_cocycle)
     for a, scans in ((accepted, []), (rejected, [(5, 5)])):
-        for run in (
-            lambda: certify_multiplicative(a),
-            lambda: certify_star_multiplicative(a),
-            lambda: check_cocycle(a),
-        ):
+        for k, run in enumerate(runs):
             calls.clear()
-            run()
-            assert calls == scans
+            run(a)
+            assert calls == (scans if k == 0 else [])  # later calls share the first's scan
+    for k, run in enumerate(runs):
+        distinct = rejected.copy()
+        distinct[2, 4] *= 1 + (k + 1) * 1e-3
+        calls.clear()
+        run(distinct)
+        assert calls == [(5, 5)]  # distinct content shares nothing
     calls.clear()
     unboundedness_witness(toeplitz_generator(1j), 5)
     assert calls == []

@@ -86,6 +86,10 @@ def test_one_pivot_search_and_one_split_per_matrix(monkeypatch, name, verdict):
     calls = count_splits(monkeypatch)
     run(a)
     assert calls == {"_pivot": 1, "_Split": 1}
+    run(a.copy())  # equal content shares the split
+    assert calls == {"_pivot": 1, "_Split": 1}
+    run(a.conj())  # distinct content takes its own
+    assert calls == {"_pivot": 2, "_Split": 2}
 
 
 def test_star_battery_splits_a_and_its_schur_inverse_once(monkeypatch):
@@ -100,7 +104,22 @@ def test_star_battery_splits_a_and_its_schur_inverse_once(monkeypatch):
 def test_group_product_splits_each_factor_once(monkeypatch):
     calls = count_splits(monkeypatch)
     group_product(accepted(), accepted())
-    assert calls == {"_pivot": 2, "_Split": 2}
+    assert calls == {"_pivot": 1, "_Split": 1}  # equal factors share one split
+    calls.update(_pivot=0, _Split=0)
+    group_product(accepted().conj(), accepted())
+    assert calls == {"_pivot": 2, "_Split": 2}  # distinct factors: one split each
+
+
+def test_group_product_reads_no_scaling(monkeypatch):
+    # the product needs the rule's verdict only, not f
+    def refuse(self):
+        raise AssertionError("group_product read f off a split")
+
+    monkeypatch.setattr(multiplicative._Split, "scaling", refuse)
+    a = accepted()
+    assert np.array_equal(group_product(a, a.conj()).data, a * a.conj())
+    with pytest.raises(NotMultiplicativeError, match=r"^right factor fails the ratio identity"):
+        group_product(a, rejected())
 
 
 def test_check_star_json_splits_once(monkeypatch, tmp_path, capsys):

@@ -2,20 +2,27 @@
 
 ``check_cocycle``, ``factor_scaling``, ``schur_map_norm``, the truncation
 probes, ``group_product`` and both batteries read the ratio test, its split
-and the scaling from ``multiplicative._facts``; calls on one ``ComplexMatrix``
-at an equal tolerance share them. The paths pinned here are the ones where
-the facts refuse: an input that passes the ratio test with no pivot column
-above the floor, and the zero map.
+and the scaling from ``multiplicative._facts``; calls on one matrix, or on
+bitwise-equal ones (the same shape and complex128 bits), at an equal
+tolerance share them. Pinned here: the paths where the facts refuse (an
+input that passes the ratio test with no pivot column above the floor, and
+the zero map), and that sharing never changes a result, even between
+bitwise near-twins: a zero of the other sign, an entry one ulp away, or the
+caller's own array changed in place between two calls.
 """
 
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurlab import (
     ComplexMatrix,
+    NotMultiplicativeError,
     PreconditionError,
     Tolerance,
     ZeroEntryError,
@@ -135,3 +142,89 @@ def test_every_call_on_one_matrix_shares_one_ratio_test(monkeypatch):
             if isinstance(value, np.ndarray):
                 assert np.shares_memory(value, split.x)
     assert np.shares_memory(splits[0].x, m.data)
+
+
+def test_factor_then_norm_on_one_array_run_one_ratio_test(monkeypatch):
+    # each call wraps the array in a new ComplexMatrix; equal bits share the facts
+    calls = []
+    ratio_test = multiplicative._ratio_test
+
+    def spy(*args):
+        calls.append(args[0].shape)
+        return ratio_test(*args)
+
+    monkeypatch.setattr(multiplicative, "_ratio_test", spy)
+    a = build_from_scaling(np.exp(np.linspace(-1, 1, 5) + 1j * np.arange(5))).data.copy()
+    factor_scaling(a)
+    schur_map_norm(a)
+    assert calls == [(5, 5)]
+    schur_map_norm(a.conj())  # other bits: a ratio test of its own
+    assert calls == [(5, 5), (5, 5)]
+
+
+def base_matrix(kind: str, n: int, seed: int) -> np.ndarray:
+    """A multiplicative input: unimodular, of mixed modulus, real (every
+    imaginary part +0.0), or one of those with an entry perturbed."""
+    rng = np.random.default_rng(seed)
+    if kind == "real":
+        f = np.exp(rng.uniform(-1, 1, n)) * rng.choice([-1.0, 1.0], n)
+        return np.outer(f, 1 / f).astype(complex)
+    f = np.exp(rng.uniform(-1, 1, n) * (kind != "unimodular") + 2j * np.pi * rng.random(n))
+    a = np.outer(f, 1 / f)
+    np.fill_diagonal(a, 1.0)
+    if kind == "perturbed" and n > 1:
+        a[0, n - 1] *= 1 + 1e-3
+    return a
+
+
+def near_twin(a: np.ndarray, twin: str, i: int, j: int) -> np.ndarray:
+    """A copy of ``a``, bitwise equal or one bit pattern away at (i, j)."""
+    b = a.copy()
+    if twin == "zero_sign":
+        b[i, j] = complex(b[i, j].real, -b[i, j].imag)  # a real input's +0.0 becomes -0.0
+    elif twin == "ulp":
+        b[i, j] = complex(np.nextafter(b[i, j].real, math.inf), b[i, j].imag)
+    return b
+
+
+def outcome(call: str, a):
+    """What ``call`` returns on ``a``, down to the bits: verdicts, residuals,
+    witness and the scaling's bytes, or the error it raises."""
+    try:
+        if call == "certify":
+            cert = certify_multiplicative(a)
+            scaling = None if cert.scaling is None else cert.scaling.values.tobytes()
+            conditions = [(k, c.passed, repr(c.residual)) for k, c in cert.conditions.items()]
+            return cert.verdict, cert.inconsistent, cert.witness, conditions, scaling
+        if call == "star":
+            cert = certify_star_multiplicative(a)
+            return cert.verdict, [(k, c.passed, repr(c.residual)) for k, c in cert.conditions.items()]
+        f = factor_scaling(a)
+        return f.values.tobytes(), repr(schur_map_norm(a)), repr(check_cocycle(a))
+    except (NotMultiplicativeError, PreconditionError, ZeroEntryError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["unimodular", "mixed", "real", "perturbed"]),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    twin=st.sampled_from(["equal", "zero_sign", "ulp", "in_place"]),
+    call=st.sampled_from(["certify", "star", "factor"]),
+    first=st.sampled_from(["certify", "star", "factor"]),
+    at=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+)
+def test_sharing_never_changes_a_result(kind, n, seed, twin, call, first, at):
+    # ``call`` on b right after ``first`` on a gives what a fresh call on b gives
+    a = base_matrix(kind if twin != "zero_sign" else "real", n, seed)
+    i, j = at[0] % n, at[1] % n
+    outcome(first, a)
+    if twin == "in_place":
+        a[i, j] = complex(np.nextafter(a[i, j].real, math.inf), a[i, j].imag)
+        b = a
+    else:
+        b = near_twin(a, twin, i, j)
+    shared = outcome(call, b)
+    multiplicative._last_facts = None
+    assert shared == outcome(call, b)
