@@ -6,6 +6,7 @@ is reported 1-based.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,6 +247,16 @@ def _spectral_norm(data: np.ndarray) -> float:
     if not np.isfinite(data).all():
         return np.inf
     return float(_singular_values(data)[0])
+
+
+def _skew_norm(data: np.ndarray) -> float:
+    """||A - A*||_2, the distance from A to the Hermitian matrices."""
+    return _spectral_norm(data - data.conj().T)
+
+
+def _nanmax(*values: float) -> float:
+    """``max`` that keeps NaN; plain ``max`` drops it or not by argument order."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def _rank(s: np.ndarray, size: int, tol: Tolerance) -> int:

@@ -13,10 +13,11 @@ from .core import (
     Tolerance,
     _matrix_rank,
     _singular_values,
+    _skew_norm,
     as_matrix,
     require_square,
 )
-from .star import _psd_residual, _skew_norm
+from .star import _psd_residual
 
 __all__ = ["CorrelationVerdict", "correlation_check", "IsometryResult", "isometry_check"]
 

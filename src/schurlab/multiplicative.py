@@ -49,6 +49,13 @@ within their modelled backward errors.
 trial. The forms, the SVD and the spectrum are computed the first time a
 battery reads them and kept with the facts, so on one matrix each pass runs
 at most once, and ``factor_scaling`` and the like never run them.
+
+Conditions are data. Each battery's table names, for every condition, its
+threshold and its parts; a part is known, or reads a pair of forms
+(``_Forms``: the c = 0 form and the support form of A, or of its Schur
+inverse) and, failing them, the O(n^3) code. One loop, ``_decide``, reads
+every part at most once per call and records on each ``ConditionResult``
+the ``route`` that decided it.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -66,9 +74,11 @@ from .core import (
     Tolerance,
     _hermitian_part,
     _hermitian_route,
+    _nanmax,
     _rank,
     _require_seed,
     _singular_values,
+    _skew_norm,
     as_matrix,
     eigenvalues,
     require_square,
@@ -96,13 +106,31 @@ __all__ = [
     "numerical_range_samples",
 ]
 
-MULTIPLICATIVE_CONDITIONS = (
-    "cocycle",
-    "unit_diagonal",
-    "rank_one",
-    "spectrum_0_n",
-    "product_sampling",
-)
+# Each condition: the key of its threshold and the names of its parts, as
+# ``certify_multiplicative`` fills them in (``_decide``).
+_MULTIPLICATIVE = {
+    "cocycle": ("one", "cocycle"),
+    "unit_diagonal": ("one", "unit_diagonal"),
+    "rank_one": ("one", "rank_one"),
+    "spectrum_0_n": ("n", "spectrum"),
+    "product_sampling": ("one", "sampling"),
+}
+MULTIPLICATIVE_CONDITIONS = tuple(_MULTIPLICATIVE)
+
+
+class _cached:
+    """``functools.cached_property`` without the lock it takes on each first
+    read under Python 3.10 and 3.11, about half a microsecond: the value is
+    computed on the first read and kept in the instance's ``__dict__``."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -157,27 +185,26 @@ class CocycleResult(NamedTuple):
 
 @dataclass(frozen=True)
 class ConditionResult:
+    """A condition's verdict and residual. ``route`` names what decided it
+    (``_ROUTES``); it takes no part in equality and is not serialized."""
+
     passed: bool
     residual: float
+    route: str = field(default="known", compare=False)
 
     def to_dict(self) -> dict:
         residual = float(self.residual)
         return {"pass": self.passed, "residual": residual if math.isfinite(residual) else None}
 
 
-def _nanmax(*values: float) -> float:
-    """``max`` that keeps NaN; plain ``max`` drops it or not by argument order."""
-    return math.nan if any(math.isnan(v) for v in values) else max(values)
-
-
-def _condition(passed: bool, *residual_parts: float) -> ConditionResult:
+def _condition(passed: bool, *residual_parts: float, route: str = "known") -> ConditionResult:
     """Verdict with the worst of ``residual_parts`` as its residual.
 
     Only a finite residual can pass, so an overflowed or undefined residual
     fails closed.
     """
     residual = _nanmax(*residual_parts)
-    return ConditionResult(bool(passed) and math.isfinite(residual), residual)
+    return ConditionResult(bool(passed) and math.isfinite(residual), residual, route)
 
 
 _SLAB = 1 << 21  # complex entries in one (n, n, block) slab of the full scan: 32 MB
@@ -371,7 +398,7 @@ class _Split:
         self.uv, rest = _fro(u) * _fro(v), _fro(e)
         self.rest = (rest + _EPS * (self.uv + rest)) * (1 + _EPS)
 
-    @functools.cached_property
+    @_cached
     def fro(self) -> float:
         return _fro(self.x)
 
@@ -392,7 +419,7 @@ class _Split:
         caller vouches for multiplicativity."""
         return ScalingVector(self.u / self.u[0])
 
-    @functools.cached_property
+    @_cached
     def support(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         """(rows, cols), 0-based: lines of E that together hold every entry
         above the floor _EPS ||x||_F / 4, at most ``_cap(n)`` of them; None
@@ -477,15 +504,6 @@ def _scan_bound(e: np.ndarray | None, scale: float, diag_res: float) -> tuple:
     return (bound if bound < _SQRT_HUGE else math.inf), (mod, m, k), rho, top
 
 
-def _unit_diagonal(data: np.ndarray, tol: Tolerance) -> tuple[ConditionResult, int]:
-    """The ``unit_diagonal`` condition, max|a_ii - 1| against ``tol`` at scale 1,
-    and the 0-based index of its worst entry, in O(n)."""
-    diag_dev = np.abs(np.diagonal(data) - 1.0)
-    diag_i = int(np.argmax(diag_dev))
-    diag_res = float(diag_dev[diag_i])
-    return _condition(diag_res <= tol.threshold(1.0), diag_res), diag_i
-
-
 def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
     """The one multiplicativity rule: the ``cocycle`` and ``unit_diagonal``
     conditions, the witness of the failing one unless both pass, and the
@@ -532,8 +550,10 @@ def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
     ``unit_diagonal`` fails, the worst triple when only ``cocycle`` fails,
     and the one with the larger raw residual when both fail.
     """
-    unit_diagonal, diag_i = _unit_diagonal(data, tol)
-    diag_res = unit_diagonal.residual
+    diag_dev = np.abs(np.diagonal(data) - 1.0)
+    diag_i = int(np.argmax(diag_dev))
+    diag_res = float(diag_dev[diag_i])
+    unit_diagonal = _condition(diag_res <= tol.threshold(1.0), diag_res)
     threshold = tol.threshold(scale * scale)
     try:
         split, e = _split(data, _pivot(data, tol))
@@ -629,53 +649,97 @@ def build_from_scaling(f) -> ComplexMatrix:
     return ComplexMatrix(np.outer(values, 1.0 / values))
 
 
-def _decide(*parts) -> ConditionResult:
-    """A condition from its parts, each a triple (closed, support, slow) of
-    thunks (``_part``): the verdict, value and certified upper end the c = 0
-    form and the support form decide (None where they do not), and the
-    O(n^3) code's verdict and residual.
+_ROUTES = ("known", "closed", "support", "lapack")  # by slot: known, c = 0 form, support form, O(n^3)
 
-    The condition passes with the upper ends where some form passes every
-    part. Otherwise every part reads ``slow``, except that a verdict the
-    support form decides stands with its value, so a failing condition
-    reports what the O(n^3) code computes, within the support form's span.
-    Below the size ``_cap`` allows, only a clean split has a support form,
-    its c = 0 form, so there a failing condition reports the c = 0 form's
-    value exactly as from that size on. The c = 0 form alone leaves out E,
-    which may hold lines above rounding, so it decides passes only.
+
+def _decide(table: dict, thresholds: dict, parts: dict) -> dict[str, ConditionResult]:
+    """Each condition of ``table``, name: (threshold key, part names...), as
+    the conjunction of its ``parts`` at ``thresholds[key]``.
+
+    A part is known: (passed, residual), or a residual the threshold
+    decides. Or it is a triple (pair, read, slow): ``pair`` holds the forms
+    ``closed`` and ``support`` (``_Forms``, None where there is none),
+    ``read(form)`` is what a form gives and ``slow()`` what the O(n^3) code
+    gives. Either is a verdict, (passed, value, upper end) from a form and
+    (passed, residual) from the O(n^3) code, or a value for the threshold to
+    decide (``_judged``): a ``_Span``, or a residual. A form's verdict or
+    span may leave the part open (None). A part that is a
+    ``ConditionResult`` already, the ratio test's, is its condition.
+
+    A condition passes with the maximum of its parts' upper ends where each
+    part passes on its c = 0 form, or failing that on its support form. The
+    c = 0 form alone leaves out E, which may hold lines above rounding, so
+    it decides passes only. Otherwise each part reads its support form, or
+    where that does not decide it, the O(n^3) code: the condition is their
+    conjunction and a failing one reports what the O(n^3) code computes,
+    within the support form's span. The residual is the worst, NaN kept,
+    and only a finite one passes. The condition's ``route`` is the latest
+    any of its parts took, in ``_ROUTES`` order. Every reader runs at most
+    once per call, however many conditions share its part, a support form
+    that is the c = 0 form itself, a clean split's, is read once, and two
+    conditions of the same parts at the same threshold share one result.
     """
-    fast = [d if (d := closed()) and d[0] else support() for closed, support, _ in parts]
-    if all(d and d[0] for d in fast):
-        return _condition(True, *(d[2] for d in fast))
-    exact = [support() or slow() for _, support, slow in parts]
-    return _condition(all(d[0] for d in exact), *(d[1] for d in exact))
+    first, second = {}, {}  # part name: its verdict and route in each pass
+    results, done = {}, {}  # condition name, and table entry: its result
+    for name, entry in table.items():
+        key, *names = entry
+        decided = done.get(entry) or parts[names[0]]
+        if isinstance(decided, ConditionResult):  # one test under two names, or the ratio test's
+            results[name] = decided
+            continue
+        threshold = thresholds[key]
+        values, route = [], 0
+        for p in names:
+            v, r = first[p] if p in first else first.setdefault(p, _first(parts[p], threshold))
+            if not (v and v[0]):
+                break
+            values.append(v[2])
+            route = r if r > route else route
+        else:
+            results[name] = done[entry] = _condition(True, *values, route=_ROUTES[route])
+            continue
+        passed, values, route = True, [], 0
+        for p in names:
+            v, r = first[p] if p in first else first.setdefault(p, _first(parts[p], threshold))
+            if r == 1 or v is None:  # the support form is not read yet, or leaves the part open
+                v, r = second[p] if p in second else second.setdefault(p, _second(parts[p], threshold, v))
+            passed = passed and v[0]
+            values.append(v[1])
+            route = r if r > route else route
+        results[name] = done[entry] = _condition(passed, *values, route=_ROUTES[route])
+    return results
 
 
-def _known(passed: bool, residual: float) -> tuple:
-    """A part whose exact verdict and residual cost no more than a form's."""
-    decided = (passed, residual, residual)
-    return (lambda: decided,) * 3
+def _judged(v, threshold: float):
+    """A reader's output as a verdict: a span or a residual against ``threshold``."""
+    return v.verdict(threshold) if isinstance(v, _Span) else (v <= threshold, v) if isinstance(v, float) else v
 
 
-def _once(thunk):
-    """``thunk``, run on the first call only: a ``functools.cache`` without
-    the cost of building one, which the batteries pay a dozen times a call."""
-    memo = []
-    return lambda: memo[0] if memo else memo.append(thunk()) or memo[0]
+def _first(part, threshold: float) -> tuple:
+    """A part's verdict and route in ``_decide``'s first pass: its c = 0
+    verdict where that passes, else its support verdict, None where the
+    form leaves it open."""
+    if not isinstance(part, tuple) or len(part) == 2:  # known: a residual, or (passed, residual)
+        v = _judged(part, threshold)
+        return (*v, v[1]), 0
+    pair, read, _ = part
+    closed = pair.closed
+    v = closed and _judged(read(closed), threshold)
+    if v and v[0]:
+        return v, 1
+    support = pair.support
+    return (v if support is closed else support and _judged(read(support), threshold)), 2
 
 
-def _part(forms, read, slow) -> tuple:
-    """A part of a condition: ``read(form)`` of each of ``forms``, the thunks
-    of ``_forms``, and ``slow``, the O(n^3) code, each run once. A support
-    form that is the c = 0 form itself, a clean split's, is read once."""
-    closed, support = forms
-    first = _once(lambda: None if (f := closed()) is None else read(f))
-
-    def second():
-        f = support()
-        return None if f is None else first() if f is closed() else read(f)
-
-    return first, _once(second), slow
+def _second(part, threshold: float, v) -> tuple:
+    """A part's verdict and route in ``_decide``'s second pass, where its
+    first pass passed on the c = 0 form (``v``) or left it open (None): its
+    support verdict, else its O(n^3) one."""
+    pair, read, slow = part
+    if v is not None:
+        support = pair.support
+        v = v if support is pair.closed else support and _judged(read(support), threshold)
+    return (v, 2) if v is not None else (_judged(slow(), threshold), 3)
 
 
 def _rank_one_spectrum_distance(vals: np.ndarray) -> float:
@@ -753,8 +817,9 @@ class _Form:
     """x = Q T Q* + F with Q an n-by-m matrix of orthonormal columns, T
     m-by-m and ||F||_F <= ``eta``. Each value the batteries read comes as a
     ``_Span``: T's value, from ``sigma``, ``t_fro`` >= ||T||_F and the
-    subclass's ``_skew``, ``_low``, ``_comm`` and ``_eig``, and an interval
-    that holds the exact value and the value LAPACK computes from x.
+    subclass's ``_skew``, ``_low``, ``_comm`` and ``_eig``, each computed
+    once per form, and an interval that holds the exact value and the value
+    LAPACK computes from x. The spectrum span is kept per route.
 
     B = Q T Q* is T padded with n - m zeros in a unitary basis, so its
     singular values are T's and zeros, the eigenvalues of its Hermitian part
@@ -768,13 +833,14 @@ class _Form:
     def __init__(self, n: int, m: int, eta: float, fro: float):
         self.n, self.m, self.eta, self.fro = n, m, eta, fro
         self.lapack = _lapack(n, fro)
+        self.spans: dict = {}  # ``spectrum`` by route
 
     def _small(self, fro: float) -> float:
         """Solver error and rounding of a value of T read off an m-by-m
         operand of Frobenius norm at most ``fro``."""
         return (self.m + 2) * _EPS * fro
 
-    @functools.cached_property
+    @_cached
     def sigma_err(self) -> float:
         """How far x's singular values, T's and the zeros, lie from T's."""
         return (self.eta + self._small(self.t_fro) + self.lapack) * (1 + _EPS)
@@ -800,14 +866,14 @@ class _Form:
     def skew(self) -> _Span:
         """||x - x*||_2: B's is T's, x's is within 2 eta of it, and LAPACK
         forms and factors an operand of Frobenius norm at most ||T - T*||_F + 2 eta."""
-        value, d_fro = self._skew()
+        value, d_fro = self._skew
         lapack = (self.n + 2) * _EPS * (d_fro + 2 * self.eta)
         return _near(value, (2 * self.eta + self._small(d_fro) + lapack) * (1 + _EPS))
 
     def lam_min(self) -> _Span:
         """The smallest eigenvalue of (x + x*) / 2: (T + T*)/2's or one of
         the zeros."""
-        value, h_fro = self._low()
+        value, h_fro = self._low
         lapack = (self.n + 2) * _EPS * self.fro
         return _near(value, (self.eta + self._small(h_fro) + lapack) * (1 + _EPS))
 
@@ -817,7 +883,7 @@ class _Form:
         (m + 1) _EPS ||T||_F^2 each. LAPACK's value on x carries
         (n + 4) _EPS ||x||_F^2 for each of its two n-by-n products and
         ``_lapack`` for its SVD."""
-        value, c_fro = self._comm()
+        value, c_fro = self._comm
         n, eta, fro = self.n, self.eta, self.fro
         ours = 2 * (self.m + 2) * _EPS * self.t_fro * self.t_fro + self._small(c_fro)
         theirs = 2 * (n + 4) * _EPS * fro * fro + _lapack(n, 2 * fro * fro)
@@ -825,6 +891,11 @@ class _Form:
         return _near(value, (moved + ours + theirs) * (1 + _EPS))
 
     def spectrum(self, hermitian: bool = False) -> _Span | None:
+        """``_spectrum`` for the route ``hermitian``, computed once per route."""
+        spans = self.spans
+        return spans[hermitian] if hermitian in spans else spans.setdefault(hermitian, self._spectrum(hermitian))
+
+    def _spectrum(self, hermitian: bool) -> _Span | None:
         """Distance from the spectrum to {n, 0^(n-1)}, or None where the
         eigenvalue of T nearest n is not isolated from the rest.
 
@@ -847,10 +918,10 @@ class _Form:
         ||x - x*||_F / 2 <= ||T - T*||_F / 2 + eta further from x, and e
         grows by that.
         """
-        value, lam, cos, defect, b2 = self._eig()
+        value, lam, cos, defect, b2 = self._eig
         e = self.eta + defect + self.lapack
         if hermitian:
-            e += 0.5 * self._skew()[1] + self.eta + self._small(self.t_fro)
+            e += 0.5 * self._skew[1] + self.eta + self._small(self.t_fro)
         kappa = (1 + math.sqrt(max(1 - cos * cos, 0.0))) / cos if cos > 0 else math.inf
         rho = kappa * e * (1 + _EPS)
         if not abs(lam) - rho > b2 + rho:  # inf and NaN included
@@ -871,7 +942,8 @@ class _Closed(_Form):
         beta = ||u|| ||conj v - (u* conj v / ||u||^2) u||,
 
     T's first row being ||u|| Q* conj v. Every value of T is a closed form in
-    Python floats, a few roundings of its operand's norm, within ``_small``:
+    Python floats, computed as the form is built, a few roundings of its
+    operand's norm, within ``_small``:
 
     - singular values hypot(|lam|, beta) = ||u|| ||v|| and 0;
     - eigenvalues lam and 0, lam's right eigenvector e_1 and its left one
@@ -887,27 +959,17 @@ class _Closed(_Form):
     def __init__(self, lam: complex, beta: float, n: int, eta: float, fro: float):
         super().__init__(n, 2, eta, fro)
         self.lam, self.beta = lam, beta
-        self.t_fro = math.hypot(abs(lam), beta)
-        self.sigma = np.array((self.t_fro, 0.0))
-
-    def _skew(self) -> tuple[float, float]:
-        im = abs(self.lam.imag)
-        return im + math.hypot(im, self.beta), math.hypot(2 * im, _SQRT2 * self.beta)
-
-    def _low(self) -> tuple[float, float]:
-        re, beta = self.lam.real, self.beta
+        self.t_fro = t_fro = math.hypot(abs(lam), beta)
+        self.sigma = np.array((t_fro, 0.0))
+        im, re = abs(lam.imag), lam.real
+        self._skew = im + math.hypot(im, beta), math.hypot(2 * im, _SQRT2 * beta)
         h = math.hypot(re, beta)
         low = -beta * beta / (2 * (re + h)) if re > 0 else (re - h) / 2
-        return low, math.hypot(re, beta / _SQRT2)
-
-    def _comm(self) -> tuple[float, float]:
-        comm = self.beta * self.t_fro
-        return comm, _SQRT2 * comm
-
-    def _eig(self) -> tuple:
-        lam, n = self.lam, self.n
-        cos = abs(lam) / self.t_fro - 4 * _EPS
-        return min(abs(lam - n), max(n, abs(lam))), lam, cos, 0.0, 0.0
+        self._low = low, math.hypot(re, beta / _SQRT2)
+        comm = beta * t_fro
+        self._comm = comm, _SQRT2 * comm
+        cos = abs(lam) / t_fro - 4 * _EPS
+        self._eig = min(abs(lam - n), max(n, abs(lam))), lam, cos, 0.0, 0.0
 
 
 def _closed(split: _Split) -> _Closed | None:
@@ -1008,26 +1070,30 @@ def _low_rank(x: np.ndarray, p: int, support, fro: float) -> _LowRank | None:
 class _LowRank(_Form):
     """The support form, built by ``_low_rank``: T is m-by-m,
     m = 2k <= 2(|R| + |C| + 1) <= n/2, and its values come from numpy's
-    solvers on T."""
+    solvers on T, each on its first read."""
 
     def __init__(self, t: np.ndarray, eta: float, n: int, fro: float):
         super().__init__(n, t.shape[0], eta, fro)
         self.t, self.t_fro = t, _fro(t)
         self.sigma = np.linalg.svd(t, compute_uv=False)  # descending
 
+    @_cached
     def _skew(self) -> tuple[float, float]:
         d = self.t - self.t.conj().T
         return _top(d), _fro(d)
 
+    @_cached
     def _low(self) -> tuple[float, float]:
         h = _hermitian_part(self.t)
         return min(float(np.linalg.eigvalsh(h)[0]), 0.0), _fro(h)
 
+    @_cached
     def _comm(self) -> tuple[float, float]:
         t = self.t
         comm = t @ t.conj().T - t.conj().T @ t
         return _top(comm), _fro(comm)
 
+    @_cached
     def _eig(self) -> tuple:
         """Let lam, x and y be T's eigenvalue nearest n and its unit right
         and left eigenvectors, with residuals r = ||T x - lam x|| and
@@ -1053,43 +1119,53 @@ class _LowRank(_Form):
         return value, lam, cos, 2 * r + s, b2
 
 
-def _forms(x: np.ndarray, split: _Split | None) -> tuple:
-    """Thunks of x's two forms, each built on its first call, in the order
-    every condition reads them: the c = 0 form where the ratio test accepted
-    through ``split``, then the support form on the split's lines (within
-    the cap, ``_Split.support``), which is the c = 0 form again where there
-    are none, at every n.
+class _Forms:
+    """The two forms of x, each built on its first read, that every part of
+    a condition reads before the O(n^3) code (``_decide``): ``closed``, the
+    c = 0 form where the ratio test accepted through ``split``, else None;
+    and ``support``, the form on the split's lines (within the cap,
+    ``_Split.support``), which is the c = 0 form itself, at every n, where
+    there are none. Without a split there are neither.
 
     x is A, or its Schur inverse split through the same column: for a
     multiplicative A, 1/a_ij = (1/a_ip)(1/a_pj), and off A's support
     1/a_ij - (1/a_ip)(1/a_pj) = -E_ij / (a_ij a_ip a_pj) is rounding as well,
     so the inverse splits on the same lines.
     """
-    if split is None:
-        return (lambda: None,) * 2
 
-    closed = _once(lambda: _closed(split if x is split.x else _split(x, split.p)[0]))
+    def __init__(self, x: np.ndarray, split: _Split | None):
+        self.x, self.split = x, split
 
-    def support():
-        lines = split.support
-        if lines is None or not any(lines):
-            return None if lines is None else closed()
-        return _low_rank(x, split.p, lines, split.fro if x is split.x else _fro(x))
+    @_cached
+    def whole(self) -> _Closed | None:
+        """The c = 0 form, whether or not the ratio test accepted through the split."""
+        return _closed(self.split if self.x is self.split.x else _split(self.x, self.split.p)[0])
 
-    return (closed if math.isfinite(split.bound) else lambda: None), _once(support)
+    @_cached
+    def closed(self) -> _Closed | None:
+        return self.whole if self.split and math.isfinite(self.split.bound) else None
+
+    @_cached
+    def support(self) -> _Form | None:
+        split = self.split
+        lines = split and split.support
+        if lines == ((), ()):
+            return self.whole
+        return lines and _low_rank(self.x, split.p, lines, split.fro if self.x is split.x else _fro(self.x))
 
 
-class _Facts:
+class _Facts(_Forms):
     """What every multiplicativity decision reads off one coefficient matrix.
 
     The ratio test, its ``CocycleResult`` and its split are computed up
     front in O(n^2) (through the pivot bound or the pruned scan; the star
     battery checks the O(n) unit-diagonal precondition before it asks for
-    them). The scaling read off that split, A's forms (``_forms``), the
-    singular values and the spectrum distance are computed on first use and
-    kept, so each pass runs at most once and a call that reads none of them
-    never runs it. A condition reads the forms first and LAPACK where they
-    leave it open (``_decide``).
+    them). The scaling read off that split, A's two forms (``_Forms``), the
+    singular values, ||A - A*||_2 and the spectrum distance are computed on
+    first use and kept, so each pass runs at most once and a call that reads
+    none of them never runs it. The ``read_*`` and ``lapack_*`` methods are
+    the form and O(n^3) readers of the parts both batteries read off A, rank
+    one and the spectrum distance (``_decide``).
     """
 
     @np.errstate(over="ignore", invalid="ignore")  # overflowed residuals fail closed
@@ -1099,10 +1175,11 @@ class _Facts:
         self.scale = scale = float(np.abs(data).max())  # max |a_ij|
         # the witness names the failing condition's worst entry, 1-based
         self.cocycle, self.unit_diagonal, self.witness, self.split = _ratio_test(data, scale, tol)
+        self.x = data
         residual = _nanmax(self.cocycle.residual, self.unit_diagonal.residual)
         self.result = CocycleResult(self.witness is None, residual, self.witness)
 
-    @functools.cached_property
+    @_cached
     def scaling(self) -> ScalingVector | None:
         """f read off the split where the ratio test passed through one, else None."""
         try:
@@ -1115,7 +1192,7 @@ class _Facts:
         if self.scale == 0.0:
             raise PreconditionError("the zero Schur map is excluded from certification")
 
-    @functools.cached_property
+    @_cached
     def hermitian_route(self) -> bool:
         """Whether ``eigenvalues`` takes the symmetric solver for A."""
         return _hermitian_route(self.m.data, self.scale, self.tol)
@@ -1140,42 +1217,43 @@ class _Facts:
             return False
         return self.hermitian_route
 
-    @functools.cached_property
-    def forms(self) -> tuple:
-        """Thunks of A's c = 0 and support forms (``_forms``)."""
-        return _forms(self.m.data, self.split)
+    def forms_of(self, x: np.ndarray) -> _Forms:
+        """The forms of x, split through A's pivot column."""
+        return _Forms(x, self.split)
 
-    @functools.cached_property
+    @_cached
     def singular_values(self) -> np.ndarray:
         return _singular_values(self.m.data)
 
-    @functools.cached_property
+    @_cached
+    def skew_norm(self) -> float:
+        """||A - A*||_2."""
+        return _skew_norm(self.m.data)
+
+    @_cached
     def spectrum_distance(self) -> float:
         """Distance from the spectrum to {n, 0^(n-1)}."""
         return _rank_one_spectrum_distance(eigenvalues(self.m, self.tol))
 
-    def rank_one(self) -> tuple:
-        """The part rank(A) == 1, with sigma_2 / sigma_1 as its residual."""
+    def read_rank_one(self, form: _Form) -> tuple | None:
+        """rank(A) == 1 from ``form`` (``_Form.rank_one``)."""
+        return form.rank_one(self.tol)
 
-        def slow():
-            s = self.singular_values
-            residual = float(s[1] / s[0]) if self.n > 1 and s[0] > 0 else 0.0
-            return _rank(s, self.n, self.tol) == 1, residual
+    def lapack_rank_one(self) -> tuple[bool, float]:
+        """rank(A) == 1 from the SVD, with sigma_2 / sigma_1 as its residual."""
+        s = self.singular_values
+        residual = float(s[1] / s[0]) if self.n > 1 and s[0] > 0 else 0.0
+        return _rank(s, self.n, self.tol) == 1, residual
 
-        return _part(self.forms, lambda form: form.rank_one(self.tol), slow)
+    def read_spectrum(self, form: _Form, per: float = 1.0) -> _Span | None:
+        """The spectrum distance divided by ``per``, from ``form`` on the
+        route ``eigenvalues`` takes for A."""
+        span = form.spectrum(self.route(form))
+        return span and _Span(*(v / per for v in span))
 
-    def spectrum(self, threshold: float, per: float = 1.0) -> tuple:
-        """The part: the spectrum distance divided by ``per``, at most ``threshold``."""
-
-        def read(form):
-            span = form.spectrum(self.route(form))
-            return None if span is None else _Span(*(v / per for v in span)).verdict(threshold)
-
-        def slow():
-            residual = self.spectrum_distance / per
-            return residual <= threshold, residual
-
-        return _part(self.forms, read, slow)
+    def lapack_spectrum(self, per: float = 1.0) -> float:
+        """The same from the eigensolver."""
+        return self.spectrum_distance / per
 
 
 _last_facts: _Facts | None = None
@@ -1348,6 +1426,11 @@ def certify_multiplicative(
     ``product_sampling`` costs two matrix-vector products per trial; where
     it samples and its draws do not fit in memory, ResourceLimitError is
     raised.
+
+    The conditions are ``_MULTIPLICATIVE``'s, decided by ``_decide``:
+    ``cocycle`` and ``unit_diagonal`` are the ratio test's results, the
+    ratio bound sits in ``product_sampling``'s c = 0 slot, and each
+    condition's ``route`` tells what decided it.
     """
     m = as_matrix(a)
     n = require_square(m)
@@ -1357,21 +1440,20 @@ def certify_multiplicative(
     _require_seed(seed)
     facts = _facts(m, tol)
     facts.require_nonzero()
-    one = tol.threshold(1.0)
-
-    def sample():
-        residual = _product_sampling_residual(m.data, trials, seed)
-        return residual <= one, residual
-
     bound = _sampling_bound(facts.split.bound if facts.split else math.inf, facts.scale, n)
-    sampling = (lambda: _Span(bound, -math.inf, bound).verdict(one), lambda: None, sample)
-    conditions = {
+    parts = {
         "cocycle": facts.cocycle,
         "unit_diagonal": facts.unit_diagonal,
-        "rank_one": _decide(facts.rank_one()),
-        "spectrum_0_n": _decide(facts.spectrum(tol.threshold(float(n)))),
-        "product_sampling": _decide(sampling),
+        "rank_one": (facts, facts.read_rank_one, facts.lapack_rank_one),
+        "spectrum": (facts, facts.read_spectrum, facts.lapack_spectrum),
+        # the ratio bound sits in the c = 0 slot, read as it is; the sampling in the O(n^3) one
+        "sampling": (
+            SimpleNamespace(closed=_Span(bound, -math.inf, bound), support=None),
+            _Span._make,
+            functools.partial(_product_sampling_residual, m.data, trials, seed),
+        ),
     }
+    conditions = _decide(_MULTIPLICATIVE, {"one": tol.threshold(1.0), "n": tol.threshold(float(n))}, parts)
     cert = MultiplicativityCertificate(
         verdict=all(r.passed for r in conditions.values()),
         conditions=conditions,

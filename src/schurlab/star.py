@@ -6,8 +6,9 @@ which is what the pair-positivity condition checks at O(n^3).
 
 Every O(n^3) part (||A||_2, ||A - A*||_2, the normality commutator and the
 smallest eigenvalues of the Hermitian parts of A and of its Schur inverse) is
-read off the same forms as the multiplicative battery's, in the same order
-(``multiplicative._forms``). Where the ratio test accepts through its pivot
+read off the same forms as the multiplicative battery's, in the same order,
+by the same loop (``multiplicative._decide``), from the conditions of one
+table, ``_STAR``. Where the ratio test accepts through its pivot
 split A = u v^T + E, the first is the c = 0 form ``_closed`` of A and of the
 Schur inverse, split once more through the same column (forming its E once
 and no |E|): closed forms of a 2-by-2 T, whose spans rest on LAPACK's error
@@ -20,14 +21,15 @@ rounding, the c = 0 forms again, at every n, and from n = 24 on
 of the QR that builds them; then the O(n^3) code where their spans leave a
 part open. The unit-diagonal precondition is decided in O(n) before
 anything else, so a refusal costs no ratio test; the ratio test, A's forms,
-its SVD and its spectrum come from ``_facts``, computed once per
-bitwise-equal matrix and tolerance for every multiplicativity call.
+its SVD, ||A - A*||_2 and its spectrum come from ``_facts``, computed once
+per bitwise-equal matrix and tolerance for every multiplicativity call, and
+the Schur inverse's forms are built once per call (``_Facts.forms_of``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from functools import partial
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,25 +38,15 @@ from .core import (
     _DOWN,
     DEFAULT_TOL,
     Tolerance,
+    _nanmax,
+    _skew_norm,
     _spectral_norm,
     as_matrix,
     require_square,
     schur_inverse,
 )
 from .errors import PreconditionError, ZeroEntryError
-from .multiplicative import (
-    ConditionResult,
-    _condition,
-    _decide,
-    _facts,
-    _Form,
-    _forms,
-    _known,
-    _nanmax,
-    _once,
-    _part,
-    _unit_diagonal,
-)
+from .multiplicative import ConditionResult, _decide, _facts
 
 __all__ = [
     "STAR_CONDITIONS",
@@ -65,23 +57,24 @@ __all__ = [
     "certify_star_multiplicative",
 ]
 
-STAR_CONDITIONS = (
-    "star_and_multiplicative",
-    "cp_isomorphism_proxy",
-    "rank_one_normal_unit_diag",
-    "rank_one_unimodular_unit_diag",
-    "selfadjoint_spectrum_norm",
-    "schur_pair_positive",
-)
+# Each condition: the key of its threshold and the names of its parts, as
+# ``certify_star_multiplicative`` fills them in (``_decide``).
+_STAR = {
+    "star_and_multiplicative": ("one", "cocycle", "hermitian"),
+    # For a Schur map the CP-isomorphism condition reduces to pair
+    # positivity of A and its Schur inverse, so these two frozen names
+    # report one computed test.
+    "cp_isomorphism_proxy": ("one", "psd", "inverse_psd", "inverse_diagonal"),
+    "rank_one_normal_unit_diag": ("commutator", "rank_one", "normal"),
+    "rank_one_unimodular_unit_diag": ("one", "rank_one", "unimodular"),
+    "selfadjoint_spectrum_norm": ("one", "hermitian", "spectrum", "map_norm"),
+    "schur_pair_positive": ("one", "psd", "inverse_psd", "inverse_diagonal"),
+}
+STAR_CONDITIONS = tuple(_STAR)
 
 # The normality commutator compounds two matrix products, so it gets a looser
 # relative threshold than the base tolerance.
 COMMUTATOR_REL = 1e-8
-
-
-def _skew_norm(data: np.ndarray) -> float:
-    """||A - A*||_2, the distance from A to the Hermitian matrices."""
-    return _spectral_norm(data - data.conj().T)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is detected and rescaled below
@@ -154,7 +147,7 @@ class StarCertificate:
         }
 
 
-def _psd_form(form: _Form, tol: Tolerance) -> tuple[bool, float, float] | None:
+def _psd_form(form, tol: Tolerance) -> tuple[bool, float, float] | None:
     """``_psd_residual`` from a form where its spans decide both tests, with
     the residual's upper end; else None. The threshold moves with ||x||_2,
     so each test must hold, or fail, at both ends of the norm's span."""
@@ -173,6 +166,33 @@ def _commutator_norm(data: np.ndarray) -> float:
     return _spectral_norm(data @ data.conj().T - data.conj().T @ data)
 
 
+def _hermitian(form):
+    """``hermitian``'s form reader: ||x - x*||_2 / max(||x||_2, 1)."""
+    return form.skew().over(form.norm())
+
+
+def _hermitian_lapack(facts) -> float:
+    """``hermitian``'s O(n^3) reader, from the SVDs of A and A - A*."""
+    return facts.skew_norm / max(float(facts.singular_values[0]), 1.0)
+
+
+def _normal(form):
+    """``normal``'s form reader: ||x x* - x* x||_2 / max(||x||_2^2, 1)."""
+    return form.commutator().over(form.norm(), 2)
+
+
+def _normal_lapack(facts) -> float:
+    """``normal``'s O(n^3) reader: two n-by-n products and an SVD."""
+    norm = float(facts.singular_values[0])  # squared by a product, which overflows to inf where ** raises
+    return _commutator_norm(facts.x) / max(norm * norm, 1.0)
+
+
+def _psd_lapack(facts) -> tuple[bool, float]:
+    """``psd``'s O(n^3) reader for A, sharing ||A||_2 and ||A - A*||_2 with
+    the other parts."""
+    return _psd_residual(facts.x, facts.tol, float(facts.singular_values[0]), facts.skew_norm)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflowed residuals fail closed
 def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertificate:
     """Run the star-preserving battery on a unital coefficient matrix.
@@ -188,76 +208,46 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
     ratio test accepted through the pivot split, then their support forms
     (the c = 0 forms again on a clean split, at every n; the low-rank forms
     on a few lines of E from n = 24 on), and the O(n^3) code where no span
-    decides it (``_psd_form``, ``multiplicative._decide``). On the accept
-    path and on a clean split the spans rest on LAPACK's error model alone,
-    with no QR model. A passing condition reports the spans' upper ends,
-    certified upper bounds on the exact residuals; a failing one reports the
-    support form's value, within its span of LAPACK's, and LAPACK's residual
-    where no form decides it. A multiplicative input of mixed modulus thus
-    fails its conditions with no SVD or eigensolve at any n.
+    decides it (``_psd_form``). On the accept path and on a clean split the
+    spans rest on LAPACK's error model alone, with no QR model. A passing
+    condition reports the spans' upper ends, certified upper bounds on the
+    exact residuals; a failing one reports the support form's value, within
+    its span of LAPACK's, and LAPACK's residual where no form decides it. A
+    multiplicative input of mixed modulus thus fails its conditions with no
+    SVD or eigensolve at any n. The conditions are ``_STAR``'s, decided by
+    ``multiplicative._decide``, each with the ``route`` that decided it.
     """
     m = as_matrix(a)
     n = require_square(m)
     tol = tol or DEFAULT_TOL
     data = m.data
     one = tol.threshold(1.0)
-    unit_diagonal = _unit_diagonal(data, tol)[0]  # O(n), so a refusal costs no ratio test
-    if not unit_diagonal.passed:
+    diagonal = float(np.abs(np.diagonal(data) - 1.0).max())  # O(n), so a refusal costs no ratio test
+    if not diagonal <= one:
         raise PreconditionError(
             "unit diagonal required for the star battery, "
-            f"worst deviation {unit_diagonal.residual:.3e}"
+            f"worst deviation {diagonal:.3e}"
         )
     facts = _facts(m, tol)
     facts.require_nonzero()  # a zero map gets here only where the tolerance at scale 1 is >= 1
-    comm_thr = max(COMMUTATOR_REL, tol.rel)
-    herm = _once(lambda: _skew_norm(data))
-
-    def norm():
-        return float(facts.singular_values[0])
-
-    def normalized(span, value, power: int, thr: float):
-        """The part value / max(||A||_2^power, 1) <= thr: ``span`` of a form,
-        or the O(n^3) ``value``."""
-
-        def slow():
-            a_norm = norm()  # squared by a product, which overflows to inf where ** raises
-            res = value() / max(a_norm * a_norm if power == 2 else a_norm, 1.0)
-            return res <= thr, res
-
-        return _part(forms, lambda f: span(f).over(f.norm(), power).verdict(thr), slow)
-
-    psd = functools.partial(_psd_form, tol=tol)
-    forms = facts.forms
-    herm_part = normalized(lambda f: f.skew(), herm, 1, one)
-    comm_part = normalized(lambda f: f.commutator(), lambda: _commutator_norm(data), 2, comm_thr)
-    unimod_res = float(np.abs(np.abs(data) - 1.0).max())
-    map_norm_res = abs(facts.scaling.modulus_ratio - 1.0) if facts.scaling is not None else math.inf
+    psd = partial(_psd_form, tol=tol)
+    parts = {
+        "cocycle": (facts.cocycle.passed, facts.cocycle.residual / max(facts.scale * facts.scale, 1.0)),
+        "hermitian": (facts, _hermitian, partial(_hermitian_lapack, facts)),
+        "psd": (facts, psd, partial(_psd_lapack, facts)),
+        "normal": (facts, _normal, partial(_normal_lapack, facts)),
+        "rank_one": (facts, facts.read_rank_one, facts.lapack_rank_one),
+        "unimodular": float(np.abs(np.abs(data) - 1.0).max()),
+        "spectrum": (facts, partial(facts.read_spectrum, per=n), partial(facts.lapack_spectrum, per=n)),
+        "map_norm": abs(facts.scaling.modulus_ratio - 1.0) if facts.scaling is not None else math.inf,
+    }
     try:
         inv = schur_inverse(m, tol).data
     except ZeroEntryError:
-        pair = _condition(False, math.inf)
+        parts["psd"] = parts["inverse_psd"] = parts["inverse_diagonal"] = (False, math.inf)
     else:
-        inv_diag_res = float(np.abs(np.diagonal(inv) - 1.0).max())
-        pair = _decide(
-            _part(forms, psd, lambda: _psd_residual(data, tol, norm(), herm())),
-            _part(_forms(inv, facts.split), psd, lambda: _psd_residual(inv, tol)),
-            _known(inv_diag_res <= one, inv_diag_res),
-        )
-
-    rank_one = facts.rank_one()
-    cocycle_res = facts.cocycle.residual / max(facts.scale * facts.scale, 1.0)
-    conditions = {
-        "star_and_multiplicative": _decide(_known(facts.cocycle.passed, cocycle_res), herm_part),
-        # For a Schur map the CP-isomorphism condition reduces to pair
-        # positivity of A and its Schur inverse, so these two frozen names
-        # report one computed test.
-        "cp_isomorphism_proxy": pair,
-        "rank_one_normal_unit_diag": _decide(rank_one, comm_part),
-        "rank_one_unimodular_unit_diag": _decide(rank_one, _known(unimod_res <= one, unimod_res)),
-        "selfadjoint_spectrum_norm": _decide(
-            herm_part, facts.spectrum(one, per=n), _known(map_norm_res <= one, map_norm_res)
-        ),
-        "schur_pair_positive": pair,
-    }
+        parts["inverse_psd"] = (facts.forms_of(inv), psd, partial(_psd_residual, inv, tol))
+        parts["inverse_diagonal"] = float(np.abs(np.diagonal(inv) - 1.0).max())
+    conditions = _decide(_STAR, {"one": one, "commutator": max(COMMUTATOR_REL, tol.rel)}, parts)
     verdict = all(r.passed for r in conditions.values())
     return StarCertificate(verdict=verdict, conditions=conditions, tolerance=tol)

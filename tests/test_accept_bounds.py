@@ -120,6 +120,11 @@ def same_verdicts_exact_failures(cert, ref, rel: float = 0.0) -> None:
             assert close(got.residual, want.residual), name
 
 
+def routes(cert) -> dict[str, str]:
+    """What decided each condition of ``cert``: ``ConditionResult.route``."""
+    return {name: result.route for name, result in cert.conditions.items()}
+
+
 def certify_both(a, tol: Tolerance):
     """Both certificates, the star one None where its precondition fails."""
     cert = certify_multiplicative(a, tol)
@@ -160,9 +165,13 @@ def test_accepted_inputs_run_no_cubic_code(monkeypatch, n, spread):
     cert = certify_multiplicative(a)
     assert cert.verdict and not cert.inconsistent
     assert calls == {}
+    assert routes(cert) == {**dict.fromkeys(multiplicative.MULTIPLICATIVE_CONDITIONS, "closed"),
+                            "cocycle": "known", "unit_diagonal": "known"}
     if spread == 0.0:
-        assert certify_star_multiplicative(a).verdict
+        star_cert = certify_star_multiplicative(a)
+        assert star_cert.verdict
         assert calls == {}
+        assert set(routes(star_cert).values()) == {"closed"}
 
 
 def one_ulp_off(a: np.ndarray) -> np.ndarray:
@@ -180,14 +189,20 @@ def test_rejected_inputs_run_every_fallback(monkeypatch, n):
     a[0, 1] *= 1 + 1e-3
     lapack = n < multiplicative._LOW_RANK_MIN_N
     calls = count_cubic_calls(monkeypatch, n)
-    assert not certify_multiplicative(a).verdict
+    cert = certify_multiplicative(a)
+    assert not cert.verdict
     assert calls == {
         "_cocycle_parts": 1,
         "_product_sampling_residual": 1,
         **({"_singular_values": 1, "eigvals": 1} if lapack else {}),
     }
+    route = "lapack" if lapack else "support"
+    assert routes(cert) == {"cocycle": "known", "unit_diagonal": "known", "rank_one": route,
+                            "spectrum_0_n": route, "product_sampling": "lapack"}
     calls.clear()
-    assert not certify_star_multiplicative(a).verdict
+    star_cert = certify_star_multiplicative(a)
+    assert not star_cert.verdict
+    assert set(routes(star_cert).values()) == {route}
     # the same content shares the ratio scan, the SVD of A and its spectrum;
     # the SVDs of A - A*, the commutator, the Schur inverse and its skew part,
     # and the eigensolves of the Hermitian parts remain
@@ -212,6 +227,7 @@ def test_mixed_modulus_star_battery_runs_no_lapack(monkeypatch, n):
     assert not cert.verdict
     assert not any(c.passed for c in cert.conditions.values())
     assert calls == {}
+    assert set(routes(cert).values()) == {"support"}  # the support form: the c = 0 form again
     assert multiplicative._last_facts.split.support == ((), ())
     assert certify_multiplicative(a).verdict
     assert calls == {}
@@ -249,7 +265,7 @@ def test_accepted_check_forms_no_skew_matrix(monkeypatch, tmp_path, capsys):
         raise AssertionError("an n-by-n A - A* was formed")
 
     for module, name in ((core, "_hermitian_route"), (multiplicative, "_hermitian_route"),
-                         (star, "_skew_norm")):
+                         (star, "_skew_norm"), (multiplicative, "_skew_norm")):
         monkeypatch.setattr(module, name, refuse)
     assert cli.main(["check", str(path), "--star", "--json"]) == 0
     capsys.readouterr()
@@ -290,12 +306,12 @@ def test_shared_facts_are_keyed_by_matrix_bits_and_tolerance():
 def test_exact_only_never_sees_facts_built_outside_it():
     m = ComplexMatrix(scaled(6, 0.0, seed=6))
     outside = multiplicative._facts(m, DEFAULT_TOL)
-    assert outside.forms[0]() is not None  # the c = 0 form of the accepted split
+    assert outside.closed is not None  # the c = 0 form of the accepted split
     with exact_only():
         inside = multiplicative._facts(m, DEFAULT_TOL)
         assert inside is not outside
-        assert inside.forms[0]() is None
-        assert inside.forms[1]() is None
+        assert inside.closed is None
+        assert inside.support is None
     assert multiplicative._facts(m, DEFAULT_TOL) is outside
 
 
@@ -335,7 +351,7 @@ def test_weyl_bounds_where_the_pivot_column_grows(n, eps):
     # sigma_1 only about n + eps/n, so the norm's lower end needs ||F||_F
     a = np.ones((n, n), dtype=complex)
     a[1, multiplicative._pivot(a, Tolerance())] *= 1 + eps
-    closed = multiplicative._Facts(ComplexMatrix(a), Tolerance()).forms[0]()
+    closed = multiplicative._Facts(ComplexMatrix(a), Tolerance()).closed
     assert closed is not None
     s = core._singular_values(a)
     assert closed.norm().lo <= s[0] <= closed.norm().hi
@@ -470,9 +486,9 @@ def test_bounds_cover_the_cubic_code(polar, log_eps, seed, perturb, tol):
         route = core._hermitian_route(a, facts.scale, tol)
         if facts.split is not None:
             assert facts.split.skew_max() >= np.abs(a - a.conj().T).max()
-        for form in (thunk() for thunk in facts.forms):
+        for form in (facts.closed, facts.support):
             assert form is None or facts.route(form) == route
-        closed = facts.forms[0]()
+        closed = facts.closed
         if closed is not None:
             assert_form_holds_lapack(a, closed, tol)
             bound = multiplicative._sampling_bound(facts.split.bound, facts.scale, n)
@@ -480,7 +496,7 @@ def test_bounds_cover_the_cubic_code(polar, log_eps, seed, perturb, tol):
                 assert not bound < multiplicative._product_sampling_residual(a, 2, trial_seed)
             if np.abs(a).min() > tol.abs:
                 inv = 1.0 / a
-                inv_closed = multiplicative._forms(inv, facts.split)[0]()
+                inv_closed = facts.forms_of(inv).closed
                 if inv_closed is not None:
                     assert_form_holds_lapack(inv, inv_closed, tol)
     assert_matches_exact(a, tol)
@@ -556,15 +572,15 @@ def test_closed_form_matches_t_and_exact_rounding(polar, log_eps, seed, perturb)
     vals, right = np.linalg.eig(t)
     i = int(np.argmin(np.abs(vals - closed.lam)))
     assert abs(vals[i] - closed.lam) <= err
-    assert abs(closed._skew()[0] - np.linalg.svd(t - t.conj().T, compute_uv=False)[0]) <= err
-    assert abs(closed._low()[0] - np.linalg.eigvalsh(core._hermitian_part(t))[0]) <= err
+    assert abs(closed._skew[0] - np.linalg.svd(t - t.conj().T, compute_uv=False)[0]) <= err
+    assert abs(closed._low[0] - np.linalg.eigvalsh(core._hermitian_part(t))[0]) <= err
     comm = t @ t.conj().T - t.conj().T @ t
-    assert abs(closed._comm()[0] - np.linalg.svd(comm, compute_uv=False)[0]) <= err * size
+    assert abs(closed._comm[0] - np.linalg.svd(comm, compute_uv=False)[0]) <= err * size
     if abs(closed.lam) > 1e-3 * size:  # the eigenvectors are well conditioned
         conj_vals, left = np.linalg.eig(t.conj().T)
         j = int(np.argmin(np.abs(conj_vals - closed.lam.conjugate())))
         x, y = right[:, i], left[:, j] / np.linalg.norm(left[:, j])
-        cos = closed._eig()[2] + 4 * multiplicative._EPS
+        cos = closed._eig[2] + 4 * multiplicative._EPS
         assert cos == pytest.approx(abs(np.vdot(y, x)), abs=1e-9)
 
     lam = [sum(p) for p in zip(*(
@@ -589,7 +605,7 @@ def test_hermitian_beta_is_not_formed_by_cancellation(monkeypatch):
     f = np.exp(2j * np.pi * np.random.default_rng(n).random(n))
     a = np.outer(f, f.conj())
     np.fill_diagonal(a, 1.0)
-    closed = multiplicative._Facts(ComplexMatrix(a), Tolerance()).forms[0]()
+    closed = multiplicative._Facts(ComplexMatrix(a), Tolerance()).closed
     assert closed.beta <= 1e-13 * closed.t_fro
     calls = count_cubic_calls(monkeypatch)
     cert = certify_star_multiplicative(a)

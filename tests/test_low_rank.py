@@ -10,8 +10,10 @@ n = 256 ``check --star --json`` request runs no SVD, eigensolve or n-by-n
 product at all.
 """
 
+import functools
 import json
 import math
+from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
 
@@ -105,7 +107,7 @@ def test_low_rank_values_match_lapack(kind, n):
     m = ComplexMatrix(a)
     cert, star_cert = both_batteries(m)
     facts = multiplicative._facts(m, Tolerance())
-    lr = facts.forms[1]()
+    lr = facts.support
     if n < multiplicative._LOW_RANK_MIN_N and kind != "mixed":
         assert lr is None  # LAPACK decides; a clean split's c = 0 form decides at every n
     else:
@@ -164,6 +166,52 @@ def test_perturbed_check_star_json_runs_no_cubic_code(monkeypatch, tmp_path, cap
     assert calls == {}
 
 
+def count_form_values(monkeypatch) -> Counter:
+    """Count the computations of each form value from here on, by (name,
+    form instance): the low-rank form's ``_skew``, ``_low``, ``_comm`` and
+    ``_eig``, and every form's spectrum span by route."""
+    calls = Counter()
+    for name in ("_skew", "_low", "_comm", "_eig"):
+        original = vars(multiplicative._LowRank)[name].func
+
+        @functools.wraps(original)
+        def spy(self, _name=name, _original=original):
+            calls[_name, id(self)] += 1
+            return _original(self)
+
+        monkeypatch.setattr(multiplicative._LowRank, name, multiplicative._cached(spy))
+    spectrum = multiplicative._Form._spectrum
+
+    def spy_spectrum(self, hermitian):
+        calls[f"_spectrum {hermitian}", id(self)] += 1
+        return spectrum(self, hermitian)
+
+    monkeypatch.setattr(multiplicative._Form, "_spectrum", spy_spectrum)
+    return calls
+
+
+@pytest.mark.parametrize("delta", [1e-4, 0.0], ids=["off_pivot", "unperturbed"])
+def test_check_star_computes_each_form_value_once(monkeypatch, tmp_path, capsys, delta):
+    # both batteries read the same forms: the skew part, for example, for the
+    # route, the spectrum, the Hermitian test and the PSD test of each
+    n = 64
+    a = make_input("off_pivot", n, seed=n, delta=delta)
+    path = tmp_path / "m.json"
+    path.write_text(io.dumps_document(io.matrix_to_document(a)))
+    calls = count_form_values(monkeypatch)
+    assert cli.main(["check", str(path), "--star", "--json"]) == (1 if delta else 0)
+    capsys.readouterr()
+    assert calls and set(calls.values()) == {1}
+    names = {name for name, _ in calls}
+    if delta:  # the low-rank forms of A and of its Schur inverse
+        assert {"_skew", "_low", "_comm", "_eig"} <= names
+        assert len({form for name, form in calls if name == "_skew"}) == 2
+    else:  # the c = 0 forms compute their values once, as they are built
+        assert names == {"_spectrum True"}
+        closed = multiplicative._last_facts.closed
+        assert {"_skew", "_low", "_comm", "_eig"} <= set(vars(closed))
+
+
 def test_noise_in_every_entry_falls_back(monkeypatch):
     rng = np.random.default_rng(7)
     a = make_input("mixed", 64, seed=7) * (1 + 1e-6 * rng.standard_normal((64, 64)))
@@ -174,6 +222,9 @@ def test_noise_in_every_entry_falls_back(monkeypatch):
     assert multiplicative._facts(m, Tolerance()).split.support is None
     assert not cert.verdict
     assert calls == {"svd": 1, "eigvals": 1}
+    assert {name: c.route for name, c in cert.conditions.items() if not c.passed} == {
+        "cocycle": "known", "rank_one": "lapack", "spectrum_0_n": "lapack", "product_sampling": "lapack"
+    }
 
 
 def spectrum_threshold_crossing(n: int) -> float:
@@ -184,7 +235,7 @@ def spectrum_threshold_crossing(n: int) -> float:
     for _ in range(60):
         mid = math.sqrt(lo * hi)
         facts = multiplicative._Facts(ComplexMatrix(make_input("off_pivot", n, 5, mid)), Tolerance())
-        if facts.forms[1]().spectrum().value < threshold:
+        if facts.support.spectrum().value < threshold:
             lo = mid
         else:
             hi = mid
@@ -196,8 +247,8 @@ def test_near_threshold_spectrum_falls_back(monkeypatch):
     a = make_input("off_pivot", n, 5, spectrum_threshold_crossing(n))
     m = ComplexMatrix(a)
     facts = multiplicative._facts(m, Tolerance())
-    assert facts.forms[1]() is not None
-    span = facts.forms[1]().spectrum()
+    assert facts.support is not None
+    span = facts.support.spectrum()
     assert span is None or span.verdict(Tolerance().threshold(float(n))) is None
     calls = count_lapack(monkeypatch)
     cert = certify_multiplicative(m)
