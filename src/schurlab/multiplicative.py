@@ -30,12 +30,14 @@ in Python floats, and never computes Q, so its spans rest on Weyl's
 inequality, Bauer-Fike and LAPACK's error model ``_lapack`` alone.
 ``product_sampling`` reads the ratio bound instead (``_sampling_bound``).
 
-Rejections cost O(n^2) as well when a few entries break the identity. The
-same split bounds the worst violation over j for each pair (i, k), and the
-ratio scan evaluates only the pairs whose bound reaches a violation it has
-seen; it still reports the exact worst violation and the full O(n^3) scan's
-witness, bit for bit, and falls back to that scan where pruning would not
-pay. A condition the c = 0 form leaves open, every failing one included,
+Rejections cost O(n^2) as well. E is the k = p slice of the ratio scan,
+E_ij = a_ij - a_ip a_pj, so an entry of E above the threshold, rounding
+allowed for, is a real violation of the triple (i, j, p): ``cocycle`` fails
+with that triple as its witness and the scan's own value there as its
+residual, at most the exact worst one. The O(n^3) scan runs only where
+neither the pivot bound nor the slice decides.
+
+A condition the c = 0 form leaves open, every failing one included,
 reads the support form: the c = 0 form itself, at every n, where no entry
 of E lies above rounding, and from n = 24 on ``_low_rank``, where the few
 rows and columns of E above rounding (the split's ``support``) give T at
@@ -208,33 +210,21 @@ def _condition(passed: bool, *residual_parts: float, route: str = "known") -> Co
 
 
 _SLAB = 1 << 21  # complex entries in one (n, n, block) slab of the full scan: 32 MB
-_PRUNE_MIN_TRIPLES = 1 << 14  # n >= 26; pruning breaks even near n = 24 and gains little below
 
 
-def _cocycle_parts(data: np.ndarray, mod: np.ndarray | None = None, m: float = 0.0, k: float = 0.0):
+def _cocycle_parts(data: np.ndarray):
     """Worst ratio-identity violation max|a_ij - a_ik a_kj| over all triples
-    and its 1-based witness (i, j, k).
+    and its 1-based witness (i, j, k), in O(n^3).
 
     The residual is exact, the square root of the largest squared modulus
     as computed, and the witness is the first triple attaining it in
-    (k // block, i, j, k) order, block being the width of the full scan's
-    slab. The full scan evaluates every triple, the middle index in blocks
-    that keep the (n, n, block) slab at 32 MB: O(n^3). Given what
-    ``_scan_bound`` derives from the pivot split, ``mod`` = |E| for
-    E = a - a_:p a_p:, the inflated max|a| ``m`` and ``k`` >= max|a| + max|E|,
-    ``_pruned_scan`` evaluates only the pairs (i, k) whose bound reaches a
-    value the scan attains and returns the same residual and witness, bit
-    for bit: O(n^2) work when a few entries break the identity. The full
-    scan runs without them (no pivot above the floor, max|a| >= 2^510 or an
-    entry not finite) and when pruning would not pay: under 2^14 triples,
-    or more than half the pairs left.
+    (k // block, i, j, k) order, block being the width of the slab: the
+    scan evaluates every triple, the middle index in blocks that keep the
+    (n, n, block) slab at 32 MB. ``_ratio_test`` runs it only where neither
+    the pivot bound nor the pivot slice decides.
     """
     n = data.shape[0]
     block = min(n, max(1, _SLAB // (n * n)))
-    if mod is not None and n**3 >= _PRUNE_MIN_TRIPLES:
-        found = _pruned_scan(data, mod, m, k, block)
-        if found is not None:
-            return found
     target = data[:, :, None]
     buf = np.empty((n, n, block), dtype=np.complex128)
     mag = np.empty((n, n, block), dtype=np.float64)
@@ -255,75 +245,6 @@ def _cocycle_parts(data: np.ndarray, mod: np.ndarray | None = None, m: float = 0
             best = worst
             witness = (int(i) + 1, int(j) + 1, int(kk) + k0 + 1)
     return float(np.sqrt(best)), witness
-
-
-@np.errstate(over="ignore")  # an overflowed bound only keeps its pair
-def _pruned_scan(data: np.ndarray, mod: np.ndarray, m: float, k: float, block: int):
-    """``_cocycle_parts`` from the pairs (i, k) whose bound reaches a value
-    the scan attains; None when max|E| >= 2^511 or when more than half the
-    pairs remain. ``m`` and ``k`` are ``_scan_bound``'s, so max|a| < 2^510.
-
-    For any column p, with E = a - a_:p a_p: (``mod`` = |E|, as computed),
-    R_i = max_j |E_ij|, d_k = a_kk - 1 and K = max|a| + max|E|, the identity
-    in ``_ratio_test`` gives, for every j,
-
-        |a_ij - a_ik a_kj| <= R_i + K (|d_k| + |E_kk| + R_k) + |E_ik| (K + R_k).
-
-    As in ``_scan_bound``, with m = max|a| (1 + _EPS) and
-    c = _EPS m (1 + _EPS) + _ETA, k >= K, each |E_ij| of the exact E is at most
-    |computed E_ij| (1 + _EPS) + c, the computed bound U is within a factor
-    1 + _EPS of the exact one, and the scan's own rounding takes a pair's
-    moduli to at most
-    ((1 + _EPS) U + _EPS m)(1 + _EPS)^2 + 2 _ETA before squaring. The k = p
-    slice of the scan is E, so the worst squared modulus is at least
-    rho^2 (1 - _EPS) with rho = max|E|, and a pair whose bound is below
-    tau = rho (1 - _EPS)^6 - (_EPS m + 3 _ETA)(1 + _EPS) cannot hold the
-    worst triple. For rho >= 2^511 the worst square may overflow, and an
-    inf would tie with triples the bound no longer covers, so that case
-    takes the full scan. The bound is at least max|E_i:| + K max|E_k:|, a
-    row term plus a column term, so the pairs that alone keeps are counted
-    in O(n log n), and more than half of them end the attempt before the
-    n-by-n bound is built. The pairs kept are evaluated with the full scan's
-    ufuncs and its operand order, so every squared modulus is bitwise the
-    full scan's, in slabs of at most 2^19 entries; the first worst triple in
-    the full scan's order is the witness.
-    """
-    n = data.shape[0]
-    top = mod.max(axis=1)
-    ascending = np.sort(top)
-    rho = float(ascending[-1])
-    if not rho < _SQRT_HUGE * 2:  # the worst square may overflow, and inf ties escape the bound
-        return None
-    c = _EPS * m * (1 + _EPS) + _ETA
-    tau = rho * (1 - _EPS) ** 6 - (_EPS * m + 3 * _ETA) * (1 + _EPS)
-    # every pair with top_i + K top_k >= tau is kept: per k, searchsorted counts the others
-    if 2 * int(np.searchsorted(ascending, tau - k * ascending).sum()) < n * n:
-        return None  # pruning would not pay
-    rows = top * (1 + _EPS) + c  # >= R_i
-    near = (np.abs(np.diagonal(data) - 1.0) + np.diagonal(mod)) * (1 + _EPS) + c + rows
-    bound = mod * ((k + rows) * (1 + _EPS))
-    bound += k * near + c * (k + rows)
-    bound += rows[:, None]
-    keep = bound >= tau
-    if 2 * np.count_nonzero(keep) > n * n:
-        return None
-    ii, kk = np.nonzero(keep)
-    step = max(1, (_SLAB >> 2) // n)
-    jj = np.empty_like(ii)
-    worst = np.empty(ii.size)
-    for s in range(0, ii.size, step):
-        i, mid = ii[s:s + step], kk[s:s + step]
-        pair = np.multiply(data[i, mid][:, None], data[mid])  # a_ik * a_kj, one row per pair
-        np.subtract(data[i], pair, out=pair)
-        mag2 = np.square(pair.real)
-        mag2 += np.square(pair.imag)
-        j = mag2.argmax(axis=1)
-        jj[s:s + step] = j
-        worst[s:s + step] = mag2[np.arange(j.size), j]
-    best = worst.max()
-    tied = np.flatnonzero(worst == best)
-    w = tied[np.lexsort((kk[tied], jj[tied], ii[tied], kk[tied] // block))[0]]
-    return float(np.sqrt(best)), (int(ii[w]) + 1, int(jj[w]) + 1, int(kk[w]) + 1)
 
 
 _EPS = 16 * 2.0**-53  # relative allowance: four times binary64's per-operation error
@@ -383,10 +304,10 @@ class _Split:
     _EPS (||u|| ||v|| + ||E||_F). ``bound`` is the ratio test's certified
     bound on the worst ratio violation where it accepted through this split,
     else inf. ``fro`` >= ||x||_F and ``support``, the few rows and columns of
-    E above rounding as Python ints, are computed on first use, for the
-    support form. Where the ratio test offered a bound, ``e_max`` bounds
-    max|E_ij| for the exact E and ``e_top`` is max|E_ij| as computed; else
-    both are inf.
+    E above rounding as Python ints, for the support form, and ``skew_max``
+    are computed on first use. Where the ratio test offered a bound,
+    ``e_max`` bounds max|E_ij| for the exact E and ``e_top`` is max|E_ij| as
+    computed; else both are inf.
     """
 
     bound = math.inf
@@ -402,9 +323,10 @@ class _Split:
     def fro(self) -> float:
         return _fro(self.x)
 
+    @_cached
     def skew_max(self) -> float:
         """An upper bound on max|x_ij - conj(x_ji)|, rounding included, in
-        O(n). Since
+        O(n), computed on first use. Since
 
             x_ij - conj(x_ji) = u_i (v_j - conj(u_j)) + (u_i - conj(v_i)) conj(u_j)
                                 + E_ij - conj(E_ji),
@@ -472,10 +394,10 @@ def _split(x: np.ndarray, p: int) -> tuple[_Split, np.ndarray]:
 
 def _scan_bound(e: np.ndarray | None, scale: float, diag_res: float) -> tuple:
     """Upper bound, rounding included, on what ``_cocycle_parts`` would return,
-    from E as computed for the pivot split, in O(n^2), the arguments that
-    prune that scan: (|E| as computed, m, K), or () where no bound is offered,
-    ``rho`` >= max|E_ij| for the exact E and ``top``, max|E_ij| as computed
-    (both inf where no bound is offered).
+    from E as computed for the pivot split, in O(n^2); ``rho`` >= max|E_ij|
+    for the exact E, ``top``, max|E_ij| as computed, and ``at``, the 0-based
+    (i, j) of the first entry attaining it. Where no bound is offered the
+    first three are inf and ``at`` is None.
 
     With r = max|E_ij|, delta the diagonal deviation and M = max|a|, the
     exact maximum is at most t = r(1 + 3K) + K delta + r^2 with K = M + r
@@ -493,15 +415,16 @@ def _scan_bound(e: np.ndarray | None, scale: float, diag_res: float) -> tuple:
     """
     m = scale * (1 + _EPS)
     if e is None or not m < _SQRT_HUGE:  # NaN included
-        return math.inf, (), math.inf, math.inf
+        return math.inf, math.inf, math.inf, None
     mod = np.abs(e)
+    at = int(mod.argmax())
+    top = float(mod.flat[at])
     delta = diag_res * (1 + _EPS)
-    top = float(mod.max())
     rho = (top + _EPS * m) * (1 + _EPS) + _ETA
     k = m + rho
     t = rho * (1 + 3 * k) + k * delta + rho * rho
     bound = ((t + _EPS * (m + t)) * (1 + _EPS) + _ETA) * (1 + _EPS)
-    return (bound if bound < _SQRT_HUGE else math.inf), (mod, m, k), rho, top
+    return (bound if bound < _SQRT_HUGE else math.inf), rho, top, divmod(at, e.shape[0])
 
 
 def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
@@ -537,17 +460,25 @@ def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
     that bound is at most half the ``cocycle`` threshold, the scan would pass
     too, so ``cocycle`` passes with the bound as its residual, a certified
     upper bound, and the bound is kept as the split's ``bound``, which
-    admits the c = 0 form and the sampling bound. Otherwise (the bound is
-    larger, non-finite, or there is no pivot above the floor) the ratio scan
-    ``_cocycle_parts`` decides and reports the exact worst residual and its
-    triple, the first in (k // block, i, j, k) order. The scan is pruned by the same split: it
-    evaluates only the pairs (i, k) that can hold the worst violation,
-    O(n^2) work when a few entries break the identity, and the full O(n^3)
-    scan runs only where pruning would not pay. Verdicts are the full
-    scan's either way.
+    admits the c = 0 form and the sampling bound.
+
+    Fast reject. E is the k = p slice of the ratio scan, formed with the
+    scan's own ufuncs and operand order, so the scan's value at the triple
+    (i, j, p) is sqrt(re^2 + im^2) of the computed E_ij, bitwise. Take (i, j)
+    where |E_ij| is largest and c that value. The computed pivot product is
+    off by at most 4u K (K >= M + r as in ``_scan_bound``), the difference
+    and the modulus by a few u of c, and an underflowed square by ``_ETA``,
+    so the exact |E_ij| is at least (c (1 - _EPS) - _EPS K)(1 - _EPS) - _ETA.
+    Where that exceeds the threshold, the identity fails for the exact
+    input at (i, j, p): ``cocycle`` fails with that triple as its witness
+    and c as its residual, which is at most the scan's worst. Otherwise (the
+    band between the two tests, or no bound offered: no pivot above the
+    floor, or max|a| >= 2^510) the scan ``_cocycle_parts`` decides and
+    reports the exact worst residual and its triple, the first in
+    (k // block, i, j, k) order.
 
     Witness: (i, i, None) for the worst diagonal entry when only
-    ``unit_diagonal`` fails, the worst triple when only ``cocycle`` fails,
+    ``unit_diagonal`` fails, the failing triple when only ``cocycle`` fails,
     and the one with the larger raw residual when both fail.
     """
     diag_dev = np.abs(np.diagonal(data) - 1.0)
@@ -559,14 +490,19 @@ def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
         split, e = _split(data, _pivot(data, tol))
     except ZeroEntryError:
         split = e = None
-    bound, prune, rho, top = _scan_bound(e, scale, diag_res)  # |E| lives only while this test runs
+    bound, rho, top, at = _scan_bound(e, scale, diag_res)  # |E| lives only while this test runs
     if split is not None:
         split.e_max, split.e_top = rho, top
     if math.isfinite(bound) and bound <= 0.5 * threshold:
         split.bound = bound
         cocycle, triple_witness = _condition(True, bound), None
     else:
-        triple_res, triple_witness = _cocycle_parts(data, *prune)
+        d = complex(e[at]) if at else 0j
+        c = math.sqrt(d.real * d.real + d.imag * d.imag)  # the scan's value at (i, j, p)
+        if at and (c * (1 - _EPS) - _EPS * (scale * (1 + _EPS) + rho)) * (1 - _EPS) - _ETA > threshold:
+            triple_res, triple_witness = c, (at[0] + 1, at[1] + 1, split.p + 1)
+        else:
+            triple_res, triple_witness = _cocycle_parts(data)
         cocycle = _condition(triple_res <= threshold, triple_res)
     if cocycle.passed and unit_diagonal.passed:
         witness = None
@@ -593,16 +529,19 @@ def check_cocycle(a, tol: Tolerance | None = None) -> CocycleResult:
     r (1 + 3K) + K delta + r^2, where r = max|a_ij - a_ip a_pj|, delta the
     diagonal deviation and K = max|a| + r, plus rounding; an input whose
     bound is at most half the threshold is accepted in O(n^2) and its ratio
-    residual is that bound, a certified upper bound. Every other input
-    takes the ratio scan, so a rejection reports the exact worst violation.
-    Pruned by the same pivot split, that scan costs O(n^2) when a few
-    entries break the identity (one perturbed entry, say) and O(n^3) at
-    worst, with the same result either way. On failure the witness names
-    the failing condition, 1-based: (i, i, None) for the diagonal, the worst
+    residual is that bound, a certified upper bound. The entries
+    a_ij - a_ip a_pj are the ratio violations of the triples (i, j, p): where
+    the largest of them exceeds the threshold by more than its rounding, the
+    input is rejected in O(n^2), with that triple as its witness and its
+    violation, as the triple scan computes it, as the ratio residual. That is
+    a real violation above the threshold, at most the worst one. Every other
+    input takes the O(n^3) triple scan, which reports the exact worst
+    violation and its triple, the first in (k // block, i, j, k) order among
+    equally bad ones, where block = max(1, 2^21 // n^2), so for n <= 128
+    simply the first in (i, j, k) order. On failure the witness names the
+    failing condition, 1-based: (i, i, None) for the diagonal, a failing
     triple (i, j, k) for the ratio identity, and the larger raw residual
-    when both fail. Among equally bad triples the witness is the first in
-    (k // block, i, j, k) order, where block = max(1, 2^21 // n^2), so for
-    n <= 128 simply the first in (i, j, k) order.
+    when both fail.
 
     The result is kept with the facts of the matrix (see ``_facts``), so a
     later call on the same matrix, or on a bitwise-equal one, at an equal
@@ -1158,9 +1097,9 @@ class _Facts(_Forms):
     """What every multiplicativity decision reads off one coefficient matrix.
 
     The ratio test, its ``CocycleResult`` and its split are computed up
-    front in O(n^2) (through the pivot bound or the pruned scan; the star
-    battery checks the O(n) unit-diagonal precondition before it asks for
-    them). The scaling read off that split, A's two forms (``_Forms``), the
+    front, in O(n^2) where the pivot bound or the pivot slice decides (the
+    star battery checks the O(n) unit-diagonal precondition before it asks
+    for them). The scaling read off that split, A's two forms (``_Forms``), the
     singular values, ||A - A*||_2 and the spectrum distance are computed on
     first use and kept, so each pass runs at most once and a call that reads
     none of them never runs it. The ``read_*`` and ``lapack_*`` methods are
@@ -1173,7 +1112,7 @@ class _Facts(_Forms):
         data = m.data
         self.m, self.tol, self.n = m, tol, require_square(m)
         self.scale = scale = float(np.abs(data).max())  # max |a_ij|
-        # the witness names the failing condition's worst entry, 1-based
+        # the witness names the failing condition's entry, 1-based
         self.cocycle, self.unit_diagonal, self.witness, self.split = _ratio_test(data, scale, tol)
         self.x = data
         residual = _nanmax(self.cocycle.residual, self.unit_diagonal.residual)
@@ -1211,7 +1150,7 @@ class _Facts(_Forms):
         threshold of 1e-10.
         """
         half = 0.5 * self.tol.threshold(self.scale)
-        if self.split is not None and 0.5 * self.split.skew_max() * (1 + _EPS) + _ETA <= half:
+        if self.split is not None and 0.5 * self.split.skew_max * (1 + _EPS) + _ETA <= half:
             return True
         if 0.5 * (form.skew().lo / self.n) * (1 - _EPS) - _ETA > half:
             return False
@@ -1286,12 +1225,12 @@ class MultiplicativityCertificate:
     """Per-condition verdicts for the multiplicative battery.
 
     ``conditions`` maps each label in MULTIPLICATIVE_CONDITIONS to its
-    verdict and scale-normalized residual. ``witness`` is the worst ratio
-    violation (1-based, None for the middle index on diagonal failures) and
-    is only present when the ratio test fails. ``inconsistent`` flags
-    disagreement among the four theoretically equivalent composite
-    conditions; near the tolerance boundary that is a conditioning
-    diagnostic, and the caller decides what to do with it.
+    verdict and scale-normalized residual. ``witness`` is the ratio test's
+    (``check_cocycle``): a failing triple, or a diagonal entry with None for
+    the middle index, 1-based, and only present when the ratio test fails.
+    ``inconsistent`` flags disagreement among the four theoretically
+    equivalent composite conditions; near the tolerance boundary that is a
+    conditioning diagnostic, and the caller decides what to do with it.
     """
 
     verdict: bool

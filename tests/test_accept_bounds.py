@@ -191,8 +191,7 @@ def test_rejected_inputs_run_every_fallback(monkeypatch, n):
     calls = count_cubic_calls(monkeypatch, n)
     cert = certify_multiplicative(a)
     assert not cert.verdict
-    assert calls == {
-        "_cocycle_parts": 1,
+    assert calls == {  # the pivot slice rejects: no ratio scan
         "_product_sampling_residual": 1,
         **({"_singular_values": 1, "eigvals": 1} if lapack else {}),
     }
@@ -203,17 +202,14 @@ def test_rejected_inputs_run_every_fallback(monkeypatch, n):
     star_cert = certify_star_multiplicative(a)
     assert not star_cert.verdict
     assert set(routes(star_cert).values()) == {route}
-    # the same content shares the ratio scan, the SVD of A and its spectrum;
+    # the same content shares the ratio test, the SVD of A and its spectrum;
     # the SVDs of A - A*, the commutator, the Schur inverse and its skew part,
     # and the eigensolves of the Hermitian parts remain
     assert calls == ({"_singular_values": 4, "eigvalsh": 2} if lapack else {})
     calls.clear()
     assert not certify_star_multiplicative(one_ulp_off(a)).verdict
     # distinct content, one ulp away, shares nothing
-    assert calls == {
-        "_cocycle_parts": 1,
-        **({"_singular_values": 5, "eigvals": 1, "eigvalsh": 2} if lapack else {}),
-    }
+    assert calls == ({"_singular_values": 5, "eigvals": 1, "eigvalsh": 2} if lapack else {})
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16, 23])
@@ -234,8 +230,9 @@ def test_mixed_modulus_star_battery_runs_no_lapack(monkeypatch, n):
 
 
 def test_check_star_computes_each_fact_once(monkeypatch, tmp_path, capsys):
-    # both batteries read one ratio scan, and at n = 3 one eigensolve and one
-    # SVD of A; at n = 64 the low-rank form decides every failing condition
+    # both batteries read one ratio test, which rejects through the pivot
+    # slice without the scan, and at n = 3 one eigensolve and one SVD of A;
+    # at n = 64 the low-rank form decides every failing condition
     for n in (3, 64):
         a = scaled(n, 0.0, seed=n)
         a[0, 1] *= 1 + 1e-3
@@ -247,7 +244,6 @@ def test_check_star_computes_each_fact_once(monkeypatch, tmp_path, capsys):
         # the other four SVDs: A - A*, the commutator, the Schur inverse and its skew part
         lapack = {"_singular_values": 5, "eigvals": 1, "eigvalsh": 2}
         assert calls == {
-            "_cocycle_parts": 1,
             "_product_sampling_residual": 1,
             **(lapack if n < multiplicative._LOW_RANK_MIN_N else {}),
         }
@@ -269,6 +265,27 @@ def test_accepted_check_forms_no_skew_matrix(monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(module, name, refuse)
     assert cli.main(["check", str(path), "--star", "--json"]) == 0
     capsys.readouterr()
+
+
+def test_check_star_bounds_the_skew_once(monkeypatch, tmp_path, capsys):
+    # both batteries read the solver route, through the split's skew bound,
+    # and the bound is computed once per matrix
+    computed = []
+    skew_max = multiplicative._Split.skew_max
+    original = skew_max.func
+
+    def spy(split):
+        computed.append(split.x.shape)
+        return original(split)
+
+    monkeypatch.setattr(skew_max, "func", spy)
+    for spread, code in ((0.0, 0), (1.0, 1)):
+        path = tmp_path / f"s{spread}.json"
+        path.write_text(io.dumps_document(io.matrix_to_document(scaled(8, spread, seed=8))))
+        computed.clear()
+        assert cli.main(["check", str(path), "--star", "--json"]) == code
+        capsys.readouterr()
+        assert computed == [(8, 8)]
 
 
 def certificates(m: ComplexMatrix, tol: Tolerance) -> tuple:
@@ -485,7 +502,7 @@ def test_bounds_cover_the_cubic_code(polar, log_eps, seed, perturb, tol):
         facts = multiplicative._Facts(ComplexMatrix(a), tol)
         route = core._hermitian_route(a, facts.scale, tol)
         if facts.split is not None:
-            assert facts.split.skew_max() >= np.abs(a - a.conj().T).max()
+            assert facts.split.skew_max >= np.abs(a - a.conj().T).max()
         for form in (facts.closed, facts.support):
             assert form is None or facts.route(form) == route
         closed = facts.closed

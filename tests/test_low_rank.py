@@ -261,7 +261,7 @@ def test_near_threshold_spectrum_falls_back(monkeypatch):
 def test_star_refuses_a_non_unital_map_before_the_ratio_scan(monkeypatch):
     # 2 f(i)/f(j): the unit-diagonal refusal is O(n) and comes first
     calls = []
-    for name in ("_cocycle_parts", "_pruned_scan", "_split"):
+    for name in ("_cocycle_parts", "_split"):
         original = getattr(multiplicative, name)
 
         def spy(*args, _name=name, _original=original, **kwargs):

@@ -323,25 +323,39 @@ def test_only_rejections_run_the_ratio_scan(monkeypatch):
 
     calls = count_scans(monkeypatch)
     accepted = build_from_scaling(np.exp(1j * np.arange(5)))
+    # a clear rejection: the pivot slice holds the violation, and no scan runs
     rejected = accepted.data.copy()
     rejected[1, 3] *= 1 + 1e-3
+    # a rejection in the band: a_ik and a_kj, off the pivot's lines, each
+    # moved by 0.7 of the threshold. The slice stays below the threshold and
+    # the pivot bound above half of it, and the triple (i, j, k) fails
+    band = accepted.data.copy()
+    p = multiplicative._pivot(band, Tolerance())
+    i, k, j = ((p + d) % 5 for d in (1, 2, 3))
+    band[i, k] *= 1 + 7e-11
+    band[k, j] *= 1 + 7e-11
+    assert not check_cocycle(band).passed
+    calls.clear()
     runs = (certify_multiplicative, certify_star_multiplicative, check_cocycle)
-    for a, scans in ((accepted, []), (rejected, [(5, 5)])):
+    for a, scans in ((accepted, []), (rejected, []), (band, [(5, 5)])):
         for k, run in enumerate(runs):
             calls.clear()
             run(a)
-            assert calls == (scans if k == 0 else [])  # later calls share the first's scan
-    for k, run in enumerate(runs):
-        distinct = rejected.copy()
-        distinct[2, 4] *= 1 + (k + 1) * 1e-3
-        calls.clear()
-        run(distinct)
-        assert calls == [(5, 5)]  # distinct content shares nothing
+            assert calls == (scans if k == 0 else [])  # later calls share the first's test
+    for source, scans in ((rejected, []), (band, [(5, 5)])):
+        for k, run in enumerate(runs):
+            distinct = source.copy()
+            distinct[2, 4] *= 1 + (k + 1) * (1e-3 if source is rejected else 1e-12)
+            calls.clear()
+            run(distinct)
+            assert calls == scans  # distinct content shares nothing
     calls.clear()
     unboundedness_witness(toeplitz_generator(1j), 5)
     assert calls == []
     with pytest.raises(NotMultiplicativeError):
         unboundedness_witness(table_generator(rejected), 5)
+    with pytest.raises(NotMultiplicativeError):
+        unboundedness_witness(table_generator(band), 5)
     assert calls == [(5, 5)]
 
 

@@ -1,7 +1,7 @@
 """One pivot split per matrix.
 
 The ratio test searches for the pivot column once and builds one ``_Split``
-of A = u v^T + E; the scaling, the c = 0 form and the pruned scan all
+of A = u v^T + E; the scaling, the c = 0 form and the slice rejection all
 read that split. The star battery builds one more split, of the Schur
 inverse, for that inverse's c = 0 form.
 """
