@@ -138,7 +138,7 @@ def _cmd_check(args, tol: Tolerance):
     if cert.witness is not None:
         i, j, k = cert.witness
         where = f"({i},{j},{k})" if k is not None else f"({i},{j},.)"
-        lines.append(f"  worst violation at {where}")
+        lines.append(f"  violation at {where}")
     if cert.inconsistent:
         lines.append("  warning: equivalent conditions disagree (conditioning)")
     if star_cert is not None:

@@ -229,9 +229,17 @@ def _hermitian_route(x: np.ndarray, scale: float, tol: Tolerance) -> bool:
     ``scale``, both halved. Formed from halves as ``_hermitian_part`` forms
     its sum, the difference cannot overflow, and halving is exact wherever
     no half is subnormal, so the comparison is the unhalved one."""
-    half = 0.5 * x
-    half_anti = half - half.conj().T
-    return float(np.abs(half_anti).max()) <= 0.5 * tol.threshold(scale)
+    return _half_skew(x) <= 0.5 * tol.threshold(scale)
+
+
+def _half_skew(x: np.ndarray, rows: list[int] | None = None) -> float:
+    """max|x_ij / 2 - conj(x_ji) / 2| as computed, the quantity
+    ``_hermitian_route`` compares; it cannot overflow. Over ``rows`` only
+    where given, each entry computed bit for bit as over all of them."""
+    if rows is None:
+        half = 0.5 * x
+        return float(np.abs(half - half.conj().T).max())
+    return float(np.abs(0.5 * x[rows] - (0.5 * x[:, rows]).conj().T).max())
 
 
 def _singular_values(data: np.ndarray) -> np.ndarray:

@@ -11,12 +11,14 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     Tolerance,
+    _half_skew,
     _matrix_rank,
     _singular_values,
     _skew_norm,
     as_matrix,
     require_square,
 )
+from .multiplicative import _fro, _skew_bounds
 from .star import _psd_residual
 
 __all__ = ["CorrelationVerdict", "correlation_check", "IsometryResult", "isometry_check"]
@@ -35,26 +37,31 @@ def correlation_check(a, tol: Tolerance | None = None) -> CorrelationVerdict:
     A correlation matrix is positive semidefinite with unit diagonal. Rank
     one is a sufficient condition for being an extreme point of the set of
     correlation matrices; no attempt is made to decide extremity at higher
-    rank. One SVD gives both ||A||_2 and the rank; the eigensolve of the PSD
-    test runs only when ||A - A*||_2 passes its Hermitian test.
+    rank. One SVD gives both ||A||_2 and the rank; the SVD of A - A* runs
+    only where max|a_ij - conj(a_ji)| leaves the Hermitian test open
+    (``multiplicative._skew_bounds``), and the eigensolve of the PSD test only
+    when ||A - A*||_2 passes it.
     """
     m = as_matrix(a)
-    require_square(m)
+    n = require_square(m)
     tol = tol or DEFAULT_TOL
-    unit_diag = float(np.abs(np.diagonal(m.data) - 1.0).max()) <= tol.threshold(1.0)
-    s = _singular_values(m.data)
-    norm, herm = float(s[0]), _skew_norm(m.data)
+    data = m.data
+    unit_diag = float(np.abs(np.diagonal(data) - 1.0).max()) <= tol.threshold(1.0)
+    s = _singular_values(data)
+    norm = float(s[0])
     # the PSD threshold grows with ||A||_2, so an overflowed norm would pass
     # any matrix; a correlation matrix has ||A||_2 <= n. A finite ||A - A*||_2
     # above the threshold fails _psd_residual's Hermitian test before its
-    # eigensolve could matter.
-    is_corr = (
-        unit_diag
-        and math.isfinite(norm)
-        and not (math.isfinite(herm) and herm > tol.threshold(norm))
-        and _psd_residual(m.data, tol, norm, herm)[0]
-    )
-    rank = _matrix_rank(m.data, s, tol)
+    # eigensolve could matter, and a lower bound on it above the threshold
+    # before its SVD could.
+    is_corr = unit_diag and math.isfinite(norm)
+    if is_corr and _skew_bounds(n, _fro(data), _half_skew(data))[0] > tol.threshold(norm):
+        is_corr = False
+    if is_corr:
+        herm = _skew_norm(data)
+        is_corr = not (math.isfinite(herm) and herm > tol.threshold(norm))
+        is_corr = is_corr and _psd_residual(data, tol, norm, herm)[0]
+    rank = _matrix_rank(data, s, tol)
     return CorrelationVerdict(
         is_correlation=is_corr,
         rank=rank,

@@ -35,10 +35,17 @@ E_ij = a_ij - a_ip a_pj, so an entry of E above the threshold, rounding
 allowed for, is a real violation of the triple (i, j, p): ``cocycle`` fails
 with that triple as its witness and the scan's own value there as its
 residual, at most the exact worst one. The O(n^3) scan runs only where
-neither the pivot bound nor the slice decides.
+neither the pivot bound nor the slice decides. Every other part a
+non-multiplicative input fails has an O(n^2) witness too, a certified lower
+bound on what LAPACK computes: a 2-by-2 minor through the pivot for rank
+one (``_Facts.rank_one_bound``), tr(A^2) against n^2 for the spectrum
+(``_spectrum_floor``), a skew entry for the Hermitian tests
+(``_skew_bounds``) and two rows of A A* - A* A for normality. A bound that
+clears its threshold fails its part with the bound as residual, before any
+support form or LAPACK call.
 
-A condition the c = 0 form leaves open, every failing one included,
-reads the support form: the c = 0 form itself, at every n, where no entry
+A condition the c = 0 form leaves open and no bound fails reads the support
+form: the c = 0 form itself, at every n, where no entry
 of E lies above rounding, and from n = 24 on ``_low_rank``, where the few
 rows and columns of E above rounding (the split's ``support``) give T at
 most 2(|R| + |C| + 1) square, with ||F||_F within LAPACK's own allowance
@@ -55,9 +62,9 @@ at most once, and ``factor_scaling`` and the like never run them.
 Conditions are data. Each battery's table names, for every condition, its
 threshold and its parts; a part is known, or reads a pair of forms
 (``_Forms``: the c = 0 form and the support form of A, or of its Schur
-inverse) and, failing them, the O(n^3) code. One loop, ``_decide``, reads
-every part at most once per call and records on each ``ConditionResult``
-the ``route`` that decided it.
+inverse), an O(n^2) bound and, failing them, the O(n^3) code. One loop,
+``_decide``, reads every part at most once per call and records on each
+``ConditionResult`` the ``route`` that decided it.
 """
 
 from __future__ import annotations
@@ -74,8 +81,8 @@ from .core import (
     DEFAULT_TOL,
     ComplexMatrix,
     Tolerance,
+    _half_skew,
     _hermitian_part,
-    _hermitian_route,
     _nanmax,
     _rank,
     _require_seed,
@@ -159,6 +166,16 @@ class ScalingVector:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def _of(cls, values: np.ndarray) -> ScalingVector:
+        """The scaling of ``values``, a fresh one-dimensional complex128 array
+        of finite nonzero entries, which the caller vouches for: kept without
+        a copy or a check, and made read-only."""
+        values.setflags(write=False)
+        scaling = object.__new__(cls)
+        object.__setattr__(scaling, "values", values)
+        return scaling
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -278,6 +295,73 @@ def _lapack(n: int, fro: float) -> float:
     return (n + 1) * _EPS * fro
 
 
+def _skew_bounds(n: int, fro: float, half: float) -> tuple[float, float]:
+    """(lo, hi), in O(1): lo <= what LAPACK computes for ||x - x*||_2 and
+    hi >= what it computes for ||x||_2, for an n-by-n x with ||x||_F <= ``fro``
+    and ``half`` the largest |x_ij / 2 - conj(x_ji) / 2| over some entries,
+    as ``core._half_skew`` computes it.
+
+    Halving is exact but for subnormals, and the difference and modulus
+    round by a few u (u = 2^-53), so d = |x_ij - conj(x_ji)| at that entry is
+    at least 2 half (1 - _EPS) - _ETA, and ||x - x*||_2 >= d. LAPACK forms x - x*
+    entry by entry, each within u of the exact one, and its SVD is exact for
+    a matrix within ``_lapack(n, 2 fro)`` of that (||x - x*||_F <= 2 ||x||_F),
+    as the forms' error model has it; its ||x||_2 is at most
+    ||x||_F + ``_lapack(n, fro)``.
+    """
+    lo = (2 * half * (1 - _EPS) - _ETA) * (1 - _EPS) - _lapack(n, 2 * fro) * (1 + _EPS)
+    return lo, (fro + _lapack(n, fro)) * (1 + _EPS)
+
+
+def _minor_floor(a: complex, b: complex, c: complex, d: complex) -> float:
+    """A lower bound on sigma_2 of M = [[a, b], [c, d]]: sigma_2(M) =
+    |det M| / sigma_1(M) >= |det M| / ||M||_F, the computed ad - bc being off
+    by at most _EPS (|a d| + |b c|) (u = 2^-53, a complex product within 3u)
+    and each modulus and quotient by _EPS of itself."""
+    det = abs(a * d - b * c) * (1 - _EPS) - _EPS * (abs(a) * abs(d) + abs(b) * abs(c)) - _ETA
+    return det / (math.hypot(abs(a), abs(b), abs(c), abs(d)) * (1 + _EPS)) * (1 - _EPS)
+
+
+def _trace_gap(x: np.ndarray, fro: float) -> float:
+    """A lower bound, in O(n^2), on |tr(x^2) - n^2| for the n-by-n x,
+    ||x||_F <= ``fro``.
+
+    The gap is summed as sum_ij (x_ij x_ji - 1), so that its rounding scales
+    with the deviations, not with n^2: each product is off by at most
+    3u |x_ij x_ji| (u = 2^-53), summing to 3u fro^2 (Cauchy-Schwarz), each
+    difference by u of itself, and the sum of the N = n^2 computed terms w
+    by (N + 2) u sum|w| (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 4.2), _EPS = 16u covering those factors and the
+    rounding of sum|w| and of the modulus.
+    """
+    w = x * x.T
+    w -= 1.0
+    total, spread = complex(w.sum()), float(np.abs(w).sum())
+    return abs(total) * (1 - _EPS) - _EPS * fro * fro - (w.size + 2) * _EPS * spread - _ETA
+
+
+def _spectrum_floor(x: np.ndarray, fro: float) -> float:
+    """A lower bound, in O(n^2), on the distance from {n, 0^(n-1)} of the
+    spectrum LAPACK computes for the n-by-n x, ||x||_F <= ``fro``; 0 where
+    the bound shows nothing.
+
+    A spectrum within bottleneck distance d of {n, 0^(n-1)} is n + e_1 and
+    e_k, |e_k| <= d, so |sum lam_k^2 - n^2| <= 2nd + nd^2, and with
+    D = |tr(x^2) - n^2| (``_trace_gap``),
+    d >= sqrt(1 + D/n) - 1 = (D/n) / (sqrt(1 + D/n) + 1). LAPACK's
+    eigenvalues are exact for x + Delta, ||Delta||_F <= a = ``_lapack(n, fro)``
+    under the forms' error model, and tr((x + Delta)^2) is within
+    2 fro a + a^2 of tr(x^2), so D shrinks by that much. No eigenvector
+    enters: the trace identity holds for x + Delta itself.
+    """
+    n = x.shape[0]
+    a = _lapack(n, fro)
+    t = (_trace_gap(x, fro) - (2 * fro + a) * a) / n
+    if not 0.0 < t < math.inf:  # NaN included
+        return 0.0
+    return t / (math.sqrt(1 + t) + 1) * (1 - 4 * _EPS) - _ETA
+
+
 def _pivot(data: np.ndarray, tol: Tolerance) -> int:
     """The column of largest minimum modulus, 0-based; ZeroEntryError if that
     minimum is at or below the absolute floor."""
@@ -306,12 +390,14 @@ class _Split:
     else inf. ``fro`` >= ||x||_F and ``support``, the few rows and columns of
     E above rounding as Python ints, for the support form, and ``skew_max``
     are computed on first use. Where the ratio test offered a bound,
-    ``e_max`` bounds max|E_ij| for the exact E and ``e_top`` is max|E_ij| as
-    computed; else both are inf.
+    ``e_max`` bounds max|E_ij| for the exact E, ``e_top`` is max|E_ij| as
+    computed and ``at`` the 0-based (i, j) of the first entry attaining it;
+    else the first two are inf and ``at`` is None.
     """
 
     bound = math.inf
     e_max = e_top = math.inf
+    at = None
 
     def __init__(self, x: np.ndarray, p: int, e: np.ndarray):
         self.x, self.p = x, p
@@ -338,8 +424,19 @@ class _Split:
 
     def scaling(self) -> ScalingVector:
         """f with f(1) = 1 read off u (any column on exact inputs); the
-        caller vouches for multiplicativity."""
-        return ScalingVector(self.u / self.u[0])
+        caller vouches for multiplicativity. u is finite and nonzero, so only
+        a quotient that overflowed or underflowed takes the public
+        constructor, which raises."""
+        f = self.u / self.u[0]
+        if np.isfinite(f).all() and f.all():
+            return ScalingVector._of(f)
+        return ScalingVector(f)
+
+    @_cached
+    def clean(self) -> bool:
+        """Whether no entry of E lies above the floor _EPS ||x||_F / 4, so
+        that the support form is the c = 0 form, told without forming E."""
+        return self.e_top <= 0.25 * _EPS * self.fro
 
     @_cached
     def support(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -358,10 +455,10 @@ class _Split:
         the floor in Frobenius norm, a quarter of ``_lapack(n, ||x||_F)``;
         ``_low_rank`` certifies the exact rest.
         """
+        if self.clean:
+            return (), ()
         n = self.x.shape[0]
         floor = 0.25 * _EPS * self.fro
-        if self.e_top <= floor:
-            return (), ()
         cap = _cap(n)
         if cap < 0:
             return None
@@ -492,7 +589,7 @@ def _ratio_test(data: np.ndarray, scale: float, tol: Tolerance):
         split = e = None
     bound, rho, top, at = _scan_bound(e, scale, diag_res)  # |E| lives only while this test runs
     if split is not None:
-        split.e_max, split.e_top = rho, top
+        split.e_max, split.e_top, split.at = rho, top, at
     if math.isfinite(bound) and bound <= 0.5 * threshold:
         split.bound = bound
         cocycle, triple_witness = _condition(True, bound), None
@@ -588,7 +685,9 @@ def build_from_scaling(f) -> ComplexMatrix:
     return ComplexMatrix(np.outer(values, 1.0 / values))
 
 
-_ROUTES = ("known", "closed", "support", "lapack")  # by slot: known, c = 0 form, support form, O(n^3)
+# by slot: known, the c = 0 form, an O(n^2) lower bound, the support form, the O(n^3) code
+_ROUTES = ("known", "closed", "bound", "support", "lapack")
+_KNOWN, _CLOSED, _BOUND, _SUPPORT, _LAPACK = range(len(_ROUTES))
 
 
 def _decide(table: dict, thresholds: dict, parts: dict) -> dict[str, ConditionResult]:
@@ -596,29 +695,37 @@ def _decide(table: dict, thresholds: dict, parts: dict) -> dict[str, ConditionRe
     the conjunction of its ``parts`` at ``thresholds[key]``.
 
     A part is known: (passed, residual), or a residual the threshold
-    decides. Or it is a triple (pair, read, slow): ``pair`` holds the forms
-    ``closed`` and ``support`` (``_Forms``, None where there is none),
-    ``read(form)`` is what a form gives and ``slow()`` what the O(n^3) code
-    gives. Either is a verdict, (passed, value, upper end) from a form and
-    (passed, residual) from the O(n^3) code, or a value for the threshold to
-    decide (``_judged``): a ``_Span``, or a residual. A form's verdict or
-    span may leave the part open (None). A part that is a
-    ``ConditionResult`` already, the ratio test's, is its condition.
+    decides. Or it is a record (pair, read, slow, bound): ``pair`` holds the
+    forms ``closed`` and ``support`` (``_Forms``, None where there is none)
+    and ``clean``, whether the support form is the c = 0 form; ``read(form)``
+    is what a form gives, ``slow()`` what the O(n^3) code gives and
+    ``bound()``, where ``bound`` is not None, a certified lower bound on it,
+    in O(n^2), or None. Each is a verdict, (passed, value, upper end) from a
+    form and (passed, residual) from the O(n^3) code or a bound, or a value
+    for the threshold to decide (``_judged``): a ``_Span``, or a residual. A
+    form's verdict or span may leave the part open (None); a bound decides
+    only a finite failure. A part that is a ``ConditionResult`` already, the
+    ratio test's, is its condition.
 
-    A condition passes with the maximum of its parts' upper ends where each
-    part passes on its c = 0 form, or failing that on its support form. The
-    c = 0 form alone leaves out E, which may hold lines above rounding, so
-    it decides passes only. Otherwise each part reads its support form, or
-    where that does not decide it, the O(n^3) code: the condition is their
-    conjunction and a failing one reports what the O(n^3) code computes,
-    within the support form's span. The residual is the worst, NaN kept,
-    and only a finite one passes. The condition's ``route`` is the latest
-    any of its parts took, in ``_ROUTES`` order. Every reader runs at most
-    once per call, however many conditions share its part, a support form
-    that is the c = 0 form itself, a clean split's, is read once, and two
-    conditions of the same parts at the same threshold share one result.
+    Each part is read in steps, each step at most once per call: ``_cheap``
+    (known, a passing c = 0 form, the c = 0 form where it is the support
+    form, a failing bound), ``_supported`` (the support form) and ``_slow``
+    (the O(n^3) code). A condition passes with the maximum of its parts'
+    upper ends where each part passes on its first two steps. Otherwise,
+    where any part fails on its first step, the condition fails with the
+    worst of those failures and no part of it reads a support form or the
+    O(n^3) code. Failing that, the parts the first step left open read their
+    support form or the O(n^3) code, and the condition fails with the worst
+    of their failures, if any; where none fails, every part reads its support
+    form, or the O(n^3) code where that leaves it open (a c = 0 form alone
+    leaves out E, which may hold lines above rounding), and the condition is
+    their conjunction with the worst of their values. The residual keeps
+    NaN, only a finite one passes, and the ``route`` is the latest the
+    counted parts took, in ``_ROUTES`` order. Two conditions of the same
+    parts at the same threshold share one result.
     """
-    first, second = {}, {}  # part name: its verdict and route in each pass
+    memo = ({}, {}, {})  # by step, part name: its verdict and route
+    cheap = memo[0]
     results, done = {}, {}  # condition name, and table entry: its result
     for name, entry in table.items():
         key, *names = entry
@@ -629,7 +736,9 @@ def _decide(table: dict, thresholds: dict, parts: dict) -> dict[str, ConditionRe
         threshold = thresholds[key]
         values, route = [], 0
         for p in names:
-            v, r = first[p] if p in first else first.setdefault(p, _first(parts[p], threshold))
+            v, r = cheap[p] if p in cheap else cheap.setdefault(p, _cheap(parts[p], threshold))
+            if v is None:
+                v, r = _step(1, p, threshold, parts, memo)
             if not (v and v[0]):
                 break
             values.append(v[2])
@@ -637,16 +746,45 @@ def _decide(table: dict, thresholds: dict, parts: dict) -> dict[str, ConditionRe
         else:
             results[name] = done[entry] = _condition(True, *values, route=_ROUTES[route])
             continue
-        passed, values, route = True, [], 0
+        failing, opened = [], []  # failing on the first step, and left open by it
         for p in names:
-            v, r = first[p] if p in first else first.setdefault(p, _first(parts[p], threshold))
-            if r == 1 or v is None:  # the support form is not read yet, or leaves the part open
-                v, r = second[p] if p in second else second.setdefault(p, _second(parts[p], threshold, v))
-            passed = passed and v[0]
-            values.append(v[1])
-            route = r if r > route else route
-        results[name] = done[entry] = _condition(passed, *values, route=_ROUTES[route])
+            v, r = cheap[p] if p in cheap else cheap.setdefault(p, _cheap(parts[p], threshold))
+            if v is None:
+                opened.append(p)
+            elif not v[0]:
+                failing.append((v, r))
+        if not failing:
+            failing = _failing([_step(2, p, threshold, parts, memo) for p in opened])
+        if not failing:
+            got = [_step(2, p, threshold, parts, memo) for p in names]
+            failing = _failing(got) or got
+        results[name] = done[entry] = _verdict(failing)
     return results
+
+
+def _step(k: int, p: str, threshold: float, parts: dict, memo: tuple) -> tuple:
+    """Part ``p``'s verdict and route at step k of ``_decide`` (``_STEPS``),
+    each step read at most once: ``memo`` holds one dict per step."""
+    got = memo[k]
+    if p not in got:
+        got[p] = _STEPS[k](parts[p], threshold, _step(k - 1, p, threshold, parts, memo) if k else None)
+    return got[p]
+
+
+def _failing(got: list) -> list:
+    """The failing verdicts among ``got``, (verdict, route) each."""
+    return [v for v in got if v[0] is not None and not v[0][0]]
+
+
+def _verdict(got: list) -> ConditionResult:
+    """The conjunction of the parts' verdicts ``got``, (verdict, route) each,
+    with the worst of their values."""
+    passed, values, route = True, [], 0
+    for v, r in got:
+        passed = passed and v[0]
+        values.append(v[1])
+        route = r if r > route else route
+    return _condition(passed, *values, route=_ROUTES[route])
 
 
 def _judged(v, threshold: float):
@@ -654,31 +792,52 @@ def _judged(v, threshold: float):
     return v.verdict(threshold) if isinstance(v, _Span) else (v <= threshold, v) if isinstance(v, float) else v
 
 
-def _first(part, threshold: float) -> tuple:
-    """A part's verdict and route in ``_decide``'s first pass: its c = 0
-    verdict where that passes, else its support verdict, None where the
-    form leaves it open."""
+def _cheap(part, threshold: float, _=None) -> tuple:
+    """A part's first step in ``_decide``: a known part's verdict; its c = 0
+    verdict where that passes; the c = 0 form's verdict where that form is
+    the support form; else its bound where that fails it. None where these
+    leave it open."""
     if not isinstance(part, tuple) or len(part) == 2:  # known: a residual, or (passed, residual)
         v = _judged(part, threshold)
-        return (*v, v[1]), 0
-    pair, read, _ = part
+        return (*v, v[1]), _KNOWN
+    pair, read, _, bound = part
     closed = pair.closed
     v = closed and _judged(read(closed), threshold)
     if v and v[0]:
-        return v, 1
-    support = pair.support
-    return (v if support is closed else support and _judged(read(support), threshold)), 2
-
-
-def _second(part, threshold: float, v) -> tuple:
-    """A part's verdict and route in ``_decide``'s second pass, where its
-    first pass passed on the c = 0 form (``v``) or left it open (None): its
-    support verdict, else its O(n^3) one."""
-    pair, read, slow = part
-    if v is not None:
+        return v, _CLOSED
+    if pair.clean:
         support = pair.support
-        v = v if support is pair.closed else support and _judged(read(support), threshold)
-    return (v, 2) if v is not None else (_judged(slow(), threshold), 3)
+        v = v if support is closed else support and _judged(read(support), threshold)
+        if v is not None:
+            return v, _SUPPORT
+    b = bound and bound()
+    if b is not None:
+        passed, value = _judged(b, threshold)
+        if not passed and math.isfinite(value):
+            return (False, value, value), _BOUND
+    return None, _BOUND
+
+
+def _supported(part, threshold: float, cheap: tuple) -> tuple:
+    """A part's second step: its first where that decided other than by a
+    passing c = 0 form, else its support verdict, None where the support
+    form leaves it open. On a clean split that is the c = 0 verdict."""
+    v, r = cheap
+    if v is not None and r != _CLOSED:
+        return cheap
+    pair, read = part[:2]
+    if not pair.clean:
+        support = pair.support
+        v = support and _judged(read(support), threshold)
+    return v, _SUPPORT
+
+
+def _slow(part, threshold: float, supported: tuple) -> tuple:
+    """A part's last step: its second where that decided, else its O(n^3) verdict."""
+    return supported if supported[0] is not None else (_judged(part[2](), threshold), _LAPACK)
+
+
+_STEPS = (_cheap, _supported, _slow)
 
 
 def _rank_one_spectrum_distance(vals: np.ndarray) -> float:
@@ -1070,10 +1229,46 @@ class _Forms:
     multiplicative A, 1/a_ij = (1/a_ip)(1/a_pj), and off A's support
     1/a_ij - (1/a_ip)(1/a_pj) = -E_ij / (a_ij a_ip a_pj) is rounding as well,
     so the inverse splits on the same lines.
+
+    ``clean`` tells, without forming E, that the support form is the c = 0
+    form. ``fro`` >= ||x||_F, ``skew_rows`` and ``skew_bounds``
+    (``_skew_bounds``) are computed on first use, for the O(n^2) bounds.
     """
 
     def __init__(self, x: np.ndarray, split: _Split | None):
         self.x, self.split = x, split
+
+    @_cached
+    def clean(self) -> bool:
+        return self.split is not None and self.split.clean
+
+    @_cached
+    def fro(self) -> float:
+        split = self.split
+        return split.fro if split is not None and self.x is split.x else _fro(self.x)
+
+    @_cached
+    def skew_rows(self) -> float:
+        """max|x_ij / 2 - conj(x_ji) / 2| as ``core._half_skew`` computes it,
+        over rows i of the pivot and of the split's ``at`` (all rows without
+        one), in O(n): at most the maximum over all rows."""
+        split = self.split
+        at = split and split.at
+        return _half_skew(self.x, None if at is None else [split.p, *at])
+
+    @_cached
+    def skew_bounds(self) -> tuple[float, float]:
+        return _skew_bounds(self.x.shape[0], self.fro, self.skew_rows)
+
+    def psd_bound(self, tol: Tolerance) -> tuple[bool, float] | None:
+        """``star._psd_residual``'s failing verdict on x, with a lower bound
+        on its residual, where the ends ``skew_bounds`` gives fail its
+        Hermitian test: ||x - x*||_2 above the threshold at the upper end of
+        ||x||_2. Else None."""
+        lo, hi = self.skew_bounds
+        if lo > tol.threshold(hi) * (1 + _EPS):
+            return False, lo / max(hi, 1.0) * (1 - _EPS)
+        return None
 
     @_cached
     def whole(self) -> _Closed | None:
@@ -1090,7 +1285,7 @@ class _Forms:
         lines = split and split.support
         if lines == ((), ()):
             return self.whole
-        return lines and _low_rank(self.x, split.p, lines, split.fro if self.x is split.x else _fro(self.x))
+        return lines and _low_rank(self.x, split.p, lines, self.fro)
 
 
 class _Facts(_Forms):
@@ -1104,7 +1299,8 @@ class _Facts(_Forms):
     first use and kept, so each pass runs at most once and a call that reads
     none of them never runs it. The ``read_*`` and ``lapack_*`` methods are
     the form and O(n^3) readers of the parts both batteries read off A, rank
-    one and the spectrum distance (``_decide``).
+    one and the spectrum distance, and the ``*_bound`` methods the O(n^2)
+    lower bounds of every part the batteries read off A (``_decide``).
     """
 
     @np.errstate(over="ignore", invalid="ignore")  # overflowed residuals fail closed
@@ -1133,8 +1329,11 @@ class _Facts(_Forms):
 
     @_cached
     def hermitian_route(self) -> bool:
-        """Whether ``eigenvalues`` takes the symmetric solver for A."""
-        return _hermitian_route(self.m.data, self.scale, self.tol)
+        """Whether ``eigenvalues`` takes the symmetric solver for A
+        (``core._hermitian_route``): not where a few rows already exceed its
+        threshold (``skew_rows``), else by its n-by-n pass."""
+        half = 0.5 * self.tol.threshold(self.scale)
+        return not self.skew_rows > half and _half_skew(self.x) <= half
 
     def route(self, form: _Form) -> bool:
         """``hermitian_route``, without its n-by-n pass where the split or
@@ -1193,6 +1392,83 @@ class _Facts(_Forms):
     def lapack_spectrum(self, per: float = 1.0) -> float:
         """The same from the eigensolver."""
         return self.spectrum_distance / per
+
+    def rank_one_bound(self) -> tuple[bool, float] | None:
+        """``rank_one_floor``, for ``_decide``."""
+        return self.rank_one_floor
+
+    def hermitian_bound(self) -> float:
+        """A lower bound on ||A - A*||_2 / max(||A||_2, 1) as the star
+        battery's ``hermitian`` part computes it, from ``skew_bounds``."""
+        lo, hi = self.skew_bounds
+        return lo / max(hi, 1.0) * (1 - _EPS)
+
+    def normal_bound(self) -> float | None:
+        """A lower bound on ||C||_2 / max(||A||_2^2, 1), C = A A* - A* A, as
+        the star battery's ``normal`` part computes it, from rows i and j of
+        C, (i, j) the split's ``at``; None without it.
+
+        A row of C has norm at most ||C||_2. The rows are two products of a
+        2-by-n and an n-by-n matrix, each entry an inner product of length n,
+        so each computed row lies within 2 (n + 4) _EPS ||A||_F^2 of the
+        exact one, and its norm within n _EPS of itself. LAPACK forms C
+        within as much again, and its SVD is exact for a matrix within
+        ``_lapack(n, 2 ||A||_F^2)`` of that; its ||A||_2 is at most
+        ||A||_F + ``_lapack(n, ||A||_F)``.
+        """
+        split = self.split
+        at = split and split.at
+        if at is None:
+            return None
+        x, n, fro = self.x, self.n, self.fro
+        rows = list(at)
+        lines = (x[rows].conj() @ x.T).conj() - x[:, rows].T.conj() @ x
+        top = math.sqrt(max(np.vdot(line, line).real for line in lines))
+        f2 = fro * fro
+        lo = top * (1 - n * _EPS) - 4 * (n + 4) * _EPS * f2 - _lapack(n, 2 * f2) * (1 + _EPS)
+        hi = (fro + _lapack(n, fro)) * (1 + _EPS)
+        return lo / max(hi * hi, 1.0) * (1 - _EPS)
+
+    def spectrum_bound(self, per: float = 1.0) -> float:
+        """A lower bound on ``lapack_spectrum(per)``, from ``spectrum_floor``."""
+        return self.spectrum_floor / per * (1 - _EPS)
+
+    @_cached
+    def rank_one_floor(self) -> tuple[bool, float] | None:
+        """A failing ``lapack_rank_one`` verdict, with a lower bound on its
+        residual, where a 2-by-2 minor shows it in O(1); else None.
+
+        M is the submatrix on rows {i, p} and columns {j, p}, (i, j) the
+        split's ``at`` and p its pivot, so det M = a_ij a_pp - a_ip a_pj, E_ij
+        on a unit diagonal. By interlacing sigma_2(A) >= sigma_2(M), which
+        ``_minor_floor`` bounds below. LAPACK's singular values are exact for
+        a matrix within ``_lapack(n, ||A||_F)`` of A, so it computes sigma_2
+        at least that much less and sigma_1 at most ||A||_F plus that. Where
+        the lower end of sigma_2 exceeds the rank cut at the upper end of
+        sigma_1, LAPACK counts a second singular value, and its residual
+        sigma_2 / sigma_1 is at least the ratio of the two ends.
+        """
+        split = self.split
+        at = split and split.at
+        if at is None or split.p in at:
+            return None
+        (i, j), p, x = at, split.p, self.x
+        lapack = _lapack(self.n, self.fro)
+        lo = _minor_floor(*(complex(x[r, k]) for r, k in ((i, j), (i, p), (p, j), (p, p)))) - lapack
+        hi = (self.fro + lapack) * (1 + _EPS)
+        if lo > max(self.tol.rel * hi * self.n, self.tol.abs) * (1 + _EPS):
+            return False, lo / hi * (1 - _EPS)
+        return None
+
+    @_cached
+    def spectrum_floor(self) -> float:
+        """A lower bound on ``spectrum_distance`` in O(n^2), from the trace of
+        the square of the operand the eigensolver reads: A, or on the
+        symmetric solver's route its Hermitian part (``_spectrum_floor``)."""
+        x, fro = self.x, self.fro
+        if self.hermitian_route:
+            x, fro = _hermitian_part(x), fro * (1 + _EPS)
+        return _spectrum_floor(x, fro)
 
 
 _last_facts: _Facts | None = None
@@ -1352,16 +1628,19 @@ def certify_multiplicative(
     disagreement is recorded on the certificate rather than raised.
 
     ``rank_one`` and ``spectrum_0_n`` read the c = 0 form where the ratio
-    test accepted through its pivot split, then the support form (the c = 0
-    form again on a clean split, at every n; the low-rank form on a few
-    lines of E from n = 24 on), then the SVD or the eigensolver;
-    ``product_sampling`` reads ``_sampling_bound`` before it samples. A
-    condition passes where every span lies below its threshold, and then
-    reports the span's upper end, a certified upper bound on what the
-    O(n^3) code would report. On the accept path that rests on LAPACK's
-    error model (``_lapack``) alone: no QR runs there. A failing condition
-    reports the value of the support form that decides it, within its span
-    of LAPACK's, and LAPACK's residual where no form decides it.
+    test accepted through its pivot split, then their O(n^2) lower bounds
+    (a 2-by-2 minor, and tr(A^2) against n^2), then the support form (the
+    c = 0 form again on a clean split, at every n, read before the bound;
+    the low-rank form on a few lines of E from n = 24 on), then the SVD or
+    the eigensolver; ``product_sampling`` reads ``_sampling_bound`` before
+    it samples, and samples however the rest is decided, its verdict being a
+    sampled one. A condition passes where every span lies below its
+    threshold, and then reports the span's upper end, a certified upper
+    bound on what the O(n^3) code would report. On the accept path that
+    rests on LAPACK's error model (``_lapack``) alone: no QR runs there. A
+    condition a bound fails reports the bound, a certified lower bound on
+    LAPACK's residual under the same model; one a form fails, the form's
+    value, within its span of LAPACK's; and otherwise LAPACK's residual.
     ``product_sampling`` costs two matrix-vector products per trial; where
     it samples and its draws do not fit in memory, ResourceLimitError is
     raised.
@@ -1383,13 +1662,14 @@ def certify_multiplicative(
     parts = {
         "cocycle": facts.cocycle,
         "unit_diagonal": facts.unit_diagonal,
-        "rank_one": (facts, facts.read_rank_one, facts.lapack_rank_one),
-        "spectrum": (facts, facts.read_spectrum, facts.lapack_spectrum),
+        "rank_one": (facts, facts.read_rank_one, facts.lapack_rank_one, facts.rank_one_bound),
+        "spectrum": (facts, facts.read_spectrum, facts.lapack_spectrum, facts.spectrum_bound),
         # the ratio bound sits in the c = 0 slot, read as it is; the sampling in the O(n^3) one
         "sampling": (
-            SimpleNamespace(closed=_Span(bound, -math.inf, bound), support=None),
+            SimpleNamespace(closed=_Span(bound, -math.inf, bound), support=None, clean=False),
             _Span._make,
             functools.partial(_product_sampling_residual, m.data, trials, seed),
+            None,
         ),
     }
     conditions = _decide(_MULTIPLICATIVE, {"one": tol.threshold(1.0), "n": tol.threshold(float(n))}, parts)

@@ -14,9 +14,13 @@ Schur inverse, split once more through the same column (forming its E once
 and no |E|): closed forms of a 2-by-2 T, whose spans rest on LAPACK's error
 model ``_lapack`` alone, with no QR. A condition passes where every part's
 span lies below its threshold, and reports the upper ends, certified upper
-bounds on the exact residuals. Any other condition reads the support forms
-of A and of its Schur inverse: on a clean split, with no entry of E above
-rounding, the c = 0 forms again, at every n, and from n = 24 on
+bounds on the exact residuals. Any other part reads an O(n^2) lower bound on
+what LAPACK computes for it (the ``*_bound`` readers of ``multiplicative``'s
+facts and forms: a skew entry for ||x - x*||_2, two rows of A A* - A* A, a
+2-by-2 minor and tr(A^2)), which fails it where it clears the threshold;
+then the support forms of A and of its Schur inverse: on a clean split,
+with no entry of E above rounding, the c = 0 forms again, at every n (read
+before the bounds), and from n = 24 on
 ``_low_rank``, split on the same rows and columns of E under the error model
 of the QR that builds them; then the O(n^3) code where their spans leave a
 part open. The unit-diagonal precondition is decided in O(n) before
@@ -208,14 +212,19 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
     ratio test accepted through the pivot split, then their support forms
     (the c = 0 forms again on a clean split, at every n; the low-rank forms
     on a few lines of E from n = 24 on), and the O(n^3) code where no span
-    decides it (``_psd_form``). On the accept path and on a clean split the
-    spans rest on LAPACK's error model alone, with no QR model. A passing
-    condition reports the spans' upper ends, certified upper bounds on the
-    exact residuals; a failing one reports the support form's value, within
-    its span of LAPACK's, and LAPACK's residual where no form decides it. A
+    decides it (``_psd_form``). Before the support forms and LAPACK, each of
+    them reads its O(n^2) lower bound, which fails it where it clears the
+    threshold by LAPACK's allowance. On the accept path and on a clean split
+    the spans rest on LAPACK's error model alone, with no QR model. A
+    passing condition reports the spans' upper ends, certified upper bounds
+    on the exact residuals. A failing one reports the worst of its failing
+    parts: a bound, a certified lower bound on LAPACK's value; a form's value,
+    within its span of LAPACK's; or LAPACK's value where neither decides; a
+    part that a failing condition does not need is not read. A
     multiplicative input of mixed modulus thus fails its conditions with no
-    SVD or eigensolve at any n. The conditions are ``_STAR``'s, decided by
-    ``multiplicative._decide``, each with the ``route`` that decided it.
+    SVD or eigensolve at any n, and so does an input the bounds reject. The
+    conditions are ``_STAR``'s, decided by ``multiplicative._decide``, each
+    with the ``route`` that decided it.
     """
     m = as_matrix(a)
     n = require_square(m)
@@ -233,12 +242,17 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
     psd = partial(_psd_form, tol=tol)
     parts = {
         "cocycle": (facts.cocycle.passed, facts.cocycle.residual / max(facts.scale * facts.scale, 1.0)),
-        "hermitian": (facts, _hermitian, partial(_hermitian_lapack, facts)),
-        "psd": (facts, psd, partial(_psd_lapack, facts)),
-        "normal": (facts, _normal, partial(_normal_lapack, facts)),
-        "rank_one": (facts, facts.read_rank_one, facts.lapack_rank_one),
+        "hermitian": (facts, _hermitian, partial(_hermitian_lapack, facts), facts.hermitian_bound),
+        "psd": (facts, psd, partial(_psd_lapack, facts), partial(facts.psd_bound, tol)),
+        "normal": (facts, _normal, partial(_normal_lapack, facts), facts.normal_bound),
+        "rank_one": (facts, facts.read_rank_one, facts.lapack_rank_one, facts.rank_one_bound),
         "unimodular": float(np.abs(np.abs(data) - 1.0).max()),
-        "spectrum": (facts, partial(facts.read_spectrum, per=n), partial(facts.lapack_spectrum, per=n)),
+        "spectrum": (
+            facts,
+            partial(facts.read_spectrum, per=n),
+            partial(facts.lapack_spectrum, per=n),
+            partial(facts.spectrum_bound, per=n),
+        ),
         "map_norm": abs(facts.scaling.modulus_ratio - 1.0) if facts.scaling is not None else math.inf,
     }
     try:
@@ -246,7 +260,8 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
     except ZeroEntryError:
         parts["psd"] = parts["inverse_psd"] = parts["inverse_diagonal"] = (False, math.inf)
     else:
-        parts["inverse_psd"] = (facts.forms_of(inv), psd, partial(_psd_residual, inv, tol))
+        forms = facts.forms_of(inv)
+        parts["inverse_psd"] = (forms, psd, partial(_psd_residual, inv, tol), partial(forms.psd_bound, tol))
         parts["inverse_diagonal"] = float(np.abs(np.diagonal(inv) - 1.0).max())
     conditions = _decide(_STAR, {"one": one, "commutator": max(COMMUTATOR_REL, tol.rel)}, parts)
     verdict = all(r.passed for r in conditions.values())

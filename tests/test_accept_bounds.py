@@ -4,17 +4,19 @@ When the ratio test accepts through the pivot bound, the batteries read
 each condition off the closed-form c = 0 case of the low-rank form (and
 ``product_sampling`` off the ratio bound) and run the SVD, the
 eigensolvers, the product sampling and the star battery's extras only for
-a condition no span decides. These tests pin that: no O(n^3) call on
-accepted inputs, the same verdicts as the O(n^3) code everywhere, every
-span holding the value the O(n^3) code computes, every passing residual at
-least that value, and exact residuals on every failing condition below
-n = 24 that no clean split decides. A clean split, with no entry of E above
-rounding (a multiplicative input of mixed modulus, say), is decided by its
-c = 0 form at every n, failing conditions included, with no LAPACK call.
-They also check the closed form itself against numpy on T and its rounding
-against exact rational arithmetic.
+a condition no span or O(n^2) bound decides. These tests pin that: no
+O(n^3) call on accepted inputs, the same verdicts as the O(n^3) code
+everywhere, every span holding the value the O(n^3) code computes, every
+passing residual at least that value, and on every failing condition a
+residual at most the worst the O(n^3) code computes over its parts, exactly
+one of its failing parts' values where no form or bound decides it. A clean
+split, with no entry of E above rounding (a multiplicative input of mixed
+modulus, say), is decided by its c = 0 form at every n, failing conditions
+included, with no LAPACK call. They also check the closed form itself
+against numpy on T and its rounding against exact rational arithmetic.
 """
 
+import contextlib
 import math
 from contextlib import contextmanager
 from fractions import Fraction
@@ -68,20 +70,56 @@ def count_cubic_calls(monkeypatch, n: int = 0) -> dict:
     return calls
 
 
+# every part of a star condition as a condition of its own, at its condition's threshold
+STAR_PARTS = {p: (key, p) for key, *names in star._STAR.values() for p in names}
+
+# the O(n^2) bounds, each replaced by one that decides nothing
+BOUNDS = (
+    (multiplicative._Facts, "rank_one_bound"),
+    (multiplicative._Facts, "spectrum_bound"),
+    (multiplicative._Facts, "hermitian_bound"),
+    (multiplicative._Forms, "psd_bound"),
+    (multiplicative._Facts, "normal_bound"),
+)
+
+
 @contextmanager
 def exact_only():
-    """Run the batteries without forms, c = 0 or support, and without the
-    sampling bound: every condition from the O(n^3) code.
+    """Run the batteries without forms, c = 0 or support, without the O(n^2)
+    bounds and without the sampling bound: every part from the O(n^3) code.
+    The star battery reports each part of its conditions as a condition of
+    its own (``STAR_PARTS``); ``reference`` puts them together.
 
     The shared facts slot starts empty inside the block and is restored after
     it, so no facts cross its boundary in either direction.
     """
-    with mock.patch.object(multiplicative, "_closed", lambda *args: None), mock.patch.object(
-        multiplicative, "_low_rank", lambda *args: None
-    ), mock.patch.object(
-        multiplicative, "_sampling_bound", lambda *args: math.inf
-    ), mock.patch.object(multiplicative, "_last_facts", None):
+    with contextlib.ExitStack() as stack:
+        for target, name, value in (
+            (multiplicative, "_closed", lambda *args: None),
+            (multiplicative, "_low_rank", lambda *args: None),
+            (multiplicative, "_sampling_bound", lambda *args: math.inf),
+            (multiplicative, "_last_facts", None),
+            (star, "_STAR", STAR_PARTS),
+            *((target, name, lambda *args, **kwargs: None) for target, name in BOUNDS),
+        ):
+            stack.enter_context(mock.patch.object(target, name, value))
         yield
+
+
+def reference(ref) -> dict[str, tuple[bool, float, list[float]]]:
+    """Each condition of a battery run under ``exact_only``: its verdict, the
+    worst residual over all its parts, and the residuals of its failing
+    parts, each part from the O(n^3) code."""
+    if isinstance(ref, multiplicative.MultiplicativityCertificate):
+        return {name: (r.passed, r.residual, [] if r.passed else [r.residual])
+                for name, r in ref.conditions.items()}
+    out = {}
+    for name, (_, *names) in star._STAR.items():
+        results = [ref.conditions[p] for p in names]
+        residual = core._nanmax(*(r.residual for r in results))
+        passed = all(r.passed for r in results) and math.isfinite(residual)
+        out[name] = passed, residual, [r.residual for r in results if not r.passed]
+    return out
 
 
 def scaled(n: int, spread: float, seed: int) -> np.ndarray:
@@ -101,23 +139,28 @@ FORM_REL = 1e-3
 
 
 def same_verdicts_exact_failures(cert, ref, rel: float = 0.0) -> None:
-    """Equal verdicts; a failing condition reports the exact residual, a
-    passing one a residual at least the exact one, either to within ``rel``
-    (and 1e-12 absolute) where ``rel`` > 0, for a low-rank form."""
+    """Equal verdicts against ``reference(ref)``. A passing condition reports
+    a residual at least the exact one; a failing one at most the worst over
+    its parts, and exactly a failing part's value where it was decided by
+    known parts or the O(n^3) code; each to within ``rel`` (and 1e-12
+    absolute) where ``rel`` > 0, for a support form."""
 
     def close(got: float, want: float) -> bool:
         if got == want or (math.isnan(got) and math.isnan(want)):
             return True
         return rel > 0 and got == pytest.approx(want, rel=rel, abs=1e-12)
 
-    assert cert.verdict == ref.verdict
+    want_all = reference(ref)
+    assert cert.verdict == all(passed for passed, _, _ in want_all.values())
     for name, got in cert.conditions.items():
-        want = ref.conditions[name]
-        assert got.passed == want.passed, name
+        passed, worst, failing = want_all[name]
+        assert got.passed == passed, name
         if got.passed:
-            assert got.residual >= want.residual or close(got.residual, want.residual), name
+            assert got.residual >= worst or close(got.residual, worst), name
         else:
-            assert close(got.residual, want.residual), name
+            assert got.residual <= worst or close(got.residual, worst), name
+            if got.route in ("known", "lapack"):
+                assert any(close(got.residual, want) for want in failing), name
 
 
 def routes(cert) -> dict[str, str]:
@@ -183,33 +226,27 @@ def one_ulp_off(a: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [3, 64])
 def test_rejected_inputs_run_every_fallback(monkeypatch, n):
-    # at n = 3 every failing condition runs LAPACK; at n = 64 the low-rank
-    # form of A = u v^T + one column of E decides them all
+    # one perturbed entry: the O(n^2) bounds fail every failing part, at
+    # n = 3 as at n = 64, before any support form, SVD or eigensolve; only
+    # the product sampling, whose verdict is a sampled one, still samples
     a = scaled(n, 0.0, seed=n)
     a[0, 1] *= 1 + 1e-3
-    lapack = n < multiplicative._LOW_RANK_MIN_N
     calls = count_cubic_calls(monkeypatch, n)
     cert = certify_multiplicative(a)
     assert not cert.verdict
-    assert calls == {  # the pivot slice rejects: no ratio scan
-        "_product_sampling_residual": 1,
-        **({"_singular_values": 1, "eigvals": 1} if lapack else {}),
-    }
-    route = "lapack" if lapack else "support"
-    assert routes(cert) == {"cocycle": "known", "unit_diagonal": "known", "rank_one": route,
-                            "spectrum_0_n": route, "product_sampling": "lapack"}
+    assert calls == {"_product_sampling_residual": 1}  # the pivot slice rejects: no ratio scan
+    assert routes(cert) == {"cocycle": "known", "unit_diagonal": "known", "rank_one": "bound",
+                            "spectrum_0_n": "bound", "product_sampling": "lapack"}
+    assert multiplicative._last_facts.__dict__.get("support") is None  # no support form was built
     calls.clear()
     star_cert = certify_star_multiplicative(a)
     assert not star_cert.verdict
-    assert set(routes(star_cert).values()) == {route}
-    # the same content shares the ratio test, the SVD of A and its spectrum;
-    # the SVDs of A - A*, the commutator, the Schur inverse and its skew part,
-    # and the eigensolves of the Hermitian parts remain
-    assert calls == ({"_singular_values": 4, "eigvalsh": 2} if lapack else {})
+    assert set(routes(star_cert).values()) == {"bound"}
+    assert calls == {}
     calls.clear()
     assert not certify_star_multiplicative(one_ulp_off(a)).verdict
-    # distinct content, one ulp away, shares nothing
-    assert calls == ({"_singular_values": 5, "eigvals": 1, "eigvalsh": 2} if lapack else {})
+    # distinct content, one ulp away, shares nothing, and runs no LAPACK either
+    assert calls == {}
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16, 23])
@@ -223,7 +260,10 @@ def test_mixed_modulus_star_battery_runs_no_lapack(monkeypatch, n):
     assert not cert.verdict
     assert not any(c.passed for c in cert.conditions.values())
     assert calls == {}
-    assert set(routes(cert).values()) == {"support"}  # the support form: the c = 0 form again
+    # the support form, the c = 0 form again, fails each condition but one,
+    # whose known unimodular part fails it, so its rank-one part is not read
+    assert routes(cert) == {**dict.fromkeys(star.STAR_CONDITIONS, "support"),
+                            "rank_one_unimodular_unit_diag": "known"}
     assert multiplicative._last_facts.split.support == ((), ())
     assert certify_multiplicative(a).verdict
     assert calls == {}
@@ -231,22 +271,28 @@ def test_mixed_modulus_star_battery_runs_no_lapack(monkeypatch, n):
 
 def test_check_star_computes_each_fact_once(monkeypatch, tmp_path, capsys):
     # both batteries read one ratio test, which rejects through the pivot
-    # slice without the scan, and at n = 3 one eigensolve and one SVD of A;
-    # at n = 64 the low-rank form decides every failing condition
+    # slice without the scan, and the O(n^2) bounds decide every failing
+    # condition: no SVD or eigensolve at n = 3 or 64; the facts the bounds
+    # read are computed once for A and once for its Schur inverse
     for n in (3, 64):
         a = scaled(n, 0.0, seed=n)
         a[0, 1] *= 1 + 1e-3
         path = tmp_path / f"m{n}.json"
         path.write_text(io.dumps_document(io.matrix_to_document(a)))
         calls = count_cubic_calls(monkeypatch, n)
+        computed = []
+        for name in ("skew_rows", "fro"):
+            reader = getattr(multiplicative._Forms, name)
+
+            def spy(forms, _original=reader.func, _name=name):
+                computed.append(_name)
+                return _original(forms)
+
+            monkeypatch.setattr(reader, "func", spy)
         assert cli.main(["check", str(path), "--star", "--json"]) == 1
         capsys.readouterr()
-        # the other four SVDs: A - A*, the commutator, the Schur inverse and its skew part
-        lapack = {"_singular_values": 5, "eigvals": 1, "eigvalsh": 2}
-        assert calls == {
-            "_product_sampling_residual": 1,
-            **(lapack if n < multiplicative._LOW_RANK_MIN_N else {}),
-        }
+        assert calls == {"_product_sampling_residual": 1}
+        assert sorted(computed) == ["fro", "fro", "skew_rows", "skew_rows"]
         monkeypatch.undo()
 
 
@@ -260,7 +306,7 @@ def test_accepted_check_forms_no_skew_matrix(monkeypatch, tmp_path, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("an n-by-n A - A* was formed")
 
-    for module, name in ((core, "_hermitian_route"), (multiplicative, "_hermitian_route"),
+    for module, name in ((core, "_hermitian_route"), (core, "_half_skew"), (multiplicative, "_half_skew"),
                          (star, "_skew_norm"), (multiplicative, "_skew_norm")):
         monkeypatch.setattr(module, name, refuse)
     assert cli.main(["check", str(path), "--star", "--json"]) == 0
@@ -411,11 +457,10 @@ def test_partial_fallback_mixes_bounds_and_exact_residuals(monkeypatch):
     with exact_only():
         ref = certify_star_multiplicative(a)
     same_verdicts_exact_failures(cert, ref, form_rel(a, DEFAULT_TOL))
+    want = reference(ref)
     name = "rank_one_unimodular_unit_diag"
-    assert cert.conditions[name].residual == ref.conditions[name].residual
-    assert cert.conditions["rank_one_normal_unit_diag"].residual > ref.conditions[
-        "rank_one_normal_unit_diag"
-    ].residual
+    assert cert.conditions[name].residual == want[name][1]
+    assert cert.conditions["rank_one_normal_unit_diag"].residual > want["rank_one_normal_unit_diag"][1]
 
 
 def perturbed(polar, log_eps, seed, perturb, tol) -> np.ndarray:

@@ -364,7 +364,7 @@ TRANSCRIPT = [
             '  rank_one                       FAIL  residual 3.333e-01\n'
             '  spectrum_0_n                   FAIL  residual 1.000e+00\n'
             '  product_sampling               FAIL  residual 3.188e-01\n'
-            '  worst violation at (1,1,1)\n'
+            '  violation at (1,1,1)\n'
             'star-preserving: n/a (unit diagonal required for the star battery, '
             'worst deviation 1.000e+00)\n'
         ),

@@ -10,6 +10,7 @@ from schurlab import (
     build_from_scaling,
     correlation_check,
     enumerate_real_positive,
+    extreme,
     identity,
     isometry_check,
     projection_check,
@@ -177,6 +178,9 @@ class TestIsometryFromOneSvd:
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         verdict = correlation_check([[1, 2], [0, 1]])
         assert not verdict.is_correlation and not verdict.rank_one_extreme
+        # max|a_ij - conj(a_ji)| = 2 decides it: no SVD of A - A* either
+        monkeypatch.setattr(extreme, "_skew_norm", refuse)
+        assert correlation_check([[1, 2], [0, 1]]) == verdict
 
 
 class TestExtremeFamilies:

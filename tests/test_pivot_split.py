@@ -150,3 +150,32 @@ def test_kept_facts_hold_no_residual_array(n):
     for value in vars(split).values():
         if isinstance(value, np.ndarray):
             assert np.shares_memory(value, facts.m.data)
+
+
+@pytest.mark.parametrize("n", [1, 3, 64])
+@pytest.mark.parametrize("spread", [0.0, 1.0, 150.0], ids=["unimodular", "mixed", "wide"])
+def test_split_scaling_is_the_checked_scaling_bit_for_bit(n, spread):
+    # the split builds its scaling without the public constructor's copy and
+    # checks: the values are bitwise the checked ones, and read-only
+    rng = np.random.default_rng(n)
+    f = np.exp(rng.uniform(-spread, spread, n) + 2j * np.pi * rng.random(n))
+    a = np.outer(f, 1 / f)
+    split = multiplicative._split(a, multiplicative._pivot(a, multiplicative.DEFAULT_TOL))[0]
+    checked = multiplicative.ScalingVector(split.u / split.u[0]).values
+    if not (np.isfinite(checked).all() and (checked != 0).all()):
+        pytest.skip("the quotient left binary64's range")
+    values = split.scaling().values
+    assert values.dtype == checked.dtype and values.shape == checked.shape
+    assert values.tobytes() == checked.tobytes()
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0] = 2.0
+
+
+def test_split_scaling_refuses_a_quotient_out_of_range():
+    # u = (2^-1000, 2^600): u_2 / u_1 overflows, and the public constructor refuses it
+    u = np.array([2.0**-1000, 2.0**600], dtype=complex)
+    with np.errstate(over="ignore"):  # the split's norm bounds overflow
+        split = multiplicative._split(np.outer(u, np.ones(2)), 1)[0]
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+        split.scaling()
