@@ -313,6 +313,23 @@ def _skew_bounds(n: int, fro: float, half: float) -> tuple[float, float]:
     return lo, (fro + _lapack(n, fro)) * (1 + _EPS)
 
 
+def _commutator_floor(n: int, fro: float, top: float) -> float:
+    """A lower bound on ||C||_2 / max(||x||_2^2, 1) as LAPACK computes it,
+    C = x x* - x* x for an n-by-n x with ||x||_F <= ``fro``, from ``top``, the
+    computed norm of a row of C whose entries are inner products of length n.
+
+    A row of C has norm at most ||C||_2. Each computed row lies within
+    2 (n + 4) _EPS fro^2 of the exact one, and its norm within n _EPS of
+    itself. LAPACK forms C within as much again, and its SVD is exact for a
+    matrix within ``_lapack(n, 2 fro^2)`` of that; its ||x||_2 is at most
+    fro + ``_lapack(n, fro)``.
+    """
+    f2 = fro * fro
+    lo = top * (1 - n * _EPS) - 4 * (n + 4) * _EPS * f2 - _lapack(n, 2 * f2) * (1 + _EPS)
+    hi = (fro + _lapack(n, fro)) * (1 + _EPS)
+    return lo / max(hi * hi, 1.0) * (1 - _EPS)
+
+
 def _minor_floor(a: complex, b: complex, c: complex, d: complex) -> float:
     """A lower bound on sigma_2 of M = [[a, b], [c, d]]: sigma_2(M) =
     |det M| / sigma_1(M) >= |det M| / ||M||_F, the computed ad - bc being off
@@ -725,7 +742,6 @@ def _decide(table: dict, thresholds: dict, parts: dict) -> dict[str, ConditionRe
     parts at the same threshold share one result.
     """
     memo = ({}, {}, {})  # by step, part name: its verdict and route
-    cheap = memo[0]
     results, done = {}, {}  # condition name, and table entry: its result
     for name, entry in table.items():
         key, *names = entry
@@ -736,7 +752,7 @@ def _decide(table: dict, thresholds: dict, parts: dict) -> dict[str, ConditionRe
         threshold = thresholds[key]
         values, route = [], 0
         for p in names:
-            v, r = cheap[p] if p in cheap else cheap.setdefault(p, _cheap(parts[p], threshold))
+            v, r = _step(0, p, threshold, parts, memo)
             if v is None:
                 v, r = _step(1, p, threshold, parts, memo)
             if not (v and v[0]):
@@ -748,7 +764,7 @@ def _decide(table: dict, thresholds: dict, parts: dict) -> dict[str, ConditionRe
             continue
         failing, opened = [], []  # failing on the first step, and left open by it
         for p in names:
-            v, r = cheap[p] if p in cheap else cheap.setdefault(p, _cheap(parts[p], threshold))
+            v, r = _step(0, p, threshold, parts, memo)
             if v is None:
                 opened.append(p)
             elif not v[0]:
@@ -1393,10 +1409,6 @@ class _Facts(_Forms):
         """The same from the eigensolver."""
         return self.spectrum_distance / per
 
-    def rank_one_bound(self) -> tuple[bool, float] | None:
-        """``rank_one_floor``, for ``_decide``."""
-        return self.rank_one_floor
-
     def hermitian_bound(self) -> float:
         """A lower bound on ||A - A*||_2 / max(||A||_2, 1) as the star
         battery's ``hermitian`` part computes it, from ``skew_bounds``."""
@@ -1406,35 +1418,18 @@ class _Facts(_Forms):
     def normal_bound(self) -> float | None:
         """A lower bound on ||C||_2 / max(||A||_2^2, 1), C = A A* - A* A, as
         the star battery's ``normal`` part computes it, from rows i and j of
-        C, (i, j) the split's ``at``; None without it.
-
-        A row of C has norm at most ||C||_2. The rows are two products of a
-        2-by-n and an n-by-n matrix, each entry an inner product of length n,
-        so each computed row lies within 2 (n + 4) _EPS ||A||_F^2 of the
-        exact one, and its norm within n _EPS of itself. LAPACK forms C
-        within as much again, and its SVD is exact for a matrix within
-        ``_lapack(n, 2 ||A||_F^2)`` of that; its ||A||_2 is at most
-        ||A||_F + ``_lapack(n, ||A||_F)``.
-        """
+        C, (i, j) the split's ``at`` (``_commutator_floor``); None without it.
+        Each row is two products of a 2-by-n and an n-by-n matrix."""
         split = self.split
         at = split and split.at
         if at is None:
             return None
-        x, n, fro = self.x, self.n, self.fro
-        rows = list(at)
+        x, rows = self.x, list(at)
         lines = (x[rows].conj() @ x.T).conj() - x[:, rows].T.conj() @ x
-        top = math.sqrt(max(np.vdot(line, line).real for line in lines))
-        f2 = fro * fro
-        lo = top * (1 - n * _EPS) - 4 * (n + 4) * _EPS * f2 - _lapack(n, 2 * f2) * (1 + _EPS)
-        hi = (fro + _lapack(n, fro)) * (1 + _EPS)
-        return lo / max(hi * hi, 1.0) * (1 - _EPS)
-
-    def spectrum_bound(self, per: float = 1.0) -> float:
-        """A lower bound on ``lapack_spectrum(per)``, from ``spectrum_floor``."""
-        return self.spectrum_floor / per * (1 - _EPS)
+        return _commutator_floor(self.n, self.fro, math.sqrt(max(np.vdot(line, line).real for line in lines)))
 
     @_cached
-    def rank_one_floor(self) -> tuple[bool, float] | None:
+    def rank_one_bound(self) -> tuple[bool, float] | None:
         """A failing ``lapack_rank_one`` verdict, with a lower bound on its
         residual, where a 2-by-2 minor shows it in O(1); else None.
 
@@ -1461,10 +1456,12 @@ class _Facts(_Forms):
         return None
 
     @_cached
-    def spectrum_floor(self) -> float:
+    def spectrum_bound(self) -> float:
         """A lower bound on ``spectrum_distance`` in O(n^2), from the trace of
         the square of the operand the eigensolver reads: A, or on the
-        symmetric solver's route its Hermitian part (``_spectrum_floor``)."""
+        symmetric solver's route its Hermitian part (``_spectrum_floor``).
+        Division is monotone, so ``spectrum_bound / per`` bounds
+        ``lapack_spectrum(per)`` as computed."""
         x, fro = self.x, self.fro
         if self.hermitian_route:
             x, fro = _hermitian_part(x), fro * (1 + _EPS)
@@ -1662,8 +1659,8 @@ def certify_multiplicative(
     parts = {
         "cocycle": facts.cocycle,
         "unit_diagonal": facts.unit_diagonal,
-        "rank_one": (facts, facts.read_rank_one, facts.lapack_rank_one, facts.rank_one_bound),
-        "spectrum": (facts, facts.read_spectrum, facts.lapack_spectrum, facts.spectrum_bound),
+        "rank_one": (facts, facts.read_rank_one, facts.lapack_rank_one, lambda: facts.rank_one_bound),
+        "spectrum": (facts, facts.read_spectrum, facts.lapack_spectrum, lambda: facts.spectrum_bound),
         # the ratio bound sits in the c = 0 slot, read as it is; the sampling in the O(n^3) one
         "sampling": (
             SimpleNamespace(closed=_Span(bound, -math.inf, bound), support=None, clean=False),

@@ -245,13 +245,13 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
         "hermitian": (facts, _hermitian, partial(_hermitian_lapack, facts), facts.hermitian_bound),
         "psd": (facts, psd, partial(_psd_lapack, facts), partial(facts.psd_bound, tol)),
         "normal": (facts, _normal, partial(_normal_lapack, facts), facts.normal_bound),
-        "rank_one": (facts, facts.read_rank_one, facts.lapack_rank_one, facts.rank_one_bound),
+        "rank_one": (facts, facts.read_rank_one, facts.lapack_rank_one, lambda: facts.rank_one_bound),
         "unimodular": float(np.abs(np.abs(data) - 1.0).max()),
         "spectrum": (
             facts,
             partial(facts.read_spectrum, per=n),
             partial(facts.lapack_spectrum, per=n),
-            partial(facts.spectrum_bound, per=n),
+            lambda: facts.spectrum_bound / n,
         ),
         "map_norm": abs(facts.scaling.modulus_ratio - 1.0) if facts.scaling is not None else math.inf,
     }

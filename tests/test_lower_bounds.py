@@ -10,6 +10,7 @@ deviations against exact rational arithmetic, and spy that rejected
 perturbed inputs run no SVD or eigensolve in either battery.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -82,9 +83,9 @@ def test_bounds_lie_below_lapack_and_give_its_verdicts(kind, n, seed, log_eps, t
     facts = multiplicative._Facts(ComplexMatrix(a), tol)
     one, commutator = tol.threshold(1.0), max(star.COMMUTATOR_REL, tol.rel)
     pairs = [  # (bound, O(n^3) value or verdict, threshold)
-        (facts.rank_one_bound(), facts.lapack_rank_one(), one),
-        (facts.spectrum_bound(), facts.lapack_spectrum(), tol.threshold(float(n))),
-        (facts.spectrum_bound(per=n), facts.lapack_spectrum(per=n), one),
+        (facts.rank_one_bound, facts.lapack_rank_one(), one),
+        (facts.spectrum_bound, facts.lapack_spectrum(), tol.threshold(float(n))),
+        (facts.spectrum_bound / n, facts.lapack_spectrum(per=n), one),
         (facts.hermitian_bound(), star._hermitian_lapack(facts), one),
         (facts.psd_bound(tol), star._psd_lapack(facts), one),
         (facts.normal_bound(), star._normal_lapack(facts), commutator),
@@ -138,6 +139,51 @@ def test_minor_and_trace_floors_hold_in_exact_arithmetic(kind, n, seed, log_eps)
         re = sum(t[0] for t in terms) - n * n
         im = sum(t[1] for t in terms)
         assert Fraction(gap) ** 2 <= re * re + im * im
+
+
+def unit_rank_one(n: int, seed: int) -> np.ndarray:
+    """u_i / u_j with u_i in {1, -1, i, -i}: every entry exact, and the
+    spectrum exactly {n, 0^(n-1)}."""
+    u = np.random.default_rng(seed).choice(np.array([1, -1, 1j, -1j]), size=n)
+    return np.outer(u, 1 / u)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 32])
+def test_spectrum_floor_allows_for_lapack_within_its_model(n):
+    # x = s y, y rank one with spectrum {n, 0^(n-1)}, and y - x within
+    # LAPACK's allowance of x: LAPACK may compute y's spectrum for x, so the
+    # floor must show nothing, although |tr(x^2) - n^2| clears its own rounding
+    y = unit_rank_one(n, seed=n)
+    s = 1 - 0.9 * multiplicative._lapack(n, float(n)) / n
+    x = s * y
+    fro = multiplicative._fro(x)
+    assert (1 - Fraction(s)) * n <= Fraction(multiplicative._lapack(n, fro))  # ||y - x||_F, exactly
+    assert multiplicative._trace_gap(x, fro) > 0
+    assert multiplicative._spectrum_floor(x, fro) == 0.0
+
+
+def up(q: Fraction) -> float:
+    """The least float at or above the rational q."""
+    f = float(q)
+    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 64])
+@pytest.mark.parametrize("k_form, k_svd", [(0, 0), (1, 0.5), (2, 2), (1e3, 1e3)])
+def test_commutator_floor_holds_at_the_ends_of_its_model(n, k_form, k_svd):
+    # ||C||_2 = c, C = x x* - x* x, from zero up, in units of the allowances
+    # LAPACK's value takes for forming C and for its SVD, and the largest row
+    # norm the bound's own rounding may compute from a row of C of norm c: the
+    # floor lies at or below the least value LAPACK may report, exactly
+    eps = Fraction(multiplicative._EPS)
+    fro = float(n)  # a unimodular x
+    f2 = Fraction(fro) ** 2
+    form, svd = 2 * (n + 4) * eps * f2, Fraction(multiplicative._lapack(n, 2 * fro * fro))
+    c = Fraction(k_form) * form + Fraction(k_svd) * svd
+    top = up((c + form) * (1 + n * eps))  # the bound's own row is formed as LAPACK forms C
+    norm = Fraction(fro) + Fraction(multiplicative._lapack(n, fro))  # the most LAPACK reports for ||x||_2
+    least = max(c - form - svd, Fraction(0)) / max(norm * norm, Fraction(1))
+    assert Fraction(multiplicative._commutator_floor(n, fro, top)) <= least
 
 
 @pytest.mark.parametrize("n", [3, 8, 16, 23])
