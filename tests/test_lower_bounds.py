@@ -6,8 +6,9 @@ minor for ``rank_one``, tr(A^2) against n^2 for the spectrum, a skew entry
 for the Hermitian and PSD tests, and two rows of A A* - A* A for normality.
 These tests pin that every bound lies at or below LAPACK's value and that a
 bound that decides gives LAPACK's verdict, check the minor and trace
-deviations against exact rational arithmetic, and spy that rejected
-perturbed inputs run no SVD or eigensolve in either battery.
+deviations against exact rational arithmetic, hold the spectrum and
+commutator floors against the ends of LAPACK's error model, and spy that
+rejected perturbed inputs run no SVD or eigensolve in either battery.
 """
 
 import math
