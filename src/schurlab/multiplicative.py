@@ -44,27 +44,33 @@ one (``_Facts.rank_one_bound``), tr(A^2) against n^2 for the spectrum
 clears its threshold fails its part with the bound as residual, before any
 support form or LAPACK call.
 
-A condition the c = 0 form leaves open and no bound fails reads the support
+A part the c = 0 form leaves open and no bound fails reads the support
 form: the c = 0 form itself, at every n, where no entry
 of E lies above rounding, and from n = 24 on ``_low_rank``, where the few
 rows and columns of E above rounding (the split's ``support``) give T at
 most 2(|R| + |C| + 1) square, with ||F||_F within LAPACK's own allowance
-under an error model of the QR that builds Q. A condition passes where
-every part's span lies below its threshold, reporting the spans' upper
-ends. Anything else runs the SVD or the eigensolver, so verdicts are the
-O(n^3) code's as far as LAPACK (and, for the support form, the QR) keep
-within their modelled backward errors.
+under an error model of the QR that builds Q. A span decides a part where
+it lies on one side of the threshold, and a passing part reports the
+span's upper end. A part no form or bound decides runs the SVD or the
+eigensolver, so verdicts are the O(n^3) code's as far as LAPACK (and, for
+the support form, the QR) keep within their modelled backward errors.
 ``product_sampling`` draws rank-one probes, two matrix-vector products per
 trial. The forms, the SVD and the spectrum are computed the first time a
 battery reads them and kept with the facts, so on one matrix each pass runs
 at most once, and ``factor_scaling`` and the like never run them.
 
 Conditions are data. Each battery's table names, for every condition, its
-threshold and its parts; a part is known, or reads a pair of forms
-(``_Forms``: the c = 0 form and the support form of A, or of its Schur
-inverse), an O(n^2) bound and, failing them, the O(n^3) code. One loop,
-``_decide``, reads every part at most once per call and records on each
-``ConditionResult`` the ``route`` that decided it.
+threshold and its parts; a part is a known value, or a ``_Part`` that
+reads the c = 0 form and the support form (``_Forms``, of A or of its
+Schur inverse), an O(n^2) bound and the O(n^3) code. One loop,
+``_decide``, reads a condition's parts one rung at a time: rung 0 the
+known values, the c = 0 forms where they pass (either way on a clean
+split) and the bounds where they fail; rung 1 the support forms; rung 2
+the O(n^3) code. The condition stops at the first rung where any part
+fails, failing with the worst failure read there, or where every part is
+decided, passing with the worst upper end. Each reader runs at most once
+per call, and each ``ConditionResult`` records the ``route`` that decided
+it.
 """
 
 from __future__ import annotations
@@ -72,8 +78,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -702,46 +707,50 @@ def build_from_scaling(f) -> ComplexMatrix:
     return ComplexMatrix(np.outer(values, 1.0 / values))
 
 
-# by slot: known, the c = 0 form, an O(n^2) lower bound, the support form, the O(n^3) code
+# in rung order: known, the c = 0 form and an O(n^2) lower bound (rung 0), the support form, the O(n^3) code
 _ROUTES = ("known", "closed", "bound", "support", "lapack")
 _KNOWN, _CLOSED, _BOUND, _SUPPORT, _LAPACK = range(len(_ROUTES))
+
+
+class _Part(NamedTuple):
+    """A part that is not a known value (``_decide``): ``read(form)`` is what
+    a form gives, read off ``closed``, its c = 0 form, and off the support
+    form of ``forms`` (``_Forms``), each None where there is none;
+    ``lapack()`` is what the O(n^3) code gives, and ``bound()``, where
+    ``bound`` is not None, a certified lower bound on it in O(n^2), or None."""
+
+    closed: _Form | _Span | None
+    forms: _Forms | None
+    read: Callable
+    lapack: Callable
+    bound: Callable | None = None
 
 
 def _decide(table: dict, thresholds: dict, parts: dict) -> dict[str, ConditionResult]:
     """Each condition of ``table``, name: (threshold key, part names...), as
     the conjunction of its ``parts`` at ``thresholds[key]``.
 
-    A part is known: (passed, residual), or a residual the threshold
-    decides. Or it is a record (pair, read, slow, bound): ``pair`` holds the
-    forms ``closed`` and ``support`` (``_Forms``, None where there is none)
-    and ``clean``, whether the support form is the c = 0 form; ``read(form)``
-    is what a form gives, ``slow()`` what the O(n^3) code gives and
-    ``bound()``, where ``bound`` is not None, a certified lower bound on it,
-    in O(n^2), or None. Each is a verdict, (passed, value, upper end) from a
-    form and (passed, residual) from the O(n^3) code or a bound, or a value
-    for the threshold to decide (``_judged``): a ``_Span``, or a residual. A
-    form's verdict or span may leave the part open (None); a bound decides
-    only a finite failure. A part that is a ``ConditionResult`` already, the
-    ratio test's, is its condition.
+    A part is known: a residual for the threshold to decide, or (passed,
+    residual); one that is a ``ConditionResult`` already, the ratio test's,
+    is its condition. Any other is a ``_Part``, whose readers each give a
+    verdict, (passed, residual), or a value for the threshold to decide
+    (``_judged``): a ``_Span``, which leaves the part open where it holds the
+    threshold, or a residual. A form reader may also leave it open (None).
 
-    Each part is read in steps, each step at most once per call: ``_cheap``
-    (known, a passing c = 0 form, the c = 0 form where it is the support
-    form, a failing bound), ``_supported`` (the support form) and ``_slow``
-    (the O(n^3) code). A condition passes with the maximum of its parts'
-    upper ends where each part passes on its first two steps. Otherwise,
-    where any part fails on its first step, the condition fails with the
-    worst of those failures and no part of it reads a support form or the
-    O(n^3) code. Failing that, the parts the first step left open read their
-    support form or the O(n^3) code, and the condition fails with the worst
-    of their failures, if any; where none fails, every part reads its support
-    form, or the O(n^3) code where that leaves it open (a c = 0 form alone
-    leaves out E, which may hold lines above rounding), and the condition is
-    their conjunction with the worst of their values. The residual keeps
-    NaN, only a finite one passes, and the ``route`` is the latest the
-    counted parts took, in ``_ROUTES`` order. Two conditions of the same
-    parts at the same threshold share one result.
+    A condition reads its parts one rung at a time (``_rung``). Rung 0 is
+    a known value; the c = 0 form where it passes, or either way on a clean
+    split, where it is the support form; and the O(n^2) bound where it fails
+    finitely. Rung 1 is the support form, rung 2 the O(n^3) code. The
+    condition stops at the first rung where any part fails, and fails with
+    the worst failure read at that rung; or where every part is decided, and
+    passes with the worst upper end, a residual being its own. The residual
+    keeps NaN, only a finite one passes, and the ``route`` is the latest the
+    counted parts took, in ``_ROUTES`` order. Each reader runs at most once
+    per call: the memo holds what it returned, and each condition judges
+    that against its own threshold. Two conditions of the same parts at the
+    same threshold share one result.
     """
-    memo = ({}, {}, {})  # by step, part name: its verdict and route
+    memo = {}  # (part name, form, or the reader of a bound or of LAPACK): what it returned
     results, done = {}, {}  # condition name, and table entry: its result
     for name, entry in table.items():
         key, *names = entry
@@ -750,110 +759,63 @@ def _decide(table: dict, thresholds: dict, parts: dict) -> dict[str, ConditionRe
             results[name] = decided
             continue
         threshold = thresholds[key]
-        values, route = [], 0
-        for p in names:
-            v, r = _step(0, p, threshold, parts, memo)
-            if v is None:
-                v, r = _step(1, p, threshold, parts, memo)
-            if not (v and v[0]):
+        passed = []
+        for k in range(3):
+            failed, left = [], []
+            for p in names:
+                v = _rung(k, p, parts[p], threshold, memo)
+                if v is None:
+                    left.append(p)
+                elif v[0]:
+                    passed.append(v)
+                else:
+                    failed.append(v)
+            if failed or not left:
                 break
-            values.append(v[2])
+            names = left
+        residuals, route = [], 0
+        for _, residual, r in failed or passed:
+            residuals.append(residual)
             route = r if r > route else route
-        else:
-            results[name] = done[entry] = _condition(True, *values, route=_ROUTES[route])
-            continue
-        failing, opened = [], []  # failing on the first step, and left open by it
-        for p in names:
-            v, r = _step(0, p, threshold, parts, memo)
-            if v is None:
-                opened.append(p)
-            elif not v[0]:
-                failing.append((v, r))
-        if not failing:
-            failing = _failing([_step(2, p, threshold, parts, memo) for p in opened])
-        if not failing:
-            got = [_step(2, p, threshold, parts, memo) for p in names]
-            failing = _failing(got) or got
-        results[name] = done[entry] = _verdict(failing)
+        results[name] = done[entry] = _condition(not failed, *residuals, route=_ROUTES[route])
     return results
 
 
-def _step(k: int, p: str, threshold: float, parts: dict, memo: tuple) -> tuple:
-    """Part ``p``'s verdict and route at step k of ``_decide`` (``_STEPS``),
-    each step read at most once: ``memo`` holds one dict per step."""
-    got = memo[k]
-    if p not in got:
-        got[p] = _STEPS[k](parts[p], threshold, _step(k - 1, p, threshold, parts, memo) if k else None)
-    return got[p]
+def _rung(k: int, p: str, part, threshold: float, memo: dict) -> tuple | None:
+    """Part ``p``'s verdict at rung k of ``_decide``, (passed, residual,
+    route), or None where that rung leaves it open."""
+    if not isinstance(part, _Part):  # known
+        return (*_judged(part, threshold), _KNOWN)
+    if k == 0:
+        v = part.closed is not None and _judged(_read(memo, p, part.closed, part.read), threshold)
+        if v and v[0]:
+            return (*v, _CLOSED)
+        if part.forms is not None and part.forms.clean:  # the support form is the c = 0 form
+            v = _rung(1, p, part, threshold, memo)
+            if v:
+                return v
+        v = part.bound is not None and _judged(_read(memo, p, part.bound), threshold)
+        if v and not v[0] and math.isfinite(v[1]):
+            return (*v, _BOUND)
+        return None
+    if k == 1:
+        support = part.forms and part.forms.support
+        v = support and _judged(_read(memo, p, support, part.read), threshold)
+        return v and (*v, _SUPPORT)
+    return (*_judged(_read(memo, p, part.lapack), threshold), _LAPACK)
 
 
-def _failing(got: list) -> list:
-    """The failing verdicts among ``got``, (verdict, route) each."""
-    return [v for v in got if v[0] is not None and not v[0][0]]
+def _read(memo: dict, p: str, source, reader=None):
+    """What ``reader(source)``, or ``source()`` where no reader is given,
+    returned for part ``p``: each runs at most once per ``_decide`` call."""
+    key = p, source
+    return memo[key] if key in memo else memo.setdefault(key, reader(source) if reader else source())
 
 
-def _verdict(got: list) -> ConditionResult:
-    """The conjunction of the parts' verdicts ``got``, (verdict, route) each,
-    with the worst of their values."""
-    passed, values, route = True, [], 0
-    for v, r in got:
-        passed = passed and v[0]
-        values.append(v[1])
-        route = r if r > route else route
-    return _condition(passed, *values, route=_ROUTES[route])
-
-
-def _judged(v, threshold: float):
-    """A reader's output as a verdict: a span or a residual against ``threshold``."""
+def _judged(v, threshold: float) -> tuple[bool, float] | None:
+    """A reader's output as a verdict, (passed, residual): a span or a
+    residual against ``threshold``, a verdict as it is."""
     return v.verdict(threshold) if isinstance(v, _Span) else (v <= threshold, v) if isinstance(v, float) else v
-
-
-def _cheap(part, threshold: float, _=None) -> tuple:
-    """A part's first step in ``_decide``: a known part's verdict; its c = 0
-    verdict where that passes; the c = 0 form's verdict where that form is
-    the support form; else its bound where that fails it. None where these
-    leave it open."""
-    if not isinstance(part, tuple) or len(part) == 2:  # known: a residual, or (passed, residual)
-        v = _judged(part, threshold)
-        return (*v, v[1]), _KNOWN
-    pair, read, _, bound = part
-    closed = pair.closed
-    v = closed and _judged(read(closed), threshold)
-    if v and v[0]:
-        return v, _CLOSED
-    if pair.clean:
-        support = pair.support
-        v = v if support is closed else support and _judged(read(support), threshold)
-        if v is not None:
-            return v, _SUPPORT
-    b = bound and bound()
-    if b is not None:
-        passed, value = _judged(b, threshold)
-        if not passed and math.isfinite(value):
-            return (False, value, value), _BOUND
-    return None, _BOUND
-
-
-def _supported(part, threshold: float, cheap: tuple) -> tuple:
-    """A part's second step: its first where that decided other than by a
-    passing c = 0 form, else its support verdict, None where the support
-    form leaves it open. On a clean split that is the c = 0 verdict."""
-    v, r = cheap
-    if v is not None and r != _CLOSED:
-        return cheap
-    pair, read = part[:2]
-    if not pair.clean:
-        support = pair.support
-        v = support and _judged(read(support), threshold)
-    return v, _SUPPORT
-
-
-def _slow(part, threshold: float, supported: tuple) -> tuple:
-    """A part's last step: its second where that decided, else its O(n^3) verdict."""
-    return supported if supported[0] is not None else (_judged(part[2](), threshold), _LAPACK)
-
-
-_STEPS = (_cheap, _supported, _slow)
 
 
 def _rank_one_spectrum_distance(vals: np.ndarray) -> float:
@@ -911,11 +873,13 @@ class _Span(NamedTuple):
         ends = zip(self, (den.value, den.hi, den.lo))
         return _Span(*(x / max(max(d, 0.0) ** power, 1.0) for x, d in ends))
 
-    def verdict(self, threshold: float) -> tuple[bool, float, float] | None:
-        """(value <= threshold, value, hi) where the whole span lies on one
-        side of ``threshold``, else None (so for NaN too)."""
-        if self.hi < threshold or self.lo > threshold:
-            return self.hi < threshold, self.value, self.hi
+    def verdict(self, threshold: float) -> tuple[bool, float] | None:
+        """(True, hi) where the whole span lies below ``threshold``, (False,
+        value) where it lies above, else None (so for NaN too)."""
+        if self.hi < threshold:
+            return True, self.hi
+        if self.lo > threshold:
+            return False, self.value
         return None
 
 
@@ -963,8 +927,8 @@ class _Form:
         """||x||_2."""
         return _near(float(self.sigma[0]), self.sigma_err)
 
-    def rank_one(self, tol: Tolerance) -> tuple[bool, float, float] | None:
-        """``_rank(s, n, tol) == 1``, sigma_2 / sigma_1 and, on a pass, its
+    def rank_one(self, tol: Tolerance) -> tuple[bool, float] | None:
+        """``_rank(s, n, tol) == 1`` with sigma_2 / sigma_1, or on a pass its
         upper end, where every singular value, T's and the zeros, is further
         from the cut max(rel sigma_1 n, abs) than the allowance moves either;
         else None."""
@@ -974,8 +938,8 @@ class _Form:
         if not (err < cut_lo and all(up or x + err < cut_lo for up, x in zip(above, s))):
             return None
         if sum(above) != 1:
-            return False, s[1] / s[0] if s[0] > 0 else 0.0, math.inf
-        return True, s[1] / s[0], (s[1] + err) / (s[0] - err)
+            return False, s[1] / s[0] if s[0] > 0 else 0.0
+        return True, (s[1] + err) / (s[0] - err)
 
     def skew(self) -> _Span:
         """||x - x*||_2: B's is T's, x's is within 2 eta of it, and LAPACK
@@ -1275,6 +1239,11 @@ class _Forms:
     @_cached
     def skew_bounds(self) -> tuple[float, float]:
         return _skew_bounds(self.x.shape[0], self.fro, self.skew_rows)
+
+    def part(self, read, lapack, bound=None) -> _Part:
+        """The ``_Part`` that reads these forms with ``read``, its O(n^2) bound
+        with ``bound`` and the O(n^3) code with ``lapack``."""
+        return _Part(self.closed, self, read, lapack, bound)
 
     def psd_bound(self, tol: Tolerance) -> tuple[bool, float] | None:
         """``star._psd_residual``'s failing verdict on x, with a lower bound
@@ -1624,28 +1593,28 @@ def certify_multiplicative(
     verdict is the conjunction; the theory predicts unanimous agreement, so
     disagreement is recorded on the certificate rather than raised.
 
-    ``rank_one`` and ``spectrum_0_n`` read the c = 0 form where the ratio
-    test accepted through its pivot split, then their O(n^2) lower bounds
-    (a 2-by-2 minor, and tr(A^2) against n^2), then the support form (the
-    c = 0 form again on a clean split, at every n, read before the bound;
-    the low-rank form on a few lines of E from n = 24 on), then the SVD or
-    the eigensolver; ``product_sampling`` reads ``_sampling_bound`` before
-    it samples, and samples however the rest is decided, its verdict being a
-    sampled one. A condition passes where every span lies below its
-    threshold, and then reports the span's upper end, a certified upper
-    bound on what the O(n^3) code would report. On the accept path that
-    rests on LAPACK's error model (``_lapack``) alone: no QR runs there. A
-    condition a bound fails reports the bound, a certified lower bound on
-    LAPACK's residual under the same model; one a form fails, the form's
-    value, within its span of LAPACK's; and otherwise LAPACK's residual.
-    ``product_sampling`` costs two matrix-vector products per trial; where
-    it samples and its draws do not fit in memory, ResourceLimitError is
-    raised.
+    Each condition is read rung by rung (``_decide``). ``rank_one`` and
+    ``spectrum_0_n`` read at rung 0 the c = 0 form, where the ratio test
+    accepted through its pivot split, if it passes them (either way on a
+    clean split, where it is the support form), and their O(n^2) lower
+    bounds (a 2-by-2 minor, and tr(A^2) against n^2) if those fail them; at
+    rung 1 the support form (the low-rank form on a few lines of E from
+    n = 24 on); at rung 2 the SVD or the eigensolver. ``product_sampling``
+    reads ``_sampling_bound`` at rung 0 and samples where that leaves it
+    open, its verdict then being a sampled one. A passing condition reports
+    its span's upper end, a certified upper bound on what the O(n^3) code
+    would report, or that code's own value. On the accept path that rests
+    on LAPACK's error model (``_lapack``) alone: no QR runs there. A failing
+    condition reports what failed it: a bound, a certified lower bound on
+    LAPACK's residual under the same model; a form's value, within its span
+    of LAPACK's; or LAPACK's residual. ``product_sampling`` costs two
+    matrix-vector products per trial; where it samples and its draws do not
+    fit in memory, ResourceLimitError is raised.
 
-    The conditions are ``_MULTIPLICATIVE``'s, decided by ``_decide``:
-    ``cocycle`` and ``unit_diagonal`` are the ratio test's results, the
-    ratio bound sits in ``product_sampling``'s c = 0 slot, and each
-    condition's ``route`` tells what decided it.
+    The conditions are ``_MULTIPLICATIVE``'s: ``cocycle`` and
+    ``unit_diagonal`` are the ratio test's results, the ratio bound is
+    ``product_sampling``'s c = 0 form, and each condition's ``route`` tells
+    what decided it.
     """
     m = as_matrix(a)
     n = require_square(m)
@@ -1659,14 +1628,14 @@ def certify_multiplicative(
     parts = {
         "cocycle": facts.cocycle,
         "unit_diagonal": facts.unit_diagonal,
-        "rank_one": (facts, facts.read_rank_one, facts.lapack_rank_one, lambda: facts.rank_one_bound),
-        "spectrum": (facts, facts.read_spectrum, facts.lapack_spectrum, lambda: facts.spectrum_bound),
-        # the ratio bound sits in the c = 0 slot, read as it is; the sampling in the O(n^3) one
-        "sampling": (
-            SimpleNamespace(closed=_Span(bound, -math.inf, bound), support=None, clean=False),
+        "rank_one": facts.part(facts.read_rank_one, facts.lapack_rank_one, lambda: facts.rank_one_bound),
+        "spectrum": facts.part(facts.read_spectrum, facts.lapack_spectrum, lambda: facts.spectrum_bound),
+        # the ratio bound is the c = 0 form, read as it is; the sampling the O(n^3) code
+        "sampling": _Part(
+            _Span(bound, -math.inf, bound),
+            None,
             _Span._make,
             functools.partial(_product_sampling_residual, m.data, trials, seed),
-            None,
         ),
     }
     conditions = _decide(_MULTIPLICATIVE, {"one": tol.threshold(1.0), "n": tol.threshold(float(n))}, parts)

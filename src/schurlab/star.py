@@ -6,27 +6,28 @@ which is what the pair-positivity condition checks at O(n^3).
 
 Every O(n^3) part (||A||_2, ||A - A*||_2, the normality commutator and the
 smallest eigenvalues of the Hermitian parts of A and of its Schur inverse) is
-read off the same forms as the multiplicative battery's, in the same order,
-by the same loop (``multiplicative._decide``), from the conditions of one
-table, ``_STAR``. Where the ratio test accepts through its pivot
-split A = u v^T + E, the first is the c = 0 form ``_closed`` of A and of the
-Schur inverse, split once more through the same column (forming its E once
-and no |E|): closed forms of a 2-by-2 T, whose spans rest on LAPACK's error
-model ``_lapack`` alone, with no QR. A condition passes where every part's
-span lies below its threshold, and reports the upper ends, certified upper
-bounds on the exact residuals. Any other part reads an O(n^2) lower bound on
-what LAPACK computes for it (the ``*_bound`` readers of ``multiplicative``'s
-facts and forms: a skew entry for ||x - x*||_2, two rows of A A* - A* A, a
-2-by-2 minor and tr(A^2)), which fails it where it clears the threshold;
-then the support forms of A and of its Schur inverse: on a clean split,
-with no entry of E above rounding, the c = 0 forms again, at every n (read
-before the bounds), and from n = 24 on
-``_low_rank``, split on the same rows and columns of E under the error model
-of the QR that builds them; then the O(n^3) code where their spans leave a
-part open. The unit-diagonal precondition is decided in O(n) before
-anything else, so a refusal costs no ratio test; the ratio test, A's forms,
-its SVD, ||A - A*||_2 and its spectrum come from ``_facts``, computed once
-per bitwise-equal matrix and tolerance for every multiplicativity call, and
+read off the same forms as the multiplicative battery's, by the same rule
+(``multiplicative._decide``), from the conditions of one table, ``_STAR``:
+a condition reads its parts one rung at a time and stops at the first rung
+where any part fails, or where every part is decided. Rung 0 reads the
+known parts; the c = 0 forms ``_closed`` of A and of the Schur inverse,
+split once more through the same column (forming its E once and no |E|),
+where the ratio test accepted through its pivot split A = u v^T + E and
+they pass the part: closed forms of a 2-by-2 T, whose spans rest on
+LAPACK's error model ``_lapack`` alone, with no QR; and the O(n^2) lower
+bounds on what LAPACK computes (the ``*_bound`` readers of
+``multiplicative``'s facts and forms: a skew entry for ||x - x*||_2, two
+rows of A A* - A* A, a 2-by-2 minor and tr(A^2)) where they fail it. On a
+clean split, with no entry of E above rounding, the c = 0 forms are the
+support forms and decide there either way, at every n. Rung 1 reads the
+support forms of A and of its Schur inverse: from n = 24 on, ``_low_rank``
+split on the same rows and columns of E, under the error model of the QR
+that builds them. Rung 2 reads the O(n^3) code. A passing part reports its
+span's upper end, a certified upper bound on the exact residual. The
+unit-diagonal precondition is decided in O(n) before anything else, so a
+refusal costs no ratio test; the ratio test, A's forms, its SVD,
+||A - A*||_2 and its spectrum come from ``_facts``, computed once per
+bitwise-equal matrix and tolerance for every multiplicativity call, and
 the Schur inverse's forms are built once per call (``_Facts.forms_of``).
 """
 
@@ -151,18 +152,19 @@ class StarCertificate:
         }
 
 
-def _psd_form(form, tol: Tolerance) -> tuple[bool, float, float] | None:
-    """``_psd_residual`` from a form where its spans decide both tests, with
-    the residual's upper end; else None. The threshold moves with ||x||_2,
-    so each test must hold, or fail, at both ends of the norm's span."""
+def _psd_form(form, tol: Tolerance) -> tuple[bool, float] | None:
+    """``_psd_residual`` from a form where its spans decide both tests, or
+    on a pass the residual's upper end; else None. The threshold moves with
+    ||x||_2, so each test must hold, or fail, at both ends of the norm's span."""
     norm, skew, low = form.norm(), form.skew(), form.lam_min()
     thr_lo, thr_hi = tol.threshold(max(norm.lo, 0.0)), tol.threshold(norm.hi)
     herm_ok = True if skew.hi < thr_lo else False if skew.lo > thr_hi else None
     low_ok = True if low.lo > -thr_lo else False if low.hi < -thr_hi else None
-    if None in (herm_ok, low_ok) and False not in (herm_ok, low_ok):
-        return None  # neither test fails, and one is open
-    value = _nanmax(skew.value, -low.value) / max(norm.value, 1.0)
-    return bool(herm_ok and low_ok), value, _nanmax(skew.hi, -low.lo) / max(norm.lo, 1.0)
+    if herm_ok and low_ok:
+        return True, _nanmax(skew.hi, -low.lo) / max(norm.lo, 1.0)
+    if False in (herm_ok, low_ok):
+        return False, _nanmax(skew.value, -low.value) / max(norm.value, 1.0)
+    return None  # neither test fails, and one is open
 
 
 def _commutator_norm(data: np.ndarray) -> float:
@@ -208,23 +210,24 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
 
     Every O(n^3) part (the SVDs for ||A||_2 and ||A - A*||_2, the
     commutator, and the eigensolves of the Hermitian parts of A and its Schur
-    inverse) reads the c = 0 forms of A and of its Schur inverse where the
-    ratio test accepted through the pivot split, then their support forms
-    (the c = 0 forms again on a clean split, at every n; the low-rank forms
-    on a few lines of E from n = 24 on), and the O(n^3) code where no span
-    decides it (``_psd_form``). Before the support forms and LAPACK, each of
-    them reads its O(n^2) lower bound, which fails it where it clears the
-    threshold by LAPACK's allowance. On the accept path and on a clean split
-    the spans rest on LAPACK's error model alone, with no QR model. A
-    passing condition reports the spans' upper ends, certified upper bounds
-    on the exact residuals. A failing one reports the worst of its failing
-    parts: a bound, a certified lower bound on LAPACK's value; a form's value,
-    within its span of LAPACK's; or LAPACK's value where neither decides; a
-    part that a failing condition does not need is not read. A
-    multiplicative input of mixed modulus thus fails its conditions with no
-    SVD or eigensolve at any n, and so does an input the bounds reject. The
-    conditions are ``_STAR``'s, decided by ``multiplicative._decide``, each
-    with the ``route`` that decided it.
+    inverse) is read rung by rung (``multiplicative._decide``). Rung 0 reads
+    the c = 0 forms of A and of its Schur inverse, where the ratio test
+    accepted through the pivot split, if they pass it (either way on a clean
+    split, at every n, where they are the support forms), and its O(n^2)
+    lower bound if that clears the threshold by LAPACK's allowance; rung 1
+    the support forms (the low-rank forms on a few lines of E from n = 24
+    on); rung 2 the O(n^3) code, where no span decides it (``_psd_form``).
+    On the accept path and on a clean split the spans rest on LAPACK's error
+    model alone, with no QR model. A condition stops at the first rung where
+    any part fails, and fails with the worst failure read there: a bound, a
+    certified lower bound on LAPACK's value; a form's value, within its span
+    of LAPACK's; or LAPACK's value. It also stops where every part is
+    decided, and passes with the worst upper end, certified upper bounds on
+    the exact residuals or LAPACK's own values. No part is read past the
+    rung that decided it. A multiplicative input of mixed modulus thus fails
+    its conditions with no SVD or eigensolve at any n, and so does an input
+    the bounds reject. The conditions are ``_STAR``'s, each with the
+    ``route`` that decided it.
     """
     m = as_matrix(a)
     n = require_square(m)
@@ -242,17 +245,13 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
     psd = partial(_psd_form, tol=tol)
     parts = {
         "cocycle": (facts.cocycle.passed, facts.cocycle.residual / max(facts.scale * facts.scale, 1.0)),
-        "hermitian": (facts, _hermitian, partial(_hermitian_lapack, facts), facts.hermitian_bound),
-        "psd": (facts, psd, partial(_psd_lapack, facts), partial(facts.psd_bound, tol)),
-        "normal": (facts, _normal, partial(_normal_lapack, facts), facts.normal_bound),
-        "rank_one": (facts, facts.read_rank_one, facts.lapack_rank_one, lambda: facts.rank_one_bound),
+        "hermitian": facts.part(_hermitian, partial(_hermitian_lapack, facts), facts.hermitian_bound),
+        "psd": facts.part(psd, partial(_psd_lapack, facts), partial(facts.psd_bound, tol)),
+        "normal": facts.part(_normal, partial(_normal_lapack, facts), facts.normal_bound),
+        "rank_one": facts.part(facts.read_rank_one, facts.lapack_rank_one, lambda: facts.rank_one_bound),
         "unimodular": float(np.abs(np.abs(data) - 1.0).max()),
-        "spectrum": (
-            facts,
-            partial(facts.read_spectrum, per=n),
-            partial(facts.lapack_spectrum, per=n),
-            lambda: facts.spectrum_bound / n,
-        ),
+        "spectrum": facts.part(partial(facts.read_spectrum, per=n), partial(facts.lapack_spectrum, per=n),
+                               lambda: facts.spectrum_bound / n),
         "map_norm": abs(facts.scaling.modulus_ratio - 1.0) if facts.scaling is not None else math.inf,
     }
     try:
@@ -261,7 +260,7 @@ def certify_star_multiplicative(a, tol: Tolerance | None = None) -> StarCertific
         parts["psd"] = parts["inverse_psd"] = parts["inverse_diagonal"] = (False, math.inf)
     else:
         forms = facts.forms_of(inv)
-        parts["inverse_psd"] = (forms, psd, partial(_psd_residual, inv, tol), partial(forms.psd_bound, tol))
+        parts["inverse_psd"] = forms.part(psd, partial(_psd_residual, inv, tol), partial(forms.psd_bound, tol))
         parts["inverse_diagonal"] = float(np.abs(np.diagonal(inv) - 1.0).max())
     conditions = _decide(_STAR, {"one": one, "commutator": max(COMMUTATOR_REL, tol.rel)}, parts)
     verdict = all(r.passed for r in conditions.values())

@@ -276,6 +276,31 @@ def test_mixed_modulus_star_battery_runs_no_lapack(monkeypatch, n):
     assert calls == {}
 
 
+def test_a_part_its_c_0_form_passed_is_not_read_again(monkeypatch):
+    # f = (1, 2) with a_12 moved by 1e-9, at rel 2: the c = 0 form passes
+    # hermitian in star_and_multiplicative; selfadjoint_spectrum_norm reads
+    # it again beside a spectrum part that goes to LAPACK, and takes its
+    # verdict from the memo, so ||A - A*||_2 is never computed
+    a = np.array([[1, 0.5 + 1e-9], [2, 1]], dtype=complex)
+    computed = []
+    for module in (multiplicative, star):
+        original = module._skew_norm
+        monkeypatch.setattr(module, "_skew_norm", lambda x, _f=original: computed.append(x.shape) or _f(x))
+    cert = certify_star_multiplicative(a, Tolerance(rel=2.0))
+    assert computed == []
+    got = {name: (c.passed, c.residual, c.route) for name, c in cert.conditions.items()}
+    herm = pytest.approx(0.6000000014400426, rel=1e-12)
+    rank = pytest.approx(3.199999233598599e-10, rel=1e-6)
+    assert got == {
+        "star_and_multiplicative": (True, herm, "closed"),
+        "cp_isomorphism_proxy": (True, herm, "closed"),
+        "rank_one_normal_unit_diag": (False, rank, "lapack"),
+        "rank_one_unimodular_unit_diag": (False, rank, "lapack"),
+        "selfadjoint_spectrum_norm": (True, 1.0, "lapack"),
+        "schur_pair_positive": (True, herm, "closed"),
+    }
+
+
 def test_check_star_computes_each_fact_once(monkeypatch, tmp_path, capsys):
     # both batteries read one ratio test, which rejects through the pivot
     # slice without the scan, and the O(n^2) bounds decide every failing
@@ -425,7 +450,7 @@ def test_weyl_bounds_where_the_pivot_column_grows(n, eps):
     assert closed is not None
     s = core._singular_values(a)
     assert closed.norm().lo <= s[0] <= closed.norm().hi
-    passed, _, upper = closed.rank_one(Tolerance())
+    passed, upper = closed.rank_one(Tolerance())
     assert passed and upper >= s[1] / s[0]
     assert_matches_exact(a, Tolerance())
 
@@ -527,7 +552,7 @@ def assert_form_holds_lapack(x: np.ndarray, form, tol: Tolerance) -> None:
     ):
         if decided is not None:
             assert decided[0] == passed
-            assert not passed or decided[2] >= residual
+            assert not passed or decided[1] >= residual
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

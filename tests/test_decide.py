@@ -3,9 +3,9 @@
 Every part is known, or reads a c = 0 form, a support form, an O(n^2)
 bound and the O(n^3) code through readers that count their calls. Each case
 checks the verdict, the residual (NaN kept, a non-finite one failing) and
-the route, that every reader ran at most once, and that no O(n^3) reader ran
-where the first pass, or a part's first step failing it, decided the
-condition.
+the route; that every reader ran at most once; and that no part read its
+support form where rung 0 decided it or its condition, nor the O(n^3) code
+where rung 0 or rung 1 did.
 """
 
 import itertools
@@ -17,17 +17,17 @@ from types import SimpleNamespace
 import pytest
 
 from schurlab import multiplicative
-from schurlab.multiplicative import _ROUTES, ConditionResult, _decide
+from schurlab.multiplicative import _ROUTES, ConditionResult, _decide, _Part, _Span
 
 THRESHOLD = 1.0
 
-# a form's verdict: (passed, value, upper end), or None where the form leaves the part open
-CLOSED = {"pass": (True, 0.25, 0.5), "open": None, "absent": None}
-SUPPORT = {"pass": (True, 0.125, 0.375), "fail": (False, 2.0, 3.0), "open": None, "same": None}
-SLOW = {"pass": (True, 0.0625), "fail": (False, 4.0), "nan": (False, math.nan), "inf": (True, math.inf)}
+# a reader's output: a verdict (passed, residual), a residual for the
+# threshold, or None where a form leaves the part open
+CLOSED = {"pass": (True, 0.5), "fail": (False, 2.5), "open": None, "absent": None}
+SUPPORT = {"pass": (True, 0.375), "fail": (False, 2.0), "open": None, "same": None}
+SLOW = {"pass": (True, 0.0625), "fail": (False, 4.0), "nan": (False, math.nan), "inf": (True, math.inf), "residual": 3.5}
 KNOWN = {"known pass": (True, 0.75), "known fail": (False, 5.0), "known residual": 0.875}
-# a bound's output: a residual for the threshold, a failing verdict, or None; only
-# a finite failure decides. Scaled by at most 3, "below" stays below the threshold
+# only a finite failure decides; scaled by at most 3, "below" stays below the threshold
 BOUND = {"open": None, "below": 0.25, "fail": 6.0, "verdict": (False, 1.5), "nan": math.nan, "inf": math.inf}
 
 # parts without a bound, and parts with one
@@ -43,22 +43,18 @@ class Part:
     def __init__(self, kind, scale: float, calls: Counter, name: str):
         self.kind, self.calls, self.name = kind, calls, name
         if kind in KNOWN:
-            self.record = KNOWN[kind]
+            self.record = scaled(KNOWN[kind], scale)
             return
         closed, support, slow, *bound = kind
-        c_form = None if closed == "absent" else ("c", name)
-        s_form = c_form if support == "same" else None if support == "open" else ("s", name)
-        self.verdicts = {c_form: scaled(CLOSED[closed], scale), s_form: scaled(SUPPORT[support], scale)}
-        if support == "same":
-            self.verdicts[c_form] = scaled(CLOSED[closed], scale)
+        self.closed = None if closed == "absent" else ("c", name)
+        self.support = self.closed if support == "same" else None if support == "open" else ("s", name)
+        self.clean = support == "same"
+        # on a clean split the support form is the c = 0 form, and reads as that
+        self.verdicts = {self.support: scaled(SUPPORT[support], scale), self.closed: scaled(CLOSED[closed], scale)}
         self.slow_verdict = scaled(SLOW[slow], scale)
-        self.bound_value = BOUND[bound[0]] if bound else None
-        if isinstance(self.bound_value, float):
-            self.bound_value *= scale
-        else:
-            self.bound_value = scaled(self.bound_value, scale)
-        pair = SimpleNamespace(closed=c_form, support=s_form, clean=support == "same")
-        self.record = (pair, self.read, self.slow, self.bound if bound else None)
+        self.bound_value = scaled(BOUND[bound[0]], scale) if bound else None
+        forms = SimpleNamespace(clean=self.clean, support=self.support)
+        self.record = _Part(self.closed, forms, self.read, self.slow, self.bound if bound else None)
 
     def read(self, form):
         self.calls[self.name, form] += 1
@@ -73,76 +69,51 @@ class Part:
         return self.bound_value
 
 
-def scaled(verdict, scale: float):
-    """``verdict`` with its values times ``scale``, so parts differ."""
-    return None if verdict is None else (verdict[0], *(v * scale for v in verdict[1:]))
+def scaled(v, scale: float):
+    """A reader's output with its values times ``scale``, so parts differ."""
+    return v * scale if isinstance(v, float) else v and (v[0], v[1] * scale)
 
 
-def reference(parts: list[Part]) -> tuple[bool, float, str, str]:
-    """The rule. A part's first step is its known verdict, its c = 0 verdict
-    where that passes, the c = 0 verdict where the support form is the c = 0
-    form, or its bound where that is a finite failure; its second step its
-    support verdict where the first left it open or passed on the c = 0 form;
-    its last the O(n^3) verdict where the second left it open. Where each
-    part passes on its first two steps, the condition passes with the worst
-    upper end. Otherwise, where some part fails on its first step, it fails
-    with the worst of those; else the parts the first step left open take
-    their last step, and it fails with the worst of their failures; else it
-    is every part's last verdict, with the worst value. NaN is kept, only a
-    finite residual passes, and the route is the latest the counted parts
-    took. The last item names how it was decided."""
+def judge(v):
+    return (v <= THRESHOLD, v) if isinstance(v, float) else v
 
-    def first_step(part):
+
+def reference(parts: list[Part]) -> tuple[bool, float, str, dict]:
+    """The rule. Rung 0: a known verdict; the c = 0 verdict where it passes,
+    or either way on a clean split; the bound where it fails finitely. Rung
+    1: the support verdict; rung 2: the O(n^3) one. The condition stops at
+    the first rung where a part fails, failing with the worst failure read
+    there, or where every part is decided, passing with the worst residual.
+    NaN is kept, only a finite residual passes, and the route is the latest
+    the counted parts took. The last item maps each part to the last rung it
+    reached: the one that decided it, or the one where the condition stopped."""
+
+    def at(part, k):
         if part.kind in KNOWN:
-            record = part.record
-            v = (record <= THRESHOLD, record) if isinstance(record, float) else record
-            return (*v, v[1]), KNOWN_ROUTE
-        pair = part.record[0]
-        c = None if pair.closed is None else part.verdicts[pair.closed]
-        if c and c[0]:
-            return c, CLOSED_ROUTE
-        if pair.clean and c is not None:
-            return c, SUPPORT_ROUTE
-        b = part.bound_value
-        if isinstance(b, float):
-            b = (b <= THRESHOLD, b)
-        if b is not None and not b[0] and math.isfinite(b[1]):
-            return (False, b[1], b[1]), BOUND_ROUTE
-        return None, BOUND_ROUTE
+            return judge(part.record), KNOWN_ROUTE
+        c = part.verdicts[part.closed] if part.closed else None
+        if k == 0 and c and (c[0] or part.clean):
+            return c, CLOSED_ROUTE if c[0] else SUPPORT_ROUTE
+        b = judge(part.bound_value)
+        if k == 0:
+            return ((False, b[1]), BOUND_ROUTE) if b and not b[0] and math.isfinite(b[1]) else None
+        if k == 1:
+            v = part.verdicts[part.support] if part.support else None
+            return v and (v, SUPPORT_ROUTE)
+        return judge(part.slow_verdict), LAPACK_ROUTE
 
-    def second_step(part):
-        v, r = first_step(part)
-        if v is not None and r != CLOSED_ROUTE:
-            return v, r
-        pair = part.record[0]
-        if not pair.clean:
-            v = None if pair.support is None else part.verdicts[pair.support]
-        return v, SUPPORT_ROUTE
-
-    def last_step(part):
-        v, r = second_step(part)
-        return (v, r) if v is not None else (part.slow_verdict, LAPACK_ROUTE)
-
-    def failing(got):
-        return [(v, r) for v, r in got if v is not None and not v[0]]
-
-    fast = []
-    for part in parts:
-        v, r = first_step(part)
-        fast.append((v, r) if v is not None else second_step(part))
-    if all(v and v[0] for v, _ in fast):
-        got, index, how = fast, 2, "first"
-    elif bad := failing([first_step(part) for part in parts]):
-        got, index, how = bad, 1, "first step"
-    elif bad := failing([last_step(part) for part in parts if first_step(part)[0] is None]):
-        got, index, how = bad, 1, "open"
-    else:
-        got = [last_step(part) for part in parts]
-        got, index, how = failing(got) or got, 1, "all"
-    values = [v[index] for v, _ in got]
-    residual = math.nan if any(math.isnan(v) for v in values) else max(values)
-    passed = all(v[0] for v, _ in got) and math.isfinite(residual)
-    return passed, residual, _ROUTES[max(r for _, r in got)], how
+    passed, left, reached = [], parts, {}
+    for k in range(3):
+        got = [(part, at(part, k)) for part in left]
+        reached.update((part.name, k) for part in left)
+        failed = [v for _, v in got if v and not v[0][0]]
+        passed += [v for _, v in got if v and v[0][0]]
+        left = [part for part, v in got if v is None]
+        if failed or not left:
+            break
+    residuals = [v[1] for v, _ in failed or passed]
+    residual = math.nan if any(math.isnan(v) for v in residuals) else max(residuals)
+    return not failed and math.isfinite(residual), residual, _ROUTES[max(r for _, r in failed or passed)], reached
 
 
 def run(kinds) -> tuple[ConditionResult, ConditionResult, Counter, list[Part]]:
@@ -162,14 +133,15 @@ def same_residual(got: float, want: float) -> bool:
 
 def check(kinds) -> None:
     forward, backward, calls, parts = run(kinds)
-    passed, residual, route, how = reference(parts)
+    passed, residual, route, reached = reference(parts)
     for result in (forward, backward):
         assert result.passed is passed, kinds
         assert same_residual(result.residual, residual), kinds
         assert result.route == route, kinds
     assert all(count == 1 for count in calls.values()), (kinds, calls)
-    if how in ("first", "first step"):
-        assert not any(key[1] == "slow" for key in calls), kinds
+    # a read at rung 1 (support form) or 2 (O(n^3) code) only where the part got that far
+    for name, reader in calls:
+        assert (2 if reader == "slow" else 1 if reader == ("s", name) else 0) <= reached[name], (kinds, calls)
 
 
 @pytest.mark.parametrize("kind", PART_KINDS, ids=str)
@@ -220,6 +192,34 @@ def test_a_support_form_that_is_the_c_0_form_is_read_once():
     assert calls == Counter({("p0", ("c", "p0")): 1, ("p1", ("c", "p1")): 1, ("p1", "slow"): 1})
     result, _, calls, _ = run([("absent", "same", "pass"), ("pass", "same", "fail")])
     assert result.route == "lapack" and calls[("p1", "slow")] == 0
+
+
+def test_a_shared_part_is_judged_at_each_conditions_threshold():
+    # one part in two conditions at two thresholds: the memo keeps what each
+    # reader returned, and each condition judges it against its own
+    # threshold. A clean split's span passes the loose condition on the c = 0
+    # form and fails the tight one there; a residual from LAPACK likewise
+    calls = Counter()
+
+    def counted(name, value):
+        def reader(*args):
+            calls[name] += 1
+            return value
+
+        return reader
+
+    span = _Span(0.5, 0.25, 0.75)
+    parts = {
+        "span": _Part(span, SimpleNamespace(clean=True, support=span), counted("span", span), counted("slow", 0.0)),
+        "residual": _Part(None, None, None, counted("lapack", 0.5)),
+    }
+    table = {f"{part} {key}": (key, part) for part in parts for key in ("loose", "tight")}
+    results = _decide(table, {"loose": 1.0, "tight": 0.125}, parts)
+    assert results["span loose"] == ConditionResult(True, 0.75) and results["span loose"].route == "closed"
+    assert results["span tight"] == ConditionResult(False, 0.5) and results["span tight"].route == "support"
+    assert results["residual loose"] == ConditionResult(True, 0.5)
+    assert results["residual tight"] == ConditionResult(False, 0.5)
+    assert calls == Counter({"span": 1, "lapack": 1})
 
 
 def test_a_decided_condition_result_stands_for_its_condition():

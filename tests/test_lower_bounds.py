@@ -64,7 +64,7 @@ def make_input(kind: str, n: int, seed: int, log_eps: float) -> np.ndarray:
 
 
 def decides(bound, threshold: float) -> bool:
-    """Whether a bound reader's output fails its part, as ``multiplicative._cheap`` reads it."""
+    """Whether a bound reader's output fails its part, as ``multiplicative._rung`` reads it."""
     if bound is None:
         return False
     passed, value = multiplicative._judged(bound, threshold)
